@@ -65,13 +65,26 @@ def torus_distance(a, b) -> float:
     return float(np.sqrt(np.sum(d * d)))
 
 
+def _wrap_dist_sq(grid: SpectralGrid, centers) -> np.ndarray:
+    """Squared torus distance from each center (rows of an (M, 2) array) to
+    every grid point, shape (M, N, N)."""
+    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    d1 = np.abs(grid.x1[None, :] - c[:, 0:1])
+    d1 = np.minimum(d1, 2.0 * np.pi - d1)
+    d2 = np.abs(grid.x2[None, :] - c[:, 1:2])
+    d2 = np.minimum(d2, 2.0 * np.pi - d2)
+    return d1[:, :, None] ** 2 + d2[:, None, :] ** 2
+
+
 @dataclass(frozen=True)
 class CoveringSet:
     """Square lattice of ball centers with spacing <= R sqrt(2).
 
     Any radius-R ball around any point is then contained in the radius-2R
     ball of the nearest center, so a max over centers at 2R dominates the
-    sup over all positions at R.  ``masks`` selects grid points within 2R.
+    sup over all positions at R.  ``masks`` is the float64 0/1 matrix, one
+    row of N*N grid points per center, selecting the points within 2R; it is
+    float so every ``local_maxima`` call is a plain BLAS matrix-vector product.
     """
 
     grid: SpectralGrid
@@ -86,13 +99,8 @@ class CoveringSet:
         m = int(np.ceil(2.0 * np.pi / (r * np.sqrt(2.0))))
         line = 2.0 * np.pi * np.arange(m) / m
         centers = np.array([(a, b) for a in line for b in line])
-        x1 = self.grid.x1
-        d1 = np.abs(x1[None, :] - centers[:, 0:1])
-        d1 = np.minimum(d1, 2.0 * np.pi - d1)
-        d2 = np.abs(x1[None, :] - centers[:, 1:2])
-        d2 = np.minimum(d2, 2.0 * np.pi - d2)
-        dist_sq = d1[:, :, None] ** 2 + d2[:, None, :] ** 2
-        masks = dist_sq <= (2.0 * r) ** 2
+        inside = _wrap_dist_sq(self.grid, centers) <= (2.0 * r) ** 2
+        masks = inside.reshape(len(centers), -1).astype(np.float64)
         for arr, name in [(centers, "centers"), (masks, "masks")]:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -107,18 +115,13 @@ class CoveringSet:
         The lattice invariant is defect <= R: every B(x, R) then sits inside
         B(x_i, 2R) for the nearest center x_i.
         """
-        x1 = self.grid.x1
-        d1 = np.abs(x1[None, :] - self.centers[:, 0:1])
-        d1 = np.minimum(d1, 2.0 * np.pi - d1)
-        d2 = np.abs(x1[None, :] - self.centers[:, 1:2])
-        d2 = np.minimum(d2, 2.0 * np.pi - d2)
-        dist_sq = d1[:, :, None] ** 2 + d2[:, None, :] ** 2
+        dist_sq = _wrap_dist_sq(self.grid, self.centers)
         return float(np.sqrt(np.max(np.min(dist_sq, axis=0))))
 
     def local_maxima(self, integrand: np.ndarray) -> tuple[float, float]:
         """(max, argmax-free) masked quadrature sums over the centers."""
         flat = integrand.ravel() * self.grid.quad_weight
-        sums = self.masks.reshape(self.n_centers, -1) @ flat
+        sums = self.masks @ flat
         return float(np.max(sums)), sums
 
 
@@ -147,12 +150,7 @@ def local_energy(state: SimState, gl: GLParams, center, radius: float) -> float:
     g = state.grid
     grad_n = np.stack([g.grad_phys(state.n.spec[m]) for m in range(3)], axis=1)
     e = _pointwise_energy(state, gl, grad_n)
-    c = np.asarray(center, dtype=np.float64)
-    d1 = np.abs(g.x1 - c[0])
-    d1 = np.minimum(d1, 2.0 * np.pi - d1)
-    d2 = np.abs(g.x2 - c[1])
-    d2 = np.minimum(d2, 2.0 * np.pi - d2)
-    mask = (d1[:, None] ** 2 + d2[None, :] ** 2) <= radius * radius
+    mask = _wrap_dist_sq(g, center)[0] <= radius * radius
     return float(np.sum(e[mask])) * g.quad_weight
 
 
@@ -173,7 +171,7 @@ def energy_report(state: SimState, gl: GLParams,
 
     u_sq = g.integrate(np.sum(u_phys**2, axis=0))
     grad_n_sq = g.integrate(gn2)
-    grad_u_sq = float((2.0 * np.pi) ** 2 * np.sum(g.k2 * np.abs(u_spec) ** 2))
+    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
     relax_sq = g.integrate(np.sum((lap_n + f_pen) ** 2, axis=0))
 
     grad_w = g.grad_phys(g.to_spec(w))

@@ -20,7 +20,7 @@ from .diagnostics import (
     energy_report,
 )
 from .grid import DirectorField, VelocityField, sobolev_norm
-from .noise import NoiseModel, sample_increment
+from .noise import NoiseModel
 from .operators import GLParams, cross3
 from .stepper import SimState, StepperConfig, required_level, step
 
@@ -228,8 +228,6 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
 
         for _ in range(n_steps):
             level = max(required_level(m["state"], cfg) for m in members.values())
-            inc = sample_increment(noise, cfg.dt, members[eps_ref]["state"].step) \
-                if level == 0 else None
             for eps in eps_family:
                 m = members[eps]
                 prev = m["state"]
@@ -239,11 +237,11 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
                 m["trace"].append(rep, ledger)
                 if on_member_report is not None:
                     on_member_report(p, eps, rep)
-                if inc is not None and prev.t <= accum_until:
+                if level == 0 and prev.t <= accum_until:
                     drift, nxh, strat = _limit_residual_terms(grid, prev, noise.h)
                     r = (new_state.n.phys - prev.n.phys) - cfg.dt * drift
                     if noise.director_on and nxh is not None:
-                        r = r - inc.d_eta * nxh
+                        r = r - ledger.d_eta * nxh
                         r2 = r - cfg.dt * strat
                     else:
                         r2 = r

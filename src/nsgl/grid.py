@@ -3,6 +3,16 @@
 Spectral convention: f(x) = sum_k c(k) exp(i k.x) with integer wavenumbers,
 so ``to_spec`` divides the raw FFT by N^2 and Parseval reads
 |f|_{L2}^2 = (2*pi)^2 * sum_k |c(k)|^2.
+
+Every field is real, so c(-k) = conj(c(k)) and only the Hermitian half
+spectrum is stored: spectral arrays have shape (..., N, N/2+1), holding
+k1 in fftfreq order (0, 1, ..., N/2-1, -N/2, ..., -1) along the first
+spectral axis and k2 = 0, 1, ..., N/2 along the second.  ``to_spec`` is a
+real-to-complex ``rfft2`` and ``to_phys`` its inverse ``irfft2``, which
+reads only the Hermitian part of the two self-conjugate columns k2 = 0 and
+k2 = N/2.  A sum over the full spectrum becomes a sum over the half with
+``herm_weight``: 1 on those two columns, whose modes appear once, and 2
+elsewhere, where each stored mode stands for itself and its conjugate.
 """
 
 from __future__ import annotations
@@ -15,8 +25,6 @@ __all__ = [
     "SpectralGrid",
     "VelocityField",
     "DirectorField",
-    "to_spectral",
-    "to_physical",
     "sobolev_norm",
     "random_band_limited",
 ]
@@ -34,10 +42,13 @@ class SpectralGrid:
 
     Notes
     -----
-    Index [i, j] corresponds to the point (x1[i], x2[j]); wavenumber arrays
-    broadcast the same way.  ``dealias_mask`` keeps |k1|, |k2| <= N/3 and
-    ``diff_mask`` kills the unpaired Nyquist line k = -N/2, which is applied
-    after every differentiation.
+    Index [i, j] corresponds to the point (x1[i], x2[j]).  Wavenumber tables
+    broadcast over the half spectrum: ``kx`` has shape (N, 1), ``ky`` shape
+    (1, N/2+1).  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
+    kills the unpaired Nyquist lines, the k1 = -N/2 row and the k2 = N/2
+    column, after every differentiation; ``ik1`` and ``ik2`` are the
+    derivative multipliers i*k*diff_mask.  ``herm_weight`` (shape
+    (1, N/2+1)) weights half-spectrum sums so they equal full-spectrum sums.
     """
 
     n_modes: int
@@ -48,22 +59,26 @@ class SpectralGrid:
     k2: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     diff_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    ik1: np.ndarray = field(init=False, repr=False, compare=False)
+    ik2: np.ndarray = field(init=False, repr=False, compare=False)
+    herm_weight: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_modes
         if n < 16 or n % 2 != 0:
             raise ValueError(f"n_modes must be even and >= 16, got {n}")
         x = 2.0 * np.pi * np.arange(n) / n
-        k = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        kx = k[:, None]
-        ky = k[None, :]
+        kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # 0, 1, ..., n/2-1, -n/2, ..., -1
+        ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # 0, 1, ..., n/2
         cut = n / 3.0
-        dealias = (np.abs(kx) <= cut) & (np.abs(ky) <= cut)
-        nyq = -(n // 2)
-        diff = (kx != nyq) & (ky != nyq)
+        dealias = (np.abs(kx) <= cut) & (ky <= cut)
+        diff = (kx != -(n // 2)) & (ky != n // 2)
+        weight = np.full(ky.shape, 2.0)
+        weight[:, [0, -1]] = 1.0
         for name, val in [
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
             ("k2", kx**2 + ky**2), ("dealias_mask", dealias), ("diff_mask", diff),
+            ("ik1", 1j * kx * diff), ("ik2", 1j * ky * diff), ("herm_weight", weight),
         ]:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -71,6 +86,11 @@ class SpectralGrid:
     @property
     def size(self) -> int:
         return self.n_modes * self.n_modes
+
+    @property
+    def spec_shape(self) -> tuple[int, int]:
+        """Trailing shape (N, N/2+1) of a half-spectrum array."""
+        return (self.n_modes, self.n_modes // 2 + 1)
 
     @property
     def dx(self) -> float:
@@ -87,17 +107,16 @@ class SpectralGrid:
     # -- transforms ---------------------------------------------------------
 
     def to_spec(self, phys: np.ndarray) -> np.ndarray:
-        return np.fft.fft2(phys, axes=(-2, -1)) / self.size
+        return np.fft.rfft2(phys, axes=(-2, -1)) / self.size
 
     def to_phys(self, spec: np.ndarray) -> np.ndarray:
-        return np.real(np.fft.ifft2(spec, axes=(-2, -1))) * self.size
+        return np.fft.irfft2(spec, s=(self.n_modes, self.n_modes), axes=(-2, -1)) * self.size
 
     # -- spectral calculus --------------------------------------------------
 
     def deriv(self, spec: np.ndarray, axis: int) -> np.ndarray:
-        """Partial derivative along axis 1 or 2, Nyquist line zeroed."""
-        wave = self.kx if axis == 1 else self.ky
-        return (1j * wave) * spec * self.diff_mask
+        """Partial derivative along axis 1 or 2, Nyquist lines zeroed."""
+        return (self.ik1 if axis == 1 else self.ik2) * spec
 
     def laplacian(self, spec: np.ndarray) -> np.ndarray:
         return -self.k2 * spec * self.diff_mask
@@ -121,11 +140,15 @@ class SpectralGrid:
         """L2 norm of a (multi-component) physical field."""
         return float(np.sqrt(np.sum(phys * phys) * self.quad_weight))
 
+    def spec_sum(self, values: np.ndarray) -> float:
+        """Full-spectrum sum of a real per-mode quantity given on the half spectrum."""
+        return float(np.sum(self.herm_weight * values))
+
     def l2_norm_spec(self, spec: np.ndarray) -> float:
-        return float(2.0 * np.pi * np.sqrt(np.sum(np.abs(spec) ** 2)))
+        return float(2.0 * np.pi * np.sqrt(self.spec_sum(np.abs(spec) ** 2)))
 
     def l2_inner_spec(self, a: np.ndarray, b: np.ndarray) -> float:
-        return float((2.0 * np.pi) ** 2 * np.sum(np.real(a * np.conj(b))))
+        return (2.0 * np.pi) ** 2 * self.spec_sum(np.real(a * np.conj(b)))
 
 
 class _Field:
@@ -140,10 +163,10 @@ class _Field:
     def __init__(self, grid: SpectralGrid, phys=None, spec=None):
         if phys is None and spec is None:
             raise ValueError("need at least one representation")
-        for arr in (phys, spec):
-            if arr is not None and arr.shape != (self.n_components, grid.n_modes, grid.n_modes):
+        for arr, shape in ((phys, (grid.n_modes, grid.n_modes)), (spec, grid.spec_shape)):
+            if arr is not None and arr.shape != (self.n_components, *shape):
                 raise ValueError(
-                    f"expected shape {(self.n_components, grid.n_modes, grid.n_modes)}, got {arr.shape}"
+                    f"expected shape {(self.n_components, *shape)}, got {arr.shape}"
                 )
         if phys is not None:
             phys = np.asarray(phys, dtype=np.float64)
@@ -158,10 +181,6 @@ class _Field:
     @classmethod
     def from_physical(cls, grid, phys):
         return cls(grid, phys=np.array(phys, dtype=np.float64))
-
-    @classmethod
-    def from_spectral(cls, grid, spec):
-        return cls(grid, spec=np.array(spec, dtype=np.complex128))
 
     @property
     def phys(self) -> np.ndarray:
@@ -184,10 +203,15 @@ class _Field:
         return float(np.max(np.abs(self.spec[:, 0, 0])))
 
     def conj_symmetry_defect(self) -> float:
-        """Relative size of the imaginary part left by the inverse transform."""
-        p = np.fft.ifft2(self.spec, axes=(-2, -1)) * self.grid.size
-        scale = max(float(np.max(np.abs(p))), 1e-300)
-        return float(np.max(np.abs(np.imag(p)))) / scale
+        """Non-Hermitian part of the self-conjugate columns k2 = 0 and k2 = N/2,
+        which the inverse transform discards, relative to the largest coefficient.
+
+        Those columns must satisfy c(-k1) = conj(c(k1)).
+        """
+        cols = self.spec[..., [0, -1]]
+        partner = np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))  # conj c(-k1)
+        scale = max(float(np.max(np.abs(self.spec))), 1e-300)
+        return 0.5 * float(np.max(np.abs(cols - partner))) / scale
 
 
 class VelocityField(_Field):
@@ -218,17 +242,6 @@ class DirectorField(_Field):
         return np.sqrt(np.sum(self.phys**2, axis=0))
 
 
-def to_spectral(f: _Field) -> _Field:
-    """Materialize the spectral representation (cached on the snapshot)."""
-    f.spec
-    return f
-
-
-def to_physical(f: _Field) -> _Field:
-    f.phys
-    return f
-
-
 def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> float:
     """Spectral Sobolev norm of order ``order``.
 
@@ -244,8 +257,7 @@ def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> fl
     weight = np.where(np.isfinite(weight), weight, 0.0)
     if not homogeneous:
         weight = weight + 1.0
-    total = np.sum(weight * np.abs(f.spec) ** 2)
-    return float(2.0 * np.pi * np.sqrt(total))
+    return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * np.abs(f.spec) ** 2)))
 
 
 def random_band_limited(grid: SpectralGrid, n_components: int, k_max: int,

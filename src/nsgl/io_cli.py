@@ -149,12 +149,16 @@ def _convert(section: str, key: str, kind: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
-        if kind == "bool":
+            value = float(raw)
+        elif kind == "bool":
             return _BOOL_WORDS[raw.lower()]
-        return raw
+        else:
+            return raw
     except (ValueError, KeyError):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
+    return value
 
 
 @dataclass
@@ -338,11 +342,6 @@ def build_components(cfg: SimConfig) -> SimBundle:
         gl = GLParams(epsilon=cfg.get("gl", "epsilon"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.get("stepper", "max_halvings") < 0:
-        raise ConfigError("stepper.max_halvings must be >= 0")
-    for key in ("seed", "path_id"):
-        if cfg.get("noise", key) < 0:
-            raise ConfigError(f"noise.{key} must be >= 0")
     if cfg.get("initial", "seed") < 0:
         raise ConfigError("initial.seed must be >= 0")
     h = _axis_field(grid, cfg)
@@ -703,10 +702,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _check_path_ids(noise: NoiseModel, section: str, n_paths: int):
+    """Paths use the stream keys path_id .. path_id + n_paths - 1."""
+    if noise.path_id + n_paths > 2**64:
+        raise ConfigError(f"noise.path_id + {section}.n_paths exceeds the 2**64 stream keys")
+
+
 def _cmd_converge(args) -> int:
     cfg = load_config(args.config)
     bundle = build_components(cfg)
     sec = cfg.section("convergence")
+    _check_path_ids(bundle.noise, "convergence", sec["n_paths"])
     eps_family = parse_eps_family(sec["eps_family"])
     out_dir = sec["output_dir"]
     sinks = {}
@@ -736,6 +742,7 @@ def _cmd_converge(args) -> int:
 def _cmd_ensemble(args) -> int:
     cfg = load_config(args.config)
     bundle = build_components(cfg)
+    _check_path_ids(bundle.noise, "ensemble", cfg.get("ensemble", "n_paths"))
     report = run_ensemble(bundle.state0, bundle.stepper, bundle.gl, bundle.noise,
                           n_paths=cfg.get("ensemble", "n_paths"),
                           covering=bundle.covering, stop_delta=bundle.stop_delta)

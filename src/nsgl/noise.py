@@ -35,10 +35,11 @@ class NoiseModel:
         Spectral decay exponent; must exceed 2 so the V-weighted mass of Q
         stays bounded as the cutoff grows.
     mode_cutoff : int
-        Retain every sin/cos pair with 0 < |k| <= mode_cutoff.  Must stay
-        inside the dealias region (<= N/3).
+        Retain every sin/cos pair with 0 < |k| <= mode_cutoff; 0 means N // 4.
+        Must be >= 0 and stay inside the dealias region (<= N/3).
     seed, path_id : int
-        Stream key; distinct path_ids give independent Brownian paths.
+        Stream key, each in [0, 2**64); distinct path_ids give independent
+        Brownian paths.
     h : DirectorField or None
         Static axis field of the director rotations (None disables them).
     """
@@ -60,9 +61,14 @@ class NoiseModel:
 
     def __post_init__(self):
         n = self.grid.n_modes
+        if self.mode_cutoff < 0:
+            raise ValueError(f"noise.mode_cutoff must be >= 0, got {self.mode_cutoff}")
         cutoff = self.mode_cutoff if self.mode_cutoff > 0 else n // 4
         if not (self.gamma > 2.0):
             raise ValueError(f"noise.gamma must be > 2, got {self.gamma}")
+        for key in ("seed", "path_id"):
+            if not 0 <= getattr(self, key) < 2**64:
+                raise ValueError(f"noise.{key} must be in [0, 2**64), got {getattr(self, key)}")
         if cutoff > n / 3.0:
             raise ValueError(
                 f"noise.mode_cutoff must stay within the dealias region (<= N/3), got {cutoff}"
@@ -154,7 +160,7 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
     m = len(model.k_points)
     xi = rng.standard_normal(2 * m + 1) * np.sqrt(dt)
     g = model.grid
-    spec = np.zeros((2, g.n_modes, g.n_modes), dtype=np.complex128)
+    spec = np.zeros((2, *g.spec_shape), dtype=np.complex128)
     if m > 0:
         k1 = model.k_points[:, 0]
         k2 = model.k_points[:, 1]
@@ -162,11 +168,13 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
         perp = np.stack([-k2 / norm, k1 / norm])  # (2, m)
         coeff = 0.5 * _NORM * model.q_weights * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
         n = g.n_modes
-        ip, jp = k1 % n, k2 % n
-        im, jm = (-k1) % n, (-k2) % n
+        # the half spectrum stores k2 >= 0: a point with k2 < 0 is written as
+        # its conjugate at -k, and the k2 = 0 column gets both k and -k
+        own = k2 >= 0
+        mirror = k2 <= 0
         for c in range(2):
-            np.add.at(spec[c], (ip, jp), coeff * perp[c])
-            np.add.at(spec[c], (im, jm), np.conj(coeff) * perp[c])
+            spec[c, k1[own] % n, k2[own]] = (coeff * perp[c])[own]
+            spec[c, (-k1[mirror]) % n, -k2[mirror]] = (np.conj(coeff) * perp[c])[mirror]
     dw = VelocityField(g, spec=spec)
     return WienerIncrement(dW=dw, d_eta=float(xi[-1]), dt=dt,
                            step_index=step_index, level=level, slot=slot)

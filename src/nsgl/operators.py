@@ -51,17 +51,18 @@ def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
-    """(u . grad) f for any component stack f, dealiased, in spectral space."""
-    d1 = grid.to_phys(grid.deriv(f_spec, 1))
-    d2 = grid.to_phys(grid.deriv(f_spec, 2))
+def _grad_pair(grid: SpectralGrid, spec: np.ndarray):
+    """Physical partial derivatives (d1 f, d2 f) of a spectral component stack."""
+    return grid.to_phys(grid.deriv(spec, 1)), grid.to_phys(grid.deriv(spec, 2))
+
+
+def _transport_spec(grid, u_phys, d1, d2) -> np.ndarray:
+    """(u . grad) f from the physical partials of f, dealiased, in spectral space."""
     return grid.dealias(grid.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
 
 
-def ericksen_stress_spec(grid: SpectralGrid, n_spec: np.ndarray) -> np.ndarray:
-    """Projected divergence of the elastic stress grad(n) (.) grad(n)."""
-    d1 = grid.to_phys(grid.deriv(n_spec, 1))  # (3, N, N)
-    d2 = grid.to_phys(grid.deriv(n_spec, 2))
+def _stress_div_spec(grid, d1, d2) -> np.ndarray:
+    """Projected divergence of grad(n) (.) grad(n) from the physical partials of n."""
     t11 = grid.dealias(grid.to_spec(np.sum(d1 * d1, axis=0)))
     t12 = grid.dealias(grid.to_spec(np.sum(d1 * d2, axis=0)))
     t22 = grid.dealias(grid.to_spec(np.sum(d2 * d2, axis=0)))
@@ -72,12 +73,21 @@ def ericksen_stress_spec(grid: SpectralGrid, n_spec: np.ndarray) -> np.ndarray:
     return leray_project_spec(grid, div)
 
 
+def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
+    """(u . grad) f for any component stack f, dealiased, in spectral space."""
+    return _transport_spec(grid, u_phys, *_grad_pair(grid, f_spec))
+
+
 def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarray):
-    """Drift of the exchange stage: (-P(u.grad u) - P div stress, -(u.grad) n)."""
+    """Drift of the exchange stage: (-P(u.grad u) - P div stress, -(u.grad) n).
+
+    grad n is transformed once and shared by the stress and the transport.
+    """
     u_phys = grid.to_phys(u_spec)
-    du_spec = -(convect_spec(grid, u_phys, u_spec) + ericksen_stress_spec(grid, n_spec))
+    dn1, dn2 = _grad_pair(grid, n_spec)
+    du_spec = -(convect_spec(grid, u_phys, u_spec) + _stress_div_spec(grid, dn1, dn2))
     du_spec = leray_project_spec(grid, du_spec)
-    dn_spec = -convect_spec(grid, u_phys, n_spec)
+    dn_spec = -_transport_spec(grid, u_phys, dn1, dn2)
     return du_spec, dn_spec
 
 
@@ -115,7 +125,8 @@ def convect_director(u: VelocityField, n: DirectorField) -> DirectorField:
 
 
 def ericksen_stress(n: DirectorField) -> VelocityField:
-    return VelocityField(n.grid, spec=ericksen_stress_spec(n.grid, n.spec))
+    """Projected divergence of the elastic stress grad(n) (.) grad(n)."""
+    return VelocityField(n.grid, spec=_stress_div_spec(n.grid, *_grad_pair(n.grid, n.spec)))
 
 
 def gl_penalty(n: DirectorField, gl: GLParams) -> DirectorField:

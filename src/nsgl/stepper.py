@@ -19,6 +19,7 @@ variance and replays stay bitwise reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from .operators import (
     GLParams,
     coupling_drift_spec,
     cross3,
-    gl_penalty_phys,
     leray_project_spec,
 )
 
@@ -62,14 +62,16 @@ class StepperConfig:
     max_halvings: int = 8
 
     def __post_init__(self):
-        if not (self.dt > 0.0):
-            raise ValueError(f"stepper.dt must be > 0, got {self.dt}")
-        if self.t_end < 0.0:
-            raise ValueError(f"stepper.t_end must be >= 0, got {self.t_end}")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError(f"stepper.dt must be finite and > 0, got {self.dt}")
+        if not (0.0 <= self.t_end < math.inf):
+            raise ValueError(f"stepper.t_end must be finite and >= 0, got {self.t_end}")
         if self.scheme not in _SCHEMES:
             raise ValueError(f"stepper.scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"stepper.cfl_safety must be in (0, 1], got {self.cfl_safety}")
+        if self.max_halvings < 0:
+            raise ValueError(f"stepper.max_halvings must be >= 0, got {self.max_halvings}")
 
     @property
     def n_steps(self) -> int:
@@ -102,21 +104,16 @@ class StepLedger:
 
     ``u_dw`` pairs the pre-noise velocity with dW; ``grad_cross_deta`` pairs
     grad(n) with n x grad(h) at the pre-rotation director, times d_eta;
-    ``cross_sq_dt`` is the left-point accumulation of |n x grad h|_{L2}^2 dt.
+    ``cross_sq_dt`` is the left-point accumulation of |n x grad h|_{L2}^2 dt;
+    ``d_eta`` is the applied director-noise increment over the whole step.
     """
 
     u_dw: float = 0.0
     grad_cross_deta: float = 0.0
     cross_sq_dt: float = 0.0
+    d_eta: float = 0.0
     n_substeps: int = 0
     level_max: int = 0
-
-    def merge(self, other: "StepLedger"):
-        self.u_dw += other.u_dw
-        self.grad_cross_deta += other.grad_cross_deta
-        self.cross_sq_dt += other.cross_sq_dt
-        self.n_substeps += other.n_substeps
-        self.level_max = max(self.level_max, other.level_max)
 
 
 # -- exact substep kernels ----------------------------------------------------
@@ -201,6 +198,7 @@ def _advance(state, dt, step_index, level, slot, cfg, gl, noise, ledger, force_l
         return _advance(mid, dt / 2, step_index, level + 1, 2 * slot + 1, cfg, gl, noise, ledger, force_level)
 
     inc = sample_increment(noise, dt, step_index, level=level, slot=slot)
+    ledger.d_eta += inc.d_eta
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
     if cfg.scheme == "strang":

@@ -24,9 +24,10 @@ def test_points_and_wavenumbers(grid32):
     g = grid32
     assert g.x1[0] == 0.0
     assert np.isclose(g.x1[1], 2.0 * np.pi / 32)
-    assert g.kx.shape == (32, 1) and g.ky.shape == (1, 32)
+    assert g.kx.shape == (32, 1) and g.ky.shape == (1, 17)  # half spectrum
     assert g.kx[1, 0] == 1.0 and g.kx[-1, 0] == -1.0
     assert g.kx[16, 0] == -16.0  # unpaired Nyquist row
+    assert g.ky[0, 16] == 16.0  # unpaired Nyquist column
     assert not g.diff_mask[16, 0] and not g.diff_mask[0, 16]
     assert g.diff_mask[15, 0] and g.diff_mask[0, 15]
     cut = 32 / 3.0
@@ -67,9 +68,13 @@ def test_derivatives_on_plane_waves(grid32):
 
 def test_deriv_kills_nyquist_line(grid32):
     g = grid32
-    spec = np.zeros((32, 32), dtype=complex)
+    spec = np.zeros((32, 17), dtype=complex)
     spec[16, 0] = 1.0  # k1 = -16: no conjugate partner on the grid
     assert np.all(g.deriv(spec, 1) == 0.0)
+    assert np.all(g.laplacian(spec) == 0.0)
+    spec[16, 0] = 0.0
+    spec[3, 16] = 1.0  # k2 = 16: the same for the last column
+    assert np.all(g.deriv(spec, 2) == 0.0)
     assert np.all(g.laplacian(spec) == 0.0)
 
 
@@ -165,3 +170,57 @@ def test_grad_phys_shape_and_value(grid32):
     assert np.allclose(grad[0, 0], np.cos(x1), atol=1e-12)
     assert np.allclose(grad[1, 1], np.cos(x2), atol=1e-12)
     assert np.allclose(grad[0, 1], 0.0, atol=1e-12)
+
+
+# -- Hermitian half spectrum ----------------------------------------------------
+
+
+def test_half_spectrum_sums_on_white_noise(grid32, rng):
+    """White noise fills the self-conjugate columns k2 = 0 and k2 = N/2, whose
+    modes the Hermitian weights count once: every spectral sum must still
+    equal its physical quadrature."""
+    g = grid32
+    a = rng.standard_normal((3, 32, 32))
+    b = rng.standard_normal((3, 32, 32))
+    sa, sb = g.to_spec(a), g.to_spec(b)
+    assert sa.shape == (3, 32, 17)
+    edge = np.sum(np.abs(sa[..., [0, -1]]) ** 2)
+    assert edge > 0.05 * np.sum(np.abs(sa) ** 2)
+    assert np.isclose(g.l2_norm_spec(sa), g.l2_norm_phys(a), rtol=1e-12)
+    assert np.isclose(g.l2_inner_spec(sa, sb), g.integrate(np.sum(a * b, axis=0)),
+                      rtol=1e-12)
+    assert np.isclose(g.l2_inner_spec(sa, sa), g.l2_norm_phys(a) ** 2, rtol=1e-12)
+    f = DirectorField(g, phys=a)
+    assert np.isclose(sobolev_norm(f, 0.0), g.l2_norm_phys(a), rtol=1e-12)
+
+
+def test_half_spectrum_derivatives_match_full_complex_fft(grid32, rng):
+    """deriv and laplacian on the half spectrum against a full complex
+    numpy.fft reference that masks the k = -N/2 row and column."""
+    g = grid32
+    x = rng.standard_normal((3, 32, 32))
+    k = np.fft.fftfreq(32, d=1.0 / 32)
+    kx, ky = k[:, None], k[None, :]
+    keep = (kx != -16) & (ky != -16)
+    full = np.fft.fft2(x, axes=(-2, -1))
+
+    def reference(multiplier):
+        return np.real(np.fft.ifft2(multiplier * keep * full, axes=(-2, -1)))
+
+    spec = g.to_spec(x)
+    for axis, wave in ((1, kx), (2, ky)):
+        got = g.to_phys(g.deriv(spec, axis))
+        assert np.max(np.abs(got - reference(1j * wave))) < 1e-12
+    got = g.to_phys(g.laplacian(spec))
+    assert np.max(np.abs(got - reference(-(kx**2 + ky**2)))) < 1e-12
+
+
+def test_conj_symmetry_defect_flags_unpaired_column_mode(grid32):
+    spec = np.zeros((3, 32, 17), dtype=complex)
+    spec[0, 3, 0] = 1.0
+    spec[0, -3, 0] = 1.0  # the conjugate partner of (3, 0)
+    assert DirectorField(grid32, spec=spec.copy()).conj_symmetry_defect() == 0.0
+    spec[0, -3, 0] = 0.5
+    assert DirectorField(grid32, spec=spec.copy()).conj_symmetry_defect() == 0.25
+    with pytest.raises(ValueError):
+        DirectorField(grid32, spec=np.zeros((3, 32, 32), dtype=complex))

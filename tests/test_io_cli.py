@@ -129,6 +129,39 @@ def test_semantic_validation_rejects(tmp_path, body, pattern):
         build_components(cfg)
 
 
+def test_cli_run_rejects_seed_beyond_stream_key(tmp_path, capsys):
+    body = SMALL_RUN.replace("seed = 9", f"seed = {2**64}")
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "noise.seed" in err
+
+
+def test_cli_run_rejects_nan_t_end(tmp_path, capsys):
+    body = SMALL_RUN.replace("t_end = 0.025", "t_end = nan")
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "stepper.t_end" in err
+
+
+def test_nan_stop_delta_is_config_error(tmp_path):
+    cfg = load_config(write_config(tmp_path, "[stops]\ndelta = nan\n"))
+    with pytest.raises(ConfigError, match=r"stops\.delta"):
+        build_components(cfg)
+
+
+def test_negative_mode_cutoff_is_config_error(tmp_path):
+    cfg = load_config(write_config(tmp_path, "[noise]\nmode_cutoff = -3\n"))
+    with pytest.raises(ConfigError, match=r"noise\.mode_cutoff"):
+        build_components(cfg)
+
+
+def test_cli_ensemble_rejects_path_ids_beyond_stream_key(tmp_path, capsys):
+    body = SMALL_RUN.replace("mode_cutoff = 4", f"mode_cutoff = 4\npath_id = {2**64 - 1}") \
+        + "[ensemble]\nn_paths = 2\n"
+    assert main(["ensemble", "-c", write_config(tmp_path, body)]) == 1
+    assert "noise.path_id + ensemble.n_paths" in capsys.readouterr().err
+
+
 def test_parse_eps_family():
     assert parse_eps_family("0.4, 0.2 ,0.1") == (0.4, 0.2, 0.1)
     for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1"):

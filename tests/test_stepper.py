@@ -315,3 +315,49 @@ def test_velocity_noise_ledger_pairing(grid32):
     expect = g.l2_inner_spec(u_pre[0], inc.dW.spec[0]) \
         + g.l2_inner_spec(u_pre[1], inc.dW.spec[1])
     assert ledger.u_dw == pytest.approx(expect, rel=1e-8, abs=1e-12)
+
+
+def test_stepper_config_rejects_negative_max_halvings():
+    with pytest.raises(ValueError, match="max_halvings"):
+        StepperConfig(dt=1e-3, t_end=1.0, max_halvings=-1)
+    assert StepperConfig(dt=1e-3, t_end=1.0, max_halvings=0).max_halvings == 0
+
+
+def test_strang_step_transform_counts(grid32, monkeypatch):
+    """One unsplit Strang step with both noises on runs 25 forward and 41
+    inverse 2D transform slices, from a state whose spectra are already
+    cached, as the per-step energy report leaves them."""
+    g = grid32
+    src = coupled_initial_state(g)
+    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
+    state.u.spec, state.n.spec
+    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+    slices = {"forward": 0, "inverse": 0}
+
+    def counted(fn, kind):
+        def wrapper(a, *args, **kwargs):
+            a = np.asarray(a)
+            slices[kind] += a.size // (a.shape[-2] * a.shape[-1])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft2", "rfft2", "fftn", "rfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
+    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
+    assert ledger.n_substeps == 1
+    assert slices == {"forward": 25, "inverse": 41}
+
+
+def test_ledger_records_applied_director_increment(grid32):
+    g = grid32
+    state = coupled_initial_state(g)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=11, h=None)
+    _, ledger = step(state, cfg, GLParams(epsilon=0.4), noise)
+    assert ledger.d_eta == sample_increment(noise, cfg.dt, 0).d_eta
+    _, split = step(state, cfg, GLParams(epsilon=0.4), noise, force_level=1)
+    halves = [sample_increment(noise, cfg.dt / 2, 0, level=1, slot=s).d_eta for s in (0, 1)]
+    assert split.d_eta == halves[0] + halves[1]
