@@ -12,35 +12,22 @@ from .diagnostics import (
     CoveringSet,
     EnergyReport,
     RunTrace,
-    StopState,
-    build_covering,
     energy_identity_residual,
     energy_report,
-    local_energy,
     ls_ratio,
-    torus_distance,
 )
 from .experiments import (
     ConvergenceReport,
     EnsembleReport,
     NumericsError,
-    RateFit,
     fit_rate,
     run_coupled_family,
     run_ensemble,
     run_path,
 )
-from .grid import (
-    DirectorField,
-    SpectralGrid,
-    VelocityField,
-    random_band_limited,
-    sobolev_norm,
-)
+from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from .io_cli import (
     ConfigError,
-    SimBundle,
-    SimConfig,
     build_components,
     dump_config,
     format_report,
@@ -50,30 +37,9 @@ from .io_cli import (
     run_identity_checks,
     save_checkpoint,
 )
-from .noise import NoiseModel, WienerIncrement, hs_mass, sample_increment
-from .operators import (
-    GLParams,
-    convect_director,
-    convect_velocity,
-    ericksen_stress,
-    gl_penalty,
-    gl_potential_mass,
-    harmonic_term,
-    leray_project,
-    stokes_apply,
-    stratonovich_correction,
-)
-from .stepper import (
-    CflError,
-    SimState,
-    StepLedger,
-    StepperConfig,
-    step,
-    substep_diffusion,
-    substep_director_noise,
-    substep_explicit,
-    substep_gl_reaction,
-)
+from .noise import NoiseModel
+from .operators import GLParams
+from .stepper import CflError, SimState, StepperConfig, step
 
 __version__ = "0.1.0"
 
@@ -88,35 +54,19 @@ __all__ = [
     "GLParams",
     "NoiseModel",
     "NumericsError",
-    "RateFit",
     "RunTrace",
-    "SimBundle",
-    "SimConfig",
     "SimState",
     "SpectralGrid",
-    "StepLedger",
     "StepperConfig",
-    "StopState",
     "VelocityField",
-    "WienerIncrement",
     "build_components",
-    "build_covering",
-    "convect_director",
-    "convect_velocity",
     "dump_config",
     "energy_identity_residual",
     "energy_report",
-    "ericksen_stress",
     "fit_rate",
     "format_report",
-    "gl_penalty",
-    "gl_potential_mass",
-    "harmonic_term",
-    "hs_mass",
-    "leray_project",
     "load_checkpoint",
     "load_config",
-    "local_energy",
     "ls_ratio",
     "main",
     "random_band_limited",
@@ -124,16 +74,7 @@ __all__ = [
     "run_ensemble",
     "run_identity_checks",
     "run_path",
-    "sample_increment",
     "save_checkpoint",
-    "sobolev_norm",
     "step",
-    "stokes_apply",
-    "stratonovich_correction",
-    "substep_diffusion",
-    "substep_director_noise",
-    "substep_explicit",
-    "substep_gl_reaction",
-    "torus_distance",
     "__version__",
 ]

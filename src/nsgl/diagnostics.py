@@ -25,10 +25,6 @@ __all__ = [
     "StopState",
     "RunTrace",
     "energy_report",
-    "local_energy",
-    "build_covering",
-    "torus_distance",
-    "update_stops",
     "ls_ratio",
     "energy_identity_residual",
 ]
@@ -123,10 +119,6 @@ class CoveringSet:
         flat = integrand.ravel() * self.grid.quad_weight
         sums = self.masks @ flat
         return float(np.max(sums)), sums
-
-
-def build_covering(grid: SpectralGrid, radius: float) -> CoveringSet:
-    return CoveringSet(grid, radius)
 
 
 def _pointwise_energy(state: SimState, gl: GLParams, grad_n: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ as the reference trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +30,8 @@ __all__ = [
     "run_coupled_family",
     "run_ensemble",
     "fit_rate",
-    "RateFit",
     "ConvergenceReport",
     "EnsembleReport",
-    "resolve_stop_delta",
 ]
 
 
@@ -53,28 +51,54 @@ def _check_finite(report, t):
         raise NumericsError(f"state lost finiteness at t={t:.6g}")
 
 
+class _Path:
+    """One path's state, stepping and report trace: the core every driver shares.
+
+    Construction records the t0 report (and the stop detectors when a
+    covering is given); each ``advance`` takes one logical step, reports
+    it, appends it to ``trace`` and hands it to ``on_report(state, report)``.
+    """
+
+    def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
+                 noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report):
+        self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
+        self.covering, self.on_report = covering, on_report
+        self.trace = RunTrace(trace_q_eff=noise.trace_q if noise.velocity_on else 0.0)
+        rep = energy_report(state0, gl, covering)
+        _check_finite(rep, state0.t)
+        if covering is not None:
+            self.trace.stop = StopState(delta=resolve_stop_delta(stop_delta, rep.energy_E),
+                                        radius=covering.radius, horizon=cfg.t_end)
+        self._record(state0, rep, None)
+
+    def _record(self, state, rep, ledger):
+        self.trace.append(rep, ledger)
+        if self.on_report is not None:
+            self.on_report(state, rep)
+
+    def advance(self, force_level: int | None = None):
+        """One step; returns the state it started from and its ledger."""
+        prev = self.state
+        self.state, ledger = step(prev, self.cfg, self.gl, self.noise, force_level=force_level)
+        rep = energy_report(self.state, self.gl, self.covering)
+        _check_finite(rep, self.state.t)
+        self._record(self.state, rep, ledger)
+        return prev, ledger
+
+    @property
+    def sigma(self) -> float:
+        """Stopping time so far (the horizon when no detector runs)."""
+        return self.trace.stop.sigma if self.trace.stop is not None else self.cfg.t_end
+
+
 def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
              covering: CoveringSet | None = None, stop_delta="auto",
              on_report=None) -> RunTrace:
     """Advance one path to t_end, collecting a per-step report trace."""
-    trace = RunTrace(trace_q_eff=noise.trace_q if noise.velocity_on else 0.0)
-    rep = energy_report(state0, gl, covering)
-    _check_finite(rep, state0.t)
-    if covering is not None:
-        trace.stop = StopState(delta=resolve_stop_delta(stop_delta, rep.energy_E),
-                               radius=covering.radius, horizon=cfg.t_end)
-    trace.append(rep, None)
-    if on_report is not None:
-        on_report(state0, rep)
-    state = state0
+    path = _Path(state0, cfg, gl, noise, covering, stop_delta, on_report)
     for _ in range(max(0, cfg.n_steps - state0.step)):
-        state, ledger = step(state, cfg, gl, noise)
-        rep = energy_report(state, gl, covering)
-        _check_finite(rep, state.t)
-        trace.append(rep, ledger)
-        if on_report is not None:
-            on_report(state, rep)
-    return trace
+        path.advance()
+    return path.trace
 
 
 # -- log-log rate fitting ------------------------------------------------------
@@ -167,19 +191,43 @@ class ConvergenceReport:
         return "\n".join(out) + "\n"
 
 
-def _limit_residual_terms(grid, state: SimState, h: DirectorField | None):
-    """Drift of the limit equation at one state: lap n + |grad n|^2 n - u.grad n."""
-    n_spec = state.n.spec
+def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: NoiseModel,
+                     d_eta: float) -> tuple[float, float]:
+    """(Ito, Stratonovich) L2 defects of one step against the limit equation
+    dn = (lap n + |grad n|^2 n - u.grad n) dt + (n x h) deta, drift at the left
+    point; the Stratonovich defect also takes off 0.5 (n x h) x h dt."""
+    n_spec = prev.n.spec
     lap = grid.to_phys(grid.laplacian(n_spec))
     d1 = grid.to_phys(grid.deriv(n_spec, 1))
     d2 = grid.to_phys(grid.deriv(n_spec, 2))
     grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
-    conv = state.u.phys[0] * d1 + state.u.phys[1] * d2
-    drift = lap + grad_sq * state.n.phys - conv
-    if h is None:
-        return drift, None, None
-    nxh = cross3(state.n.phys, h.phys)
-    return drift, nxh, 0.5 * cross3(nxh, h.phys)
+    conv = prev.u.phys[0] * d1 + prev.u.phys[1] * d2
+    r = r2 = (new.n.phys - prev.n.phys) - dt * (lap + grad_sq * prev.n.phys - conv)
+    if noise.director_on and noise.h is not None:
+        nxh = cross3(prev.n.phys, noise.h.phys)
+        r = r - d_eta * nxh
+        r2 = r - dt * (0.5 * cross3(nxh, noise.h.phys))
+    return grid.l2_norm_phys(r), grid.l2_norm_phys(r2)
+
+
+@dataclass
+class _Member:
+    """One family member on one path: its path core plus the running sums."""
+
+    eps: float
+    path: _Path
+    defect: float
+    sup: float = 0.0
+    l2_sq: float = 0.0
+    l2_prev: float = 0.0
+    res_ito: float = 0.0
+    res_strat: float = 0.0
+
+
+def _member_observer(on_member_report, p: int, eps: float):
+    if on_member_report is None:
+        return None
+    return lambda state, rep: on_member_report(p, eps, rep)
 
 
 def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
@@ -196,7 +244,6 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         raise ValueError("eps_family entries must be distinct")
     eps_ref = min(eps_family)
     grid = state0.grid
-    n_steps = cfg.n_steps
     stats = {eps: MemberStats(
         epsilon=eps,
         sup_dist=np.zeros(n_paths), l2_dist=np.zeros(n_paths),
@@ -209,81 +256,49 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
 
     for p in range(n_paths):
         noise = replace(noise_base, path_id=noise_base.path_id + p)
-        members = {}
+        members = []
         for eps in eps_family:
-            gl = GLParams(epsilon=eps)
-            rep = energy_report(state0, gl, covering)
-            trace = RunTrace(trace_q_eff=noise.trace_q if noise.velocity_on else 0.0)
-            if covering is not None:
-                trace.stop = StopState(delta=resolve_stop_delta(stop_delta, rep.energy_E),
-                                       radius=covering.radius, horizon=cfg.t_end)
-            trace.append(rep, None)
-            if on_member_report is not None:
-                on_member_report(p, eps, rep)
-            members[eps] = {"gl": gl, "state": state0, "trace": trace,
-                            "sup": 0.0, "l2": 0.0, "l2_prev": 0.0,
-                            "defect": rep.eps_defect * eps,
-                            "res_ito": 0.0, "res_strat": 0.0}
+            path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
+                         _member_observer(on_member_report, p, eps))
+            members.append(_Member(eps, path, defect=path.trace.reports[0].eps_defect * eps))
+        ref = members[eps_family.index(eps_ref)].path
         accum_until = cfg.t_end
 
-        for _ in range(n_steps):
-            level = max(required_level(m["state"], cfg) for m in members.values())
-            for eps in eps_family:
-                m = members[eps]
-                prev = m["state"]
-                new_state, ledger = step(prev, cfg, m["gl"], noise, force_level=level)
-                rep = energy_report(new_state, m["gl"], covering)
-                _check_finite(rep, new_state.t)
-                m["trace"].append(rep, ledger)
-                if on_member_report is not None:
-                    on_member_report(p, eps, rep)
+        for _ in range(cfg.n_steps):
+            level = max(required_level(m.path.state, cfg) for m in members)
+            for m in members:
+                prev, ledger = m.path.advance(force_level=level)
                 if level == 0 and prev.t <= accum_until:
-                    drift, nxh, strat = _limit_residual_terms(grid, prev, noise.h)
-                    r = (new_state.n.phys - prev.n.phys) - cfg.dt * drift
-                    if noise.director_on and nxh is not None:
-                        r = r - ledger.d_eta * nxh
-                        r2 = r - cfg.dt * strat
-                    else:
-                        r2 = r
-                    m["res_ito"] += grid.l2_norm_phys(r)
-                    m["res_strat"] += grid.l2_norm_phys(r2)
-                m["state"] = new_state
-            t_now = members[eps_ref]["state"].t
-            sigma_now = min(m["trace"].stop.sigma if m["trace"].stop else cfg.t_end
-                            for m in members.values())
-            accum_until = min(accum_until, sigma_now)
-            if t_now <= accum_until:
-                ref_state = members[eps_ref]["state"]
-                for eps in eps_family:
-                    m = members[eps]
-                    m["defect"] = max(m["defect"],
-                                      m["trace"].reports[-1].eps_defect * eps)
-                    if eps == eps_ref:
-                        continue
-                    du = VelocityField(grid, spec=m["state"].u.spec - ref_state.u.spec)
-                    dn = DirectorField(grid, spec=m["state"].n.spec - ref_state.n.spec)
-                    d_low = sobolev_norm(du, alpha - 1.0, homogeneous=True) \
-                        + sobolev_norm(dn, alpha, homogeneous=False)
-                    m["sup"] = max(m["sup"], d_low)
-                    d_high_sq = sobolev_norm(du, alpha, homogeneous=True) ** 2 \
-                        + sobolev_norm(dn, 1.0 + alpha, homogeneous=False) ** 2
-                    m["l2"] += 0.5 * cfg.dt * (m["l2_prev"] + d_high_sq)
-                    m["l2_prev"] = d_high_sq
+                    ito, strat = _limit_residuals(grid, cfg.dt, prev, m.path.state, noise,
+                                                  ledger.d_eta)
+                    m.res_ito += ito
+                    m.res_strat += strat
+            accum_until = min(accum_until, min(m.path.sigma for m in members))
+            if ref.state.t > accum_until:
+                continue
+            for m in members:
+                m.defect = max(m.defect, m.path.trace.reports[-1].eps_defect * m.eps)
+                if m.path is ref:
+                    continue
+                du = VelocityField(grid, spec=m.path.state.u.spec - ref.state.u.spec)
+                dn = DirectorField(grid, spec=m.path.state.n.spec - ref.state.n.spec)
+                d_low = sobolev_norm(du, alpha - 1.0, homogeneous=True) \
+                    + sobolev_norm(dn, alpha, homogeneous=False)
+                m.sup = max(m.sup, d_low)
+                d_high_sq = sobolev_norm(du, alpha, homogeneous=True) ** 2 \
+                    + sobolev_norm(dn, 1.0 + alpha, homogeneous=False) ** 2
+                m.l2_sq += 0.5 * cfg.dt * (m.l2_prev + d_high_sq)
+                m.l2_prev = d_high_sq
 
-        tau[p] = min(m["trace"].stop.sigma if m["trace"].stop else cfg.t_end
-                     for m in members.values())
-        for eps in eps_family:
-            m = members[eps]
-            s = stats[eps]
-            s.sup_dist[p] = m["sup"]
-            s.l2_dist[p] = np.sqrt(m["l2"])
-            s.defect_sup[p] = m["defect"]
-            s.residual_ito[p] = m["res_ito"]
-            s.residual_strat[p] = m["res_strat"]
-            if m["trace"].stop is not None:
-                s.sigma1[p] = m["trace"].stop.t_sigma1
-                s.sigma2[p] = m["trace"].stop.t_sigma2
-            s.max_abs_n[p] = m["trace"].max_abs_n()
+        tau[p] = min(m.path.sigma for m in members)
+        for m in members:
+            s = stats[m.eps]
+            s.sup_dist[p], s.l2_dist[p], s.defect_sup[p] = m.sup, np.sqrt(m.l2_sq), m.defect
+            s.residual_ito[p], s.residual_strat[p] = m.res_ito, m.res_strat
+            stop = m.path.trace.stop
+            if stop is not None:
+                s.sigma1[p], s.sigma2[p] = stop.t_sigma1, stop.t_sigma2
+            s.max_abs_n[p] = m.path.trace.max_abs_n()
 
     non_ref = [e for e in eps_family if e != eps_ref]
     rate_sup = rate_l2 = rate_defect = None

@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import (
-    CoveringSet,
-    build_covering,
-    energy_identity_residual,
-    ls_ratio,
-)
+from .diagnostics import CoveringSet, energy_identity_residual, ls_ratio
 from .experiments import (
     NumericsError,
     run_coupled_family,
@@ -48,13 +43,12 @@ from .noise import NoiseModel
 from .operators import (
     GLParams,
     bilaplacian_identity_residual,
-    convect_director,
-    convect_velocity,
-    director_cross_h,
-    ericksen_stress,
-    gl_penalty,
-    leray_project,
+    convect_spec,
+    cross3,
+    gl_penalty_phys,
+    grad_pair,
     leray_project_spec,
+    stress_div_spec,
 )
 from .stepper import CflError, SimState, StepperConfig, gl_reaction_phys, rotate_phys
 
@@ -359,7 +353,7 @@ def build_components(cfg: SimConfig) -> SimBundle:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        covering = build_covering(grid, cfg.get("stops", "radius"))
+        covering = CoveringSet(grid, cfg.get("stops", "radius"))
     except ValueError as exc:
         raise ConfigError(f"stops.radius: {exc}") from None
     delta_raw = cfg.get("stops", "delta")
@@ -445,7 +439,7 @@ def load_checkpoint(path: str, grid: SpectralGrid | None = None):
     defect = u_field.divergence_defect()
     reprojected = defect > 1e-10
     if reprojected:
-        u_field = leray_project(u_field)
+        u_field = VelocityField(grid, spec=leray_project_spec(grid, u_field.spec))
     state = SimState(t=t, step=step_idx, u=u_field,
                      n=DirectorField(grid, phys=n_phys))
     meta = {"n_modes": n, "step": step_idx, "t": t, "epsilon": eps, "seed": seed,
@@ -537,12 +531,11 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32, seed: int = 99,
     for _ in range(samples):
         w = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
         v = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
-        u = leray_project(w)
         nf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
         hf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
         phi_spec = grid.to_spec(random_band_limited(grid, 1, k_max, rng)[0])
 
-        pw = leray_project_spec(grid, w.spec)
+        pw = leray_project_spec(grid, w.spec)  # also the solenoidal u below
         ppw = leray_project_spec(grid, pw)
         worst["leray_idempotent"] = max(
             worst["leray_idempotent"],
@@ -561,25 +554,26 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32, seed: int = 99,
             grid.l2_norm_spec(leray_project_spec(grid, gspec))
             / (grid.l2_norm_spec(gspec) + tiny))
 
-        cu = convect_velocity(u)
-        pair = grid.l2_inner_spec(cu.spec, u.spec)
-        scale = grid.l2_norm_spec(cu.spec) * grid.l2_norm_spec(u.spec) + tiny
+        u_phys = grid.to_phys(pw)
+        cu = leray_project_spec(grid, convect_spec(grid, u_phys, pw))
+        pair = grid.l2_inner_spec(cu, pw)
+        scale = grid.l2_norm_spec(cu) * grid.l2_norm_spec(pw) + tiny
         worst["advect_u_skew"] = max(worst["advect_u_skew"], abs(pair) / scale)
 
-        cn = convect_director(u, nf)
-        pair = grid.l2_inner_spec(cn.spec, nf.spec)
-        scale = grid.l2_norm_spec(cn.spec) * grid.l2_norm_spec(nf.spec) + tiny
+        cn = convect_spec(grid, u_phys, nf.spec)
+        pair = grid.l2_inner_spec(cn, nf.spec)
+        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(nf.spec) + tiny
         worst["advect_n_skew"] = max(worst["advect_n_skew"], abs(pair) / scale)
 
-        a = grid.l2_inner_spec(ericksen_stress(nf).spec, u.spec)
-        b = grid.l2_inner_spec(cn.spec, grid.laplacian(nf.spec))
+        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, nf.spec)), pw)
+        b = grid.l2_inner_spec(cn, grid.laplacian(nf.spec))
         worst["stress_transport_cancel"] = max(
             worst["stress_transport_cancel"], abs(a - b) / (abs(a) + abs(b) + tiny))
 
-        fpen = gl_penalty(nf, GLParams(epsilon=1.0))
-        nxh = director_cross_h(nf, hf)
-        pair = grid.l2_inner_spec(fpen.spec, nxh.spec)
-        scale = grid.l2_norm_spec(fpen.spec) * grid.l2_norm_spec(nxh.spec) + tiny
+        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(nf.phys, 1.0)))
+        nxh = grid.to_spec(cross3(nf.phys, hf.phys))
+        pair = grid.l2_inner_spec(fpen, nxh)
+        scale = grid.l2_norm_spec(fpen) * grid.l2_norm_spec(nxh) + tiny
         worst["penalty_orthogonal"] = max(worst["penalty_orthogonal"],
                                           abs(pair) / scale)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .grid import DirectorField, SpectralGrid, VelocityField
 
-__all__ = ["NoiseModel", "WienerIncrement", "sample_increment", "hs_mass"]
+__all__ = ["NoiseModel", "sample_increment"]
 
 _NORM = 1.0 / (np.pi * np.sqrt(2.0))  # L2-normalizes cos(k.x) on the torus
 
@@ -122,13 +122,6 @@ class NoiseModel:
         norm = np.sqrt(float(k1 * k1 + k2 * k2))
         perp = np.array([-k2 / norm, k1 / norm])
         return VelocityField(self.grid, phys=_NORM * wave * perp[:, None, None])
-
-
-def hs_mass(model: NoiseModel) -> tuple[float, float]:
-    """(trace of Q in L2, V-weighted mass sum q_j^2 |k_j|^2)."""
-    ksq = np.sum(model.k_points.astype(np.float64) ** 2, axis=1)
-    q2 = model.q_weights**2
-    return float(2.0 * np.sum(q2)), float(2.0 * np.sum(q2 * ksq))
 
 
 @dataclass(frozen=True)

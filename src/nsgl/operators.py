@@ -1,7 +1,9 @@
 """Spatial operators: projection, transport, elastic stress, relaxation terms.
 
-All quadratic/cubic nonlinearities are evaluated pointwise on the collocation
-grid and dealiased by the 2/3 rule; derivatives act in spectral space.
+Every operator is an array kernel on physical (C, N, N) or half-spectrum
+(C, N, N/2+1) component stacks.  All quadratic/cubic nonlinearities are
+evaluated pointwise on the collocation grid and dealiased by the 2/3 rule;
+derivatives act in spectral space.
 """
 
 from __future__ import annotations
@@ -10,22 +12,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DirectorField, SpectralGrid, VelocityField
+from .grid import DirectorField, SpectralGrid
 
 __all__ = [
     "GLParams",
-    "leray_project",
-    "stokes_apply",
-    "convect_velocity",
-    "convect_director",
-    "ericksen_stress",
-    "gl_penalty",
-    "gl_potential_mass",
-    "harmonic_term",
-    "director_cross_h",
-    "stratonovich_correction",
-    "bilaplacian_identity_residual",
+    "leray_project_spec",
+    "grad_pair",
+    "stress_div_spec",
+    "convect_spec",
+    "coupling_drift_spec",
     "cross3",
+    "gl_penalty_phys",
+    "bilaplacian_identity_residual",
 ]
 
 
@@ -40,7 +38,7 @@ class GLParams:
             raise ValueError(f"gl.epsilon must be > 0, got {self.epsilon}")
 
 
-# -- array kernels (hot path, reused by the time stepper) --------------------
+# -- array kernels ------------------------------------------------------------
 
 def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
     """Remove the gradient part mode-by-mode and zero the mean."""
@@ -51,7 +49,7 @@ def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def _grad_pair(grid: SpectralGrid, spec: np.ndarray):
+def grad_pair(grid: SpectralGrid, spec: np.ndarray):
     """Physical partial derivatives (d1 f, d2 f) of a spectral component stack."""
     return grid.to_phys(grid.deriv(spec, 1)), grid.to_phys(grid.deriv(spec, 2))
 
@@ -61,7 +59,7 @@ def _transport_spec(grid, u_phys, d1, d2) -> np.ndarray:
     return grid.dealias(grid.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
 
 
-def _stress_div_spec(grid, d1, d2) -> np.ndarray:
+def stress_div_spec(grid, d1, d2) -> np.ndarray:
     """Projected divergence of grad(n) (.) grad(n) from the physical partials of n."""
     t11 = grid.dealias(grid.to_spec(np.sum(d1 * d1, axis=0)))
     t12 = grid.dealias(grid.to_spec(np.sum(d1 * d2, axis=0)))
@@ -75,7 +73,7 @@ def _stress_div_spec(grid, d1, d2) -> np.ndarray:
 
 def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
     """(u . grad) f for any component stack f, dealiased, in spectral space."""
-    return _transport_spec(grid, u_phys, *_grad_pair(grid, f_spec))
+    return _transport_spec(grid, u_phys, *grad_pair(grid, f_spec))
 
 
 def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarray):
@@ -84,8 +82,8 @@ def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarr
     grad n is transformed once and shared by the stress and the transport.
     """
     u_phys = grid.to_phys(u_spec)
-    dn1, dn2 = _grad_pair(grid, n_spec)
-    du_spec = -(convect_spec(grid, u_phys, u_spec) + _stress_div_spec(grid, dn1, dn2))
+    dn1, dn2 = grad_pair(grid, n_spec)
+    du_spec = -(convect_spec(grid, u_phys, u_spec) + stress_div_spec(grid, dn1, dn2))
     du_spec = leray_project_spec(grid, du_spec)
     dn_spec = -_transport_spec(grid, u_phys, dn1, dn2)
     return du_spec, dn_spec
@@ -102,59 +100,6 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gl_penalty_phys(n_phys: np.ndarray, epsilon: float) -> np.ndarray:
     return (1.0 - np.sum(n_phys * n_phys, axis=0)) * n_phys / epsilon**2
-
-
-# -- field-level operations ---------------------------------------------------
-
-def leray_project(u: VelocityField) -> VelocityField:
-    return VelocityField(u.grid, spec=leray_project_spec(u.grid, u.spec))
-
-
-def stokes_apply(u: VelocityField) -> VelocityField:
-    """A u = -P laplacian u; the multiplier |k|^2 on solenoidal fields."""
-    return VelocityField(u.grid, spec=u.grid.k2 * u.spec * u.grid.diff_mask)
-
-
-def convect_velocity(u: VelocityField) -> VelocityField:
-    g = u.grid
-    return VelocityField(g, spec=leray_project_spec(g, convect_spec(g, u.phys, u.spec)))
-
-
-def convect_director(u: VelocityField, n: DirectorField) -> DirectorField:
-    return DirectorField(n.grid, spec=convect_spec(n.grid, u.phys, n.spec))
-
-
-def ericksen_stress(n: DirectorField) -> VelocityField:
-    """Projected divergence of the elastic stress grad(n) (.) grad(n)."""
-    return VelocityField(n.grid, spec=_stress_div_spec(n.grid, *_grad_pair(n.grid, n.spec)))
-
-
-def gl_penalty(n: DirectorField, gl: GLParams) -> DirectorField:
-    g = n.grid
-    return DirectorField(g, spec=g.dealias(g.to_spec(gl_penalty_phys(n.phys, gl.epsilon))))
-
-
-def gl_potential_mass(n: DirectorField, gl: GLParams) -> float:
-    """Integral of (1 - |n|^2)^2 / (4 epsilon^2) by grid quadrature."""
-    defect = 1.0 - np.sum(n.phys**2, axis=0)
-    return n.grid.integrate(defect**2) / (4.0 * gl.epsilon**2)
-
-
-def harmonic_term(n: DirectorField) -> DirectorField:
-    g = n.grid
-    d1 = g.to_phys(g.deriv(n.spec, 1))
-    d2 = g.to_phys(g.deriv(n.spec, 2))
-    grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
-    return DirectorField(g, spec=g.dealias(g.to_spec(grad_sq * n.phys)))
-
-
-def director_cross_h(n: DirectorField, h: DirectorField) -> DirectorField:
-    return DirectorField(n.grid, phys=cross3(n.phys, h.phys))
-
-
-def stratonovich_correction(n: DirectorField, h: DirectorField) -> DirectorField:
-    """Drift 0.5 (n x h) x h matching the rotation noise in mean."""
-    return DirectorField(n.grid, phys=0.5 * cross3(cross3(n.phys, h.phys), h.phys))
 
 
 def bilaplacian_identity_residual(d: DirectorField) -> float:

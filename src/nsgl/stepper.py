@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import DirectorField, SpectralGrid, VelocityField
-from .noise import NoiseModel, WienerIncrement, sample_increment
+from .noise import NoiseModel, sample_increment
 from .operators import (
     GLParams,
     coupling_drift_spec,
@@ -40,10 +40,9 @@ __all__ = [
     "CflError",
     "step",
     "required_level",
-    "substep_diffusion",
-    "substep_gl_reaction",
-    "substep_director_noise",
-    "substep_explicit",
+    "diffuse_spec",
+    "gl_reaction_phys",
+    "rotate_phys",
 ]
 
 _SCHEMES = ("strang", "lie")
@@ -144,7 +143,8 @@ def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float) -> np.ndarray:
     return n_phys * c + axn * s + h_unit * (adotn * (1.0 - c))
 
 
-def _midpoint_exchange(grid, u_spec, n_spec, dt):
+def midpoint_exchange(grid, u_spec, n_spec, dt):
+    """Exchange stage alone: explicit midpoint rule for the transport/stress drift."""
     du1, dn1 = coupling_drift_spec(grid, u_spec, n_spec)
     du2, dn2 = coupling_drift_spec(grid, u_spec + 0.5 * dt * du1, n_spec + 0.5 * dt * dn1)
     u_new = grid.dealias(u_spec + dt * du2)
@@ -222,7 +222,7 @@ def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
         ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
         n_phys = rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
 
-    u_spec, n_spec = _midpoint_exchange(grid, u_spec, grid.to_spec(n_phys), dt)
+    u_spec, n_spec = midpoint_exchange(grid, u_spec, grid.to_spec(n_phys), dt)
     if noise.velocity_on:
         ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW.spec[0]) \
             + grid.l2_inner_spec(u_spec[1], inc.dW.spec[1])
@@ -239,35 +239,3 @@ def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
         u=VelocityField(grid, phys=grid.to_phys(u_spec)),
         n=DirectorField(grid, phys=grid.to_phys(n_spec)),
     )
-
-
-# -- public substeps (thin wrappers over the kernels) --------------------------
-
-def substep_diffusion(state: SimState, dt: float) -> SimState:
-    g = state.grid
-    return replace(state, t=state.t + dt,
-                   u=VelocityField(g, spec=diffuse_spec(g, state.u.spec, dt)),
-                   n=DirectorField(g, spec=diffuse_spec(g, state.n.spec, dt)))
-
-
-def substep_gl_reaction(state: SimState, dt: float, gl: GLParams) -> SimState:
-    g = state.grid
-    return replace(state, t=state.t + dt,
-                   n=DirectorField(g, phys=gl_reaction_phys(state.n.phys, dt, gl.epsilon)))
-
-
-def substep_director_noise(state: SimState, d_eta: float, h: DirectorField) -> SimState:
-    g = state.grid
-    mag = np.sqrt(np.sum(h.phys**2, axis=0))
-    unit = h.phys / np.where(mag > 0.0, mag, 1.0)
-    return replace(state, n=DirectorField(g, phys=rotate_phys(state.n.phys, unit, mag, d_eta)))
-
-
-def substep_explicit(state: SimState, dt: float, inc: WienerIncrement | None = None) -> SimState:
-    """Exchange stage alone: midpoint transport/stress drift, then + dW."""
-    g = state.grid
-    u_spec, n_spec = _midpoint_exchange(g, state.u.spec, state.n.spec, dt)
-    if inc is not None:
-        u_spec = u_spec + inc.dW.spec
-    return replace(state, t=state.t + dt,
-                   u=VelocityField(g, spec=u_spec), n=DirectorField(g, spec=n_spec))

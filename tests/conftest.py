@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
-from nsgl.operators import leray_project
+from nsgl.operators import leray_project_spec
 
 
 @pytest.fixture(scope="session")
@@ -34,7 +34,7 @@ def make_velocity():
     def build(grid, rng, k_max=None, amplitude=1.0):
         k_max = grid.n_modes // 4 if k_max is None else k_max
         raw = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng, amplitude))
-        return leray_project(raw)
+        return VelocityField(grid, spec=leray_project_spec(grid, raw.spec))
 
     return build
 

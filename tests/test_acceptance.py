@@ -24,10 +24,9 @@ from nsgl.operators import GLParams, leray_project_spec
 from nsgl.stepper import (
     SimState,
     StepperConfig,
+    diffuse_spec,
     gl_reaction_phys,
     rotate_phys,
-    substep_diffusion,
-    substep_director_noise,
 )
 
 EPS_FAMILY = (0.4, 0.2, 0.1, 0.05)
@@ -97,10 +96,9 @@ def test_exact_substep_kernels(capsys):
         out = rotate_phys(n_phys, unit, 0.8 + 0.3 * np.cos(x2), d_eta)
         mag_out = np.sqrt(np.sum(out * out, axis=0))
         rot_err = max(rot_err, float(np.max(np.abs(mag_out - mag_in))))
-    st = SimState.from_arrays(g, np.zeros((2,) + x1.shape), n_phys)
-    wrapped = substep_director_noise(st, 0.8, DirectorField(g, phys=axis))
+    out = rotate_phys(n_phys, unit, mag, 0.8)  # angle and axis both from the field
     rot_err = max(rot_err, float(np.max(np.abs(
-        np.sqrt(np.sum(wrapped.n.phys ** 2, axis=0)) - mag_in))))
+        np.sqrt(np.sum(out ** 2, axis=0)) - mag_in))))
 
     # quartic-well map against a 16384-substep RK4 of the squared magnitude,
     # stiffness ratio dt/eps^2 swept over [0, 5], magnitudes through 0 and past 1
@@ -127,9 +125,8 @@ def test_exact_substep_kernels(capsys):
     n_modes_phys = np.stack([0.9 * np.cos(2 * x2),
                              0.7 * np.sin(4 * x1 - 6 * x2),
                              np.full_like(x1, 0.25)])
-    st = SimState(t=0.0, step=0, u=VelocityField(g, phys=u_phys),
-                  n=DirectorField(g, phys=n_modes_phys))
-    out = substep_diffusion(st, dt)
+    u_out = g.to_phys(diffuse_spec(g, g.to_spec(u_phys), dt))
+    n_out = g.to_phys(diffuse_spec(g, g.to_spec(n_modes_phys), dt))
     u_ref = np.stack([
         -5.0 * np.exp(-34 * dt) * np.sin(3 * x1 + 5 * x2),
         3.0 * np.exp(-34 * dt) * np.sin(3 * x1 + 5 * x2)
@@ -137,16 +134,13 @@ def test_exact_substep_kernels(capsys):
     n_ref = np.stack([0.9 * np.exp(-4 * dt) * np.cos(2 * x2),
                       0.7 * np.exp(-52 * dt) * np.sin(4 * x1 - 6 * x2),
                       np.full_like(x1, 0.25)])
-    diff_err = max(float(np.max(np.abs(out.u.phys - u_ref))),
-                   float(np.max(np.abs(out.n.phys - n_ref))))
+    diff_err = max(float(np.max(np.abs(u_out - u_ref))),
+                   float(np.max(np.abs(n_out - n_ref))))
     # broadband wiring: every retained mode gets exactly its own factor
-    rnd = SimState.from_arrays(g, random_band_limited(g, 2, 9, rng),
-                               random_band_limited(g, 3, 9, rng))
-    rnd_out = substep_diffusion(rnd, dt)
     fac = np.exp(-g.k2 * dt)
-    diff_err = max(diff_err,
-                   float(np.max(np.abs(rnd_out.u.spec - rnd.u.spec * fac))),
-                   float(np.max(np.abs(rnd_out.n.spec - rnd.n.spec * fac))))
+    for n_comp in (2, 3):
+        rnd = g.to_spec(random_band_limited(g, n_comp, 9, rng))
+        diff_err = max(diff_err, float(np.max(np.abs(diffuse_spec(g, rnd, dt) - rnd * fac))))
 
     ok = rot_err < 1e-13 and gl_err < 1e-10 and dir_err < 1e-12 and diff_err < 1e-13
     _announce(capsys, 2, "exact substep kernels", ok,

@@ -10,7 +10,6 @@ from nsgl.diagnostics import (
     EnergyReport,
     RunTrace,
     StopState,
-    build_covering,
     energy_identity_residual,
     energy_report,
     local_energy,
@@ -65,21 +64,22 @@ def test_energy_report_with_velocity(grid32):
 
 
 def test_gl_mass_matches_operator(grid32):
+    """Closed forms of (1/4 eps^2) int (1 - |n|^2)^2 for constant directors."""
     from nsgl.grid import DirectorField
-    from nsgl.operators import gl_potential_mass
+    u = circle_state(grid32).u
+    zero = DirectorField(grid32, phys=np.zeros((3, 32, 32)))
+    rep = energy_report(SimState(t=0.0, step=0, u=u, n=zero), GLParams(epsilon=1.0))
+    assert rep.gl_mass == pytest.approx(PI**2, rel=1e-14)
     half = DirectorField.from_scalar_axis(grid32, np.full((32, 32), 0.5),
                                           axis=(1.0, 0.0, 0.0))
-    state = SimState(t=0.0, step=0,
-                     u=circle_state(grid32).u, n=half)
-    gl = GLParams(epsilon=0.5)
-    rep = energy_report(state, gl)
-    assert rep.gl_mass == pytest.approx((9.0 / 16.0) * 4.0 * PI**2, rel=1e-13)
-    assert rep.gl_mass == pytest.approx(gl_potential_mass(half, gl), rel=1e-14)
+    state = SimState(t=0.0, step=0, u=u, n=half)
+    rep = energy_report(state, GLParams(epsilon=0.5))
+    assert rep.gl_mass == pytest.approx((9.0 / 16.0) * 4.0 * PI**2, rel=1e-14)
 
 
 @pytest.mark.parametrize("radius", [PI / 8.0, PI / 4.0, PI / 2.0])
 def test_covering_lattice_invariants(grid64, radius):
-    cov = build_covering(grid64, radius)
+    cov = CoveringSet(grid64, radius)
     m = int(np.ceil(2.0 * PI / (radius * np.sqrt(2.0))))
     assert cov.n_centers == m * m
     assert cov.coverage_defect() <= radius + 1e-12
@@ -110,7 +110,7 @@ def test_local_energy_uniform_field(grid64):
 
 def test_report_local_maxima_uniform_field(grid64):
     state = circle_state(grid64)
-    cov = build_covering(grid64, PI / 4.0)
+    cov = CoveringSet(grid64, PI / 4.0)
     rep = energy_report(state, GLParams(epsilon=0.5), cov)
     # masks use radius 2R; uniform integrand = 1
     expect = PI * (PI / 2.0) ** 2

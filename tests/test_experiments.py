@@ -6,10 +6,12 @@ rho' = -rho + (1 - rho^2) rho / eps^2, whose attracting fixed point
 rho* = sqrt(1 - eps^2) gives closed-form targets for the defect diagnostics.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from nsgl.diagnostics import build_covering
+from nsgl.diagnostics import CoveringSet
 from nsgl.experiments import (
     NumericsError,
     fit_rate,
@@ -135,7 +137,7 @@ def test_run_path_concentration_stop_with_spread_field(grid16):
     auto threshold fires immediately; an explicit huge threshold never does.
     """
     cfg = StepperConfig(dt=0.01, t_end=0.05)
-    cov = build_covering(grid16, np.pi / 4.0)
+    cov = CoveringSet(grid16, np.pi / 4.0)
     trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=0.5),
                      quiet_noise(grid16), covering=cov, stop_delta="auto")
     assert trace.stop.t_sigma1 == 0.0
@@ -281,3 +283,71 @@ def test_run_ensemble_noise_off_balance_is_pure_drift(grid16):
     assert rep.trace_q == 0.0
     assert np.array_equal(rep.balance, rep.residual)
     assert np.all(np.abs(rep.residual) < 1e-4)
+
+
+# -- the shared path core ------------------------------------------------------------
+
+
+def single_mode_h(grid, mag=1.0):
+    return DirectorField.from_scalar_axis(grid, mag * np.cos(grid.meshgrid()[0]))
+
+
+def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
+    """With no CFL halving, every member of a coupled family is the solo run of
+    its epsilon on path ``path_id + p``: the NDJSON rows agree byte for byte."""
+    import nsgl.experiments as experiments
+    from nsgl.io_cli import format_report
+
+    levels = []
+    plain_step = experiments.step
+
+    def recording_step(*args, **kwargs):
+        out = plain_step(*args, **kwargs)
+        levels.append(out[1].level_max)
+        return out
+
+    monkeypatch.setattr(experiments, "step", recording_step)
+    cfg = StepperConfig(dt=2e-3, t_end=0.02)
+    noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
+    assert noise.velocity_on and noise.director_on
+    cov = CoveringSet(grid16, np.pi / 4.0)
+    eps_family = (0.4, 0.2, 0.1)
+    rows = {}
+    run_coupled_family(circle_state(grid16), cfg, eps_family, noise, n_paths=2,
+                       covering=cov, on_member_report=lambda p, e, r: rows.setdefault(
+                           (p, e), []).append(format_report(r)))
+    assert sorted(rows) == sorted((p, e) for p in range(2) for e in eps_family)
+    for (p, eps), family_rows in rows.items():
+        solo = []
+        run_path(circle_state(grid16), cfg, GLParams(epsilon=eps),
+                 dataclasses.replace(noise, path_id=noise.path_id + p), covering=cov,
+                 on_report=lambda st, r: solo.append(format_report(r)))
+        assert len(solo) == cfg.n_steps + 1
+        assert family_rows == solo, (p, eps)
+    assert levels and max(levels) == 0
+
+
+def test_drivers_call_step_once_per_path_step(grid16, monkeypatch):
+    """The benchmark times the drivers' step loop through ``nsgl.experiments.step``:
+    each driver must call it exactly n_steps x n_paths x n_members times."""
+    import nsgl.experiments as experiments
+
+    calls = []
+    plain_step = experiments.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return plain_step(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "step", counting_step)
+    cfg = StepperConfig(dt=1e-3, t_end=0.02)
+    noise = NoiseModel(grid16, seed=2, mode_cutoff=4, h=single_mode_h(grid16))
+    gl = GLParams(epsilon=0.3)
+    run_path(circle_state(grid16), cfg, gl, noise)
+    assert len(calls) == cfg.n_steps
+    calls.clear()
+    run_ensemble(circle_state(grid16), cfg, gl, noise, n_paths=3)
+    assert len(calls) == cfg.n_steps * 3
+    calls.clear()
+    run_coupled_family(circle_state(grid16), cfg, (0.4, 0.2, 0.1), noise, n_paths=2)
+    assert len(calls) == cfg.n_steps * 2 * 3

@@ -3,24 +3,40 @@
 import numpy as np
 import pytest
 
+from nsgl.diagnostics import energy_report
 from nsgl.grid import DirectorField, VelocityField
 from nsgl.operators import (
     GLParams,
     bilaplacian_identity_residual,
-    convect_director,
-    convect_velocity,
+    convect_spec,
     cross3,
-    director_cross_h,
-    ericksen_stress,
-    gl_penalty,
-    gl_potential_mass,
-    harmonic_term,
-    leray_project,
-    stokes_apply,
-    stratonovich_correction,
+    gl_penalty_phys,
+    grad_pair,
+    leray_project_spec,
+    stress_div_spec,
 )
+from nsgl.stepper import SimState
 
 PI = np.pi
+
+
+def project(u):
+    return VelocityField(u.grid, spec=leray_project_spec(u.grid, u.spec))
+
+
+def projected_convection(u):
+    g = u.grid
+    return leray_project_spec(g, convect_spec(g, u.phys, u.spec))
+
+
+def stress(n):
+    """Projected divergence of grad(n) (.) grad(n), as a velocity field."""
+    return VelocityField(n.grid, spec=stress_div_spec(n.grid, *grad_pair(n.grid, n.spec)))
+
+
+def penalty_spec(n, epsilon):
+    g = n.grid
+    return g.dealias(g.to_spec(gl_penalty_phys(n.phys, epsilon)))
 
 
 def test_gl_params_validation():
@@ -34,8 +50,8 @@ def test_gl_params_validation():
 def test_leray_properties(grid32, rng, make_velocity):
     g = grid32
     raw = VelocityField(g, phys=np.stack([rng.standard_normal((32, 32))] * 2))
-    p1 = leray_project(raw)
-    p2 = leray_project(p1)
+    p1 = project(raw)
+    p2 = project(p1)
     assert p1.divergence_defect() < 1e-12
     assert np.max(np.abs(p2.spec - p1.spec)) < 1e-14
     assert p1.mean_defect() < 1e-14
@@ -43,18 +59,8 @@ def test_leray_properties(grid32, rng, make_velocity):
     x1, x2 = g.meshgrid()
     phi_spec = g.to_spec(np.sin(2.0 * x1) * np.cos(x2))
     grad = VelocityField(g, spec=np.stack([g.deriv(phi_spec, 1), g.deriv(phi_spec, 2)]))
-    killed = leray_project(grad)
-    assert g.l2_norm_spec(killed.spec) < 1e-12 * g.l2_norm_spec(grad.spec)
-
-
-def test_stokes_is_minus_projected_laplacian(grid32):
-    g = grid32
-    _, x2 = g.meshgrid()
-    u = VelocityField(g, phys=np.stack([np.sin(x2), np.zeros_like(x2)]))
-    au = stokes_apply(u)
-    assert np.allclose(au.phys, u.phys, atol=1e-12)  # |k|^2 = 1 on this mode
-    u3 = VelocityField(g, phys=np.stack([np.sin(3.0 * x2), np.zeros_like(x2)]))
-    assert np.allclose(stokes_apply(u3).phys, 9.0 * u3.phys, atol=1e-11)
+    killed = leray_project_spec(g, grad.spec)
+    assert g.l2_norm_spec(killed) < 1e-12 * g.l2_norm_spec(grad.spec)
 
 
 def test_convect_velocity_analytic(grid32):
@@ -65,8 +71,8 @@ def test_convect_velocity_analytic(grid32):
     g = grid32
     _, x2 = g.meshgrid()
     u = VelocityField(g, phys=np.stack([np.sin(x2), np.zeros_like(x2)]))
-    cu = convect_velocity(u)
-    assert g.l2_norm_spec(cu.spec) < 1e-13
+    cu = projected_convection(u)
+    assert g.l2_norm_spec(cu) < 1e-13
 
 
 def test_convect_director_analytic(grid32):
@@ -74,24 +80,24 @@ def test_convect_director_analytic(grid32):
     x1, x2 = g.meshgrid()
     u = VelocityField(g, phys=np.stack([np.sin(x2), np.zeros_like(x2)]))
     n = DirectorField(g, phys=np.stack([np.sin(x1), np.zeros_like(x1), np.zeros_like(x1)]))
-    cn = convect_director(u, n)
+    cn = g.to_phys(convect_spec(g, u.phys, n.spec))
     expect = np.stack([np.sin(x2) * np.cos(x1), np.zeros_like(x1), np.zeros_like(x1)])
-    assert np.allclose(cn.phys, expect, atol=1e-12)
+    assert np.allclose(cn, expect, atol=1e-12)
 
 
 def test_convect_skew_symmetry(grid32, rng, make_velocity, make_director):
     g = grid32
     u = make_velocity(g, rng, k_max=6)
     n = make_director(g, rng, k_max=6)
-    cu = convect_velocity(u)
-    cn = convect_director(u, n)
-    assert abs(g.l2_inner_spec(cu.spec, u.spec)) < 1e-12
-    assert abs(g.l2_inner_spec(cn.spec, n.spec)) < 1e-12
+    cu = projected_convection(u)
+    cn = convect_spec(g, u.phys, n.spec)
+    assert abs(g.l2_inner_spec(cu, u.spec)) < 1e-12
+    assert abs(g.l2_inner_spec(cn, n.spec)) < 1e-12
 
 
 def test_ericksen_stress_vanishes_on_circle_field(grid32, circle_director):
     """grad n (.) grad n = diag(1, 0) for the circle field; its divergence is 0."""
-    s = ericksen_stress(circle_director(grid32))
+    s = stress(circle_director(grid32))
     assert grid32.l2_norm_spec(s.spec) < 1e-12
 
 
@@ -100,13 +106,13 @@ def test_ericksen_stress_energy_pairing(grid64, rng, make_velocity, make_directo
     g = grid64
     u = make_velocity(g, rng, k_max=6)
     n = make_director(g, rng, k_max=6)
-    lhs = g.l2_inner_spec(ericksen_stress(n).spec, u.spec)
-    rhs = g.l2_inner_spec(convect_director(u, n).spec, g.laplacian(n.spec))
+    lhs = g.l2_inner_spec(stress(n).spec, u.spec)
+    rhs = g.l2_inner_spec(convect_spec(g, u.phys, n.spec), g.laplacian(n.spec))
     assert abs(lhs - rhs) < 1e-9 * (abs(lhs) + abs(rhs) + 1.0)
 
 
 def test_ericksen_stress_is_solenoidal_mean_free(grid32, rng, make_director):
-    s = ericksen_stress(make_director(grid32, rng, k_max=6))
+    s = stress(make_director(grid32, rng, k_max=6))
     assert s.divergence_defect() < 1e-12
     assert s.mean_defect() < 1e-14
 
@@ -120,57 +126,45 @@ def test_cross3_matches_numpy(rng):
 def test_gl_penalty_values(grid32):
     g = grid32
     ones = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(0.0, 0.0, 1.0))
-    assert g.l2_norm_spec(gl_penalty(ones, GLParams(epsilon=0.3)).spec) < 1e-13
+    assert g.l2_norm_spec(penalty_spec(ones, 0.3)) < 1e-13
     half = DirectorField.from_scalar_axis(g, np.full((32, 32), 0.5), axis=(1.0, 0.0, 0.0))
-    f = gl_penalty(half, GLParams(epsilon=0.5))
+    f = g.to_phys(penalty_spec(half, 0.5))
     # (1 - 1/4) * (1/2) / (1/4) = 3/2 along e1
-    assert np.allclose(f.phys[0], 1.5, atol=1e-12)
-    assert np.allclose(f.phys[1:], 0.0, atol=1e-13)
+    assert np.allclose(f[0], 1.5, atol=1e-12)
+    assert np.allclose(f[1:], 0.0, atol=1e-13)
 
 
 def test_gl_potential_mass_frozen_values(grid32):
     g = grid32
+
+    def potential_mass(n, epsilon):
+        state = SimState(t=0.0, step=0, u=VelocityField(g, phys=np.zeros((2, 32, 32))), n=n)
+        return energy_report(state, GLParams(epsilon=epsilon)).gl_mass
+
     zero = DirectorField(g, phys=np.zeros((3, 32, 32)))
-    assert np.isclose(gl_potential_mass(zero, GLParams(epsilon=1.0)), PI**2,
-                      rtol=1e-14)
+    assert np.isclose(potential_mass(zero, 1.0), PI**2, rtol=1e-14)
     half = DirectorField.from_scalar_axis(g, np.full((32, 32), 0.5),
                                           axis=(1.0, 0.0, 0.0))
     expect = (9.0 / 16.0) * 4.0 * PI**2
-    assert np.isclose(gl_potential_mass(half, GLParams(epsilon=0.5)), expect,
-                      rtol=1e-14)
-
-
-def test_harmonic_term_on_circle(grid32, circle_director):
-    """|grad n|^2 = 1 for the circle field, so the term equals n itself."""
-    n = circle_director(grid32)
-    ht = harmonic_term(n)
-    assert np.allclose(ht.phys, n.phys, atol=1e-12)
+    assert np.isclose(potential_mass(half, 0.5), expect, rtol=1e-14)
 
 
 def test_director_cross_h_orientation(grid32):
     g = grid32
     e1 = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(1.0, 0.0, 0.0))
     e3 = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(0.0, 0.0, 1.0))
-    out = director_cross_h(e1, e3)
-    assert np.allclose(out.phys[1], -1.0, atol=1e-15)
-    assert np.allclose(out.phys[0], 0.0, atol=1e-15)
-    assert np.allclose(out.phys[2], 0.0, atol=1e-15)
-
-
-def test_stratonovich_correction_perpendicular_unit_axis(grid32, circle_director):
-    """For n perpendicular to a unit h: 0.5 (n x h) x h = -n / 2."""
-    n = circle_director(grid32)  # lies in the x-y plane
-    h = DirectorField.from_scalar_axis(grid32, np.ones((32, 32)), axis=(0.0, 0.0, 1.0))
-    corr = stratonovich_correction(n, h)
-    assert np.allclose(corr.phys, -0.5 * n.phys, atol=1e-14)
+    out = cross3(e1.phys, e3.phys)
+    assert np.allclose(out[1], -1.0, atol=1e-15)
+    assert np.allclose(out[0], 0.0, atol=1e-15)
+    assert np.allclose(out[2], 0.0, atol=1e-15)
 
 
 def test_penalty_orthogonal_to_rotation_direction(grid32, rng, make_director):
     g = grid32
     n = make_director(g, rng, k_max=3)
     h = make_director(g, rng, k_max=3)
-    f = gl_penalty(n, GLParams(epsilon=0.7))
-    pair = g.l2_inner_spec(f.spec, director_cross_h(n, h).spec)
+    f = penalty_spec(n, 0.7)
+    pair = g.l2_inner_spec(f, g.to_spec(cross3(n.phys, h.phys)))
     assert abs(pair) < 1e-12
 
 
