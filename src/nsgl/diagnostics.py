@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, packed_spectra
 from .operators import GLParams, gl_penalty_phys
 from .stepper import SimState, StepLedger
 
@@ -147,16 +147,35 @@ def local_energy(state: SimState, gl: GLParams, center, radius: float) -> float:
 
 
 def energy_report(state: SimState, gl: GLParams,
-                  covering: CoveringSet | None = None) -> EnergyReport:
+                  covering: CoveringSet | None = None,
+                  derivs_out: list | None = None) -> EnergyReport:
+    """Diagnostics of one state.
+
+    ``derivs_out``, when a list, receives the physical d1 n, d2 n (each
+    (3, N, N)) and lap n the report computed, for a caller that needs them
+    too.
+    """
     g = state.grid
     u_phys, n_phys = state.u.phys, state.n.phys
-    u_spec, n_spec = state.u.spec, state.n.spec
-
-    grad_n = np.stack([g.grad_phys(n_spec[m]) for m in range(3)], axis=1)  # (2,3,N,N)
-    gn2 = np.sum(grad_n**2, axis=(0, 1))
-    lap_n = g.to_phys(g.laplacian(n_spec))
-
     w = np.sum(n_phys**2, axis=0)
+    u_spec, n_spec, w_spec = packed_spectra((state.u, state.n), w)
+    # each grad w slice rides with the grad n stack beside it, so N = 64
+    # packs (3 + 1, 3 + 1, 3) slices
+    d1, dw1, d2, dw2, lap_n = g.to_phys_many([
+        g.deriv(n_spec, 1), g.deriv(w_spec, 1), g.deriv(n_spec, 2), g.deriv(w_spec, 2),
+        g.laplacian(n_spec),
+    ])
+    # the partials are dropped once stacked and grad w once used, so at
+    # N = 128 no more arrays are alive at once than one transform per term left
+    grad_n = np.stack([d1, d2])  # (2,3,N,N)
+    grad_w = np.stack([dw1, dw2])
+    del d1, dw1, d2, dw2
+    if derivs_out is not None:
+        derivs_out.extend((grad_n[0], grad_n[1], lap_n))
+    eps_grad_defect = g.l2_norm_phys(grad_w) / gl.epsilon
+    del grad_w
+    gn2 = np.sum(grad_n**2, axis=(0, 1))
+
     defect = 1.0 - w
     gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
     f_pen = gl_penalty_phys(n_phys, gl.epsilon)
@@ -166,7 +185,6 @@ def energy_report(state: SimState, gl: GLParams,
     grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
     relax_sq = g.integrate(np.sum((lap_n + f_pen) ** 2, axis=0))
 
-    grad_w = g.grad_phys(g.to_spec(w))
     abs_n = np.sqrt(w)
 
     loc_e = loc_g = math.nan
@@ -184,7 +202,7 @@ def energy_report(state: SimState, gl: GLParams,
         lambda1=0.5 * g.integrate(np.sum(lap_n**2, axis=0)),
         lambda2=0.5 * grad_u_sq,
         eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
-        eps_grad_defect=g.l2_norm_phys(grad_w) / gl.epsilon,
+        eps_grad_defect=eps_grad_defect,
         min_abs_n=float(np.min(abs_n)),
         max_abs_n=float(np.max(abs_n)),
         grad_n_L4=float(g.integrate(gn2**2) ** 0.25),

@@ -57,19 +57,30 @@ class _Path:
     Construction records the t0 report (and the stop detectors when a
     covering is given); each ``advance`` takes one logical step, reports
     it, appends it to ``trace`` and hands it to ``on_report(state, report)``.
+    With ``keep_drift``, ``drift`` holds the limit-equation drift of the
+    current state (``_limit_drift``), built from its report's derivatives.
     """
 
     def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
-                 noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report):
+                 noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report,
+                 keep_drift: bool = False):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
         self.covering, self.on_report = covering, on_report
+        self.keep_drift, self.drift = keep_drift, None
         self.trace = RunTrace(trace_q_eff=noise.trace_q if noise.velocity_on else 0.0)
-        rep = energy_report(state0, gl, covering)
-        _check_finite(rep, state0.t)
+        rep = self._report(state0)
         if covering is not None:
             self.trace.stop = StopState(delta=resolve_stop_delta(stop_delta, rep.energy_E),
                                         radius=covering.radius, horizon=cfg.t_end)
         self._record(state0, rep, None)
+
+    def _report(self, state):
+        derivs = [] if self.keep_drift else None
+        rep = energy_report(state, self.gl, self.covering, derivs_out=derivs)
+        _check_finite(rep, state.t)
+        if derivs is not None:
+            self.drift = _limit_drift(state, *derivs)
+        return rep
 
     def _record(self, state, rep, ledger):
         self.trace.append(rep, ledger)
@@ -80,8 +91,7 @@ class _Path:
         """One step; returns the state it started from and its ledger."""
         prev = self.state
         self.state, ledger = step(prev, self.cfg, self.gl, self.noise, force_level=force_level)
-        rep = energy_report(self.state, self.gl, self.covering)
-        _check_finite(rep, self.state.t)
+        rep = self._report(self.state)
         self._record(self.state, rep, ledger)
         return prev, ledger
 
@@ -191,18 +201,21 @@ class ConvergenceReport:
         return "\n".join(out) + "\n"
 
 
-def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: NoiseModel,
-                     d_eta: float) -> tuple[float, float]:
-    """(Ito, Stratonovich) L2 defects of one step against the limit equation
-    dn = (lap n + |grad n|^2 n - u.grad n) dt + (n x h) deta, drift at the left
-    point; the Stratonovich defect also takes off 0.5 (n x h) x h dt."""
-    n_spec = prev.n.spec
-    lap = grid.to_phys(grid.laplacian(n_spec))
-    d1 = grid.to_phys(grid.deriv(n_spec, 1))
-    d2 = grid.to_phys(grid.deriv(n_spec, 2))
+def _limit_drift(state: SimState, d1, d2, lap) -> np.ndarray:
+    """Drift lap n + |grad n|^2 n - u.grad n of the limit equation at ``state``,
+    from the physical derivatives of n its energy report computed."""
     grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
-    conv = prev.u.phys[0] * d1 + prev.u.phys[1] * d2
-    r = r2 = (new.n.phys - prev.n.phys) - dt * (lap + grad_sq * prev.n.phys - conv)
+    conv = state.u.phys[0] * d1 + state.u.phys[1] * d2
+    return lap + grad_sq * state.n.phys - conv
+
+
+def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: NoiseModel,
+                     d_eta: float, drift: np.ndarray) -> tuple[float, float]:
+    """(Ito, Stratonovich) L2 defects of one step against the limit equation
+    dn = (lap n + |grad n|^2 n - u.grad n) dt + (n x h) deta, with ``drift``
+    taken at the left point ``prev``; the Stratonovich defect also takes off
+    0.5 (n x h) x h dt."""
+    r = r2 = (new.n.phys - prev.n.phys) - dt * drift
     if noise.director_on and noise.h is not None:
         nxh = cross3(prev.n.phys, noise.h.phys)
         r = r - d_eta * nxh
@@ -222,6 +235,18 @@ class _Member:
     l2_prev: float = 0.0
     res_ito: float = 0.0
     res_strat: float = 0.0
+
+    def advance(self, level: int, accum_until: float):
+        """One step at the family's level; an unhalved step up to
+        ``accum_until`` adds its limit-equation residuals."""
+        path = self.path
+        drift = path.drift
+        prev, ledger = path.advance(force_level=level)
+        if level == 0 and prev.t <= accum_until:
+            ito, strat = _limit_residuals(path.state.grid, path.cfg.dt, prev, path.state,
+                                          path.noise, ledger.d_eta, drift)
+            self.res_ito += ito
+            self.res_strat += strat
 
 
 def _member_observer(on_member_report, p: int, eps: float):
@@ -259,7 +284,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         members = []
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
-                         _member_observer(on_member_report, p, eps))
+                         _member_observer(on_member_report, p, eps), keep_drift=True)
             members.append(_Member(eps, path, defect=path.trace.reports[0].eps_defect * eps))
         ref = members[eps_family.index(eps_ref)].path
         accum_until = cfg.t_end
@@ -267,12 +292,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         for _ in range(cfg.n_steps):
             level = max(required_level(m.path.state, cfg) for m in members)
             for m in members:
-                prev, ledger = m.path.advance(force_level=level)
-                if level == 0 and prev.t <= accum_until:
-                    ito, strat = _limit_residuals(grid, cfg.dt, prev, m.path.state, noise,
-                                                  ledger.d_eta)
-                    m.res_ito += ito
-                    m.res_strat += strat
+                m.advance(level, accum_until)
             accum_until = min(accum_until, min(m.path.sigma for m in members))
             if ref.state.t > accum_until:
                 continue

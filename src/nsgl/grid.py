@@ -13,10 +13,18 @@ reads only the Hermitian part of the two self-conjugate columns k2 = 0 and
 k2 = N/2.  A sum over the full spectrum becomes a sum over the half with
 ``herm_weight``: 1 on those two columns, whose modes appear once, and 2
 elsewhere, where each stored mode stands for itself and its conjugate.
+
+``to_spec_many`` and ``to_phys_many`` transform several independent arrays
+of one stage with as few ``numpy.fft`` calls as ``PACK_BYTES`` allows:
+adjacent inputs are concatenated along a leading axis while the group's
+physical size stays within the budget, so small grids pay numpy's per-call
+cost once per stage while at N = 128 every input keeps a call of its own.
+A batched transform gives each slice the same bits as a call of its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +36,27 @@ __all__ = [
     "sobolev_norm",
     "random_band_limited",
 ]
+
+# Largest physical size in bytes, N*N*8 per 2D slice, of one packed transform
+# call: N = 32 fits 16 slices per call, N = 64 fits 4, and at N = 128 one
+# slice fills it, so no input is concatenated there.  Above it, concatenation
+# stops paying: at N = 128 one 12-slice call took longer than 12 single calls.
+PACK_BYTES = 128 * 1024
+
+
+def _pack_groups(counts, limit: int):
+    """(start, stop) index ranges of consecutive inputs, given their slice
+    counts, each holding at most ``limit`` slices; an input larger than the
+    limit is a group of its own, never split."""
+    groups, start, total = [], 0, 0
+    for i, count in enumerate(counts):
+        if i > start and total + count > limit:
+            groups.append((start, i))
+            start, total = i, 0
+        total += count
+    if counts:
+        groups.append((start, len(counts)))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -44,7 +73,8 @@ class SpectralGrid:
     -----
     Index [i, j] corresponds to the point (x1[i], x2[j]).  Wavenumber tables
     broadcast over the half spectrum: ``kx`` has shape (N, 1), ``ky`` shape
-    (1, N/2+1).  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
+    (1, N/2+1).  ``k2_safe`` is |k|^2 with the zero mode set to 1, a safe
+    divisor.  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
     kills the unpaired Nyquist lines, the k1 = -N/2 row and the k2 = N/2
     column, after every differentiation; ``ik1`` and ``ik2`` are the
     derivative multipliers i*k*diff_mask.  ``herm_weight`` (shape
@@ -57,6 +87,7 @@ class SpectralGrid:
     kx: np.ndarray = field(init=False, repr=False, compare=False)
     ky: np.ndarray = field(init=False, repr=False, compare=False)
     k2: np.ndarray = field(init=False, repr=False, compare=False)
+    k2_safe: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     diff_mask: np.ndarray = field(init=False, repr=False, compare=False)
     ik1: np.ndarray = field(init=False, repr=False, compare=False)
@@ -70,6 +101,7 @@ class SpectralGrid:
         x = 2.0 * np.pi * np.arange(n) / n
         kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # 0, 1, ..., n/2-1, -n/2, ..., -1
         ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # 0, 1, ..., n/2
+        k2 = kx**2 + ky**2
         cut = n / 3.0
         dealias = (np.abs(kx) <= cut) & (ky <= cut)
         diff = (kx != -(n // 2)) & (ky != n // 2)
@@ -77,7 +109,8 @@ class SpectralGrid:
         weight[:, [0, -1]] = 1.0
         for name, val in [
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
-            ("k2", kx**2 + ky**2), ("dealias_mask", dealias), ("diff_mask", diff),
+            ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2)),
+            ("dealias_mask", dealias), ("diff_mask", diff),
             ("ik1", 1j * kx * diff), ("ik2", 1j * ky * diff), ("herm_weight", weight),
         ]:
             val.setflags(write=False)
@@ -111,6 +144,45 @@ class SpectralGrid:
 
     def to_phys(self, spec: np.ndarray) -> np.ndarray:
         return np.fft.irfft2(spec, s=(self.n_modes, self.n_modes), axes=(-2, -1)) * self.size
+
+    def to_spec_many(self, arrays: list) -> list:
+        """``to_spec`` of each physical array, packed under ``PACK_BYTES``;
+        empties ``arrays`` (see ``_packed``)."""
+        return self._packed(self.to_spec, arrays)
+
+    def to_phys_many(self, specs: list) -> list:
+        """``to_phys`` of each half-spectrum array, packed under ``PACK_BYTES``;
+        empties ``specs`` (see ``_packed``)."""
+        return self._packed(self.to_phys, specs)
+
+    def _packed(self, transform, arrays: list) -> list:
+        """Apply ``transform`` to every array of ``arrays``, which must not
+        depend on one another, concatenating adjacent ones into one call while
+        the group stays within ``PACK_BYTES``.
+
+        Returns one result per input, in order, in the input's leading shape;
+        packed results are views of their group's output.  ``arrays`` is
+        emptied on entry and each input is dropped once its group has gone
+        through, so no input outlives its own transform here.
+        """
+        counts = [a.size // math.prod(a.shape[-2:]) for a in arrays]
+        leading = [a.shape[:-2] for a in arrays]
+        pending = arrays[::-1]
+        arrays.clear()
+        out = []
+        for start, stop in _pack_groups(counts, max(1, PACK_BYTES // (8 * self.size))):
+            if stop - start == 1:
+                out.append(transform(pending.pop()))
+                continue
+            packed = np.concatenate([a.reshape(-1, *a.shape[-2:])
+                                     for a in (pending.pop() for _ in range(start, stop))])
+            flat = transform(packed)
+            del packed
+            first = 0
+            for count, lead in zip(counts[start:stop], leading[start:stop]):
+                out.append(flat[first:first + count].reshape(*lead, *flat.shape[-2:]))
+                first += count
+        return out
 
     # -- spectral calculus --------------------------------------------------
 
@@ -240,6 +312,20 @@ class DirectorField(_Field):
     def norm_phys(self) -> np.ndarray:
         """Pointwise Euclidean magnitude |n(x)|, shape (N, N)."""
         return np.sqrt(np.sum(self.phys**2, axis=0))
+
+
+def packed_spectra(fields, *extra) -> list:
+    """Spectra of ``fields``, then of the physical arrays ``extra``.
+
+    The fields' missing spectra and the extra arrays go forward in one
+    packed stage; the fields cache theirs as ``spec`` would.
+    """
+    missing = [f for f in fields if f._spec is None]
+    specs = fields[0].grid.to_spec_many([f._phys for f in missing] + list(extra))
+    for f, spec in zip(missing, specs):
+        spec.setflags(write=False)
+        f._spec = spec
+    return [f.spec for f in fields] + specs[len(missing):]
 
 
 def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> float:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import struct
@@ -394,14 +395,24 @@ def save_checkpoint(path: str, state: SimState, gl: GLParams, noise: NoiseModel)
     Header (little endian): magic "NSGL", u32 version, u32 n_modes, u64 step,
     u64 seed, u64 path_id, f64 epsilon, f64 t.  Payload: u as 2*N*N float64
     then n as 3*N*N float64, C order, little endian.
+
+    The bytes go to a temporary file beside ``path`` that then replaces it,
+    so a write that fails midway leaves the previous checkpoint whole.
     """
     n = state.grid.n_modes
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, n, state.step,
                                noise.seed, noise.path_id, gl.epsilon, state.t)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str, grid: SpectralGrid | None = None):

@@ -58,6 +58,16 @@ class NoiseModel:
     h_grad: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_mag: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_unit: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # sample_increment's scatter tables: per k point the coefficient scale
+    # 0.5 * _NORM * q and the unit vector perpendicular to k; the points with
+    # k2 >= 0 (``own``) are written at k, those with k2 <= 0 (``mirror``) as
+    # conjugates at -k, at the (row, column) indices ``own_at``/``mirror_at``
+    q_scale: np.ndarray = field(init=False, repr=False, compare=False)
+    perp: np.ndarray = field(init=False, repr=False, compare=False)
+    own: np.ndarray = field(init=False, repr=False, compare=False)
+    mirror: np.ndarray = field(init=False, repr=False, compare=False)
+    own_at: tuple = field(init=False, repr=False, compare=False)
+    mirror_at: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_modes
@@ -84,10 +94,21 @@ class NoiseModel:
         k_points = np.array(pts, dtype=np.int64).reshape(-1, 2)
         ksq = np.sum(k_points.astype(np.float64) ** 2, axis=1)
         q = (1.0 + ksq) ** (-self.gamma / 2.0)
-        k_points.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "k_points", k_points)
-        object.__setattr__(self, "q_weights", q)
+        k1, k2 = k_points[:, 0], k_points[:, 1]
+        norm = np.sqrt((k1 * k1 + k2 * k2).astype(np.float64))
+        own, mirror = k2 >= 0, k2 <= 0
+        tables = [
+            ("k_points", k_points), ("q_weights", q), ("q_scale", 0.5 * _NORM * q),
+            ("perp", np.stack([-k2 / norm, k1 / norm])), ("own", own), ("mirror", mirror),
+        ]
+        for name, arr in tables:
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        for name, at in [("own_at", (k1[own] % n, k2[own])),
+                         ("mirror_at", ((-k1[mirror]) % n, -k2[mirror]))]:
+            for arr in at:
+                arr.setflags(write=False)
+            object.__setattr__(self, name, at)
         if self.h is not None:
             g = self.grid
             hg = np.stack([g.grad_phys(self.h.spec[m]) for m in range(3)], axis=1)
@@ -155,19 +176,12 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
     g = model.grid
     spec = np.zeros((2, *g.spec_shape), dtype=np.complex128)
     if m > 0:
-        k1 = model.k_points[:, 0]
-        k2 = model.k_points[:, 1]
-        norm = np.sqrt((k1 * k1 + k2 * k2).astype(np.float64))
-        perp = np.stack([-k2 / norm, k1 / norm])  # (2, m)
-        coeff = 0.5 * _NORM * model.q_weights * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
-        n = g.n_modes
+        coeff = model.q_scale * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
         # the half spectrum stores k2 >= 0: a point with k2 < 0 is written as
         # its conjugate at -k, and the k2 = 0 column gets both k and -k
-        own = k2 >= 0
-        mirror = k2 <= 0
         for c in range(2):
-            spec[c, k1[own] % n, k2[own]] = (coeff * perp[c])[own]
-            spec[c, (-k1[mirror]) % n, -k2[mirror]] = (np.conj(coeff) * perp[c])[mirror]
+            spec[c][model.own_at] = (coeff * model.perp[c])[model.own]
+            spec[c][model.mirror_at] = (np.conj(coeff) * model.perp[c])[model.mirror]
     dw = VelocityField(g, spec=spec)
     return WienerIncrement(dW=dw, d_eta=float(xi[-1]), dt=dt,
                            step_index=step_index, level=level, slot=slot)

@@ -30,6 +30,7 @@ from .operators import (
     GLParams,
     coupling_drift_spec,
     cross3,
+    grad_pair,
     leray_project_spec,
 )
 
@@ -206,21 +207,27 @@ def _advance(state, dt, step_index, level, slot, cfg, gl, noise, ledger, force_l
     return _composite(state, dt, dt, inc, gl, noise, ledger, symmetric=False)
 
 
+def _director_noise(grid, n_phys, noise, inc, dt, ledger):
+    """Record the director-noise ledger terms at ``n_phys``, then rotate it.
+
+    A function of its own so that grad n and n x grad h are freed before
+    the exchange stage allocates its own work arrays.
+    """
+    grad_n = np.stack(grad_pair(grid, grid.to_spec(n_phys)))
+    cross = np.stack([cross3(n_phys, noise.h_grad[0]),
+                      cross3(n_phys, noise.h_grad[1])])
+    ledger.grad_cross_deta += grid.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
+    ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
+    return rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
+
+
 def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
     grid = state.grid
     u_spec = diffuse_spec(grid, state.u.spec, half)
-    n_spec = diffuse_spec(grid, state.n.spec, half)
-    n_phys = gl_reaction_phys(grid.to_phys(n_spec), half, gl.epsilon)
-
+    n_phys = gl_reaction_phys(grid.to_phys(diffuse_spec(grid, state.n.spec, half)),
+                              half, gl.epsilon)
     if noise.director_on and noise.h is not None:
-        n_spec_pre = grid.to_spec(n_phys)
-        grad_n = np.stack([grid.to_phys(grid.deriv(n_spec_pre, 1)),
-                           grid.to_phys(grid.deriv(n_spec_pre, 2))])
-        cross = np.stack([cross3(n_phys, noise.h_grad[0]),
-                          cross3(n_phys, noise.h_grad[1])])
-        ledger.grad_cross_deta += grid.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
-        ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
-        n_phys = rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
+        n_phys = _director_noise(grid, n_phys, noise, inc, dt, ledger)
 
     u_spec, n_spec = midpoint_exchange(grid, u_spec, grid.to_spec(n_phys), dt)
     if noise.velocity_on:
@@ -233,9 +240,10 @@ def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
         n_spec = diffuse_spec(grid, grid.to_spec(n_phys), half)
         u_spec = diffuse_spec(grid, u_spec, half)
 
+    u_phys, n_phys = grid.to_phys_many([u_spec, n_spec])
     return SimState(
         t=state.t + dt,
         step=state.step,
-        u=VelocityField(grid, phys=grid.to_phys(u_spec)),
-        n=DirectorField(grid, phys=grid.to_phys(n_spec)),
+        u=VelocityField(grid, phys=u_phys),
+        n=DirectorField(grid, phys=n_phys),
     )

@@ -327,6 +327,42 @@ def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
     assert levels and max(levels) == 0
 
 
+def test_family_residuals_equal_fresh_derivative_reference(grid16):
+    """The family's limit-equation residuals, built from the derivatives each
+    report already computed, equal a reference that transforms lap n, d1 n
+    and d2 n of every left-point state afresh, bit for bit."""
+    from nsgl.noise import sample_increment
+    from nsgl.operators import cross3
+
+    g = grid16
+    cfg = StepperConfig(dt=2e-3, t_end=0.012)
+    h = single_mode_h(g)
+    noise = NoiseModel(g, seed=23, path_id=2, mode_cutoff=4, h=h)
+    eps_family = (0.4, 0.2)
+    report = run_coupled_family(circle_state(g), cfg, eps_family, noise, n_paths=1)
+    for eps in eps_family:
+        states = []
+        run_path(circle_state(g), cfg, GLParams(epsilon=eps), noise,
+                 on_report=lambda st, r: states.append(st))
+        ito = strat = 0.0
+        for k, (prev, new) in enumerate(zip(states, states[1:])):
+            n_spec = prev.n.spec
+            lap = g.to_phys(g.laplacian(n_spec))
+            d1 = g.to_phys(g.deriv(n_spec, 1))
+            d2 = g.to_phys(g.deriv(n_spec, 2))
+            grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
+            conv = prev.u.phys[0] * d1 + prev.u.phys[1] * d2
+            r = (new.n.phys - prev.n.phys) - cfg.dt * (lap + grad_sq * prev.n.phys - conv)
+            nxh = cross3(prev.n.phys, h.phys)
+            r = r - sample_increment(noise, cfg.dt, k).d_eta * nxh
+            r2 = r - cfg.dt * (0.5 * cross3(nxh, h.phys))
+            ito += g.l2_norm_phys(r)
+            strat += g.l2_norm_phys(r2)
+        assert np.max(np.abs(states[-1].u.phys)) > 0.0  # the transport term is live
+        assert report.members[eps].residual_ito[0] == ito
+        assert report.members[eps].residual_strat[0] == strat
+
+
 def test_drivers_call_step_once_per_path_step(grid16, monkeypatch):
     """The benchmark times the drivers' step loop through ``nsgl.experiments.step``:
     each driver must call it exactly n_steps x n_paths x n_members times."""

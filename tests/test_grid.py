@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nsgl.grid import (
+    PACK_BYTES,
     DirectorField,
     SpectralGrid,
     VelocityField,
@@ -224,3 +225,60 @@ def test_conj_symmetry_defect_flags_unpaired_column_mode(grid32):
     assert DirectorField(grid32, spec=spec.copy()).conj_symmetry_defect() == 0.25
     with pytest.raises(ValueError):
         DirectorField(grid32, spec=np.zeros((3, 32, 32), dtype=complex))
+
+
+def test_pack_groups_never_split_an_input():
+    from nsgl.grid import _pack_groups
+
+    assert _pack_groups([], 4) == []
+    assert _pack_groups([1, 3, 2, 1, 3], 4) == [(0, 2), (2, 4), (4, 5)]
+    assert _pack_groups([5, 1, 1], 4) == [(0, 1), (1, 3)]  # an oversized input goes alone
+    assert _pack_groups([3, 3], 1) == [(0, 1), (1, 2)]
+
+
+# 1 + 3 + 2 + 1 + 3 + 1 + 2 + 3 + 3 = 19 slices: N = 16 packs all of them into
+# one call, N = 32 (16 slices per call) crosses the budget once, N = 64 (4
+# per call) several times, and N = 128 gives every input a call of its own
+_PACK_SHAPES = [(), (3,), (2,), (), (3,), (1,), (2,), (3,), (3,)]
+_PACK_CALLS = {16: 1, 32: 2, 64: 6, 128: 9}
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    inner = getattr(np.fft, name)
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return inner(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", sorted(_PACK_CALLS))
+def test_packed_transforms_equal_one_call_per_input(n, monkeypatch):
+    """Packing adjacent inputs into one numpy.fft call leaves every result
+    bitwise equal to a call of its own, and no call exceeds PACK_BYTES
+    unless it carries a single input."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    phys = [rng.standard_normal((*lead, n, n)) for lead in _PACK_SHAPES]
+    specs = [g.to_spec(p) for p in phys]
+    assert sum(a.size for a in phys) // g.size == 19
+
+    for name, transform, inputs, expected in (
+        ("rfft2", g.to_spec_many, phys, specs),
+        ("irfft2", g.to_phys_many, specs, [g.to_phys(s) for s in specs]),
+    ):
+        calls = _count_calls(monkeypatch, name)
+        pending = list(inputs)
+        got = transform(pending)
+        assert pending == []  # the inputs are released as they are transformed
+        assert len(calls) == _PACK_CALLS[n]
+        singles = [a.shape for a in inputs]
+        for shape in calls:
+            assert shape in singles or int(np.prod(shape[:-2])) * g.size * 8 <= PACK_BYTES
+        assert len(got) == len(expected)
+        for a, b in zip(got, expected):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert np.array_equal(a, b)

@@ -310,6 +310,40 @@ def test_checkpoint_error_cases(grid16, tmp_path):
         load_checkpoint(str(path), grid=SpectralGrid(32))
 
 
+def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkeypatch):
+    """A save that raises after writing part of the file leaves the previous
+    checkpoint byte-intact and no temporary file behind."""
+    import nsgl.io_cli as io_cli
+
+    noise = NoiseModel(grid16, mode_cutoff=4)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(str(path), small_state(grid16), GLParams(epsilon=0.25), noise)
+    before = path.read_bytes()
+
+    calls = []
+    real = np.ascontiguousarray
+
+    def fail_on_director(a, *args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:  # the header and u are written by now
+            raise OSError("disk full")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(io_cli.np, "ascontiguousarray", fail_on_director)
+    later = small_state(grid16, seed=4)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(str(path), later, GLParams(epsilon=0.25), noise)
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+    monkeypatch.undo()
+    save_checkpoint(str(path), later, GLParams(epsilon=0.25), noise)
+    loaded, _ = load_checkpoint(str(path), grid=grid16)
+    assert np.array_equal(loaded.n.phys, later.n.phys)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
+
+
 # -- NDJSON -----------------------------------------------------------------------
 
 

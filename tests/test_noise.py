@@ -130,3 +130,31 @@ def test_increment_moments(grid32):
 
 def grid_l2_sq(field):
     return field.grid.l2_norm_phys(field.phys) ** 2
+
+
+def reference_increment_spec(model, dt, step_index):
+    """The velocity increment's half spectrum with the scatter tables built
+    inside the call, as before they were precomputed on the model."""
+    from nsgl.noise import _NORM, _stream
+
+    m = len(model.k_points)
+    xi = _stream(model, step_index, 0, 0).standard_normal(2 * m + 1) * np.sqrt(dt)
+    n = model.grid.n_modes
+    spec = np.zeros((2, *model.grid.spec_shape), dtype=np.complex128)
+    k1, k2 = model.k_points[:, 0], model.k_points[:, 1]
+    norm = np.sqrt((k1 * k1 + k2 * k2).astype(np.float64))
+    perp = np.stack([-k2 / norm, k1 / norm])
+    coeff = 0.5 * _NORM * model.q_weights * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
+    own, mirror = k2 >= 0, k2 <= 0
+    for c in range(2):
+        spec[c, k1[own] % n, k2[own]] = (coeff * perp[c])[own]
+        spec[c, (-k1[mirror]) % n, -k2[mirror]] = (np.conj(coeff) * perp[c])[mirror]
+    return spec
+
+
+@pytest.mark.parametrize("cutoff", [1, 4, 10])
+def test_precomputed_scatter_tables_keep_draws_bitwise(grid32, cutoff):
+    model = NoiseModel(grid=grid32, mode_cutoff=cutoff, seed=5, path_id=9)
+    for step_index in (0, 3):
+        got = sample_increment(model, 1e-3, step_index).dW.spec
+        assert np.array_equal(got, reference_increment_spec(model, 1e-3, step_index))

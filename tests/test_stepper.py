@@ -347,6 +347,33 @@ def test_strang_step_transform_counts(grid32, monkeypatch):
     assert slices == {"forward": 25, "inverse": 41}
 
 
+def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
+    """At N = 32 every stage of one unsplit Strang step packs its transforms
+    into one numpy.fft call: 5 forward and 6 inverse calls carry the 25 and
+    41 slices that one call per input took 13 and 16 calls for."""
+    g = grid32
+    src = coupled_initial_state(g)
+    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
+    state.u.spec, state.n.spec
+    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+    calls = {"forward": 0, "inverse": 0}
+
+    def counted(fn, kind):
+        def wrapper(*args, **kwargs):
+            calls[kind] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("fft2", "rfft2", "fftn", "rfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
+    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
+    assert ledger.n_substeps == 1
+    assert calls == {"forward": 5, "inverse": 6}
+
+
 def test_ledger_records_applied_director_increment(grid32):
     g = grid32
     state = coupled_initial_state(g)
