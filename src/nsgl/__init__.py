@@ -8,6 +8,7 @@ exposes the composite splitting stepper, per-step energy diagnostics, the
 epsilon-family convergence experiments, and a config-driven CLI.
 """
 
+from .checks import run_identity_checks
 from .diagnostics import (
     CoveringSet,
     EnergyReport,
@@ -34,7 +35,6 @@ from .io_cli import (
     load_checkpoint,
     load_config,
     main,
-    run_identity_checks,
     save_checkpoint,
 )
 from .noise import NoiseModel

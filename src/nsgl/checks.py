@@ -1,0 +1,196 @@
+"""Operator identity self-checks: the suite behind `nsgl check` and gate 1.
+
+Each check evaluates a structural identity of the spatial operators or of an
+exact substep on random band-limited fields, where the identity holds to
+roundoff, and reports its worst relative residual over the samples against
+a fixed tolerance.  The quartic-well reaction map is checked against the one
+RK4 oracle for the logistic equation of |n|^2, which gate 2 also uses.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited, sobolev_norm
+from .operators import (convect_spec, cross3, gl_penalty_phys, grad_pair,
+                        leray_project_spec, stress_div_spec)
+from .stepper import gl_reaction_phys, rotate_phys
+
+__all__ = [
+    "CheckResult",
+    "run_identity_checks",
+    "bilaplacian_identity_residual",
+]
+
+# check name -> pass bound on its worst residual, in report order.  The
+# rotation is a pointwise isometry, so it is held to roundoff; the reaction
+# map is bounded by its RK4 reference's own error.
+_TOLERANCES = {
+    **dict.fromkeys(["leray_idempotent", "leray_self_adjoint", "leray_kills_gradients",
+                     "advect_u_skew", "advect_n_skew", "stress_transport_cancel",
+                     "penalty_orthogonal", "bilaplacian_identity"], 1e-8),
+    "rotation_isometry": 1e-12,
+    "gl_map_vs_ode": 1e-10,
+}
+
+
+@dataclass(frozen=True)
+class CheckResult:
+    name: str
+    residual: float
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        return self.residual < self.tol
+
+
+def _rk4_logistic(y0: np.ndarray, a: np.ndarray, n_sub: int) -> np.ndarray:
+    """Reference integration of y' = a y (1 - y) over unit time.
+
+    With y = |n|^2 this is the quartic-well reaction at rate a = 2 dt/eps^2.
+    """
+    y = np.array(y0, dtype=np.float64)
+    hs = 1.0 / n_sub
+
+    def f(v):
+        return a * v * (1.0 - v)
+
+    for _ in range(n_sub):
+        k1 = f(y)
+        k2 = f(y + 0.5 * hs * k1)
+        k3 = f(y + 0.5 * hs * k2)
+        k4 = f(y + hs * k3)
+        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _gl_map_residual() -> float:
+    """Closed-form reaction map against the RK4 oracle on a (y0, rate) sweep."""
+    y0 = np.linspace(0.0, 1.5, 31)
+    rates = np.linspace(0.0, 5.0, 21)  # dt / eps^2
+    y_grid = np.tile(y0[:, None], (1, len(rates)))
+    a_grid = np.tile(2.0 * rates[None, :], (len(y0), 1))
+    y_ref = _rk4_logistic(y_grid, a_grid, 16384)
+    worst = 0.0
+    for j, r in enumerate(rates):
+        n_in = np.zeros((3, len(y0), 1))
+        n_in[0, :, 0] = np.sqrt(y0)
+        n_out = gl_reaction_phys(n_in, float(r), 1.0)
+        y_map = np.sum(n_out * n_out, axis=0)[:, 0]
+        worst = max(worst, float(np.max(np.abs(y_map - y_ref[:, j]))))
+    return worst
+
+
+def bilaplacian_identity_residual(d: DirectorField) -> float:
+    """L2 residual of
+    d . lap^2 d = 0.5 lap^2 |d|^2 - 4 grad d . grad lap d - 2 |hess d|^2 - |lap d|^2.
+
+    Exact (to roundoff) when d is band-limited to |k_i| < N/4: quadratic
+    products then stay strictly below the unpaired Nyquist line N/2 that
+    differentiation masks out.
+    """
+    g = d.grid
+    spec = d.spec
+    lap = g.laplacian(spec)
+    bilap = g.laplacian(lap)
+    lhs = np.sum(d.phys * g.to_phys(bilap), axis=0)
+
+    mag2 = np.sum(d.phys**2, axis=0)
+    term_sq = 0.5 * g.to_phys(g.laplacian(g.laplacian(g.to_spec(mag2))))
+
+    grad_d = np.stack(grad_pair(g, spec))
+    grad_lap = np.stack(grad_pair(g, lap))
+    term_mix = 4.0 * np.sum(grad_d * grad_lap, axis=(0, 1))
+
+    hess = np.stack([*grad_pair(g, g.deriv(spec, 1)), *grad_pair(g, g.deriv(spec, 2))])
+    term_hess = 2.0 * np.sum(hess**2, axis=(0, 1))
+
+    lap_phys = g.to_phys(lap)
+    term_lap = np.sum(lap_phys**2, axis=0)
+
+    residual = lhs - (term_sq - term_mix - term_hess - term_lap)
+    return g.l2_norm_phys(residual[None, :, :])
+
+
+def run_identity_checks(n_modes: int = 64, samples: int = 32,
+                        seed: int = 99) -> list[CheckResult]:
+    """Randomized operator identities on band-limited fields.
+
+    The band is kept at N // 10 so cubic products still integrate exactly on
+    the grid; every residual below is then pure floating-point noise.
+    Raises ValueError for a grid size SpectralGrid refuses, fewer than one
+    sample, or a negative seed.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    grid = SpectralGrid(n_modes)
+    k_max = max(2, n_modes // 10)
+    rng = np.random.default_rng(seed)
+    worst = dict.fromkeys(_TOLERANCES, 0.0)
+    tiny = 1e-300
+
+    def note(name, residual):
+        worst[name] = max(worst[name], residual)
+
+    for _ in range(samples):
+        w = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
+        v = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
+        nf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
+        hf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
+        phi_spec = grid.to_spec(random_band_limited(grid, 1, k_max, rng)[0])
+
+        pw = leray_project_spec(grid, w.spec)  # also the solenoidal u below
+        ppw = leray_project_spec(grid, pw)
+        note("leray_idempotent", grid.l2_norm_spec(ppw - pw) / (grid.l2_norm_spec(pw) + tiny))
+
+        pv = leray_project_spec(grid, v.spec)
+        lhs = grid.l2_inner_spec(pw, v.spec)
+        rhs = grid.l2_inner_spec(w.spec, pv)
+        scale = grid.l2_norm_spec(w.spec) * grid.l2_norm_spec(v.spec) + tiny
+        note("leray_self_adjoint", abs(lhs - rhs) / scale)
+
+        gspec = np.stack([grid.deriv(phi_spec, 1), grid.deriv(phi_spec, 2)])
+        note("leray_kills_gradients", grid.l2_norm_spec(leray_project_spec(grid, gspec))
+             / (grid.l2_norm_spec(gspec) + tiny))
+
+        u_phys = grid.to_phys(pw)
+        cu = leray_project_spec(grid, convect_spec(grid, u_phys, pw))
+        pair = grid.l2_inner_spec(cu, pw)
+        scale = grid.l2_norm_spec(cu) * grid.l2_norm_spec(pw) + tiny
+        note("advect_u_skew", abs(pair) / scale)
+
+        cn = convect_spec(grid, u_phys, nf.spec)
+        pair = grid.l2_inner_spec(cn, nf.spec)
+        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(nf.spec) + tiny
+        note("advect_n_skew", abs(pair) / scale)
+
+        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, nf.spec)), pw)
+        b = grid.l2_inner_spec(cn, grid.laplacian(nf.spec))
+        note("stress_transport_cancel", abs(a - b) / (abs(a) + abs(b) + tiny))
+
+        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(nf.phys, 1.0)))
+        nxh = grid.to_spec(cross3(nf.phys, hf.phys))
+        pair = grid.l2_inner_spec(fpen, nxh)
+        scale = grid.l2_norm_spec(fpen) * grid.l2_norm_spec(nxh) + tiny
+        note("penalty_orthogonal", abs(pair) / scale)
+
+        res = bilaplacian_identity_residual(nf)
+        scale = 1.0 + sobolev_norm(nf, 4.0, homogeneous=False) ** 2
+        note("bilaplacian_identity", res / scale)
+
+        mag = hf.norm_phys()
+        unit = hf.phys / np.where(mag > 0.0, mag, 1.0)
+        d_eta = float(rng.uniform(-2.0, 2.0))
+        rotated = rotate_phys(nf.phys, unit, mag, d_eta)
+        before = np.sqrt(np.sum(nf.phys ** 2, axis=0))
+        after = np.sqrt(np.sum(rotated ** 2, axis=0))
+        note("rotation_isometry",
+             float(np.max(np.abs(after - before))) / (float(np.max(before)) + tiny))
+
+    worst["gl_map_vs_ode"] = _gl_map_residual()
+    return [CheckResult(name, worst[name], tol) for name, tol in _TOLERANCES.items()]

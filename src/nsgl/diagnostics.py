@@ -54,13 +54,6 @@ class EnergyReport:
     local_grad_max: float = math.nan     # same for the |grad n|^2 integrand
 
 
-def torus_distance(a, b) -> float:
-    """Geodesic distance on [0, 2pi)^2: per-axis shortest wrap."""
-    d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
-    d = np.minimum(d, 2.0 * np.pi - d)
-    return float(np.sqrt(np.sum(d * d)))
-
-
 def _wrap_dist_sq(grid: SpectralGrid, centers) -> np.ndarray:
     """Squared torus distance from each center (rows of an (M, 2) array) to
     every grid point, shape (M, N, N)."""
@@ -121,31 +114,6 @@ class CoveringSet:
         return float(np.max(sums)), sums
 
 
-def _pointwise_energy(state: SimState, gl: GLParams, grad_n: np.ndarray) -> np.ndarray:
-    """Density of the monitored energy.
-
-    The quartic well enters with weight 2: that is the unique weight for
-    which the time derivative of the total pairs exactly with -2 times the
-    enstrophy, turning the balance residual into a pure discretization
-    error.  (The reported gl_mass stays the unweighted integral.)
-    """
-    u2 = np.sum(state.u.phys**2, axis=0)
-    gn2 = np.sum(grad_n**2, axis=(0, 1))
-    defect = 1.0 - np.sum(state.n.phys**2, axis=0)
-    return u2 + gn2 + defect**2 / (2.0 * gl.epsilon**2)
-
-
-def local_energy(state: SimState, gl: GLParams, center, radius: float) -> float:
-    """Energy integrand summed over the torus ball B(center, radius)."""
-    if not (0.0 < radius <= np.pi):
-        raise ValueError(f"local_energy radius must be in (0, pi], got {radius}")
-    g = state.grid
-    grad_n = np.stack([g.grad_phys(state.n.spec[m]) for m in range(3)], axis=1)
-    e = _pointwise_energy(state, gl, grad_n)
-    mask = _wrap_dist_sq(g, center)[0] <= radius * radius
-    return float(np.sum(e[mask])) * g.quad_weight
-
-
 def energy_report(state: SimState, gl: GLParams,
                   covering: CoveringSet | None = None,
                   derivs_out: list | None = None) -> EnergyReport:
@@ -189,6 +157,11 @@ def energy_report(state: SimState, gl: GLParams,
 
     loc_e = loc_g = math.nan
     if covering is not None:
+        # density of the monitored energy.  The quartic well enters with
+        # weight 2: that is the unique weight for which the time derivative
+        # of the total pairs exactly with -2 times the enstrophy, turning the
+        # balance residual into a pure discretization error.  (The reported
+        # gl_mass stays the unweighted integral.)
         e_point = np.sum(u_phys**2, axis=0) + gn2 + defect**2 / (2.0 * gl.epsilon**2)
         loc_e, _ = covering.local_maxima(e_point)
         loc_g, _ = covering.local_maxima(gn2)

@@ -193,13 +193,6 @@ class SpectralGrid:
     def laplacian(self, spec: np.ndarray) -> np.ndarray:
         return -self.k2 * spec * self.diff_mask
 
-    def grad_phys(self, spec: np.ndarray) -> np.ndarray:
-        """Physical-space gradient, shape (..., 2, N, N)."""
-        return np.stack(
-            [self.to_phys(self.deriv(spec, 1)), self.to_phys(self.deriv(spec, 2))],
-            axis=-3,
-        )
-
     def dealias(self, spec: np.ndarray) -> np.ndarray:
         return spec * self.dealias_mask
 

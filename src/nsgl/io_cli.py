@@ -1,16 +1,20 @@
-"""Config files, binary checkpoints, NDJSON report streams, and the CLI.
+"""Config files, initial-data presets, checkpoints, NDJSON reports, and the CLI.
 
 The config format is INI with a fixed schema (see _SCHEMA): unknown sections
 or keys are errors, every key has a typed default, and `dump-config` echoes
 the fully validated file in canonical order.  Checkpoints are a fixed-layout
 binary snapshot of the physical state; reloading one and continuing must
 reproduce the uninterrupted run bit for bit, so loading does not re-project
-the velocity unless its divergence defect is above 1e-10.
+the velocity unless its divergence defect is above 1e-10, and a resume from
+a checkpoint off the configured step clock is refused.
 
 Report lines are newline-delimited JSON, one object per recorded step, all
 floats printed with 17 significant digits.  Every value is a pure function
 of the instantaneous state, which is what makes resumed streams splice
 exactly onto the original ones.
+
+`check` prints the identity suite of :mod:`nsgl.checks`; every other command
+starts from one validated config.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checks import run_identity_checks
 from .diagnostics import CoveringSet, energy_identity_residual, ls_ratio
 from .experiments import (
     NumericsError,
@@ -33,25 +38,10 @@ from .experiments import (
     run_ensemble,
     run_path,
 )
-from .grid import (
-    DirectorField,
-    SpectralGrid,
-    VelocityField,
-    random_band_limited,
-    sobolev_norm,
-)
+from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from .noise import NoiseModel
-from .operators import (
-    GLParams,
-    bilaplacian_identity_residual,
-    convect_spec,
-    cross3,
-    gl_penalty_phys,
-    grad_pair,
-    leray_project_spec,
-    stress_div_spec,
-)
-from .stepper import CflError, SimState, StepperConfig, gl_reaction_phys, rotate_phys
+from .operators import GLParams, leray_project_spec
+from .stepper import CflError, SimState, StepperConfig
 
 __all__ = [
     "ConfigError",
@@ -65,8 +55,6 @@ __all__ = [
     "load_checkpoint",
     "REPORT_KEYS",
     "format_report",
-    "CheckResult",
-    "run_identity_checks",
     "main",
 ]
 
@@ -477,139 +465,6 @@ def format_report(report) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-# -- operator identity self-tests ---------------------------------------------------
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return self.residual < self.tol
-
-
-def _rk4_logistic(y0: np.ndarray, a: np.ndarray, n_sub: int) -> np.ndarray:
-    """Reference integration of y' = a y (1 - y) over unit time."""
-    y = np.array(y0, dtype=np.float64)
-    hs = 1.0 / n_sub
-
-    def f(v):
-        return a * v * (1.0 - v)
-
-    for _ in range(n_sub):
-        k1 = f(y)
-        k2 = f(y + 0.5 * hs * k1)
-        k3 = f(y + 0.5 * hs * k2)
-        k4 = f(y + hs * k3)
-        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
-
-
-def _gl_map_residual() -> float:
-    """Closed-form reaction map against the RK4 oracle on a (y0, rate) sweep."""
-    y0 = np.linspace(0.0, 1.5, 31)
-    rates = np.linspace(0.0, 5.0, 21)  # dt / eps^2
-    y_grid = np.tile(y0[:, None], (1, len(rates)))
-    a_grid = np.tile(2.0 * rates[None, :], (len(y0), 1))
-    y_ref = _rk4_logistic(y_grid, a_grid, 16384)
-    worst = 0.0
-    for j, r in enumerate(rates):
-        n_in = np.zeros((3, len(y0), 1))
-        n_in[0, :, 0] = np.sqrt(y0)
-        n_out = gl_reaction_phys(n_in, float(r), 1.0)
-        y_map = np.sum(n_out * n_out, axis=0)[:, 0]
-        worst = max(worst, float(np.max(np.abs(y_map - y_ref[:, j]))))
-    return worst
-
-
-def run_identity_checks(n_modes: int = 64, samples: int = 32, seed: int = 99,
-                        tol: float = 1e-8) -> list[CheckResult]:
-    """Randomized operator identities on band-limited fields.
-
-    The band is kept at N // 10 so cubic products still integrate exactly on
-    the grid; every residual below is then pure floating-point noise.
-    """
-    grid = SpectralGrid(n_modes)
-    k_max = max(2, n_modes // 10)
-    rng = np.random.default_rng(seed)
-    names = ["leray_idempotent", "leray_self_adjoint", "leray_kills_gradients",
-             "advect_u_skew", "advect_n_skew", "stress_transport_cancel",
-             "penalty_orthogonal", "bilaplacian_identity", "rotation_isometry"]
-    worst = dict.fromkeys(names, 0.0)
-    tiny = 1e-300
-    for _ in range(samples):
-        w = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
-        v = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
-        nf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
-        hf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
-        phi_spec = grid.to_spec(random_band_limited(grid, 1, k_max, rng)[0])
-
-        pw = leray_project_spec(grid, w.spec)  # also the solenoidal u below
-        ppw = leray_project_spec(grid, pw)
-        worst["leray_idempotent"] = max(
-            worst["leray_idempotent"],
-            grid.l2_norm_spec(ppw - pw) / (grid.l2_norm_spec(pw) + tiny))
-
-        pv = leray_project_spec(grid, v.spec)
-        lhs = grid.l2_inner_spec(pw, v.spec)
-        rhs = grid.l2_inner_spec(w.spec, pv)
-        scale = grid.l2_norm_spec(w.spec) * grid.l2_norm_spec(v.spec) + tiny
-        worst["leray_self_adjoint"] = max(worst["leray_self_adjoint"],
-                                          abs(lhs - rhs) / scale)
-
-        gspec = np.stack([grid.deriv(phi_spec, 1), grid.deriv(phi_spec, 2)])
-        worst["leray_kills_gradients"] = max(
-            worst["leray_kills_gradients"],
-            grid.l2_norm_spec(leray_project_spec(grid, gspec))
-            / (grid.l2_norm_spec(gspec) + tiny))
-
-        u_phys = grid.to_phys(pw)
-        cu = leray_project_spec(grid, convect_spec(grid, u_phys, pw))
-        pair = grid.l2_inner_spec(cu, pw)
-        scale = grid.l2_norm_spec(cu) * grid.l2_norm_spec(pw) + tiny
-        worst["advect_u_skew"] = max(worst["advect_u_skew"], abs(pair) / scale)
-
-        cn = convect_spec(grid, u_phys, nf.spec)
-        pair = grid.l2_inner_spec(cn, nf.spec)
-        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(nf.spec) + tiny
-        worst["advect_n_skew"] = max(worst["advect_n_skew"], abs(pair) / scale)
-
-        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, nf.spec)), pw)
-        b = grid.l2_inner_spec(cn, grid.laplacian(nf.spec))
-        worst["stress_transport_cancel"] = max(
-            worst["stress_transport_cancel"], abs(a - b) / (abs(a) + abs(b) + tiny))
-
-        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(nf.phys, 1.0)))
-        nxh = grid.to_spec(cross3(nf.phys, hf.phys))
-        pair = grid.l2_inner_spec(fpen, nxh)
-        scale = grid.l2_norm_spec(fpen) * grid.l2_norm_spec(nxh) + tiny
-        worst["penalty_orthogonal"] = max(worst["penalty_orthogonal"],
-                                          abs(pair) / scale)
-
-        res = bilaplacian_identity_residual(nf)
-        scale = 1.0 + sobolev_norm(nf, 4.0, homogeneous=False) ** 2
-        worst["bilaplacian_identity"] = max(worst["bilaplacian_identity"],
-                                            res / scale)
-
-        mag = hf.norm_phys()
-        unit = hf.phys / np.where(mag > 0.0, mag, 1.0)
-        d_eta = float(rng.uniform(-2.0, 2.0))
-        rotated = rotate_phys(nf.phys, unit, mag, d_eta)
-        before = np.sqrt(np.sum(nf.phys ** 2, axis=0))
-        after = np.sqrt(np.sum(rotated ** 2, axis=0))
-        worst["rotation_isometry"] = max(
-            worst["rotation_isometry"],
-            float(np.max(np.abs(after - before))) / (float(np.max(before)) + tiny))
-
-    results = [CheckResult(name, worst[name],
-                           1e-12 if name == "rotation_isometry" else tol)
-               for name in names]
-    results.append(CheckResult("gl_map_vs_ode", _gl_map_residual(), 1e-10))
-    return results
-
-
 # -- command line ------------------------------------------------------------------
 
 class _UsageError(Exception):
@@ -645,17 +500,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_chk.add_argument("--n-modes", type=int, default=64)
     p_chk.add_argument("--samples", type=int, default=32)
     p_chk.add_argument("--seed", type=int, default=99)
-    p_chk.add_argument("--tol", type=float, default=1e-8)
 
     p_dump = sub.add_parser("dump-config", help="echo the validated config in canonical form")
     p_dump.add_argument("-c", "--config", required=True)
     return parser
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    bundle = build_components(cfg)
+def _cmd_run(args, bundle: SimBundle) -> int:
+    cfg = bundle.cfg
     state0 = bundle.state0
+    n_total = bundle.stepper.n_steps
     if args.resume is not None:
         state0, meta = load_checkpoint(args.resume, grid=bundle.grid)
         if meta["epsilon"] != bundle.gl.epsilon:
@@ -663,6 +517,15 @@ def _cmd_run(args) -> int:
                 f"checkpoint epsilon {meta['epsilon']} != config gl.epsilon {bundle.gl.epsilon}")
         if meta["seed"] != bundle.noise.seed or meta["path_id"] != bundle.noise.path_id:
             raise ConfigError("checkpoint noise identity (seed, path_id) does not match config")
+        # the run continues at t + k dt for step + k, so the checkpoint's own
+        # clock must be step * dt of this config; NaN fails the comparison
+        step_idx, t, dt = meta["step"], meta["t"], bundle.stepper.dt
+        if step_idx > n_total:
+            raise ConfigError(
+                f"checkpoint step {step_idx} is past the configured {n_total} steps")
+        if not abs(t - step_idx * dt) <= 1e-9 * max(1.0, abs(t)):
+            raise ConfigError(
+                f"checkpoint t = {t:.17g} at step {step_idx} does not fit stepper.dt = {dt}")
         if meta["reprojected"]:
             print(f"note: velocity re-projected on load (divergence defect "
                   f"{meta['div_defect']:.3g})", file=sys.stderr)
@@ -670,7 +533,6 @@ def _cmd_run(args) -> int:
     every = cfg.get("output", "report_every")
     ck_path = cfg.get("output", "checkpoint_path")
     ck_every = cfg.get("output", "checkpoint_every")
-    n_total = bundle.stepper.n_steps
     last_state = [state0]
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
 
@@ -713,10 +575,8 @@ def _check_path_ids(noise: NoiseModel, section: str, n_paths: int):
         raise ConfigError(f"noise.path_id + {section}.n_paths exceeds the 2**64 stream keys")
 
 
-def _cmd_converge(args) -> int:
-    cfg = load_config(args.config)
-    bundle = build_components(cfg)
-    sec = cfg.section("convergence")
+def _cmd_converge(args, bundle: SimBundle) -> int:
+    sec = bundle.cfg.section("convergence")
     _check_path_ids(bundle.noise, "convergence", sec["n_paths"])
     eps_family = parse_eps_family(sec["eps_family"])
     out_dir = sec["output_dir"]
@@ -744,20 +604,22 @@ def _cmd_converge(args) -> int:
     return 0
 
 
-def _cmd_ensemble(args) -> int:
-    cfg = load_config(args.config)
-    bundle = build_components(cfg)
-    _check_path_ids(bundle.noise, "ensemble", cfg.get("ensemble", "n_paths"))
+def _cmd_ensemble(args, bundle: SimBundle) -> int:
+    n_paths = bundle.cfg.get("ensemble", "n_paths")
+    _check_path_ids(bundle.noise, "ensemble", n_paths)
     report = run_ensemble(bundle.state0, bundle.stepper, bundle.gl, bundle.noise,
-                          n_paths=cfg.get("ensemble", "n_paths"),
+                          n_paths=n_paths,
                           covering=bundle.covering, stop_delta=bundle.stop_delta)
     sys.stdout.write(report.to_text())
     return 0
 
 
 def _cmd_check(args) -> int:
-    results = run_identity_checks(n_modes=args.n_modes, samples=args.samples,
-                                  seed=args.seed, tol=args.tol)
+    try:
+        results = run_identity_checks(n_modes=args.n_modes, samples=args.samples,
+                                      seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(f"check: {exc}") from None
     width = max(len(r.name) for r in results)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
@@ -768,18 +630,16 @@ def _cmd_check(args) -> int:
     return 0 if n_bad == 0 else 2
 
 
-def _cmd_dump_config(args) -> int:
-    cfg = load_config(args.config)
-    build_components(cfg)
-    sys.stdout.write(dump_config(cfg))
+def _cmd_dump_config(args, bundle: SimBundle) -> int:
+    sys.stdout.write(dump_config(bundle.cfg))
     return 0
 
 
-_DISPATCH = {
+# the commands that start from a validated config
+_CONFIG_COMMANDS = {
     "run": _cmd_run,
     "converge": _cmd_converge,
     "ensemble": _cmd_ensemble,
-    "check": _cmd_check,
     "dump-config": _cmd_dump_config,
 }
 
@@ -787,7 +647,12 @@ _DISPATCH = {
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return _DISPATCH[args.command](args)
+        if args.command == "check":
+            return _cmd_check(args)
+        # called through the module globals: perfbench/tracer.py times both
+        # by rebinding nsgl.io_cli.load_config and build_components
+        bundle = build_components(load_config(args.config))
+        return _CONFIG_COMMANDS[args.command](args, bundle)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1

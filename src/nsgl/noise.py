@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import DirectorField, SpectralGrid, VelocityField
+from .operators import grad_pair
 
 __all__ = ["NoiseModel", "sample_increment"]
 
@@ -110,8 +111,7 @@ class NoiseModel:
                 arr.setflags(write=False)
             object.__setattr__(self, name, at)
         if self.h is not None:
-            g = self.grid
-            hg = np.stack([g.grad_phys(self.h.spec[m]) for m in range(3)], axis=1)
+            hg = np.stack(grad_pair(self.grid, self.h.spec))
             mag = np.sqrt(np.sum(self.h.phys**2, axis=0))
             safe = np.where(mag > 0.0, mag, 1.0)
             unit = self.h.phys / safe

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DirectorField, SpectralGrid
+from .grid import SpectralGrid
 
 __all__ = [
     "GLParams",
@@ -23,7 +23,6 @@ __all__ = [
     "coupling_drift_spec",
     "cross3",
     "gl_penalty_phys",
-    "bilaplacian_identity_residual",
 ]
 
 
@@ -123,39 +122,3 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def gl_penalty_phys(n_phys: np.ndarray, epsilon: float) -> np.ndarray:
     return (1.0 - np.sum(n_phys * n_phys, axis=0)) * n_phys / epsilon**2
-
-
-def bilaplacian_identity_residual(d: DirectorField) -> float:
-    """L2 residual of
-    d . lap^2 d = 0.5 lap^2 |d|^2 - 4 grad d . grad lap d - 2 |hess d|^2 - |lap d|^2.
-
-    Exact (to roundoff) when d is band-limited to |k_i| < N/4: quadratic
-    products then stay strictly below the unpaired Nyquist line N/2 that
-    differentiation masks out.
-    """
-    g = d.grid
-    spec = d.spec
-    lap = g.laplacian(spec)
-    bilap = g.laplacian(lap)
-    lhs = np.sum(d.phys * g.to_phys(bilap), axis=0)
-
-    mag2 = np.sum(d.phys**2, axis=0)
-    term_sq = 0.5 * g.to_phys(g.laplacian(g.laplacian(g.to_spec(mag2))))
-
-    grad_d = np.stack([g.to_phys(g.deriv(spec, 1)), g.to_phys(g.deriv(spec, 2))])
-    grad_lap = np.stack([g.to_phys(g.deriv(lap, 1)), g.to_phys(g.deriv(lap, 2))])
-    term_mix = 4.0 * np.sum(grad_d * grad_lap, axis=(0, 1))
-
-    hess = np.stack([
-        g.to_phys(g.deriv(g.deriv(spec, 1), 1)),
-        g.to_phys(g.deriv(g.deriv(spec, 1), 2)),
-        g.to_phys(g.deriv(g.deriv(spec, 2), 1)),
-        g.to_phys(g.deriv(g.deriv(spec, 2), 2)),
-    ])
-    term_hess = 2.0 * np.sum(hess**2, axis=(0, 1))
-
-    lap_phys = g.to_phys(lap)
-    term_lap = np.sum(lap_phys**2, axis=0)
-
-    residual = lhs - (term_sq - term_mix - term_hess - term_lap)
-    return g.l2_norm_phys(residual[None, :, :])

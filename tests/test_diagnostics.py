@@ -12,9 +12,7 @@ from nsgl.diagnostics import (
     StopState,
     energy_identity_residual,
     energy_report,
-    local_energy,
     ls_ratio,
-    torus_distance,
     update_stops,
 )
 from nsgl.operators import GLParams
@@ -28,12 +26,6 @@ def circle_state(grid, u_amp=0.0):
     n = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
     u = u_amp * np.stack([np.sin(x2), np.zeros_like(x2)])
     return SimState.from_arrays(grid, u, n)
-
-
-def test_torus_distance_wraps():
-    assert torus_distance((0.1, 0.0), (2.0 * PI - 0.1, 0.0)) == pytest.approx(0.2)
-    assert torus_distance((0.0, 0.0), (PI, PI)) == pytest.approx(PI * np.sqrt(2.0))
-    assert torus_distance((1.0, 1.0), (1.0, 1.0)) == 0.0
 
 
 def test_energy_report_circle_field(grid32):
@@ -92,20 +84,6 @@ def test_covering_radius_validation(grid32):
         CoveringSet(grid32, 0.0)
     with pytest.raises(ValueError):
         CoveringSet(grid32, PI / 2.0 + 0.1)
-
-
-def test_local_energy_uniform_field(grid64):
-    """Pointwise energy of the circle field is 1, so a ball of radius R holds
-    about pi R^2 (quadrature of the indicator is only first order at the rim)."""
-    state = circle_state(grid64)
-    gl = GLParams(epsilon=0.5)
-    for radius in (PI / 2.0, PI / 4.0):
-        val = local_energy(state, gl, (1.0, 2.0), radius)
-        assert val == pytest.approx(PI * radius**2, rel=0.1)
-    with pytest.raises(ValueError):
-        local_energy(state, gl, (0.0, 0.0), 0.0)
-    with pytest.raises(ValueError):
-        local_energy(state, gl, (0.0, 0.0), PI + 0.1)
 
 
 def test_report_local_maxima_uniform_field(grid64):

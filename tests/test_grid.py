@@ -11,6 +11,7 @@ from nsgl.grid import (
     random_band_limited,
     sobolev_norm,
 )
+from nsgl.operators import grad_pair
 
 
 def test_n_modes_must_be_even_and_at_least_16():
@@ -162,11 +163,11 @@ def test_random_band_limited_properties(grid32, rng):
     assert abs(spec[0, 0, 0]) < 1e-15 and abs(spec[1, 0, 0]) < 1e-15
 
 
-def test_grad_phys_shape_and_value(grid32):
+def test_grad_pair_shape_and_value(grid32):
     g = grid32
     x1, x2 = g.meshgrid()
     spec = g.to_spec(np.stack([np.sin(x1), np.sin(x2), np.zeros_like(x1)]))
-    grad = g.grad_phys(spec)
+    grad = np.stack(grad_pair(g, spec), axis=1)
     assert grad.shape == (3, 2, 32, 32)
     assert np.allclose(grad[0, 0], np.cos(x1), atol=1e-12)
     assert np.allclose(grad[1, 1], np.cos(x2), atol=1e-12)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from nsgl.checks import run_identity_checks
 from nsgl.diagnostics import EnergyReport
 from nsgl.grid import DirectorField, VelocityField
 from nsgl.io_cli import (
@@ -22,7 +23,6 @@ from nsgl.io_cli import (
     load_config,
     main,
     parse_eps_family,
-    run_identity_checks,
     save_checkpoint,
 )
 from nsgl.operators import GLParams
@@ -384,6 +384,18 @@ def test_identity_checks_pass_on_small_grid():
     assert "stress_transport_cancel" in names and "gl_map_vs_ode" in names
 
 
+@pytest.mark.parametrize("flags", [["--n-modes", "15"], ["--seed", "-1"],
+                                   ["--samples", "0"], ["--samples", "-3"]],
+                         ids=["odd-n-modes", "negative-seed", "zero-samples",
+                              "negative-samples"])
+def test_cli_check_rejects_bad_flags(flags, capsys):
+    assert main(["check", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""  # no check ran, so none is reported as passed
+    assert captured.err.startswith("config error: check: ")
+    assert captured.err.count("\n") == 1
+
+
 # -- CLI --------------------------------------------------------------------------
 
 
@@ -464,6 +476,29 @@ def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):
                  "--resume", str(ck)]) == 1
     err = capsys.readouterr().err
     assert "epsilon" in err and "seed" in err
+
+
+def test_cli_resume_refuses_checkpoint_off_the_step_clock(tmp_path, capsys):
+    """A checkpoint from step 5 at dt = 5e-3 (t = 0.025) cannot continue a
+    run at another dt: resuming it would run from the wrong step count."""
+    ck = tmp_path / "mid.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "resumed.ndjson"
+    resumed = SMALL_RUN + f"[output]\nndjson_path = {out}\n"
+    # 5 steps of 2e-2: the step count fits, but step 5 is t = 0.1, not 0.025
+    coarse = resumed.replace("dt = 5e-3", "dt = 2e-2").replace("t_end = 0.025", "t_end = 0.1")
+    assert main(["run", "-c", write_config(tmp_path, coarse, "coarse.ini"),
+                 "--resume", str(ck)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: checkpoint t = 0.025") and "stepper.dt" in err
+    # 4 steps of 1e-2: step 5 is past the end of the run
+    short = resumed.replace("dt = 5e-3", "dt = 1e-2").replace("t_end = 0.025", "t_end = 0.04")
+    assert main(["run", "-c", write_config(tmp_path, short, "short.ini"),
+                 "--resume", str(ck)]) == 1
+    assert "step 5 is past the configured 4 steps" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_cfl_failure_exits_two(tmp_path, capsys):

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from nsgl.checks import bilaplacian_identity_residual
 from nsgl.diagnostics import energy_report
 from nsgl.grid import DirectorField, VelocityField
 from nsgl.operators import (
     GLParams,
-    bilaplacian_identity_residual,
     convect_spec,
     cross3,
     gl_penalty_phys,

@@ -5,7 +5,7 @@ import importlib
 import pytest
 
 MODULES = ["nsgl", "nsgl.grid", "nsgl.operators", "nsgl.noise", "nsgl.stepper",
-           "nsgl.diagnostics", "nsgl.experiments", "nsgl.io_cli"]
+           "nsgl.diagnostics", "nsgl.experiments", "nsgl.checks", "nsgl.io_cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
