@@ -243,10 +243,6 @@ class _Field:
         self._phys = phys
         self._spec = spec
 
-    @classmethod
-    def from_physical(cls, grid, phys):
-        return cls(grid, phys=np.array(phys, dtype=np.float64))
-
     @property
     def phys(self) -> np.ndarray:
         if self._phys is None:
@@ -300,7 +296,7 @@ class DirectorField(_Field):
     def from_scalar_axis(cls, grid, scalar_phys, axis=(1.0, 1.0, 1.0)):
         """Field h(x) * axis from a scalar profile h(x)."""
         axis = np.asarray(axis, dtype=np.float64)
-        return cls.from_physical(grid, scalar_phys[None, :, :] * axis[:, None, None])
+        return cls(grid, phys=scalar_phys[None, :, :] * axis[:, None, None])
 
     def norm_phys(self) -> np.ndarray:
         """Pointwise Euclidean magnitude |n(x)|, shape (N, N)."""
@@ -340,15 +336,14 @@ def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> fl
 
 
 def random_band_limited(grid: SpectralGrid, n_components: int, k_max: int,
-                        rng: np.random.Generator, amplitude: float = 1.0,
-                        zero_mean: bool = True) -> np.ndarray:
-    """Smooth random physical field with |k1|, |k2| <= k_max, sup-normalized."""
+                        rng: np.random.Generator, amplitude: float = 1.0) -> np.ndarray:
+    """Smooth random mean-zero physical field with |k1|, |k2| <= k_max,
+    sup-normalized."""
     white = rng.standard_normal((n_components, grid.n_modes, grid.n_modes))
     spec = grid.to_spec(white)
     box = (np.abs(grid.kx) <= k_max) & (np.abs(grid.ky) <= k_max)
     spec = spec * box
-    if zero_mean:
-        spec[:, 0, 0] = 0.0
+    spec[:, 0, 0] = 0.0
     phys = grid.to_phys(spec)
     peak = max(float(np.max(np.abs(phys))), 1e-300)
     return phys * (amplitude / peak)

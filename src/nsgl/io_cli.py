@@ -26,12 +26,12 @@ import math
 import os
 import struct
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .checks import run_identity_checks
-from .diagnostics import CoveringSet, energy_identity_residual, ls_ratio
+from .diagnostics import CoveringSet, EnergyReport, energy_identity_residual, ls_ratio
 from .experiments import (
     NumericsError,
     run_coupled_family,
@@ -72,7 +72,6 @@ _SCHEMA = {
     "stepper": {
         "dt": ("float", 1e-3),
         "t_end": ("float", 0.25),
-        "scheme": ("str", "strang"),
         "cfl_safety": ("float", 0.5),
         "max_halvings": ("int", 8),
     },
@@ -318,7 +317,6 @@ def build_components(cfg: SimConfig) -> SimBundle:
         stepcfg = StepperConfig(
             dt=cfg.get("stepper", "dt"),
             t_end=cfg.get("stepper", "t_end"),
-            scheme=cfg.get("stepper", "scheme"),
             cfl_safety=cfg.get("stepper", "cfl_safety"),
             max_halvings=cfg.get("stepper", "max_halvings"),
         )
@@ -448,12 +446,7 @@ def load_checkpoint(path: str, grid: SpectralGrid | None = None):
 
 # -- NDJSON report stream ----------------------------------------------------------
 
-REPORT_KEYS = (
-    "step", "t", "energy_E", "enstrophy_D", "gl_mass", "lambda1", "lambda2",
-    "eps_defect", "eps_grad_defect", "min_abs_n", "max_abs_n", "grad_n_L4",
-    "u_sq", "grad_n_sq", "max_abs_u", "div_defect",
-    "local_energy_max", "local_grad_max",
-)
+REPORT_KEYS = tuple(f.name for f in fields(EnergyReport))
 
 
 def format_report(report) -> str:
@@ -533,15 +526,16 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     every = cfg.get("output", "report_every")
     ck_path = cfg.get("output", "checkpoint_path")
     ck_every = cfg.get("output", "checkpoint_every")
-    last_state = [state0]
+    last = {"state": state0, "saved": False}  # last reported state, already checkpointed?
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
 
     def on_report(state, report):
-        last_state[0] = state
+        last["state"], last["saved"] = state, False
         if report.step % every == 0 or report.step == n_total:
             sink.write(format_report(report) + "\n")
         if ck_path and ck_every > 0 and report.step > 0 and report.step % ck_every == 0:
             save_checkpoint(ck_path, state, bundle.gl, bundle.noise)
+            last["saved"] = True
 
     try:
         trace = run_path(state0, bundle.stepper, bundle.gl, bundle.noise,
@@ -550,8 +544,8 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-    if ck_path:
-        save_checkpoint(ck_path, last_state[0], bundle.gl, bundle.noise)
+    if ck_path and not last["saved"]:
+        save_checkpoint(ck_path, last["state"], bundle.gl, bundle.noise)
     res = energy_identity_residual(trace)
     lhs, rhs, ratio = ls_ratio(trace, bundle.covering.radius)
     stop = trace.stop

@@ -147,14 +147,10 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class WienerIncrement:
-    """Increments applied over one (sub)step of size dt."""
+    """Increments applied over one (sub)step."""
 
     dW: VelocityField
     d_eta: float
-    dt: float
-    step_index: int
-    level: int = 0
-    slot: int = 0
 
 
 def _stream(model: NoiseModel, step_index: int, level: int, slot: int) -> np.random.Generator:
@@ -182,6 +178,4 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
         for c in range(2):
             spec[c][model.own_at] = (coeff * model.perp[c])[model.own]
             spec[c][model.mirror_at] = (np.conj(coeff) * model.perp[c])[model.mirror]
-    dw = VelocityField(g, spec=spec)
-    return WienerIncrement(dW=dw, d_eta=float(xi[-1]), dt=dt,
-                           step_index=step_index, level=level, slot=slot)
+    return WienerIncrement(dW=VelocityField(g, spec=spec), d_eta=float(xi[-1]))

@@ -46,9 +46,6 @@ __all__ = [
     "rotate_phys",
 ]
 
-_SCHEMES = ("strang", "lie")
-
-
 class CflError(RuntimeError):
     """Raised when halving the step max_halvings times still violates CFL."""
 
@@ -57,7 +54,6 @@ class CflError(RuntimeError):
 class StepperConfig:
     dt: float
     t_end: float
-    scheme: str = "strang"
     cfl_safety: float = 0.5
     max_halvings: int = 8
 
@@ -66,8 +62,6 @@ class StepperConfig:
             raise ValueError(f"stepper.dt must be finite and > 0, got {self.dt}")
         if not (0.0 <= self.t_end < math.inf):
             raise ValueError(f"stepper.t_end must be finite and >= 0, got {self.t_end}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"stepper.scheme must be one of {_SCHEMES}, got {self.scheme!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"stepper.cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.max_halvings < 0:
@@ -153,16 +147,17 @@ def midpoint_exchange(grid, u_spec, n_spec, dt):
     return leray_project_spec(grid, u_new), n_new
 
 
-def max_speed(u: VelocityField) -> float:
-    return float(np.max(np.abs(u.phys)))
+def _cfl_limit(state: SimState, cfg: StepperConfig) -> float:
+    """Largest step meeting the advective CFL bound; inf when u is at rest."""
+    speed = float(np.max(np.abs(state.u.phys)))
+    if speed <= 0.0:
+        return math.inf
+    return cfg.cfl_safety * state.grid.dx / speed
 
 
 def required_level(state: SimState, cfg: StepperConfig) -> int:
     """Halvings needed so dt/2^level meets the advective CFL bound."""
-    speed = max_speed(state.u)
-    if speed <= 0.0:
-        return 0
-    limit = cfg.cfl_safety * state.grid.dx / speed
+    limit = _cfl_limit(state, cfg)
     if cfg.dt <= limit:
         return 0
     return int(np.ceil(np.log2(cfg.dt / limit)))
@@ -178,33 +173,28 @@ def step(state: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
     substream layout so their Brownian paths stay pathwise identical.
     """
     ledger = StepLedger()
-    new = _advance(state, cfg.dt, state.step, 0, 0, cfg, gl, noise, ledger, force_level)
+    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level)
     return replace(new, step=state.step + 1), ledger
 
 
-def _advance(state, dt, step_index, level, slot, cfg, gl, noise, ledger, force_level):
-    grid = state.grid
-    split = False
+def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level):
     if force_level is not None:
         split = level < force_level
     else:
-        speed = max_speed(state.u)
-        split = speed > 0.0 and dt > cfg.cfl_safety * grid.dx / speed
+        split = dt > _cfl_limit(state, cfg)
     if split:
         if level >= cfg.max_halvings:
             raise CflError(
                 f"CFL bound still violated after {cfg.max_halvings} halvings at t={state.t:.6g}"
             )
-        mid = _advance(state, dt / 2, step_index, level + 1, 2 * slot, cfg, gl, noise, ledger, force_level)
-        return _advance(mid, dt / 2, step_index, level + 1, 2 * slot + 1, cfg, gl, noise, ledger, force_level)
+        mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger, force_level)
+        return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger, force_level)
 
-    inc = sample_increment(noise, dt, step_index, level=level, slot=slot)
+    inc = sample_increment(noise, dt, state.step, level=level, slot=slot)
     ledger.d_eta += inc.d_eta
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
-    if cfg.scheme == "strang":
-        return _composite(state, dt, dt / 2, inc, gl, noise, ledger)
-    return _composite(state, dt, dt, inc, gl, noise, ledger, symmetric=False)
+    return _composite(state, dt, inc, gl, noise, ledger)
 
 
 def _director_noise(grid, n_phys, noise, inc, dt, ledger):
@@ -221,8 +211,9 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
     return rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
 
 
-def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
+def _composite(state, dt, inc, gl, noise, ledger):
     grid = state.grid
+    half = dt / 2
     u_spec = diffuse_spec(grid, state.u.spec, half)
     n_phys = gl_reaction_phys(grid.to_phys(diffuse_spec(grid, state.n.spec, half)),
                               half, gl.epsilon)
@@ -235,10 +226,9 @@ def _composite(state, dt, half, inc, gl, noise, ledger, symmetric=True):
             + grid.l2_inner_spec(u_spec[1], inc.dW.spec[1])
         u_spec = u_spec + inc.dW.spec
 
-    if symmetric:
-        n_phys = gl_reaction_phys(grid.to_phys(n_spec), half, gl.epsilon)
-        n_spec = diffuse_spec(grid, grid.to_spec(n_phys), half)
-        u_spec = diffuse_spec(grid, u_spec, half)
+    n_phys = gl_reaction_phys(grid.to_phys(n_spec), half, gl.epsilon)
+    n_spec = diffuse_spec(grid, grid.to_spec(n_phys), half)
+    u_spec = diffuse_spec(grid, u_spec, half)
 
     u_phys, n_phys = grid.to_phys_many([u_spec, n_spec])
     return SimState(

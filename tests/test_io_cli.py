@@ -106,7 +106,6 @@ def test_missing_file_is_config_error():
 
 @pytest.mark.parametrize("body, pattern", [
     ("[grid]\nn_modes = 10\n", r"grid\.n_modes"),
-    ("[stepper]\nscheme = euler\n", "scheme"),
     ("[stepper]\nmax_halvings = -1\n", "max_halvings"),
     ("[gl]\nepsilon = 0\n", "epsilon"),
     ("[noise]\nseed = -2\n", r"noise\.seed"),
@@ -127,6 +126,23 @@ def test_semantic_validation_rejects(tmp_path, body, pattern):
     cfg = load_config(write_config(tmp_path, body))
     with pytest.raises(ConfigError, match=pattern):
         build_components(cfg)
+
+
+def test_cli_refuses_the_removed_scheme_key(tmp_path, capsys):
+    """Every step is a Strang step: a config that still names a scheme is
+    refused, on a fresh run and on a resume alike."""
+    ck = tmp_path / "mid.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    for scheme in ("strang", "lie"):
+        named = write_config(tmp_path, body.replace("[gl]", f"scheme = {scheme}\n[gl]"),
+                             f"{scheme}.ini")
+        for extra in ([], ["--resume", str(ck)]):
+            assert main(["run", "-c", named, *extra]) == 1
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == "config error: unknown config key stepper.scheme\n"
 
 
 def test_cli_run_rejects_seed_beyond_stream_key(tmp_path, capsys):
@@ -462,6 +478,28 @@ def test_cli_resume_splices_bitwise(tmp_path, capsys):
     full_lines = full.read_text().split("\n")
     tail_lines = tail.read_text().split("\n")
     assert tail_lines == full_lines[5:]
+
+
+@pytest.mark.parametrize("every, saved", [(0, [5]), (2, [2, 4, 5]), (5, [5])],
+                         ids=["end-only", "every-2", "every-5"])
+def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, every, saved):
+    """The final state is saved once, also when it falls on checkpoint_every."""
+    import nsgl.io_cli as io_cli
+
+    ck = tmp_path / "run.ckpt"
+    steps = []
+
+    def counting_save(path, state, gl, noise):
+        steps.append(state.step)
+        save_checkpoint(path, state, gl, noise)
+
+    monkeypatch.setattr(io_cli, "save_checkpoint", counting_save)
+    body = SMALL_RUN + (f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+                        f"checkpoint_every = {every}\n")
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    assert steps == saved
+    assert load_checkpoint(str(ck))[1]["step"] == 5
 
 
 def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):

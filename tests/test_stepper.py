@@ -33,8 +33,6 @@ def test_stepper_config_validation():
     with pytest.raises(ValueError):
         StepperConfig(dt=1e-3, t_end=-1.0)
     with pytest.raises(ValueError):
-        StepperConfig(dt=1e-3, t_end=1.0, scheme="euler")
-    with pytest.raises(ValueError):
         StepperConfig(dt=1e-3, t_end=1.0, cfl_safety=0.0)
     assert StepperConfig(dt=1e-3, t_end=0.25).n_steps == 250
 
@@ -165,8 +163,8 @@ def coupled_initial_state(grid, seed=7):
     return SimState(t=0.0, step=0, u=u, n=DirectorField(grid, phys=n_phys))
 
 
-def run_to(state, dt, t_end, grid, scheme="strang"):
-    cfg = StepperConfig(dt=dt, t_end=t_end, scheme=scheme)
+def run_to(state, dt, t_end, grid):
+    cfg = StepperConfig(dt=dt, t_end=t_end)
     noise = quiet_noise(grid)
     gl = GLParams(epsilon=0.5)
     for _ in range(cfg.n_steps):
@@ -187,16 +185,6 @@ def test_strang_self_convergence_second_order(grid32):
     errs = [state_distance(a, b) for a, b in zip(finals[:-1], finals[1:])]
     ratios = [e0 / e1 for e0, e1 in zip(errs[:-1], errs[1:])]
     assert all(r > 3.3 for r in ratios), (errs, ratios)
-
-
-def test_lie_self_convergence_first_order(grid32):
-    state0 = coupled_initial_state(grid32)
-    t_end = 0.08
-    dts = [8e-3, 4e-3, 2e-3]
-    finals = [run_to(state0, dt, t_end, grid32, scheme="lie") for dt in dts]
-    errs = [state_distance(a, b) for a, b in zip(finals[:-1], finals[1:])]
-    ratio = errs[0] / errs[1]
-    assert 1.6 < ratio < 3.0, (errs, ratio)
 
 
 def test_exchange_stage_local_order_three(grid32):
@@ -241,6 +229,29 @@ def test_cfl_splitting(grid32):
     tight = StepperConfig(dt=0.01, t_end=0.01, max_halvings=1)
     with pytest.raises(CflError):
         step(state, tight, gl, noise)
+
+
+def test_cfl_limit_is_one_rule_for_level_and_split(grid32):
+    """required_level and the unforced split agree at rest, at the CFL limit
+    itself (no halving) and one ulp above it (one halving)."""
+    g = grid32
+    _, x2 = g.meshgrid()
+    n0 = np.zeros((3, 32, 32))
+    n0[2] = 1.0
+    noise = quiet_noise(g)
+    gl = GLParams(epsilon=0.5)
+
+    def level_and_substeps(u0, dt):
+        state = SimState.from_arrays(g, u0, n0)
+        cfg = StepperConfig(dt=dt, t_end=dt)
+        _, ledger = step(state, cfg, gl, noise)
+        return required_level(state, cfg), ledger.level_max, ledger.n_substeps
+
+    assert level_and_substeps(np.zeros((2, 32, 32)), 1.0) == (0, 0, 1)
+    u0 = 3.0 * np.stack([np.sin(x2), np.zeros_like(x2)])
+    limit = 0.5 * g.dx / float(np.max(np.abs(u0)))
+    assert level_and_substeps(u0, limit) == (0, 0, 1)
+    assert level_and_substeps(u0, np.nextafter(limit, 1.0)) == (1, 1, 2)
 
 
 def test_force_level_layout(grid32):
