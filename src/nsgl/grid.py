@@ -1,8 +1,11 @@
 """Fourier grid and field containers on the periodic square [0, 2*pi)^2.
 
 Spectral convention: f(x) = sum_k c(k) exp(i k.x) with integer wavenumbers,
-so ``to_spec`` divides the raw FFT by N^2 and Parseval reads
-|f|_{L2}^2 = (2*pi)^2 * sum_k |c(k)|^2.
+so ``to_spec`` is the raw FFT divided by N^2 and Parseval reads
+|f|_{L2}^2 = (2*pi)^2 * sum_k |c(k)|^2.  The scaling is numpy's
+``norm="forward"``, applied inside the transform call rather than as a
+separate array pass; for power-of-two N it is bitwise equal to dividing
+numpy's default ``rfft2`` by N^2 and multiplying its default ``irfft2`` by N^2.
 
 Every field is real, so c(-k) = conj(c(k)) and only the Hermitian half
 spectrum is stored: spectral arrays have shape (..., N, N/2+1), holding
@@ -140,10 +143,10 @@ class SpectralGrid:
     # -- transforms ---------------------------------------------------------
 
     def to_spec(self, phys: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(phys, axes=(-2, -1)) / self.size
+        return np.fft.rfft2(phys, axes=(-2, -1), norm="forward")
 
     def to_phys(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(spec, s=(self.n_modes, self.n_modes), axes=(-2, -1)) * self.size
+        return np.fft.irfft2(spec, s=(self.n_modes, self.n_modes), axes=(-2, -1), norm="forward")
 
     def to_spec_many(self, arrays: list) -> list:
         """``to_spec`` of each physical array, packed under ``PACK_BYTES``;

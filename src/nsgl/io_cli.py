@@ -533,7 +533,9 @@ def _cmd_run(args, bundle: SimBundle) -> int:
         last["state"], last["saved"] = state, False
         if report.step % every == 0 or report.step == n_total:
             sink.write(format_report(report) + "\n")
-        if ck_path and ck_every > 0 and report.step > 0 and report.step % ck_every == 0:
+        # the start state's own report (step 0, or a resumed checkpoint's
+        # step) is never saved: its bytes are the config's or already on disk
+        if ck_path and ck_every > 0 and report.step > state0.step and report.step % ck_every == 0:
             save_checkpoint(ck_path, state, bundle.gl, bundle.noise)
             last["saved"] = True
 

@@ -84,31 +84,30 @@ def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> 
 
 
 def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarray):
-    """Drift of the exchange stage: (-P(u.grad u) - P div stress, -(u.grad) n).
+    """Drift of the exchange stage: (-P div(u (x) u + grad n (.) grad n), -(u.grad) n).
 
-    grad n is transformed once and shared by the stress and the transport.
-    Each direction is one packed transform stage: u, grad u and grad n go
-    back to the grid together, and the u transport, the three stress
-    entries and the n transport come forward together.
+    The velocity transport is taken in conservative form: for a solenoidal u
+    inside the 2/3 band, the dealiased div(u (x) u) equals the dealiased
+    (u.grad) u to roundoff, so u's convection and the Ericksen stress are one
+    symmetric tensor sigma with a single divergence and a single projection.
+    Every u that reaches the exchange stage meets that precondition: the
+    initial velocity, the noise increments and the exchange output are all
+    dealiased and solenoidal.  n is not band-limited, so its transport keeps
+    the advective form.  Each direction is one packed transform stage: u and
+    grad n go back to the grid together (8 slices), and the three entries of
+    sigma and the n transport come forward together (6 slices).
     """
-    u_phys, du1, du2, dn1, dn2 = grid.to_phys_many([
-        u_spec, grid.deriv(u_spec, 1), grid.deriv(u_spec, 2),
-        grid.deriv(n_spec, 1), grid.deriv(n_spec, 2),
-    ])
-    # drop each partial after its last product: at N = 128, where nothing is
-    # packed, this keeps the most arrays alive at once no higher than one
-    # transform per term did
-    forward = [_transport_phys(u_phys, du1, du2)]
-    del du1, du2
-    n_transport = _transport_phys(u_phys, dn1, dn2)
+    u_phys, dn1, dn2 = grid.to_phys_many([u_spec, grid.deriv(n_spec, 1), grid.deriv(n_spec, 2)])
+    # the list alone holds the forward inputs, so each is freed once it is
+    # transformed: at N = 128, where nothing is packed, that lowers the peak
+    forward = _stress_phys(dn1, dn2) + [_transport_phys(u_phys, dn1, dn2)]
+    del dn1, dn2
+    forward[0] += u_phys[0] * u_phys[0]
+    forward[1] += u_phys[0] * u_phys[1]
+    forward[2] += u_phys[1] * u_phys[1]
     del u_phys
-    forward += [*_stress_phys(dn1, dn2), n_transport]
-    del dn1, dn2, n_transport
-    u_conv, t11, t12, t22, n_conv = grid.to_spec_many(forward)
-    du_spec = -(grid.dealias(u_conv) + _stress_div(grid, t11, t12, t22))
-    du_spec = leray_project_spec(grid, du_spec)
-    dn_spec = -grid.dealias(n_conv)
-    return du_spec, dn_spec
+    t11, t12, t22, n_conv = grid.to_spec_many(forward)
+    return -_stress_div(grid, t11, t12, t22), -grid.dealias(n_conv)
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -43,6 +43,23 @@ def test_transform_round_trip(grid32, rng):
     assert np.allclose(back, phys, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [16, 32, 48, 64, 128])
+def test_transform_scaling_inside_the_fft_call(n):
+    """``to_spec``/``to_phys`` scale by N^2 inside numpy.fft: bitwise the raw
+    transform divided or multiplied by N^2 when N is a power of two, and
+    equal to roundoff otherwise."""
+    g = SpectralGrid(n)
+    phys = np.random.default_rng(n).standard_normal((3, n, n))
+    spec = g.to_spec(phys)
+    pairs = [(spec, np.fft.rfft2(phys, axes=(-2, -1)) / g.size),
+             (g.to_phys(spec), np.fft.irfft2(spec, s=(n, n), axes=(-2, -1)) * g.size)]
+    for got, old in pairs:
+        if n & (n - 1) == 0:
+            assert np.array_equal(got, old)
+        else:
+            assert np.allclose(got, old, rtol=1e-14, atol=1e-14 * np.max(np.abs(old)))
+
+
 def test_single_mode_coefficients(grid32):
     """sin(x1) has coefficients -i/2 at k=(1,0) and +i/2 at k=(-1,0)."""
     g = grid32

@@ -480,13 +480,23 @@ def test_cli_resume_splices_bitwise(tmp_path, capsys):
     assert tail_lines == full_lines[5:]
 
 
-@pytest.mark.parametrize("every, saved", [(0, [5]), (2, [2, 4, 5]), (5, [5])],
-                         ids=["end-only", "every-2", "every-5"])
-def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, every, saved):
-    """The final state is saved once, also when it falls on checkpoint_every."""
+@pytest.mark.parametrize("every, saved, resume", [(0, [5], False), (2, [2, 4, 5], False),
+                                                  (5, [5], False), (5, [10], True)],
+                         ids=["end-only", "every-2", "every-5", "resume-every-5"])
+def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, every, saved,
+                                             resume):
+    """The final state is saved once, also when it falls on checkpoint_every,
+    and a resumed run does not save the state it was resumed from."""
     import nsgl.io_cli as io_cli
 
     ck = tmp_path / "run.ckpt"
+    body = SMALL_RUN + (f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+                        f"checkpoint_every = {every}\n")
+    argv = ["run", "-c", write_config(tmp_path, body)]
+    if resume:
+        assert main(argv) == 0
+        body = body.replace("t_end = 0.025", "t_end = 0.05")
+        argv = ["run", "-c", write_config(tmp_path, body, "resume.ini"), "--resume", str(ck)]
     steps = []
 
     def counting_save(path, state, gl, noise):
@@ -494,12 +504,10 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         save_checkpoint(path, state, gl, noise)
 
     monkeypatch.setattr(io_cli, "save_checkpoint", counting_save)
-    body = SMALL_RUN + (f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
-                        f"checkpoint_every = {every}\n")
-    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    assert main(argv) == 0
     capsys.readouterr()
     assert steps == saved
-    assert load_checkpoint(str(ck))[1]["step"] == 5
+    assert load_checkpoint(str(ck))[1]["step"] == saved[-1]
 
 
 def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):

@@ -5,10 +5,11 @@ import pytest
 
 from nsgl.checks import bilaplacian_identity_residual
 from nsgl.diagnostics import energy_report
-from nsgl.grid import DirectorField, VelocityField
+from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from nsgl.operators import (
     GLParams,
     convect_spec,
+    coupling_drift_spec,
     cross3,
     gl_penalty_phys,
     grad_pair,
@@ -115,6 +116,35 @@ def test_ericksen_stress_is_solenoidal_mean_free(grid32, rng, make_director):
     s = stress(make_director(grid32, rng, k_max=6))
     assert s.divergence_defect() < 1e-12
     assert s.mean_defect() < 1e-14
+
+
+def advective_drift_spec(g, u_spec, n_spec):
+    """The exchange drift with u's transport in advective form: -P((u.grad) u
+    + div stress), -(u.grad) n, each convection and the stress taken apart."""
+    u_phys = g.to_phys(u_spec)
+    du = convect_spec(g, u_phys, u_spec) + stress_div_spec(g, *grad_pair(g, n_spec))
+    return -leray_project_spec(g, du), -convect_spec(g, u_phys, n_spec)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_conservative_drift_matches_advective_on_band_limited_solenoidal_u(n, make_director):
+    """On a dealiased solenoidal u, -P div(u (x) u + grad n (.) grad n) equals
+    the advective -P((u.grad) u + div stress) to roundoff; a u with content
+    above N/3 breaks that precondition and must not match."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    n_spec = make_director(g, rng, k_max=n // 2, unit=True).spec
+    for k_max, band_limited in ((n // 4, True), (n // 3, True), (n // 2, False)):
+        raw = g.to_spec(random_band_limited(g, 2, k_max, rng))
+        u_spec = leray_project_spec(g, g.dealias(raw) if band_limited else raw)
+        du, dn = coupling_drift_spec(g, u_spec, n_spec)
+        du_ref, dn_ref = advective_drift_spec(g, u_spec, n_spec)
+        rel = np.max(np.abs(du - du_ref)) / np.max(np.abs(du_ref))
+        if band_limited:
+            assert rel <= 1e-12
+        else:
+            assert rel > 1e-3
+        assert np.array_equal(dn, dn_ref)  # the n transport is unchanged
 
 
 def test_cross3_matches_numpy(rng):

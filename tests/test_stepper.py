@@ -331,9 +331,10 @@ def test_stepper_config_rejects_negative_max_halvings():
 
 
 def test_strang_step_transform_counts(grid32, monkeypatch):
-    """One unsplit Strang step with both noises on runs 25 forward and 41
+    """One unsplit Strang step with both noises on runs 21 forward and 33
     inverse 2D transform slices, from a state whose spectra are already
-    cached, as the per-step energy report leaves them."""
+    cached, as the per-step energy report leaves them.  Each of the two
+    drift evaluations takes 6 forward and 8 inverse slices of them."""
     g = grid32
     src = coupled_initial_state(g)
     state = SimState.from_arrays(g, src.u.phys, src.n.phys)
@@ -355,13 +356,13 @@ def test_strang_step_transform_counts(grid32, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
-    assert slices == {"forward": 25, "inverse": 41}
+    assert slices == {"forward": 21, "inverse": 33}
 
 
 def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     """At N = 32 every stage of one unsplit Strang step packs its transforms
-    into one numpy.fft call: 5 forward and 6 inverse calls carry the 25 and
-    41 slices that one call per input took 13 and 16 calls for."""
+    into one numpy.fft call: 5 forward and 6 inverse calls carry the 21 and
+    33 slices that one call per input takes 11 and 12 calls for."""
     g = grid32
     src = coupled_initial_state(g)
     state = SimState.from_arrays(g, src.u.phys, src.n.phys)
@@ -383,6 +384,26 @@ def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
     assert calls == {"forward": 5, "inverse": 6}
+
+
+def test_noisy_step_keeps_velocity_band_limited_and_solenoidal(grid32):
+    """The exchange drift takes u's transport in conservative form, which
+    needs every u it sees inside the 2/3 band and divergence-free: a step
+    with both noises on, unsplit and split once, hands back such a u to
+    roundoff."""
+    g = grid32
+    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
+    noise = NoiseModel(grid=g, mode_cutoff=g.n_modes // 3, seed=5, h=h)
+    state = coupled_initial_state(g)
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3)
+    gl = GLParams(epsilon=0.4)
+    for level in (None, 1):
+        out, _ = step(state, cfg, gl, noise, force_level=level)
+        spec = out.u.spec
+        scale = np.max(np.abs(spec))
+        assert np.max(np.abs(spec[:, ~g.dealias_mask])) < 1e-14 * scale
+        assert out.u.divergence_defect() < 1e-13
+        state = out
 
 
 def test_ledger_records_applied_director_increment(grid32):
