@@ -84,7 +84,7 @@ class CoveringSet:
     def __post_init__(self):
         r = self.radius
         if not (0.0 < r <= np.pi / 2.0):
-            raise ValueError(f"covering radius must be in (0, pi/2], got {r}")
+            raise ValueError(f"stops.radius must be in (0, pi/2], got {r}")
         m = int(np.ceil(2.0 * np.pi / (r * np.sqrt(2.0))))
         line = 2.0 * np.pi * np.arange(m) / m
         centers = np.array([(a, b) for a in line for b in line])

@@ -384,9 +384,9 @@ class EnsembleReport:
 
 
 def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
-                 noise_base: NoiseModel, n_paths: int,
-                 covering: CoveringSet | None = None, stop_delta="auto") -> EnsembleReport:
-    """Independent paths (path_id offsets) from shared initial data."""
+                 noise_base: NoiseModel, n_paths: int) -> EnsembleReport:
+    """Independent paths (path_id offsets) from shared initial data, with no
+    stop detectors or covering maxima: the report reads neither."""
     sup_e = np.zeros(n_paths)
     int_d = np.zeros(n_paths)
     balance = np.zeros(n_paths)
@@ -395,7 +395,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     max_n = 0.0
     for p in range(n_paths):
         noise = replace(noise_base, path_id=noise_base.path_id + p)
-        trace = run_path(state0, cfg, gl, noise, covering=covering, stop_delta=stop_delta)
+        trace = run_path(state0, cfg, gl, noise)
         e = trace.field_array("energy_E")
         sup_e[p] = float(np.max(e))
         e_final[p] = float(e[-1])

@@ -100,7 +100,7 @@ class SpectralGrid:
     def __post_init__(self):
         n = self.n_modes
         if n < 16 or n % 2 != 0:
-            raise ValueError(f"n_modes must be even and >= 16, got {n}")
+            raise ValueError(f"grid.n_modes must be even and >= 16, got {n}")
         x = 2.0 * np.pi * np.arange(n) / n
         kx = np.fft.fftfreq(n, d=1.0 / n)[:, None]  # 0, 1, ..., n/2-1, -n/2, ..., -1
         ky = np.fft.rfftfreq(n, d=1.0 / n)[None, :]  # 0, 1, ..., n/2

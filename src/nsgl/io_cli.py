@@ -4,9 +4,10 @@ The config format is INI with a fixed schema (see _SCHEMA): unknown sections
 or keys are errors, every key has a typed default, and `dump-config` echoes
 the fully validated file in canonical order.  Checkpoints are a fixed-layout
 binary snapshot of the physical state; reloading one and continuing must
-reproduce the uninterrupted run bit for bit, so loading does not re-project
-the velocity unless its divergence defect is above 1e-10, and a resume from
-a checkpoint off the configured step clock is refused.
+reproduce the uninterrupted run bit for bit, so loading repairs nothing: a
+checkpoint of another grid, epsilon or noise identity, with a non-finite
+value, or with a velocity that is not solenoidal and inside the 2/3 band is
+refused, and so is a resume from a checkpoint off the configured step clock.
 
 Report lines are newline-delimited JSON, one object per recorded step, all
 floats printed with 17 significant digits.  Every value is a pure function
@@ -220,11 +221,18 @@ def parse_eps_family(text: str) -> tuple[float, ...]:
 
 def _load_field_file(path: str, shape: tuple) -> np.ndarray:
     try:
-        arr = np.asarray(np.load(path), dtype=np.float64)
-    except OSError as exc:
+        arr = np.load(path)
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read field file {path!r}: {exc}") from None
+    # strings, complex values or an .npz archive would not convert, or not
+    # without loss, to the float64 field
+    if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "biuf":
+        raise ConfigError(f"field file {path!r} does not hold a real numeric array")
+    arr = arr.astype(np.float64)
     if arr.shape != shape:
         raise ConfigError(f"field file {path!r} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"field file {path!r} has non-finite entries")
     return arr
 
 
@@ -308,12 +316,13 @@ class SimBundle:
 
 
 def build_components(cfg: SimConfig) -> SimBundle:
-    """Semantic validation plus construction of all runtime objects."""
+    """Semantic validation plus construction of all runtime objects.
+
+    The constructors validate their own arguments and name the config key
+    in their ValueError messages, which become ConfigErrors here.
+    """
     try:
         grid = SpectralGrid(cfg.get("grid", "n_modes"))
-    except ValueError as exc:
-        raise ConfigError(f"grid.n_modes: {exc}") from None
-    try:
         stepcfg = StepperConfig(
             dt=cfg.get("stepper", "dt"),
             t_end=cfg.get("stepper", "t_end"),
@@ -321,12 +330,6 @@ def build_components(cfg: SimConfig) -> SimBundle:
             max_halvings=cfg.get("stepper", "max_halvings"),
         )
         gl = GLParams(epsilon=cfg.get("gl", "epsilon"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    if cfg.get("initial", "seed") < 0:
-        raise ConfigError("initial.seed must be >= 0")
-    h = _axis_field(grid, cfg)
-    try:
         noise = NoiseModel(
             grid=grid,
             gamma=cfg.get("noise", "gamma"),
@@ -335,14 +338,13 @@ def build_components(cfg: SimConfig) -> SimBundle:
             path_id=cfg.get("noise", "path_id"),
             velocity_on=cfg.get("noise", "velocity_on"),
             director_on=cfg.get("noise", "director_on"),
-            h=h,
+            h=_axis_field(grid, cfg),
         )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
         covering = CoveringSet(grid, cfg.get("stops", "radius"))
     except ValueError as exc:
-        raise ConfigError(f"stops.radius: {exc}") from None
+        raise ConfigError(str(exc)) from None
+    if cfg.get("initial", "seed") < 0:
+        raise ConfigError("initial.seed must be >= 0")
     delta_raw = cfg.get("stops", "delta")
     if delta_raw == "auto":
         stop_delta = "auto"
@@ -401,11 +403,17 @@ def save_checkpoint(path: str, state: SimState, gl: GLParams, noise: NoiseModel)
         raise
 
 
-def load_checkpoint(path: str, grid: SpectralGrid | None = None):
-    """Read a checkpoint back into (SimState, meta dict).
+def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
+                    noise: NoiseModel) -> SimState:
+    """Read back a checkpoint that a run on ``grid``, ``gl`` and ``noise``
+    can continue exactly; the mirror of :func:`save_checkpoint`.
 
-    The velocity is re-projected only when its divergence defect exceeds
-    1e-10, so saving and loading a healthy state is byte-exact.
+    Nothing is repaired, so a saved state loads bit for bit.  ConfigError
+    refuses a file that is not a version-1 checkpoint of this grid, epsilon
+    and (seed, path_id), a non-finite payload, and a velocity outside the
+    exchange drift's precondition: a divergence defect above 1e-10, or
+    content outside ``grid.dealias_mask`` above 1e-12 of its largest
+    coefficient.  Every state an nsgl step produces meets both at roundoff.
     """
     try:
         with open(path, "rb") as fh:
@@ -422,26 +430,26 @@ def load_checkpoint(path: str, grid: SpectralGrid | None = None):
     expected = _CKPT_HEADER.size + 5 * n * n * 8
     if len(blob) != expected:
         raise ConfigError(f"{path}: truncated checkpoint ({len(blob)} of {expected} bytes)")
-    if grid is None:
-        grid = SpectralGrid(n)
-    elif grid.n_modes != n:
+    if grid.n_modes != n:
         raise ConfigError(f"{path}: grid mismatch (checkpoint N={n}, config N={grid.n_modes})")
-    off = _CKPT_HEADER.size
-    u_phys = np.frombuffer(blob, dtype="<f8", count=2 * n * n, offset=off)
-    u_phys = u_phys.reshape(2, n, n).astype(np.float64)
-    off += 2 * n * n * 8
-    n_phys = np.frombuffer(blob, dtype="<f8", count=3 * n * n, offset=off)
-    n_phys = n_phys.reshape(3, n, n).astype(np.float64)
-    u_field = VelocityField(grid, phys=u_phys)
-    defect = u_field.divergence_defect()
-    reprojected = defect > 1e-10
-    if reprojected:
-        u_field = VelocityField(grid, spec=leray_project_spec(grid, u_field.spec))
-    state = SimState(t=t, step=step_idx, u=u_field,
-                     n=DirectorField(grid, phys=n_phys))
-    meta = {"n_modes": n, "step": step_idx, "t": t, "epsilon": eps, "seed": seed,
-            "path_id": path_id, "div_defect": defect, "reprojected": reprojected}
-    return state, meta
+    if eps != gl.epsilon:
+        raise ConfigError(f"checkpoint epsilon {eps} != config gl.epsilon {gl.epsilon}")
+    if (seed, path_id) != (noise.seed, noise.path_id):
+        raise ConfigError("checkpoint noise identity (seed, path_id) does not match config")
+    payload = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
+    if not np.all(np.isfinite(payload)):
+        raise ConfigError(f"{path}: non-finite value in the state")
+    u = VelocityField(grid, phys=payload[:2 * n * n].reshape(2, n, n))
+    defect = u.divergence_defect()
+    if not defect <= 1e-10:
+        raise ConfigError(f"{path}: velocity divergence defect {defect:.3g} exceeds 1e-10")
+    mag = np.abs(u.spec)
+    top, outside = float(np.max(mag)), float(np.max(mag[:, ~grid.dealias_mask]))
+    if not outside <= 1e-12 * top:
+        raise ConfigError(f"{path}: velocity content outside the 2/3 band is "
+                          f"{outside / top:.3g} of its largest coefficient, above 1e-12")
+    return SimState(t=t, step=step_idx, u=u,
+                    n=DirectorField(grid, phys=payload[2 * n * n:].reshape(3, n, n)))
 
 
 # -- NDJSON report stream ----------------------------------------------------------
@@ -504,40 +512,30 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     state0 = bundle.state0
     n_total = bundle.stepper.n_steps
     if args.resume is not None:
-        state0, meta = load_checkpoint(args.resume, grid=bundle.grid)
-        if meta["epsilon"] != bundle.gl.epsilon:
-            raise ConfigError(
-                f"checkpoint epsilon {meta['epsilon']} != config gl.epsilon {bundle.gl.epsilon}")
-        if meta["seed"] != bundle.noise.seed or meta["path_id"] != bundle.noise.path_id:
-            raise ConfigError("checkpoint noise identity (seed, path_id) does not match config")
+        state0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise)
         # the run continues at t + k dt for step + k, so the checkpoint's own
         # clock must be step * dt of this config; NaN fails the comparison
-        step_idx, t, dt = meta["step"], meta["t"], bundle.stepper.dt
+        step_idx, t, dt = state0.step, state0.t, bundle.stepper.dt
         if step_idx > n_total:
             raise ConfigError(
                 f"checkpoint step {step_idx} is past the configured {n_total} steps")
         if not abs(t - step_idx * dt) <= 1e-9 * max(1.0, abs(t)):
             raise ConfigError(
                 f"checkpoint t = {t:.17g} at step {step_idx} does not fit stepper.dt = {dt}")
-        if meta["reprojected"]:
-            print(f"note: velocity re-projected on load (divergence defect "
-                  f"{meta['div_defect']:.3g})", file=sys.stderr)
     out_path = cfg.get("output", "ndjson_path")
     every = cfg.get("output", "report_every")
     ck_path = cfg.get("output", "checkpoint_path")
     ck_every = cfg.get("output", "checkpoint_every")
-    last = {"state": state0, "saved": False}  # last reported state, already checkpointed?
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
 
     def on_report(state, report):
-        last["state"], last["saved"] = state, False
         if report.step % every == 0 or report.step == n_total:
             sink.write(format_report(report) + "\n")
-        # the start state's own report (step 0, or a resumed checkpoint's
-        # step) is never saved: its bytes are the config's or already on disk
-        if ck_path and ck_every > 0 and report.step > state0.step and report.step % ck_every == 0:
+        # only states a step produced are saved, on the clock and at the end:
+        # the start state's bytes are the config's or already on disk
+        if ck_path and report.step > state0.step and (
+                report.step == n_total or ck_every > 0 and report.step % ck_every == 0):
             save_checkpoint(ck_path, state, bundle.gl, bundle.noise)
-            last["saved"] = True
 
     try:
         trace = run_path(state0, bundle.stepper, bundle.gl, bundle.noise,
@@ -546,8 +544,6 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     finally:
         if sink is not sys.stdout:
             sink.close()
-    if ck_path and not last["saved"]:
-        save_checkpoint(ck_path, last["state"], bundle.gl, bundle.noise)
     res = energy_identity_residual(trace)
     lhs, rhs, ratio = ls_ratio(trace, bundle.covering.radius)
     stop = trace.stop
@@ -604,8 +600,7 @@ def _cmd_ensemble(args, bundle: SimBundle) -> int:
     n_paths = bundle.cfg.get("ensemble", "n_paths")
     _check_path_ids(bundle.noise, "ensemble", n_paths)
     report = run_ensemble(bundle.state0, bundle.stepper, bundle.gl, bundle.noise,
-                          n_paths=n_paths,
-                          covering=bundle.covering, stop_delta=bundle.stop_delta)
+                          n_paths=n_paths)
     sys.stdout.write(report.to_text())
     return 0
 

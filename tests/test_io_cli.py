@@ -235,6 +235,32 @@ def test_file_preset_round_trip_and_shape_check(tmp_path):
         build_components(load_config(write_config(tmp_path, body)))
 
 
+@pytest.mark.parametrize("key, n_comp", [("u0", 2), ("n0", 3)])
+@pytest.mark.parametrize("kind, pattern", [
+    ("text", "cannot read field file"),
+    ("string-array", "does not hold a real numeric array"),
+    ("complex-array", "does not hold a real numeric array"),
+    ("nan-entry", "has non-finite entries"),
+])
+def test_malformed_field_file_is_config_error(tmp_path, capsys, key, n_comp, kind, pattern):
+    path = tmp_path / "field.npy"
+    if kind == "text":
+        path.write_text("not an array\n", encoding="utf-8")
+    elif kind == "string-array":
+        np.save(path, np.full((n_comp, 16, 16), "1.0"))
+    elif kind == "complex-array":
+        np.save(path, np.full((n_comp, 16, 16), 1.0 + 2.0j))
+    else:
+        values = np.ones((n_comp, 16, 16))
+        values[-1, 2, 3] = np.nan
+        np.save(path, values)
+    body = f"[grid]\nn_modes = 16\n[initial]\n{key} = file:{path}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and pattern in err and err.count("\n") == 1
+
+
 def test_normalization_guard_rejects_vanishing_director(tmp_path):
     n0 = np.zeros((3, 16, 16))
     n0[2] = 1.0
@@ -273,57 +299,84 @@ def small_state(grid16, seed=3):
 
 def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     st = small_state(grid16)
-    noise = NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
+    gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
     path = str(tmp_path / "state.ckpt")
-    save_checkpoint(path, st, GLParams(epsilon=0.25), noise)
-    loaded, meta = load_checkpoint(path, grid=grid16)
+    save_checkpoint(path, st, gl, noise)
+    loaded = load_checkpoint(path, grid16, gl, noise)
+    assert isinstance(loaded, SimState)
     assert np.array_equal(loaded.u.phys, st.u.phys)
     assert np.array_equal(loaded.n.phys, st.n.phys)
-    assert loaded.t == st.t and loaded.step == st.step
-    assert meta == {"n_modes": 16, "step": 12, "t": 0.375, "epsilon": 0.25,
-                    "seed": 21, "path_id": 4, "div_defect": meta["div_defect"],
-                    "reprojected": False}
-    assert meta["div_defect"] <= 1e-10
-
-
-def test_checkpoint_reprojects_divergent_velocity(grid16, tmp_path):
-    u = np.zeros((2, 16, 16))
-    u[0] = np.cos(grid16.x1)[:, None]  # gradient part: divergence -sin(x1)
-    u[1] = np.cos(grid16.x1)[:, None]  # solenoidal part, survives projection
-    st = SimState.from_arrays(grid16, u, np.zeros((3, 16, 16)) + [[[0]], [[0]], [[1]]])
-    path = str(tmp_path / "div.ckpt")
-    save_checkpoint(path, st, GLParams(epsilon=0.5), NoiseModel(grid16, mode_cutoff=4))
-    loaded, meta = load_checkpoint(path)
-    assert meta["reprojected"] is True
-    assert meta["div_defect"] > 1e-2
-    assert loaded.u.divergence_defect() < 1e-12
+    assert loaded.t == 0.375 and loaded.step == 12
 
 
 def test_checkpoint_error_cases(grid16, tmp_path):
     st = small_state(grid16)
-    noise = NoiseModel(grid16, mode_cutoff=4)
+    gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), st, GLParams(epsilon=0.25), noise)
+    save_checkpoint(str(path), st, gl, noise)
     blob = path.read_bytes()
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ConfigError, match="bad magic"):
-        load_checkpoint(str(bad))
+        load_checkpoint(str(bad), grid16, gl, noise)
     bad.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(ConfigError, match="version"):
-        load_checkpoint(str(bad))
+        load_checkpoint(str(bad), grid16, gl, noise)
     bad.write_bytes(blob[:-16])
     with pytest.raises(ConfigError, match="truncated"):
-        load_checkpoint(str(bad))
+        load_checkpoint(str(bad), grid16, gl, noise)
     bad.write_bytes(blob[:10])
     with pytest.raises(ConfigError, match="too short"):
-        load_checkpoint(str(bad))
+        load_checkpoint(str(bad), grid16, gl, noise)
     with pytest.raises(ConfigError, match="cannot read checkpoint"):
-        load_checkpoint(str(tmp_path / "absent.ckpt"))
+        load_checkpoint(str(tmp_path / "absent.ckpt"), grid16, gl, noise)
     from nsgl.grid import SpectralGrid
     with pytest.raises(ConfigError, match="grid mismatch"):
-        load_checkpoint(str(path), grid=SpectralGrid(32))
+        load_checkpoint(str(path), SpectralGrid(32), gl, noise)
+    with pytest.raises(ConfigError, match=r"^checkpoint epsilon 0\.25 != config gl\.epsilon 0\.5$"):
+        load_checkpoint(str(path), grid16, GLParams(epsilon=0.5), noise)
+    for other in (NoiseModel(grid16, seed=22, path_id=4, mode_cutoff=4),
+                  NoiseModel(grid16, seed=21, path_id=5, mode_cutoff=4)):
+        with pytest.raises(ConfigError, match=r"noise identity \(seed, path_id\)"):
+            load_checkpoint(str(path), grid16, gl, other)
+
+
+@pytest.mark.parametrize("kind, pattern", [
+    ("divergent", r"velocity divergence defect .* exceeds 1e-10$"),
+    ("out-of-band", r"velocity content outside the 2/3 band is 1 of its largest"),
+    ("nan-payload", r"non-finite value in the state$"),
+])
+def test_checkpoint_refuses_what_a_run_cannot_continue(grid16, tmp_path, capsys, kind,
+                                                        pattern):
+    """A checkpoint no nsgl step writes (a velocity outside the exchange
+    drift's precondition, or a non-finite value) is refused, by the library
+    and by `run --resume` (exit 1, one config error line), never repaired.
+    Header and clock fit the SMALL_RUN config resumed at step 5."""
+    x1 = grid16.x1[:, None] + 0.0 * grid16.x2[None, :]
+    u = np.stack([np.zeros_like(x1), np.sin(x1)])
+    n = np.zeros((3, 16, 16))
+    n[2] = 1.0
+    if kind == "divergent":  # a gradient part, divergence -sin(x1)
+        u[0] = np.cos(x1)
+    elif kind == "out-of-band":  # solenoidal, but k1 = 7 > N/3
+        u[1] += np.sin(7.0 * x1)
+    else:
+        n[0, 3, 4] = np.nan
+    gl, noise = GLParams(epsilon=0.3), NoiseModel(grid16, seed=9, mode_cutoff=4)
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(str(path), SimState(t=0.025, step=5, u=VelocityField(grid16, phys=u),
+                                        n=DirectorField(grid16, phys=n)), gl, noise)
+    with pytest.raises(ConfigError, match=pattern):
+        load_checkpoint(str(path), grid16, gl, noise)
+    out_path = tmp_path / "resumed.ndjson"
+    body = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
+        f"[output]\nndjson_path = {out_path}\n"
+    assert main(["run", "-c", write_config(tmp_path, body), "--resume", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkeypatch):
@@ -355,7 +408,7 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
 
     monkeypatch.undo()
     save_checkpoint(str(path), later, GLParams(epsilon=0.25), noise)
-    loaded, _ = load_checkpoint(str(path), grid=grid16)
+    loaded = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise)
     assert np.array_equal(loaded.n.phys, later.n.phys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
@@ -480,13 +533,15 @@ def test_cli_resume_splices_bitwise(tmp_path, capsys):
     assert tail_lines == full_lines[5:]
 
 
-@pytest.mark.parametrize("every, saved, resume", [(0, [5], False), (2, [2, 4, 5], False),
-                                                  (5, [5], False), (5, [10], True)],
-                         ids=["end-only", "every-2", "every-5", "resume-every-5"])
-def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, every, saved,
-                                             resume):
-    """The final state is saved once, also when it falls on checkpoint_every,
-    and a resumed run does not save the state it was resumed from."""
+@pytest.mark.parametrize("every, t_end, saved, resume", [
+    (0, 0.025, [5], False), (2, 0.025, [2, 4, 5], False), (5, 0.025, [5], False),
+    (5, 0.05, [10], True), (0, 0.0, [], False), (0, 0.025, [], True),
+], ids=["end-only", "every-2", "every-5", "resume-every-5", "t-end-0", "resume-at-end"])
+def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, every, t_end,
+                                             saved, resume):
+    """Only states a step produced are saved, on the checkpoint_every clock
+    and at the final step, each once: neither step 0 nor the state a run
+    resumed from, so a run that takes no step writes no checkpoint."""
     import nsgl.io_cli as io_cli
 
     ck = tmp_path / "run.ckpt"
@@ -494,9 +549,11 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
                         f"checkpoint_every = {every}\n")
     argv = ["run", "-c", write_config(tmp_path, body)]
     if resume:
-        assert main(argv) == 0
-        body = body.replace("t_end = 0.025", "t_end = 0.05")
-        argv = ["run", "-c", write_config(tmp_path, body, "resume.ini"), "--resume", str(ck)]
+        assert main(argv) == 0  # saves step 5
+    body = body.replace("t_end = 0.025", f"t_end = {t_end}")
+    argv = ["run", "-c", write_config(tmp_path, body, "second.ini")]
+    if resume:
+        argv += ["--resume", str(ck)]
     steps = []
 
     def counting_save(path, state, gl, noise):
@@ -507,7 +564,12 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
     assert main(argv) == 0
     capsys.readouterr()
     assert steps == saved
-    assert load_checkpoint(str(ck))[1]["step"] == saved[-1]
+    if not resume and not saved:
+        assert not ck.exists()
+    else:
+        bundle = build_components(load_config(argv[2]))
+        assert load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise).step == \
+            (saved[-1] if saved else 5)
 
 
 def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):
