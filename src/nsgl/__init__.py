@@ -13,9 +13,7 @@ from .diagnostics import (
     CoveringSet,
     EnergyReport,
     RunTrace,
-    energy_identity_residual,
     energy_report,
-    ls_ratio,
 )
 from .experiments import (
     ConvergenceReport,
@@ -61,13 +59,11 @@ __all__ = [
     "VelocityField",
     "build_components",
     "dump_config",
-    "energy_identity_residual",
     "energy_report",
     "fit_rate",
     "format_report",
     "load_checkpoint",
     "load_config",
-    "ls_ratio",
     "main",
     "random_band_limited",
     "run_coupled_family",

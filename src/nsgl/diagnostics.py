@@ -3,13 +3,14 @@
 Everything in an :class:`EnergyReport` is a pure function of one state
 snapshot, so a report stream is reproducible from any checkpoint cut.
 History-dependent quantities (stopping times, the concentration-inequality
-ratio, the energy-identity residual) live in :class:`RunTrace` instead.
+ratio, the energy-identity residual) come from :class:`RunTrace`, a fixed
+set of running numbers folded one report at a time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,16 +18,11 @@ from .grid import SpectralGrid, packed_spectra
 from .operators import GLParams, gl_penalty_phys
 from .stepper import SimState, StepLedger
 
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz  # numpy < 2 fallback
-
 __all__ = [
     "EnergyReport",
     "CoveringSet",
-    "StopState",
     "RunTrace",
     "energy_report",
-    "ls_ratio",
-    "energy_identity_residual",
 ]
 
 
@@ -107,11 +103,9 @@ class CoveringSet:
         dist_sq = _wrap_dist_sq(self.grid, self.centers)
         return float(np.sqrt(np.max(np.min(dist_sq, axis=0))))
 
-    def local_maxima(self, integrand: np.ndarray) -> tuple[float, float]:
-        """(max, argmax-free) masked quadrature sums over the centers."""
-        flat = integrand.ravel() * self.grid.quad_weight
-        sums = self.masks @ flat
-        return float(np.max(sums)), sums
+    def local_maxima(self, integrand: np.ndarray) -> float:
+        """Largest masked quadrature sum over the centers."""
+        return float(np.max(self.masks @ (integrand.ravel() * self.grid.quad_weight)))
 
 
 def energy_report(state: SimState, gl: GLParams,
@@ -163,8 +157,8 @@ def energy_report(state: SimState, gl: GLParams,
         # balance residual into a pure discretization error.  (The reported
         # gl_mass stays the unweighted integral.)
         e_point = np.sum(u_phys**2, axis=0) + gn2 + defect**2 / (2.0 * gl.epsilon**2)
-        loc_e, _ = covering.local_maxima(e_point)
-        loc_g, _ = covering.local_maxima(gn2)
+        loc_e = covering.local_maxima(e_point)
+        loc_g = covering.local_maxima(gn2)
 
     return EnergyReport(
         step=state.step,
@@ -188,111 +182,88 @@ def energy_report(state: SimState, gl: GLParams,
     )
 
 
-@dataclass(frozen=True)
-class StopState:
-    """First-hit detectors; +inf means not triggered yet."""
+@dataclass
+class RunTrace:
+    """Running summary of one path, folded one report at a time.
 
-    delta: float
-    radius: float
-    horizon: float
+    It holds the start (``t0``, ``e0``), the ``last`` report, the trapezoid
+    integral ``int_d`` of the enstrophy, the three applied-noise sums, the
+    running sups, the four local-smallness accumulators and the two first-hit
+    stopping times (+inf until hit; armed only when ``delta`` is set).
+    Nothing grows with the number of reports, so a checkpoint can carry it.
+    """
+
+    trace_q_eff: float = 0.0
+    delta: float | None = None    # concentration threshold of sigma1
+    last: EnergyReport | None = None
+    t0: float = 0.0
+    e0: float = 0.0
+    int_d: float = 0.0            # int_t0^t D, trapezoid
+    sum_u_dw: float = 0.0
+    sum_grad_cross: float = 0.0
+    sum_cross_sq: float = 0.0
+    sup_e: float = 0.0
+    max_n: float = 0.0
+    ls_l4: float = 0.0            # int |grad n|_{L4}^4, trapezoid
+    ls_lap: float = 0.0           # int 2 lambda1 = int |lap n|^2, trapezoid
+    ls_grad: float = 0.0          # int |grad n|^2, trapezoid
+    ls_sup: float = 0.0           # sup local_grad_max
     t_sigma1: float = math.inf
     t_sigma2: float = math.inf
 
-    @property
-    def sigma(self) -> float:
-        return min(self.t_sigma1, self.t_sigma2, self.horizon)
+    def append(self, report: EnergyReport, ledger: StepLedger | None = None):
+        """Fold in the next report and the ledger of the step that led to it."""
+        prev = self.last
+        if prev is None:
+            self.t0, self.e0 = report.t, report.energy_E
+        else:
+            dt = report.t - prev.t
+            self.int_d += 0.5 * (report.enstrophy_D + prev.enstrophy_D) * dt
+            self.ls_l4 += dt * (report.grad_n_L4**4 + prev.grad_n_L4**4) / 2.0
+            self.ls_lap += dt * (2.0 * report.lambda1 + 2.0 * prev.lambda1) / 2.0
+            self.ls_grad += dt * (report.grad_n_sq + prev.grad_n_sq) / 2.0
+        if ledger is not None:
+            self.sum_u_dw += ledger.u_dw
+            self.sum_grad_cross += ledger.grad_cross_deta
+            self.sum_cross_sq += ledger.cross_sq_dt
+        # every sup is over nonnegative values, so 0 is a neutral start; a
+        # NaN local maximum (no covering) leaves ls_sup at 0
+        self.sup_e = max(self.sup_e, report.energy_E)
+        self.max_n = max(self.max_n, report.max_abs_n)
+        self.ls_sup = max(self.ls_sup, report.local_grad_max)
+        if self.delta is not None:
+            if self.t_sigma1 == math.inf and report.local_energy_max >= self.delta:
+                self.t_sigma1 = report.t
+            if self.t_sigma2 == math.inf and report.min_abs_n <= 0.5:
+                self.t_sigma2 = report.t
+        self.last = report
+
+    def sigma(self, horizon: float) -> float:
+        """Stopping time so far: the first hit, else ``horizon``."""
+        return min(self.t_sigma1, self.t_sigma2, horizon)
 
     @property
-    def triggered(self) -> bool:
-        return math.isfinite(self.t_sigma1) or math.isfinite(self.t_sigma2)
+    def residual(self) -> float:
+        """Pathwise defect of the energy balance at the last report.
 
+        residual = E(t) + 2 int_t0^t D - E(t0) - TrQ (t - t0) - 2 sum <u, dW>
+                   - 2 sum <grad n, n x grad h> deta - sum |n x grad h|^2 dt
 
-def update_stops(stop: StopState, report: EnergyReport) -> StopState:
-    """Advance the detectors with one report; first hits are permanent."""
-    s1, s2 = stop.t_sigma1, stop.t_sigma2
-    if not math.isfinite(s1) and report.local_energy_max >= stop.delta:
-        s1 = report.t
-    if not math.isfinite(s2) and report.min_abs_n <= 0.5:
-        s2 = report.t
-    if s1 == stop.t_sigma1 and s2 == stop.t_sigma2:
-        return stop
-    return replace(stop, t_sigma1=s1, t_sigma2=s2)
+        with the stochastic sums accumulated at the applied increments.
+        """
+        last = self.last
+        res = last.energy_E - self.e0 + 2.0 * self.int_d \
+            - self.trace_q_eff * (last.t - self.t0)
+        return res - 2.0 * self.sum_u_dw - 2.0 * self.sum_grad_cross - self.sum_cross_sq
 
+    def ls_ratio(self, radius: float) -> tuple[float, float, float]:
+        """Empirical envelope of the interpolation inequality
 
-@dataclass
-class RunTrace:
-    """Per-step history of one path: reports plus the applied-noise ledger."""
+            int |grad n|_{L4}^4 <= c0 * sup_{t,x} int_{B(x,R)} |grad n|^2
+                                  * (int |lap n|^2 + R^-2 int |grad n|^2).
 
-    trace_q_eff: float = 0.0
-    reports: list = field(default_factory=list)
-    cum_u_dw: list = field(default_factory=list)
-    cum_grad_cross: list = field(default_factory=list)
-    cum_cross_sq: list = field(default_factory=list)
-    stop: StopState | None = None
-
-    def append(self, report: EnergyReport, ledger: StepLedger | None):
-        prev = (self.cum_u_dw[-1], self.cum_grad_cross[-1], self.cum_cross_sq[-1]) \
-            if self.reports else (0.0, 0.0, 0.0)
-        add = (ledger.u_dw, ledger.grad_cross_deta, ledger.cross_sq_dt) \
-            if ledger is not None else (0.0, 0.0, 0.0)
-        self.reports.append(report)
-        self.cum_u_dw.append(prev[0] + add[0])
-        self.cum_grad_cross.append(prev[1] + add[1])
-        self.cum_cross_sq.append(prev[2] + add[2])
-        if self.stop is not None:
-            self.stop = update_stops(self.stop, report)
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([r.t for r in self.reports])
-
-    def field_array(self, name: str) -> np.ndarray:
-        return np.array([getattr(r, name) for r in self.reports])
-
-    def int_dissipation(self) -> np.ndarray:
-        """Cumulative trapezoid integral of the enstrophy."""
-        t = self.times
-        d = self.field_array("enstrophy_D")
-        out = np.zeros_like(d)
-        if len(d) > 1:
-            out[1:] = np.cumsum(0.5 * (d[1:] + d[:-1]) * np.diff(t))
-        return out
-
-    def max_abs_n(self) -> float:
-        return float(np.max(self.field_array("max_abs_n")))
-
-
-def energy_identity_residual(trace: RunTrace) -> np.ndarray:
-    """Pathwise defect of the energy balance at every report time.
-
-    residual(t) = E(t) + 2 int_0^t D - E(0) - TrQ t - 2 sum <u, dW>
-                  - 2 sum <grad n, n x grad h> deta - sum |n x grad h|^2 dt
-
-    with the stochastic sums accumulated at the applied increments.
-    """
-    e = trace.field_array("energy_E")
-    t = trace.times
-    res = e - e[0] + 2.0 * trace.int_dissipation() - trace.trace_q_eff * (t - t[0])
-    res -= 2.0 * np.array(trace.cum_u_dw)
-    res -= 2.0 * np.array(trace.cum_grad_cross)
-    res -= np.array(trace.cum_cross_sq)
-    return res
-
-
-def ls_ratio(trace: RunTrace, radius: float) -> tuple[float, float, float]:
-    """Empirical envelope of the interpolation inequality
-
-        int |grad n|_{L4}^4 <= c0 * sup_{t,x} int_{B(x,R)} |grad n|^2
-                              * (int |lap n|^2 + R^-2 int |grad n|^2).
-
-    Returns (lhs, rhs-without-c0, ratio); ratio is a lower bound for c0.
-    The sup is approximated by the covering max at radius 2R.
-    """
-    t = trace.times
-    lhs = float(_trapezoid(trace.field_array("grad_n_L4") ** 4, t))
-    sup_local = float(np.max(trace.field_array("local_grad_max")))
-    int_lap = float(_trapezoid(2.0 * trace.field_array("lambda1"), t))
-    int_grad = float(_trapezoid(trace.field_array("grad_n_sq"), t))
-    rhs = sup_local * (int_lap + int_grad / radius**2)
-    ratio = lhs / rhs if rhs > 0.0 else 0.0
-    return lhs, rhs, ratio
+        Returns (lhs, rhs-without-c0, ratio); ratio is a lower bound for c0.
+        The sup is approximated by the covering max at radius 2R.
+        """
+        rhs = self.ls_sup * (self.ls_lap + self.ls_grad / radius**2)
+        return self.ls_l4, rhs, self.ls_l4 / rhs if rhs > 0.0 else 0.0

@@ -12,13 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .diagnostics import (
-    CoveringSet,
-    RunTrace,
-    StopState,
-    energy_identity_residual,
-    energy_report,
-)
+from .diagnostics import CoveringSet, RunTrace, energy_report
 from .grid import DirectorField, VelocityField, sobolev_norm
 from .noise import NoiseModel
 from .operators import GLParams, cross3
@@ -41,7 +35,7 @@ class NumericsError(RuntimeError):
 
 def resolve_stop_delta(delta, initial_energy: float) -> float:
     """'auto' concentration threshold: 5% of the initial energy, floored."""
-    if delta is None or delta == "auto":
+    if delta == "auto":
         return max(0.05 * initial_energy, 1e-3)
     return float(delta)
 
@@ -54,25 +48,35 @@ def _check_finite(report, t):
 class _Path:
     """One path's state, stepping and report trace: the core every driver shares.
 
-    Construction records the t0 report (and the stop detectors when a
-    covering is given); each ``advance`` takes one logical step, reports
-    it, appends it to ``trace`` and hands it to ``on_report(state, report)``.
-    With ``keep_drift``, ``drift`` holds the limit-equation drift of the
-    current state (``_limit_drift``), built from its report's derivatives.
+    Construction reports the start state.  A fresh path folds that report
+    into a new trace; a path resumed with the ``trace`` loaded beside its
+    start state only takes the report as the trace's ``last``, since the
+    trace already holds it.  Either way the stop detectors are armed when a
+    covering is given, with ``stop_delta`` resolved against the trace's
+    ``e0``.  Each ``advance`` takes one logical step, reports it, folds it
+    into ``trace`` and hands ``(state, trace)`` to ``on_report``; the
+    report is ``trace.last``.  With ``keep_drift``, ``drift`` holds the
+    limit-equation drift of the current state (``_limit_drift``), built
+    from its report's derivatives.
     """
 
     def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report,
-                 keep_drift: bool = False):
+                 keep_drift: bool = False, trace: RunTrace | None = None):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
         self.covering, self.on_report = covering, on_report
         self.keep_drift, self.drift = keep_drift, None
-        self.trace = RunTrace(trace_q_eff=noise.trace_q if noise.velocity_on else 0.0)
         rep = self._report(state0)
+        fresh = trace is None
+        self.trace = trace = RunTrace() if fresh else trace
+        trace.trace_q_eff = noise.trace_q if noise.velocity_on else 0.0
         if covering is not None:
-            self.trace.stop = StopState(delta=resolve_stop_delta(stop_delta, rep.energy_E),
-                                        radius=covering.radius, horizon=cfg.t_end)
-        self._record(state0, rep, None)
+            trace.delta = resolve_stop_delta(stop_delta, rep.energy_E if fresh else trace.e0)
+        if fresh:
+            trace.append(rep)
+        else:
+            trace.last = rep
+        self._notify(state0)
 
     def _report(self, state):
         derivs = [] if self.keep_drift else None
@@ -82,30 +86,34 @@ class _Path:
             self.drift = _limit_drift(state, *derivs)
         return rep
 
-    def _record(self, state, rep, ledger):
-        self.trace.append(rep, ledger)
+    def _notify(self, state):
         if self.on_report is not None:
-            self.on_report(state, rep)
+            self.on_report(state, self.trace)
 
     def advance(self, force_level: int | None = None):
         """One step; returns the state it started from and its ledger."""
         prev = self.state
         self.state, ledger = step(prev, self.cfg, self.gl, self.noise, force_level=force_level)
-        rep = self._report(self.state)
-        self._record(self.state, rep, ledger)
+        self.trace.append(self._report(self.state), ledger)
+        self._notify(self.state)
         return prev, ledger
 
     @property
     def sigma(self) -> float:
         """Stopping time so far (the horizon when no detector runs)."""
-        return self.trace.stop.sigma if self.trace.stop is not None else self.cfg.t_end
+        return self.trace.sigma(self.cfg.t_end)
 
 
 def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
              covering: CoveringSet | None = None, stop_delta="auto",
-             on_report=None) -> RunTrace:
-    """Advance one path to t_end, collecting a per-step report trace."""
-    path = _Path(state0, cfg, gl, noise, covering, stop_delta, on_report)
+             on_report=None, trace: RunTrace | None = None) -> RunTrace:
+    """Advance one path to t_end and return its trace.
+
+    ``trace``, when given, is the trace saved with ``state0`` (see
+    :func:`nsgl.io_cli.load_checkpoint`); the run then continues it, so its
+    end values are those of the uninterrupted run.
+    """
+    path = _Path(state0, cfg, gl, noise, covering, stop_delta, on_report, trace=trace)
     for _ in range(max(0, cfg.n_steps - state0.step)):
         path.advance()
     return path.trace
@@ -252,7 +260,7 @@ class _Member:
 def _member_observer(on_member_report, p: int, eps: float):
     if on_member_report is None:
         return None
-    return lambda state, rep: on_member_report(p, eps, rep)
+    return lambda state, trace: on_member_report(p, eps, trace.last)
 
 
 def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
@@ -285,7 +293,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
                          _member_observer(on_member_report, p, eps), keep_drift=True)
-            members.append(_Member(eps, path, defect=path.trace.reports[0].eps_defect * eps))
+            members.append(_Member(eps, path, defect=path.trace.last.eps_defect * eps))
         ref = members[eps_family.index(eps_ref)].path
         accum_until = cfg.t_end
 
@@ -297,7 +305,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
             if ref.state.t > accum_until:
                 continue
             for m in members:
-                m.defect = max(m.defect, m.path.trace.reports[-1].eps_defect * m.eps)
+                m.defect = max(m.defect, m.path.trace.last.eps_defect * m.eps)
                 if m.path is ref:
                     continue
                 du = VelocityField(grid, spec=m.path.state.u.spec - ref.state.u.spec)
@@ -315,10 +323,9 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
             s = stats[m.eps]
             s.sup_dist[p], s.l2_dist[p], s.defect_sup[p] = m.sup, np.sqrt(m.l2_sq), m.defect
             s.residual_ito[p], s.residual_strat[p] = m.res_ito, m.res_strat
-            stop = m.path.trace.stop
-            if stop is not None:
-                s.sigma1[p], s.sigma2[p] = stop.t_sigma1, stop.t_sigma2
-            s.max_abs_n[p] = m.path.trace.max_abs_n()
+            trace = m.path.trace
+            s.sigma1[p], s.sigma2[p] = trace.t_sigma1, trace.t_sigma2
+            s.max_abs_n[p] = trace.max_n
 
     non_ref = [e for e in eps_family if e != eps_ref]
     rate_sup = rate_l2 = rate_defect = None
@@ -396,14 +403,10 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     for p in range(n_paths):
         noise = replace(noise_base, path_id=noise_base.path_id + p)
         trace = run_path(state0, cfg, gl, noise)
-        e = trace.field_array("energy_E")
-        sup_e[p] = float(np.max(e))
-        e_final[p] = float(e[-1])
-        int_d[p] = float(trace.int_dissipation()[-1])
-        res = energy_identity_residual(trace)[-1]
-        residual[p] = res
-        balance[p] = res + 2.0 * trace.cum_u_dw[-1] + 2.0 * trace.cum_grad_cross[-1]
-        max_n = max(max_n, trace.max_abs_n())
+        sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
+        residual[p] = res = trace.residual
+        balance[p] = res + 2.0 * trace.sum_u_dw + 2.0 * trace.sum_grad_cross
+        max_n = max(max_n, trace.max_n)
     return EnsembleReport(
         n_paths=n_paths, t_end=cfg.t_end,
         trace_q=noise_base.trace_q if noise_base.velocity_on else 0.0,

@@ -3,11 +3,12 @@
 The config format is INI with a fixed schema (see _SCHEMA): unknown sections
 or keys are errors, every key has a typed default, and `dump-config` echoes
 the fully validated file in canonical order.  Checkpoints are a fixed-layout
-binary snapshot of the physical state; reloading one and continuing must
-reproduce the uninterrupted run bit for bit, so loading repairs nothing: a
-checkpoint of another grid, epsilon or noise identity, with a non-finite
-value, or with a velocity that is not solenoidal and inside the 2/3 band is
-refused, and so is a resume from a checkpoint off the configured step clock.
+binary snapshot of the physical state and of the run's trace; reloading one
+and continuing must reproduce the uninterrupted run bit for bit, its stderr
+summary included, so loading repairs nothing: a checkpoint of another
+version, grid, epsilon or noise identity, with a non-finite value, or with a
+velocity that is not solenoidal and inside the 2/3 band is refused, and so
+is a resume from a checkpoint off the configured step clock.
 
 Report lines are newline-delimited JSON, one object per recorded step, all
 floats printed with 17 significant digits.  Every value is a pure function
@@ -32,7 +33,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .checks import run_identity_checks
-from .diagnostics import CoveringSet, EnergyReport, energy_identity_residual, ls_ratio
+from .diagnostics import CoveringSet, EnergyReport, RunTrace
 from .experiments import (
     NumericsError,
     run_coupled_family,
@@ -372,24 +373,32 @@ def build_components(cfg: SimConfig) -> SimBundle:
 # -- checkpoints -----------------------------------------------------------------
 
 _CKPT_MAGIC = b"NSGL"
-_CKPT_VERSION = 1
-# magic, version, n_modes, step, seed, path_id, epsilon, t
-_CKPT_HEADER = struct.Struct("<4sIIQQQdd")
+_CKPT_VERSION = 2
+# the RunTrace numbers a checkpoint stores, in header order; the trace's
+# last report is a function of the state and is recomputed on resume
+_CKPT_TRACE = ("t0", "e0", "int_d", "sum_u_dw", "sum_grad_cross", "sum_cross_sq",
+               "sup_e", "max_n", "ls_l4", "ls_lap", "ls_grad", "ls_sup",
+               "t_sigma1", "t_sigma2")
+# magic, version, n_modes, step, seed, path_id, epsilon, t, then the trace
+_CKPT_HEADER = struct.Struct(f"<4sIIQQQdd{len(_CKPT_TRACE)}d")
 
 
-def save_checkpoint(path: str, state: SimState, gl: GLParams, noise: NoiseModel):
-    """Fixed-layout binary snapshot.
+def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
+                    noise: NoiseModel):
+    """Fixed-layout binary snapshot of a state and the trace up to it.
 
     Header (little endian): magic "NSGL", u32 version, u32 n_modes, u64 step,
-    u64 seed, u64 path_id, f64 epsilon, f64 t.  Payload: u as 2*N*N float64
-    then n as 3*N*N float64, C order, little endian.
+    u64 seed, u64 path_id, f64 epsilon, f64 t, then the 14 f64 trace numbers
+    of ``_CKPT_TRACE``.  Payload: u as 2*N*N float64 then n as 3*N*N
+    float64, C order, little endian.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a write that fails midway leaves the previous checkpoint whole.
     """
     n = state.grid.n_modes
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, n, state.step,
-                               noise.seed, noise.path_id, gl.epsilon, state.t)
+                               noise.seed, noise.path_id, gl.epsilon, state.t,
+                               *(getattr(trace, name) for name in _CKPT_TRACE))
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -404,16 +413,20 @@ def save_checkpoint(path: str, state: SimState, gl: GLParams, noise: NoiseModel)
 
 
 def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
-                    noise: NoiseModel) -> SimState:
+                    noise: NoiseModel) -> tuple[SimState, RunTrace]:
     """Read back a checkpoint that a run on ``grid``, ``gl`` and ``noise``
     can continue exactly; the mirror of :func:`save_checkpoint`.
 
+    Returns the state and its trace, which holds the stored numbers only
+    (no ``last`` report, no ``delta``): ``run_path`` completes it.
+
     Nothing is repaired, so a saved state loads bit for bit.  ConfigError
-    refuses a file that is not a version-1 checkpoint of this grid, epsilon
-    and (seed, path_id), a non-finite payload, and a velocity outside the
-    exchange drift's precondition: a divergence defect above 1e-10, or
-    content outside ``grid.dealias_mask`` above 1e-12 of its largest
-    coefficient.  Every state an nsgl step produces meets both at roundoff.
+    refuses a file that is not a version-2 checkpoint of this grid, epsilon
+    and (seed, path_id), a non-finite value (stopping times may be +inf),
+    and a velocity outside the exchange drift's precondition: a divergence
+    defect above 1e-10, or content outside ``grid.dealias_mask`` above 1e-12
+    of its largest coefficient.  Every state an nsgl step produces meets
+    both at roundoff.
     """
     try:
         with open(path, "rb") as fh:
@@ -422,7 +435,8 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
         raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
     if len(blob) < _CKPT_HEADER.size:
         raise ConfigError(f"{path}: too short to be a checkpoint")
-    magic, version, n, step_idx, seed, path_id, eps, t = _CKPT_HEADER.unpack_from(blob)
+    magic, version, n, step_idx, seed, path_id, eps, t, *stored = \
+        _CKPT_HEADER.unpack_from(blob)
     if magic != _CKPT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
     if version != _CKPT_VERSION:
@@ -439,6 +453,10 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     payload = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
     if not np.all(np.isfinite(payload)):
         raise ConfigError(f"{path}: non-finite value in the state")
+    # a stopping time not hit yet is +inf; nothing else may be non-finite
+    if not all(math.isfinite(v) or name.startswith("t_sigma") and v == math.inf
+               for name, v in zip(_CKPT_TRACE, stored)):
+        raise ConfigError(f"{path}: non-finite value in the run trace")
     u = VelocityField(grid, phys=payload[:2 * n * n].reshape(2, n, n))
     defect = u.divergence_defect()
     if not defect <= 1e-10:
@@ -448,8 +466,9 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     if not outside <= 1e-12 * top:
         raise ConfigError(f"{path}: velocity content outside the 2/3 band is "
                           f"{outside / top:.3g} of its largest coefficient, above 1e-12")
-    return SimState(t=t, step=step_idx, u=u,
-                    n=DirectorField(grid, phys=payload[2 * n * n:].reshape(3, n, n)))
+    state = SimState(t=t, step=step_idx, u=u,
+                     n=DirectorField(grid, phys=payload[2 * n * n:].reshape(3, n, n)))
+    return state, RunTrace(**dict(zip(_CKPT_TRACE, stored)))
 
 
 # -- NDJSON report stream ----------------------------------------------------------
@@ -509,10 +528,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args, bundle: SimBundle) -> int:
     cfg = bundle.cfg
-    state0 = bundle.state0
+    state0, trace0 = bundle.state0, None
     n_total = bundle.stepper.n_steps
     if args.resume is not None:
-        state0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise)
+        state0, trace0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise)
         # the run continues at t + k dt for step + k, so the checkpoint's own
         # clock must be step * dt of this config; NaN fails the comparison
         step_idx, t, dt = state0.step, state0.t, bundle.stepper.dt
@@ -528,34 +547,33 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     ck_every = cfg.get("output", "checkpoint_every")
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
 
-    def on_report(state, report):
+    def on_report(state, trace):
+        report = trace.last
         if report.step % every == 0 or report.step == n_total:
             sink.write(format_report(report) + "\n")
         # only states a step produced are saved, on the clock and at the end:
         # the start state's bytes are the config's or already on disk
         if ck_path and report.step > state0.step and (
                 report.step == n_total or ck_every > 0 and report.step % ck_every == 0):
-            save_checkpoint(ck_path, state, bundle.gl, bundle.noise)
+            save_checkpoint(ck_path, state, trace, bundle.gl, bundle.noise)
 
     try:
         trace = run_path(state0, bundle.stepper, bundle.gl, bundle.noise,
                          covering=bundle.covering, stop_delta=bundle.stop_delta,
-                         on_report=on_report)
+                         on_report=on_report, trace=trace0)
     finally:
         if sink is not sys.stdout:
             sink.close()
-    res = energy_identity_residual(trace)
-    lhs, rhs, ratio = ls_ratio(trace, bundle.covering.radius)
-    stop = trace.stop
-    e = trace.field_array("energy_E")
+    lhs, rhs, ratio = trace.ls_ratio(bundle.covering.radius)
+    last = trace.last
     lines = [
-        f"steps = {trace.reports[-1].step}  t = {trace.reports[-1].t:.17g}",
-        f"energy = {e[0]:.17g} -> {e[-1]:.17g}",
-        f"energy balance residual = {res[-1]:.6g}",
-        f"sigma1 = {stop.t_sigma1:.6g}  sigma2 = {stop.t_sigma2:.6g}  "
-        f"sigma = {stop.sigma:.6g}  (delta = {stop.delta:.6g})",
+        f"steps = {last.step}  t = {last.t:.17g}",
+        f"energy = {trace.e0:.17g} -> {last.energy_E:.17g}",
+        f"energy balance residual = {trace.residual:.6g}",
+        f"sigma1 = {trace.t_sigma1:.6g}  sigma2 = {trace.t_sigma2:.6g}  "
+        f"sigma = {trace.sigma(bundle.stepper.t_end):.6g}  (delta = {trace.delta:.6g})",
         f"local smallness ratio = {ratio:.6g}  (lhs = {lhs:.6g}, rhs = {rhs:.6g})",
-        f"max |n| = {trace.max_abs_n():.17g}",
+        f"max |n| = {trace.max_n:.17g}",
     ]
     print("\n".join(lines), file=sys.stderr)
     return 0

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from nsgl.checks import _rk4_logistic, run_identity_checks
-from nsgl.diagnostics import CoveringSet, energy_identity_residual
+from nsgl.diagnostics import CoveringSet
 from nsgl.experiments import run_coupled_family, run_ensemble, run_path
 from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from nsgl.io_cli import main
@@ -158,8 +158,7 @@ def test_energy_balance_is_second_order(capsys):
         state = SimState(t=0.0, step=0, u=VelocityField(g, spec=u_spec),
                          n=DirectorField(g, phys=n_phys))
         trace = run_path(state, StepperConfig(dt=dt, t_end=0.5), gl, noise)
-        res = energy_identity_residual(trace)
-        rels.append(abs(float(res[-1])) / trace.field_array("energy_E")[0])
+        rels.append(abs(trace.residual) / trace.e0)
     elapsed = time.monotonic() - t0
     ratios = [rels[i] / rels[i + 1] for i in range(3)]
 
@@ -219,11 +218,9 @@ def test_director_max_principle_matrix(capsys):
         for noise_on in (False, True):
             noise = NoiseModel(g, gamma=3.0, seed=77, h=h,
                                velocity_on=noise_on, director_on=noise_on)
-            peaks = []
-            run_path(SimState.from_arrays(g, u_phys, n_phys), cfg,
-                     GLParams(epsilon=eps), noise,
-                     on_report=lambda s, rep: peaks.append(rep.max_abs_n))
-            worst = max(worst, max(peaks) - 1.0)
+            trace = run_path(SimState.from_arrays(g, u_phys, n_phys), cfg,
+                             GLParams(epsilon=eps), noise)
+            worst = max(worst, trace.max_n - 1.0)
 
     ok = worst <= 1e-6
     _announce(capsys, 5, "director maximum principle", ok,
@@ -353,7 +350,8 @@ ndjson_path = {out}
 def test_bitwise_reproducibility_with_resume(tmp_path, capsys):
     """Same config and seed give byte-identical streams, and a checkpointed
 
-    prefix plus a resumed suffix splices byte-exactly into the one-shot run."""
+    prefix plus a resumed suffix splices byte-exactly into the one-shot run
+    and prints the one-shot run's stderr summary byte for byte."""
     def config(name, **kw):
         p = tmp_path / name
         p.write_text(GATE_RUN.format(**kw), encoding="utf-8")
@@ -365,20 +363,23 @@ def test_bitwise_reproducibility_with_resume(tmp_path, capsys):
     ck = tmp_path / "mid.ckpt"
 
     assert main(["run", "-c", config("a.ini", t=0.05, out=full_a, extra="")]) == 0
+    one_shot = capsys.readouterr().err
     assert main(["run", "-c", config("b.ini", t=0.05, out=full_b, extra="")]) == 0
     twin_ok = full_a.read_bytes() == full_b.read_bytes()
 
     assert main(["run", "-c", config("pre.ini", t=0.024, out="-",
                                      extra=f"checkpoint_path = {ck}")]) == 0
+    capsys.readouterr()
     assert main(["run", "-c", config("res.ini", t=0.05, out=tail, extra=""),
                  "--resume", str(ck)]) == 0
-    capsys.readouterr()
+    summary_ok = capsys.readouterr().err == one_shot
     full_lines = full_a.read_text(encoding="utf-8").splitlines(keepends=True)
     tail_lines = tail.read_text(encoding="utf-8").splitlines(keepends=True)
     splice_ok = tail_lines == full_lines[12:]  # prefix covered steps 0..12
 
-    ok = twin_ok and splice_ok
+    ok = twin_ok and splice_ok and summary_ok
     _announce(capsys, 8, "bitwise reproducibility", ok,
               f"twin runs byte-equal {twin_ok}, resume splice byte-equal "
-              f"{splice_ok}, 25 steps at N = 32 with both noises")
+              f"{splice_ok}, resumed summary byte-equal {summary_ok}, "
+              f"25 steps at N = 32 with both noises")
     assert ok

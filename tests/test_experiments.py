@@ -80,7 +80,6 @@ def test_fit_rate_rejects_bad_input():
 
 def test_resolve_stop_delta():
     assert resolve_stop_delta("auto", 40.0) == 2.0
-    assert resolve_stop_delta(None, 40.0) == 2.0
     assert resolve_stop_delta("auto", 1e-6) == 1e-3  # floor
     assert resolve_stop_delta(0.25, 40.0) == 0.25
 
@@ -90,12 +89,14 @@ def test_resolve_stop_delta():
 
 def test_run_path_report_count_and_times(grid16):
     cfg = StepperConfig(dt=0.01, t_end=0.05)
+    rows = []
     trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=0.5),
-                     quiet_noise(grid16))
-    assert len(trace.reports) == 6
-    assert trace.reports[0].t == 0.0
-    assert abs(trace.reports[-1].t - 0.05) < 1e-12
-    assert [r.step for r in trace.reports] == list(range(6))
+                     quiet_noise(grid16), on_report=lambda st, tr: rows.append(tr.last))
+    assert len(rows) == 6
+    assert rows[0].t == 0.0 and trace.t0 == 0.0
+    assert abs(rows[-1].t - 0.05) < 1e-12
+    assert [r.step for r in rows] == list(range(6))
+    assert trace.last is rows[-1]
 
 
 def test_run_path_resumes_from_partial_step_count(grid16):
@@ -103,20 +104,25 @@ def test_run_path_resumes_from_partial_step_count(grid16):
     cfg = StepperConfig(dt=0.01, t_end=0.1)
     st = circle_state(grid16)
     st = SimState(t=0.07, step=7, u=st.u, n=st.n)
-    trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16))
-    assert len(trace.reports) == 4
-    assert trace.reports[-1].step == 10
+    steps = []
+    trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16),
+                     on_report=lambda s, tr: steps.append(tr.last.step))
+    assert steps == [7, 8, 9, 10]
+    assert trace.last.step == 10 and trace.t0 == 0.07
     # already past the horizon: one report, zero steps
     st = SimState(t=0.15, step=15, u=st.u, n=st.n)
-    trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16))
-    assert len(trace.reports) == 1
+    steps = []
+    trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16),
+                     on_report=lambda s, tr: steps.append(tr.last.step))
+    assert steps == [15]
+    assert trace.int_d == 0.0 and trace.residual == 0.0
 
 
 def test_run_path_on_report_callback_sees_every_row(grid16):
     cfg = StepperConfig(dt=0.01, t_end=0.03)
     seen = []
     run_path(circle_state(grid16), cfg, GLParams(epsilon=0.5),
-             quiet_noise(grid16), on_report=lambda st, rep: seen.append(rep.step))
+             quiet_noise(grid16), on_report=lambda st, tr: seen.append(tr.last.step))
     assert seen == [0, 1, 2, 3]
 
 
@@ -140,12 +146,12 @@ def test_run_path_concentration_stop_with_spread_field(grid16):
     cov = CoveringSet(grid16, np.pi / 4.0)
     trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=0.5),
                      quiet_noise(grid16), covering=cov, stop_delta="auto")
-    assert trace.stop.t_sigma1 == 0.0
-    assert trace.stop.sigma == 0.0
+    assert trace.t_sigma1 == 0.0
+    assert trace.sigma(cfg.t_end) == 0.0
     trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=0.5),
                      quiet_noise(grid16), covering=cov, stop_delta=1e9)
-    assert not trace.stop.triggered
-    assert trace.stop.sigma == cfg.t_end
+    assert trace.t_sigma1 == trace.t_sigma2 == np.inf
+    assert trace.sigma(cfg.t_end) == cfg.t_end
 
 
 # -- radial relaxation against the scalar ODE -------------------------------------
@@ -155,10 +161,11 @@ def test_run_path_concentration_stop_with_spread_field(grid16):
 def test_circle_field_relaxes_to_radial_fixed_point(grid16, eps):
     """|n| converges to rho* = sqrt(1 - eps^2), uniformly on the torus."""
     cfg = StepperConfig(dt=1e-3, t_end=1.0)
+    min_n = []
     trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=eps),
-                     quiet_noise(grid16))
+                     quiet_noise(grid16), on_report=lambda st, tr: min_n.append(tr.last.min_abs_n))
     rho_star = np.sqrt(1.0 - eps * eps)
-    last = trace.reports[-1]
+    last = trace.last
     assert abs(last.min_abs_n - rho_star) < 5e-4
     assert abs(last.max_abs_n - rho_star) < 5e-4
     assert last.max_abs_n - last.min_abs_n < 1e-10  # stays radial
@@ -166,7 +173,8 @@ def test_circle_field_relaxes_to_radial_fixed_point(grid16, eps):
     # at the fixed point 1 - |n|^2 = eps^2 exactly, so the scaled defect
     # norm eps * eps_defect equals |eps^2|_{L2} = 2 pi eps^2
     assert abs(eps * last.eps_defect - 2.0 * np.pi * eps * eps) < 5e-3 * eps * eps
-    assert np.all(trace.field_array("min_abs_n") > 0.5)  # sigma2 never in reach
+    assert len(min_n) == cfg.n_steps + 1
+    assert min(min_n) > 0.5  # sigma2 never in reach
 
 
 def test_radial_defect_scaling_rate_is_quadratic(grid16):
@@ -176,7 +184,7 @@ def test_radial_defect_scaling_rate_is_quadratic(grid16):
         cfg = StepperConfig(dt=1e-3, t_end=1.0)
         trace = run_path(circle_state(grid16), cfg, GLParams(epsilon=eps),
                          quiet_noise(grid16))
-        defects.append(eps * trace.reports[-1].eps_defect)
+        defects.append(eps * trace.last.eps_defect)
     fit = fit_rate(eps_list, defects)
     assert 1.95 < fit.rate < 2.05
 
@@ -321,7 +329,7 @@ def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
         solo = []
         run_path(circle_state(grid16), cfg, GLParams(epsilon=eps),
                  dataclasses.replace(noise, path_id=noise.path_id + p), covering=cov,
-                 on_report=lambda st, r: solo.append(format_report(r)))
+                 on_report=lambda st, tr: solo.append(format_report(tr.last)))
         assert len(solo) == cfg.n_steps + 1
         assert family_rows == solo, (p, eps)
     assert levels and max(levels) == 0
@@ -343,7 +351,7 @@ def test_family_residuals_equal_fresh_derivative_reference(grid16):
     for eps in eps_family:
         states = []
         run_path(circle_state(g), cfg, GLParams(epsilon=eps), noise,
-                 on_report=lambda st, r: states.append(st))
+                 on_report=lambda st, tr: states.append(st))
         ito = strat = 0.0
         for k, (prev, new) in enumerate(zip(states, states[1:])):
             n_spec = prev.n.spec

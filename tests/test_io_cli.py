@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nsgl.checks import run_identity_checks
-from nsgl.diagnostics import EnergyReport
+from nsgl.diagnostics import EnergyReport, RunTrace
 from nsgl.grid import DirectorField, VelocityField
 from nsgl.io_cli import (
     REPORT_KEYS,
@@ -301,19 +301,37 @@ def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     st = small_state(grid16)
     gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
     path = str(tmp_path / "state.ckpt")
-    save_checkpoint(path, st, gl, noise)
-    loaded = load_checkpoint(path, grid16, gl, noise)
+    trace = RunTrace(t0=0.125, e0=40.25, int_d=1.5, sum_u_dw=-0.25, sum_grad_cross=0.0625,
+                     sum_cross_sq=0.5, sup_e=41.0, max_n=1.0, ls_l4=1.75, ls_lap=3.5,
+                     ls_grad=7.0, ls_sup=2.25, t_sigma1=0.25)
+    save_checkpoint(path, st, trace, gl, noise)
+    loaded, loaded_trace = load_checkpoint(path, grid16, gl, noise)
     assert isinstance(loaded, SimState)
     assert np.array_equal(loaded.u.phys, st.u.phys)
     assert np.array_equal(loaded.n.phys, st.n.phys)
     assert loaded.t == 0.375 and loaded.step == 12
+    # the stored numbers come back; the last report and delta are the run's
+    assert loaded_trace == RunTrace(**{**vars(trace), "last": None})
+    assert loaded_trace.t_sigma2 == math.inf
+
+
+def write_v1_checkpoint(path, state, gl, noise):
+    """The version-1 layout: the v2 header without the trace numbers."""
+    import struct
+
+    n = state.grid.n_modes
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQQQdd", b"NSGL", 1, n, state.step, noise.seed,
+                             noise.path_id, gl.epsilon, state.t))
+        fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
 
 
 def test_checkpoint_error_cases(grid16, tmp_path):
     st = small_state(grid16)
     gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), st, gl, noise)
+    save_checkpoint(str(path), st, RunTrace(), gl, noise)
     blob = path.read_bytes()
 
     bad = tmp_path / "bad.ckpt"
@@ -340,6 +358,14 @@ def test_checkpoint_error_cases(grid16, tmp_path):
                   NoiseModel(grid16, seed=21, path_id=5, mode_cutoff=4)):
         with pytest.raises(ConfigError, match=r"noise identity \(seed, path_id\)"):
             load_checkpoint(str(path), grid16, gl, other)
+    write_v1_checkpoint(str(bad), st, gl, noise)
+    with pytest.raises(ConfigError, match=r"unsupported checkpoint version 1$"):
+        load_checkpoint(str(bad), grid16, gl, noise)
+    for name, value in [("int_d", math.nan), ("sup_e", math.inf), ("t_sigma1", -math.inf),
+                        ("t_sigma2", math.nan)]:
+        save_checkpoint(str(bad), st, RunTrace(**{name: value}), gl, noise)
+        with pytest.raises(ConfigError, match=r"non-finite value in the run trace$"):
+            load_checkpoint(str(bad), grid16, gl, noise)
 
 
 @pytest.mark.parametrize("kind, pattern", [
@@ -366,7 +392,7 @@ def test_checkpoint_refuses_what_a_run_cannot_continue(grid16, tmp_path, capsys,
     gl, noise = GLParams(epsilon=0.3), NoiseModel(grid16, seed=9, mode_cutoff=4)
     path = tmp_path / f"{kind}.ckpt"
     save_checkpoint(str(path), SimState(t=0.025, step=5, u=VelocityField(grid16, phys=u),
-                                        n=DirectorField(grid16, phys=n)), gl, noise)
+                                        n=DirectorField(grid16, phys=n)), RunTrace(), gl, noise)
     with pytest.raises(ConfigError, match=pattern):
         load_checkpoint(str(path), grid16, gl, noise)
     out_path = tmp_path / "resumed.ndjson"
@@ -386,7 +412,7 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
 
     noise = NoiseModel(grid16, mode_cutoff=4)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), small_state(grid16), GLParams(epsilon=0.25), noise)
+    save_checkpoint(str(path), small_state(grid16), RunTrace(), GLParams(epsilon=0.25), noise)
     before = path.read_bytes()
 
     calls = []
@@ -401,14 +427,14 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
     monkeypatch.setattr(io_cli.np, "ascontiguousarray", fail_on_director)
     later = small_state(grid16, seed=4)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(str(path), later, GLParams(epsilon=0.25), noise)
+        save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise)
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
     monkeypatch.undo()
-    save_checkpoint(str(path), later, GLParams(epsilon=0.25), noise)
-    loaded = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise)
+    save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise)
+    loaded, _ = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise)
     assert np.array_equal(loaded.n.phys, later.n.phys)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
@@ -533,6 +559,47 @@ def test_cli_resume_splices_bitwise(tmp_path, capsys):
     assert tail_lines == full_lines[5:]
 
 
+def test_cli_resume_prints_the_uninterrupted_summary(tmp_path, capsys):
+    """The SMALL_RUN config to t = 0.05, one shot and resumed from its
+    step-5 checkpoint: the stderr summaries are byte-equal, energy at the
+    start, balance residual, stopping times (the auto delta fires at t = 0),
+    local smallness ratio and max |n| included."""
+    ck = tmp_path / "mid.ckpt"
+    base = SMALL_RUN + "[output]\nndjson_path = -\n"
+    longer = base.replace("t_end = 0.025", "t_end = 0.05")
+    assert main(["run", "-c", write_config(tmp_path, longer, "full.ini")]) == 0
+    one_shot = capsys.readouterr().err
+    prefix = base + f"checkpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, prefix, "pre.ini")]) == 0
+    capsys.readouterr()
+    assert main(["run", "-c", write_config(tmp_path, longer, "res.ini"),
+                 "--resume", str(ck)]) == 0
+    resumed = capsys.readouterr().err
+    assert resumed == one_shot
+    assert "sigma1 = 0  " in one_shot and "steps = 10" in one_shot
+
+
+def test_cli_resume_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    """A version-1 file has no trace, so a run from it could not print the
+    uninterrupted summary: exit 1, one config error line, no stream."""
+    ck = tmp_path / "v1.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    bundle = build_components(load_config(write_config(tmp_path, body)))
+    state, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise)
+    write_v1_checkpoint(str(ck), state, bundle.gl, bundle.noise)
+    out_path = tmp_path / "resumed.ndjson"
+    resumed = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
+        f"[output]\nndjson_path = {out_path}\n"
+    assert main(["run", "-c", write_config(tmp_path, resumed, "res.ini"),
+                 "--resume", str(ck)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {ck}: unsupported checkpoint version 1\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("every, t_end, saved, resume", [
     (0, 0.025, [5], False), (2, 0.025, [2, 4, 5], False), (5, 0.025, [5], False),
     (5, 0.05, [10], True), (0, 0.0, [], False), (0, 0.025, [], True),
@@ -556,9 +623,10 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         argv += ["--resume", str(ck)]
     steps = []
 
-    def counting_save(path, state, gl, noise):
+    def counting_save(path, state, trace, gl, noise):
         steps.append(state.step)
-        save_checkpoint(path, state, gl, noise)
+        assert trace.last.step == state.step  # the trace up to the saved state
+        save_checkpoint(path, state, trace, gl, noise)
 
     monkeypatch.setattr(io_cli, "save_checkpoint", counting_save)
     assert main(argv) == 0
@@ -568,7 +636,7 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         assert not ck.exists()
     else:
         bundle = build_components(load_config(argv[2]))
-        assert load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise).step == \
+        assert load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise)[0].step == \
             (saved[-1] if saved else 5)
 
 
