@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SpectralGrid, packed_spectra
-from .operators import GLParams, gl_penalty_phys
+from .operators import GLParams
 from .stepper import SimState, StepLedger
 
 __all__ = [
@@ -67,15 +67,22 @@ class CoveringSet:
 
     Any radius-R ball around any point is then contained in the radius-2R
     ball of the nearest center, so a max over centers at 2R dominates the
-    sup over all positions at R.  ``masks`` is the float64 0/1 matrix, one
-    row of N*N grid points per center, selecting the points within 2R; it is
-    float so every ``local_maxima`` call is a plain BLAS matrix-vector product.
+    sup over all positions at R.
+
+    On each grid row (fixed x1) the points within 2R of a center form one
+    arc of consecutive x2 indices, empty, the full row, or wrapping across
+    x2 = 0, because the distance to the center only grows away from its
+    nearest point in x2.  ``arcs`` (shape (3, M, N)) indexes each arc into
+    the flattened row prefix sums of ``local_maxima`` (N + 1 entries per
+    row, the first 0) as (hi, lo, wrap): the arc's sum is ``prefix[hi] -
+    prefix[lo] + prefix[wrap]``, where ``wrap`` is the row total's entry
+    for an arc that wraps and the row's leading 0 otherwise.
     """
 
     grid: SpectralGrid
     radius: float
     centers: np.ndarray = field(init=False, repr=False, compare=False)
-    masks: np.ndarray = field(init=False, repr=False, compare=False)
+    arcs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.radius
@@ -85,8 +92,16 @@ class CoveringSet:
         line = 2.0 * np.pi * np.arange(m) / m
         centers = np.array([(a, b) for a in line for b in line])
         inside = _wrap_dist_sq(self.grid, centers) <= (2.0 * r) ** 2
-        masks = inside.reshape(len(centers), -1).astype(np.float64)
-        for arr, name in [(centers, "centers"), (masks, "masks")]:
+        n = self.grid.n_modes
+        count = inside.sum(axis=2, dtype=np.int32)
+        # an arc starts at the point inside whose left neighbour is not
+        # (False < True); a full or empty row has none and is taken from 0
+        start = np.argmax(np.roll(inside, 1, axis=2) < inside, axis=2)
+        end = start + count
+        wraps = end > n
+        arcs = np.arange(n) * (n + 1) + np.stack([np.where(wraps, end - n, end), start,
+                                                  np.where(wraps, n, 0)])
+        for name, arr in [("centers", centers), ("arcs", arcs)]:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -104,8 +119,14 @@ class CoveringSet:
         return float(np.sqrt(np.max(np.min(dist_sq, axis=0))))
 
     def local_maxima(self, integrand: np.ndarray) -> float:
-        """Largest masked quadrature sum over the centers."""
-        return float(np.max(self.masks @ (integrand.ravel() * self.grid.quad_weight)))
+        """Largest quadrature sum over the points within 2R of a center."""
+        n = self.grid.n_modes
+        prefix = np.zeros((n, n + 1))
+        np.cumsum(integrand, axis=1, out=prefix[:, 1:])
+        sums, lo, wrap = prefix.take(self.arcs)
+        sums -= lo
+        sums += wrap
+        return float(np.max(sums.sum(axis=1))) * self.grid.quad_weight
 
 
 def energy_report(state: SimState, gl: GLParams,
@@ -120,6 +141,7 @@ def energy_report(state: SimState, gl: GLParams,
     g = state.grid
     u_phys, n_phys = state.u.phys, state.n.phys
     w = np.sum(n_phys**2, axis=0)
+    # a stepped state carries its spectra, so only w goes forward here
     u_spec, n_spec, w_spec = packed_spectra((state.u, state.n), w)
     # each grad w slice rides with the grad n stack beside it, so N = 64
     # packs (3 + 1, 3 + 1, 3) slices
@@ -140,9 +162,10 @@ def energy_report(state: SimState, gl: GLParams,
 
     defect = 1.0 - w
     gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
-    f_pen = gl_penalty_phys(n_phys, gl.epsilon)
+    f_pen = defect * n_phys / gl.epsilon**2  # operators.gl_penalty_phys, from w
 
-    u_sq = g.integrate(np.sum(u_phys**2, axis=0))
+    u2 = np.sum(u_phys**2, axis=0)
+    u_sq = g.integrate(u2)
     grad_n_sq = g.integrate(gn2)
     grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
     relax_sq = g.integrate(np.sum((lap_n + f_pen) ** 2, axis=0))
@@ -156,7 +179,7 @@ def energy_report(state: SimState, gl: GLParams,
         # of the total pairs exactly with -2 times the enstrophy, turning the
         # balance residual into a pure discretization error.  (The reported
         # gl_mass stays the unweighted integral.)
-        e_point = np.sum(u_phys**2, axis=0) + gn2 + defect**2 / (2.0 * gl.epsilon**2)
+        e_point = u2 + gn2 + defect**2 / (2.0 * gl.epsilon**2)
         loc_e = covering.local_maxima(e_point)
         loc_g = covering.local_maxima(gn2)
 
@@ -175,7 +198,7 @@ def energy_report(state: SimState, gl: GLParams,
         grad_n_L4=float(g.integrate(gn2**2) ** 0.25),
         u_sq=u_sq,
         grad_n_sq=grad_n_sq,
-        max_abs_u=float(np.max(np.sqrt(np.sum(u_phys**2, axis=0)))),
+        max_abs_u=float(np.max(np.sqrt(u2))),
         div_defect=state.u.divergence_defect(),
         local_energy_max=loc_e,
         local_grad_max=loc_g,

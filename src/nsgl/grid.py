@@ -220,10 +220,12 @@ class SpectralGrid:
 
 
 class _Field:
-    """Immutable field snapshot holding physical and/or spectral data.
+    """Immutable field snapshot holding its half spectrum and/or physical array.
 
-    The missing representation is computed on first access and cached; both
-    arrays are marked read-only.
+    The half spectrum is the canonical data of a simulation state (see
+    ``nsgl.stepper.SimState``); a physical array given beside it must be its
+    ``to_phys``.  A field given one representation computes the other on
+    first access and caches it; both arrays are marked read-only.
     """
 
     n_components = 0

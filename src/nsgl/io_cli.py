@@ -3,12 +3,14 @@
 The config format is INI with a fixed schema (see _SCHEMA): unknown sections
 or keys are errors, every key has a typed default, and `dump-config` echoes
 the fully validated file in canonical order.  Checkpoints are a fixed-layout
-binary snapshot of the physical state and of the run's trace; reloading one
-and continuing must reproduce the uninterrupted run bit for bit, its stderr
-summary included, so loading repairs nothing: a checkpoint of another
-version, grid, epsilon or noise identity, with a non-finite value, or with a
-velocity that is not solenoidal and inside the 2/3 band is refused, and so
-is a resume from a checkpoint off the configured step clock.
+binary snapshot of the state's half spectra, of the run's trace and of the
+hash of the config that wrote it; reloading one and continuing must
+reproduce the uninterrupted run bit for bit, its stderr summary included,
+so loading repairs nothing: a checkpoint of another version, grid, epsilon,
+noise identity or config, with a non-finite value, with a spectrum that is
+not Hermitian, or with a velocity that is not solenoidal and inside the 2/3
+band is refused, and so is a resume from a checkpoint off the configured
+step clock.
 
 Report lines are newline-delimited JSON, one object per recorded step, all
 floats printed with 17 significant digits.  Every value is a pure function
@@ -53,6 +55,7 @@ __all__ = [
     "dump_config",
     "build_components",
     "parse_eps_family",
+    "config_hash",
     "save_checkpoint",
     "load_checkpoint",
     "REPORT_KEYS",
@@ -202,6 +205,25 @@ def dump_config(cfg: SimConfig) -> str:
             lines.append(f"{key} = {_format_value(cfg.values[sec][key])}")
         lines.append("")
     return "\n".join(lines)
+
+
+# the sections whose keys set a `run`'s trajectory and trace; of them only
+# stepper.t_end may differ on a resume, which may also write other outputs
+_HASHED_SECTIONS = ("grid", "stepper", "gl", "noise", "h_field", "initial", "stops")
+
+
+def config_hash(cfg: SimConfig) -> bytes:
+    """sha256 digest (32 bytes) of the canonical ``section.key = value``
+    lines, in schema order and ``dump_config`` formatting, of the keys in
+    ``_HASHED_SECTIONS`` less ``stepper.t_end``."""
+    # imported here, not with the module: loading it (OpenSSL) took about
+    # 3 ms, which every CLI call would pay, dump-config and check included
+    import hashlib
+
+    lines = [f"{sec}.{key} = {_format_value(cfg.values[sec][key])}"
+             for sec in _HASHED_SECTIONS for key in _SCHEMA[sec]
+             if (sec, key) != ("stepper", "t_end")]
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
 
 
 def parse_eps_family(text: str) -> tuple[float, ...]:
@@ -373,24 +395,27 @@ def build_components(cfg: SimConfig) -> SimBundle:
 # -- checkpoints -----------------------------------------------------------------
 
 _CKPT_MAGIC = b"NSGL"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 # the RunTrace numbers a checkpoint stores, in header order; the trace's
 # last report is a function of the state and is recomputed on resume
 _CKPT_TRACE = ("t0", "e0", "int_d", "sum_u_dw", "sum_grad_cross", "sum_cross_sq",
                "sup_e", "max_n", "ls_l4", "ls_lap", "ls_grad", "ls_sup",
                "t_sigma1", "t_sigma2")
-# magic, version, n_modes, step, seed, path_id, epsilon, t, then the trace
-_CKPT_HEADER = struct.Struct(f"<4sIIQQQdd{len(_CKPT_TRACE)}d")
+# magic, version, n_modes, step, seed, path_id, epsilon, t, the trace, and
+# the config hash
+_CKPT_HEADER = struct.Struct(f"<4sIIQQQdd{len(_CKPT_TRACE)}d32s")
 
 
 def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
-                    noise: NoiseModel):
-    """Fixed-layout binary snapshot of a state and the trace up to it.
+                    noise: NoiseModel, cfg_hash: bytes):
+    """Fixed-layout binary snapshot of a state, the trace up to it and the
+    hash of the config that produced it.
 
     Header (little endian): magic "NSGL", u32 version, u32 n_modes, u64 step,
-    u64 seed, u64 path_id, f64 epsilon, f64 t, then the 14 f64 trace numbers
-    of ``_CKPT_TRACE``.  Payload: u as 2*N*N float64 then n as 3*N*N
-    float64, C order, little endian.
+    u64 seed, u64 path_id, f64 epsilon, f64 t, the 14 f64 trace numbers of
+    ``_CKPT_TRACE``, then the 32-byte ``cfg_hash`` (see :func:`config_hash`).
+    Payload: the half spectra of u, 2*N*(N/2+1) complex128, then of n,
+    3*N*(N/2+1) complex128, C order, little endian.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a write that fails midway leaves the previous checkpoint whole.
@@ -398,13 +423,13 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
     n = state.grid.n_modes
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, n, state.step,
                                noise.seed, noise.path_id, gl.epsilon, state.t,
-                               *(getattr(trace, name) for name in _CKPT_TRACE))
+                               *(getattr(trace, name) for name in _CKPT_TRACE), cfg_hash)
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(state.u.spec, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(state.n.spec, dtype="<c16").tobytes())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -413,20 +438,23 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
 
 
 def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
-                    noise: NoiseModel) -> tuple[SimState, RunTrace]:
-    """Read back a checkpoint that a run on ``grid``, ``gl`` and ``noise``
-    can continue exactly; the mirror of :func:`save_checkpoint`.
+                    noise: NoiseModel, cfg_hash: bytes) -> tuple[SimState, RunTrace]:
+    """Read back a checkpoint that a run on ``grid``, ``gl`` and ``noise``,
+    under the config whose :func:`config_hash` is ``cfg_hash``, can continue
+    exactly; the mirror of :func:`save_checkpoint`.
 
-    Returns the state and its trace, which holds the stored numbers only
-    (no ``last`` report, no ``delta``): ``run_path`` completes it.
+    Returns the state, whose half spectra are the stored bits, and its trace,
+    which holds the stored numbers only (no ``last`` report, no ``delta``):
+    ``run_path`` completes it.
 
-    Nothing is repaired, so a saved state loads bit for bit.  ConfigError
-    refuses a file that is not a version-2 checkpoint of this grid, epsilon
-    and (seed, path_id), a non-finite value (stopping times may be +inf),
-    and a velocity outside the exchange drift's precondition: a divergence
-    defect above 1e-10, or content outside ``grid.dealias_mask`` above 1e-12
-    of its largest coefficient.  Every state an nsgl step produces meets
-    both at roundoff.
+    Nothing is repaired.  ConfigError refuses a file that is not a version-3
+    checkpoint of this grid, epsilon, (seed, path_id) and config hash; a
+    non-finite value (stopping times may be +inf); a spectrum whose
+    self-conjugate columns are not Hermitian to 1e-12 (``to_phys`` would
+    drop what the spectral sums keep); and a velocity outside the exchange
+    drift's precondition: a divergence defect above 1e-10, or content
+    outside ``grid.dealias_mask`` above 1e-12 of its largest coefficient.
+    Every state an nsgl step produces meets all three at roundoff.
     """
     try:
         with open(path, "rb") as fh:
@@ -435,13 +463,14 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
         raise ConfigError(f"cannot read checkpoint {path!r}: {exc}") from None
     if len(blob) < _CKPT_HEADER.size:
         raise ConfigError(f"{path}: too short to be a checkpoint")
-    magic, version, n, step_idx, seed, path_id, eps, t, *stored = \
+    magic, version, n, step_idx, seed, path_id, eps, t, *stored, stored_hash = \
         _CKPT_HEADER.unpack_from(blob)
     if magic != _CKPT_MAGIC:
         raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
     if version != _CKPT_VERSION:
         raise ConfigError(f"{path}: unsupported checkpoint version {version}")
-    expected = _CKPT_HEADER.size + 5 * n * n * 8
+    shape = (n, n // 2 + 1)
+    expected = _CKPT_HEADER.size + 5 * math.prod(shape) * 16
     if len(blob) != expected:
         raise ConfigError(f"{path}: truncated checkpoint ({len(blob)} of {expected} bytes)")
     if grid.n_modes != n:
@@ -450,14 +479,23 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
         raise ConfigError(f"checkpoint epsilon {eps} != config gl.epsilon {gl.epsilon}")
     if (seed, path_id) != (noise.seed, noise.path_id):
         raise ConfigError("checkpoint noise identity (seed, path_id) does not match config")
-    payload = np.frombuffer(blob, dtype="<f8", offset=_CKPT_HEADER.size).astype(np.float64)
+    if stored_hash != cfg_hash:
+        raise ConfigError(f"{path}: written under another config (config hash mismatch); "
+                          f"a resume may change only stepper.t_end and output.*")
+    payload = np.frombuffer(blob, dtype="<c16", offset=_CKPT_HEADER.size).astype(np.complex128)
     if not np.all(np.isfinite(payload)):
         raise ConfigError(f"{path}: non-finite value in the state")
     # a stopping time not hit yet is +inf; nothing else may be non-finite
     if not all(math.isfinite(v) or name.startswith("t_sigma") and v == math.inf
                for name, v in zip(_CKPT_TRACE, stored)):
         raise ConfigError(f"{path}: non-finite value in the run trace")
-    u = VelocityField(grid, phys=payload[:2 * n * n].reshape(2, n, n))
+    spectra = payload.reshape(5, *shape)
+    u, director = VelocityField(grid, spec=spectra[:2]), DirectorField(grid, spec=spectra[2:])
+    for name, f in (("velocity", u), ("director", director)):
+        sym = f.conj_symmetry_defect()
+        if not sym <= 1e-12:
+            raise ConfigError(f"{path}: {name} spectrum is not Hermitian: "
+                              f"conjugate-symmetry defect {sym:.3g} exceeds 1e-12")
     defect = u.divergence_defect()
     if not defect <= 1e-10:
         raise ConfigError(f"{path}: velocity divergence defect {defect:.3g} exceeds 1e-10")
@@ -466,8 +504,7 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     if not outside <= 1e-12 * top:
         raise ConfigError(f"{path}: velocity content outside the 2/3 band is "
                           f"{outside / top:.3g} of its largest coefficient, above 1e-12")
-    state = SimState(t=t, step=step_idx, u=u,
-                     n=DirectorField(grid, phys=payload[2 * n * n:].reshape(3, n, n)))
+    state = SimState(t=t, step=step_idx, u=u, n=director)
     return state, RunTrace(**dict(zip(_CKPT_TRACE, stored)))
 
 
@@ -530,8 +567,10 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     cfg = bundle.cfg
     state0, trace0 = bundle.state0, None
     n_total = bundle.stepper.n_steps
+    cfg_hash = config_hash(cfg)
     if args.resume is not None:
-        state0, trace0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise)
+        state0, trace0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise,
+                                         cfg_hash)
         # the run continues at t + k dt for step + k, so the checkpoint's own
         # clock must be step * dt of this config; NaN fails the comparison
         step_idx, t, dt = state0.step, state0.t, bundle.stepper.dt
@@ -555,7 +594,7 @@ def _cmd_run(args, bundle: SimBundle) -> int:
         # the start state's bytes are the config's or already on disk
         if ck_path and report.step > state0.step and (
                 report.step == n_total or ck_every > 0 and report.step % ck_every == 0):
-            save_checkpoint(ck_path, state, trace, bundle.gl, bundle.noise)
+            save_checkpoint(ck_path, state, trace, bundle.gl, bundle.noise, cfg_hash)
 
     try:
         trace = run_path(state0, bundle.stepper, bundle.gl, bundle.noise,

@@ -19,6 +19,7 @@ variance and replays stay bitwise reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -74,7 +75,13 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class SimState:
-    """Immutable snapshot; the physical arrays are the canonical data."""
+    """Immutable snapshot; the half spectra of u and n are the canonical data.
+
+    A state a step produced carries its spectra and their ``to_phys``; a
+    loaded checkpoint carries the spectra and transforms them on first use.
+    A state built ``from_arrays`` (initial data) keeps the physical arrays
+    as given, and its spectra are their ``to_spec``.
+    """
 
     t: float
     step: int
@@ -112,8 +119,17 @@ class StepLedger:
 
 # -- exact substep kernels ----------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _heat_multiplier(grid: SpectralGrid, dt: float) -> np.ndarray:
+    """exp(-|k|^2 dt), computed once per grid size and step length (a run
+    uses a handful: the half steps of dt and of its CFL halvings)."""
+    mult = np.exp(-grid.k2 * dt)
+    mult.setflags(write=False)
+    return mult
+
+
 def diffuse_spec(grid: SpectralGrid, spec: np.ndarray, dt: float) -> np.ndarray:
-    return spec * np.exp(-grid.k2 * dt)
+    return spec * _heat_multiplier(grid, dt)
 
 
 def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
@@ -230,10 +246,12 @@ def _composite(state, dt, inc, gl, noise, ledger):
     n_spec = diffuse_spec(grid, grid.to_spec(n_phys), half)
     u_spec = diffuse_spec(grid, u_spec, half)
 
+    # the spectra are the state; their to_phys rides along for the report
+    # and the CFL test, so neither transforms the state again
     u_phys, n_phys = grid.to_phys_many([u_spec, n_spec])
     return SimState(
         t=state.t + dt,
         step=state.step,
-        u=VelocityField(grid, phys=u_phys),
-        n=DirectorField(grid, phys=n_phys),
+        u=VelocityField(grid, phys=u_phys, spec=u_spec),
+        n=DirectorField(grid, phys=n_phys, spec=n_spec),
     )

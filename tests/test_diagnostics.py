@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 import nsgl.experiments as experiments
-from nsgl.diagnostics import CoveringSet, EnergyReport, RunTrace, energy_report
+from nsgl.diagnostics import CoveringSet, EnergyReport, RunTrace, _wrap_dist_sq, energy_report
 from nsgl.experiments import run_path
-from nsgl.grid import DirectorField
+from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from nsgl.noise import NoiseModel
-from nsgl.operators import GLParams
+from nsgl.operators import GLParams, gl_penalty_phys, leray_project_spec
 from nsgl.stepper import SimState, StepperConfig, StepLedger, step
 
 PI = np.pi
@@ -89,6 +89,63 @@ def test_report_local_maxima_uniform_field(grid64):
     assert rep.local_energy_max == pytest.approx(expect, rel=0.05)
     assert rep.local_grad_max == pytest.approx(expect, rel=0.05)
     assert rep.local_energy_max <= rep.energy_E + 1e-9
+
+
+def dense_local_maxima(cov, integrand):
+    """The reference: one float64 0/1 mask row of N*N points per center,
+    those within 2R, times the quadrature-weighted integrand."""
+    inside = _wrap_dist_sq(cov.grid, cov.centers) <= (2.0 * cov.radius) ** 2
+    masks = inside.reshape(cov.n_centers, -1).astype(np.float64)
+    return float(np.max(masks @ (integrand.ravel() * cov.grid.quad_weight)))
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("radius", [PI / 8.0, PI / 4.0, PI / 2.0])
+def test_local_maxima_match_the_dense_mask_reference(n, radius):
+    """Row-arc prefix sums give the dense mask product to 1e-14 relative on
+    random non-negative integrands, spread out and concentrated.  At pi/2
+    some arcs are full rows and some wrap around x2 = 0."""
+    grid = SpectralGrid(n)
+    cov = CoveringSet(grid, radius)
+    hi, lo, wrap = cov.arcs % (n + 1)
+    length, wraps = hi - lo + wrap, wrap == n
+    if radius == PI / 2.0:
+        assert np.any(length == n) and np.any(wraps & (length < n))
+    rng = np.random.default_rng(n)
+    x1, x2 = grid.meshgrid()
+    for _ in range(4):
+        spread = rng.random((n, n)) ** rng.uniform(1.0, 4.0)
+        c1, c2 = rng.uniform(0.0, 2.0 * PI, 2)
+        bump = np.exp(-8.0 * ((np.sin((x1 - c1) / 2)) ** 2 + np.sin((x2 - c2) / 2) ** 2))
+        for f in (spread, bump):
+            ref = dense_local_maxima(cov, f)
+            assert abs(cov.local_maxima(f) - ref) <= 1e-14 * ref
+
+
+def test_report_reuses_w_and_u_squared_bitwise(grid32, rng):
+    """energy_report takes the penalty from w = |n|^2 and reuses sum u^2 for
+    u_sq, max |u| and the local energy density; the expressions it
+    replaced, kept here, give the same bits."""
+    g = grid32
+    u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
+    n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
+    state = SimState(t=0.0, step=0, u=VelocityField(g, spec=u_spec),
+                     n=DirectorField(g, phys=n_phys))
+    gl, cov = GLParams(epsilon=0.3), CoveringSet(g, PI / 4.0)
+    derivs = []
+    rep = energy_report(state, gl, cov, derivs_out=derivs)
+    d1, d2, lap_n = derivs
+    u_phys = state.u.phys
+    gn2 = np.sum(np.stack([d1, d2]) ** 2, axis=(0, 1))
+    relax_sq = g.integrate(np.sum((lap_n + gl_penalty_phys(n_phys, gl.epsilon)) ** 2, axis=0))
+    grad_u_sq = (2.0 * PI) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
+    assert rep.gl_mass > 1e-3
+    assert rep.enstrophy_D == grad_u_sq + relax_sq
+    assert rep.u_sq == g.integrate(np.sum(u_phys**2, axis=0))
+    assert rep.max_abs_u == float(np.max(np.sqrt(np.sum(u_phys**2, axis=0))))
+    defect = 1.0 - np.sum(n_phys**2, axis=0)
+    e_point = np.sum(u_phys**2, axis=0) + gn2 + defect**2 / (2.0 * gl.epsilon**2)
+    assert rep.local_energy_max == cov.local_maxima(e_point)
 
 
 def make_report(step, t, local_max=0.0, min_n=1.0):

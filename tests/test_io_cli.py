@@ -4,6 +4,7 @@ The CLI tests drive ``main(argv)`` in-process so exit codes and streams are
 asserted directly; nothing here shells out.
 """
 
+import hashlib
 import json
 import math
 
@@ -17,6 +18,7 @@ from nsgl.io_cli import (
     REPORT_KEYS,
     ConfigError,
     build_components,
+    config_hash,
     dump_config,
     format_report,
     load_checkpoint,
@@ -297,6 +299,10 @@ def small_state(grid16, seed=3):
                     n=DirectorField(grid16, phys=n))
 
 
+# stands for the config hash of the run that writes a library-level checkpoint
+CFG_HASH = hashlib.sha256(b"test config").digest()
+
+
 def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     st = small_state(grid16)
     gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
@@ -304,25 +310,30 @@ def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     trace = RunTrace(t0=0.125, e0=40.25, int_d=1.5, sum_u_dw=-0.25, sum_grad_cross=0.0625,
                      sum_cross_sq=0.5, sup_e=41.0, max_n=1.0, ls_l4=1.75, ls_lap=3.5,
                      ls_grad=7.0, ls_sup=2.25, t_sigma1=0.25)
-    save_checkpoint(path, st, trace, gl, noise)
-    loaded, loaded_trace = load_checkpoint(path, grid16, gl, noise)
+    save_checkpoint(path, st, trace, gl, noise, CFG_HASH)
+    loaded, loaded_trace = load_checkpoint(path, grid16, gl, noise, CFG_HASH)
     assert isinstance(loaded, SimState)
-    assert np.array_equal(loaded.u.phys, st.u.phys)
-    assert np.array_equal(loaded.n.phys, st.n.phys)
+    # the half spectra are the state; the physical arrays are their to_phys
+    assert np.array_equal(loaded.u.spec, st.u.spec)
+    assert np.array_equal(loaded.n.spec, st.n.spec)
+    assert np.array_equal(loaded.n.phys, grid16.to_phys(st.n.spec))
     assert loaded.t == 0.375 and loaded.step == 12
     # the stored numbers come back; the last report and delta are the run's
     assert loaded_trace == RunTrace(**{**vars(trace), "last": None})
     assert loaded_trace.t_sigma2 == math.inf
 
 
-def write_v1_checkpoint(path, state, gl, noise):
-    """The version-1 layout: the v2 header without the trace numbers."""
+def write_old_checkpoint(path, state, gl, noise, version):
+    """The physical-payload layouts: version 1's header, which version 2
+    follows with 14 trace numbers (zero here), then u and n as float64."""
     import struct
 
     n = state.grid.n_modes
     with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sIIQQQdd", b"NSGL", 1, n, state.step, noise.seed,
+        fh.write(struct.pack("<4sIIQQQdd", b"NSGL", version, n, state.step, noise.seed,
                              noise.path_id, gl.epsilon, state.t))
+        if version == 2:
+            fh.write(struct.pack("<14d", *[0.0] * 14))
         fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
 
@@ -331,54 +342,60 @@ def test_checkpoint_error_cases(grid16, tmp_path):
     st = small_state(grid16)
     gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, path_id=4, mode_cutoff=4)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), st, RunTrace(), gl, noise)
+    save_checkpoint(str(path), st, RunTrace(), gl, noise, CFG_HASH)
     blob = path.read_bytes()
 
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ConfigError, match="bad magic"):
-        load_checkpoint(str(bad), grid16, gl, noise)
+        load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
     bad.write_bytes(blob[:4] + b"\x63\x00\x00\x00" + blob[8:])
     with pytest.raises(ConfigError, match="version"):
-        load_checkpoint(str(bad), grid16, gl, noise)
+        load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
     bad.write_bytes(blob[:-16])
     with pytest.raises(ConfigError, match="truncated"):
-        load_checkpoint(str(bad), grid16, gl, noise)
+        load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
     bad.write_bytes(blob[:10])
     with pytest.raises(ConfigError, match="too short"):
-        load_checkpoint(str(bad), grid16, gl, noise)
+        load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
     with pytest.raises(ConfigError, match="cannot read checkpoint"):
-        load_checkpoint(str(tmp_path / "absent.ckpt"), grid16, gl, noise)
+        load_checkpoint(str(tmp_path / "absent.ckpt"), grid16, gl, noise, CFG_HASH)
     from nsgl.grid import SpectralGrid
     with pytest.raises(ConfigError, match="grid mismatch"):
-        load_checkpoint(str(path), SpectralGrid(32), gl, noise)
+        load_checkpoint(str(path), SpectralGrid(32), gl, noise, CFG_HASH)
     with pytest.raises(ConfigError, match=r"^checkpoint epsilon 0\.25 != config gl\.epsilon 0\.5$"):
-        load_checkpoint(str(path), grid16, GLParams(epsilon=0.5), noise)
+        load_checkpoint(str(path), grid16, GLParams(epsilon=0.5), noise, CFG_HASH)
     for other in (NoiseModel(grid16, seed=22, path_id=4, mode_cutoff=4),
                   NoiseModel(grid16, seed=21, path_id=5, mode_cutoff=4)):
         with pytest.raises(ConfigError, match=r"noise identity \(seed, path_id\)"):
-            load_checkpoint(str(path), grid16, gl, other)
-    write_v1_checkpoint(str(bad), st, gl, noise)
-    with pytest.raises(ConfigError, match=r"unsupported checkpoint version 1$"):
-        load_checkpoint(str(bad), grid16, gl, noise)
+            load_checkpoint(str(path), grid16, gl, other, CFG_HASH)
+    for version in (1, 2):
+        write_old_checkpoint(str(bad), st, gl, noise, version)
+        with pytest.raises(ConfigError, match=rf"unsupported checkpoint version {version}$"):
+            load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
+    with pytest.raises(ConfigError, match=r"config hash mismatch"):
+        load_checkpoint(str(path), grid16, gl, noise, hashlib.sha256(b"other").digest())
     for name, value in [("int_d", math.nan), ("sup_e", math.inf), ("t_sigma1", -math.inf),
                         ("t_sigma2", math.nan)]:
-        save_checkpoint(str(bad), st, RunTrace(**{name: value}), gl, noise)
+        save_checkpoint(str(bad), st, RunTrace(**{name: value}), gl, noise, CFG_HASH)
         with pytest.raises(ConfigError, match=r"non-finite value in the run trace$"):
-            load_checkpoint(str(bad), grid16, gl, noise)
+            load_checkpoint(str(bad), grid16, gl, noise, CFG_HASH)
 
 
 @pytest.mark.parametrize("kind, pattern", [
     ("divergent", r"velocity divergence defect .* exceeds 1e-10$"),
     ("out-of-band", r"velocity content outside the 2/3 band is 1 of its largest"),
     ("nan-payload", r"non-finite value in the state$"),
+    ("non-hermitian", r"director spectrum is not Hermitian: conjugate-symmetry defect "
+                      r"0\.0005 exceeds 1e-12$"),
 ])
 def test_checkpoint_refuses_what_a_run_cannot_continue(grid16, tmp_path, capsys, kind,
                                                         pattern):
     """A checkpoint no nsgl step writes (a velocity outside the exchange
-    drift's precondition, or a non-finite value) is refused, by the library
+    drift's precondition, a non-finite value, or a spectrum with a
+    non-Hermitian part that to_phys would drop) is refused, by the library
     and by `run --resume` (exit 1, one config error line), never repaired.
-    Header and clock fit the SMALL_RUN config resumed at step 5."""
+    Header, config hash and clock fit the SMALL_RUN config resumed at step 5."""
     x1 = grid16.x1[:, None] + 0.0 * grid16.x2[None, :]
     u = np.stack([np.zeros_like(x1), np.sin(x1)])
     n = np.zeros((3, 16, 16))
@@ -387,18 +404,24 @@ def test_checkpoint_refuses_what_a_run_cannot_continue(grid16, tmp_path, capsys,
         u[0] = np.cos(x1)
     elif kind == "out-of-band":  # solenoidal, but k1 = 7 > N/3
         u[1] += np.sin(7.0 * x1)
-    else:
+    elif kind == "nan-payload":
         n[0, 3, 4] = np.nan
+    n_spec = grid16.to_spec(n)
+    if kind == "non-hermitian":  # k1 = 1 on the k2 = 0 column without its k1 = -1 partner
+        n_spec[0, 1, 0] += 1e-3
     gl, noise = GLParams(epsilon=0.3), NoiseModel(grid16, seed=9, mode_cutoff=4)
-    path = tmp_path / f"{kind}.ckpt"
-    save_checkpoint(str(path), SimState(t=0.025, step=5, u=VelocityField(grid16, phys=u),
-                                        n=DirectorField(grid16, phys=n)), RunTrace(), gl, noise)
-    with pytest.raises(ConfigError, match=pattern):
-        load_checkpoint(str(path), grid16, gl, noise)
     out_path = tmp_path / "resumed.ndjson"
     body = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
         f"[output]\nndjson_path = {out_path}\n"
-    assert main(["run", "-c", write_config(tmp_path, body), "--resume", str(path)]) == 1
+    cfg_path = write_config(tmp_path, body)
+    cfg_hash = config_hash(load_config(cfg_path))
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(str(path), SimState(t=0.025, step=5, u=VelocityField(grid16, phys=u),
+                                        n=DirectorField(grid16, spec=n_spec)),
+                    RunTrace(), gl, noise, cfg_hash)
+    with pytest.raises(ConfigError, match=pattern):
+        load_checkpoint(str(path), grid16, gl, noise, cfg_hash)
+    assert main(["run", "-c", cfg_path, "--resume", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"config error: {path}: ") and err.count("\n") == 1
@@ -412,7 +435,8 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
 
     noise = NoiseModel(grid16, mode_cutoff=4)
     path = tmp_path / "state.ckpt"
-    save_checkpoint(str(path), small_state(grid16), RunTrace(), GLParams(epsilon=0.25), noise)
+    save_checkpoint(str(path), small_state(grid16), RunTrace(), GLParams(epsilon=0.25), noise,
+                    CFG_HASH)
     before = path.read_bytes()
 
     calls = []
@@ -427,15 +451,15 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
     monkeypatch.setattr(io_cli.np, "ascontiguousarray", fail_on_director)
     later = small_state(grid16, seed=4)
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise)
+        save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise, CFG_HASH)
     assert len(calls) == 2
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
     monkeypatch.undo()
-    save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise)
-    loaded, _ = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise)
-    assert np.array_equal(loaded.n.phys, later.n.phys)
+    save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise, CFG_HASH)
+    loaded, _ = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise, CFG_HASH)
+    assert np.array_equal(loaded.n.spec, later.n.spec)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
 
@@ -579,16 +603,17 @@ def test_cli_resume_prints_the_uninterrupted_summary(tmp_path, capsys):
     assert "sigma1 = 0  " in one_shot and "steps = 10" in one_shot
 
 
-def test_cli_resume_refuses_a_version_1_checkpoint(tmp_path, capsys):
-    """A version-1 file has no trace, so a run from it could not print the
-    uninterrupted summary: exit 1, one config error line, no stream."""
-    ck = tmp_path / "v1.ckpt"
+def resume_from_old_checkpoint(tmp_path, capsys, version):
+    """The SMALL_RUN step-5 state rewritten in an old layout, resumed to
+    t = 0.05: exit 1, one config error line naming the version, no stream."""
+    ck = tmp_path / f"v{version}.ckpt"
     body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
     assert main(["run", "-c", write_config(tmp_path, body)]) == 0
     capsys.readouterr()
     bundle = build_components(load_config(write_config(tmp_path, body)))
-    state, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise)
-    write_v1_checkpoint(str(ck), state, bundle.gl, bundle.noise)
+    state, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise,
+                               config_hash(bundle.cfg))
+    write_old_checkpoint(str(ck), state, bundle.gl, bundle.noise, version)
     out_path = tmp_path / "resumed.ndjson"
     resumed = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
         f"[output]\nndjson_path = {out_path}\n"
@@ -596,8 +621,66 @@ def test_cli_resume_refuses_a_version_1_checkpoint(tmp_path, capsys):
                  "--resume", str(ck)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"config error: {ck}: unsupported checkpoint version 1\n"
+    assert err == f"config error: {ck}: unsupported checkpoint version {version}\n"
     assert not out_path.exists()
+
+
+def test_cli_resume_refuses_a_version_1_checkpoint(tmp_path, capsys):
+    """A version-1 file has no trace, so a run from it could not print the
+    uninterrupted summary."""
+    resume_from_old_checkpoint(tmp_path, capsys, 1)
+
+
+def test_cli_resume_refuses_a_version_2_checkpoint(tmp_path, capsys):
+    """A version-2 file has no config hash, and its physical payload is not
+    the spectra the run continued from."""
+    resume_from_old_checkpoint(tmp_path, capsys, 2)
+
+
+def test_config_hash_covers_what_sets_the_trajectory():
+    """Every key of the hashed sections but stepper.t_end changes the hash;
+    t_end, the output settings and the converge/ensemble keys do not."""
+    from nsgl.io_cli import _HASHED_SECTIONS, _SCHEMA, SimConfig
+
+    base = {sec: {key: default for key, (_, default) in keys.items()}
+            for sec, keys in _SCHEMA.items()}
+    ref = config_hash(SimConfig(values=base))
+    assert len(ref) == 32
+    bumped = {"int": lambda v: v + 1, "float": lambda v: v * 1.5 + 0.25,
+              "bool": lambda v: not v, "str": lambda v: v + "x"}
+    for sec, keys in _SCHEMA.items():
+        for key, (kind, default) in keys.items():
+            values = {s: dict(k) for s, k in base.items()}
+            values[sec][key] = bumped[kind](default)
+            hashed = sec in _HASHED_SECTIONS and (sec, key) != ("stepper", "t_end")
+            assert (config_hash(SimConfig(values=values)) != ref) == hashed, (sec, key)
+
+
+def test_cli_resume_refuses_another_config(tmp_path, capsys):
+    """The SMALL_RUN step-5 checkpoint (noise.gamma = 3) resumed to t = 0.05
+    under gamma = 5 would charge gamma = 5's TrQ over the whole run: exit 1,
+    one config error line, no stream.  A longer t_end and another
+    ndjson_path are not part of the hash, so that resume goes through."""
+    ck = tmp_path / "mid.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    out_path = tmp_path / "resumed.ndjson"
+    resumed = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
+        f"[output]\nndjson_path = {out_path}\n"
+    other = resumed.replace("[noise]\n", "[noise]\ngamma = 5\n")
+    assert main(["run", "-c", write_config(tmp_path, other, "gamma.ini"),
+                 "--resume", str(ck)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"config error: {ck}: written under another config "
+                          f"(config hash mismatch)")
+    assert not out_path.exists()
+    assert main(["run", "-c", write_config(tmp_path, resumed, "res.ini"),
+                 "--resume", str(ck)]) == 0
+    capsys.readouterr()
+    assert [json.loads(line)["step"] for line in out_path.read_text().splitlines()] == \
+        list(range(5, 11))
 
 
 @pytest.mark.parametrize("every, t_end, saved, resume", [
@@ -623,10 +706,10 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         argv += ["--resume", str(ck)]
     steps = []
 
-    def counting_save(path, state, trace, gl, noise):
+    def counting_save(path, state, trace, gl, noise, cfg_hash):
         steps.append(state.step)
         assert trace.last.step == state.step  # the trace up to the saved state
-        save_checkpoint(path, state, trace, gl, noise)
+        save_checkpoint(path, state, trace, gl, noise, cfg_hash)
 
     monkeypatch.setattr(io_cli, "save_checkpoint", counting_save)
     assert main(argv) == 0
@@ -636,8 +719,9 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         assert not ck.exists()
     else:
         bundle = build_components(load_config(argv[2]))
-        assert load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise)[0].step == \
-            (saved[-1] if saved else 5)
+        loaded, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise,
+                                    config_hash(bundle.cfg))
+        assert loaded.step == (saved[-1] if saved else 5)
 
 
 def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):
@@ -656,7 +740,10 @@ def test_cli_resume_rejects_mismatched_identity(tmp_path, capsys):
 
 def test_cli_resume_refuses_checkpoint_off_the_step_clock(tmp_path, capsys):
     """A checkpoint from step 5 at dt = 5e-3 (t = 0.025) cannot continue a
-    run at another dt: resuming it would run from the wrong step count."""
+    run at another dt: resuming it would run from the wrong step count.
+    stepper.dt is in the config hash, so a config with another dt is refused
+    by the loader; a file whose t is off this config's clock, and a run that
+    ends before the checkpoint's step, by the step-clock check."""
     ck = tmp_path / "mid.ckpt"
     body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
     assert main(["run", "-c", write_config(tmp_path, body)]) == 0
@@ -667,10 +754,23 @@ def test_cli_resume_refuses_checkpoint_off_the_step_clock(tmp_path, capsys):
     coarse = resumed.replace("dt = 5e-3", "dt = 2e-2").replace("t_end = 0.025", "t_end = 0.1")
     assert main(["run", "-c", write_config(tmp_path, coarse, "coarse.ini"),
                  "--resume", str(ck)]) == 1
+    assert "config hash mismatch" in capsys.readouterr().err
+    # the same step 5 at t = 0.1, under the config that wrote it
+    bundle = build_components(load_config(write_config(tmp_path, body)))
+    cfg_hash = config_hash(bundle.cfg)
+    state, trace = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise, cfg_hash)
+    off = tmp_path / "off.ckpt"
+    save_checkpoint(str(off), SimState(t=0.1, step=5, u=state.u, n=state.n), trace,
+                    bundle.gl, bundle.noise, cfg_hash)
+    assert main(["run", "-c", write_config(tmp_path, resumed.replace("t_end = 0.025",
+                                                                     "t_end = 0.05"),
+                                           "later.ini"),
+                 "--resume", str(off)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("config error: checkpoint t = 0.025") and "stepper.dt" in err
-    # 4 steps of 1e-2: step 5 is past the end of the run
-    short = resumed.replace("dt = 5e-3", "dt = 1e-2").replace("t_end = 0.025", "t_end = 0.04")
+    assert err.startswith("config error: checkpoint t = 0.10000000000000001 at step 5") \
+        and "stepper.dt = 0.005" in err
+    # 4 steps of 5e-3: step 5 is past the end of the run
+    short = resumed.replace("t_end = 0.025", "t_end = 0.02")
     assert main(["run", "-c", write_config(tmp_path, short, "short.ini"),
                  "--resume", str(ck)]) == 1
     assert "step 5 is past the configured 4 steps" in capsys.readouterr().err

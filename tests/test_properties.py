@@ -1,4 +1,5 @@
-"""Property tests: the checkpoint and config round trips over random inputs.
+"""Property tests: the checkpoint and config round trips over random inputs,
+and the invariants a long noisy run keeps on its spectral state.
 
 The examples are derandomized, so every run of the suite draws the same
 ones, and few, so the suite's time barely moves.
@@ -28,7 +29,7 @@ from nsgl.io_cli import (  # noqa: E402
 )
 from nsgl.noise import NoiseModel  # noqa: E402
 from nsgl.operators import GLParams, leray_project_spec  # noqa: E402
-from nsgl.stepper import SimState  # noqa: E402
+from nsgl.stepper import SimState, StepperConfig, step  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 GRIDS = {n: SpectralGrid(n) for n in (16, 32)}
@@ -45,34 +46,68 @@ TRACE_NUMBERS = st.fixed_dictionaries({
 @given(n=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2**32 - 1),
        band=st.floats(0.1, 1.0), u_amp=st.floats(0.0, 10.0), n_amp=st.floats(0.0, 2.0),
        step=st.integers(0, 2**64 - 1), t=FINITE, eps=st.floats(1e-3, 1e3),
-       noise_seed=STREAM_KEY, path_id=STREAM_KEY, numbers=TRACE_NUMBERS)
+       noise_seed=STREAM_KEY, path_id=STREAM_KEY, numbers=TRACE_NUMBERS,
+       cfg_hash=st.binary(min_size=32, max_size=32))
 def test_checkpoint_save_then_load_is_bitwise(n, seed, band, u_amp, n_amp, step, t, eps,
-                                              noise_seed, path_id, numbers):
-    """Any band-limited solenoidal state and any stored trace numbers load
-    back bit for bit, and saving what was loaded writes the same bytes."""
+                                              noise_seed, path_id, numbers, cfg_hash):
+    """Any band-limited, solenoidal, Hermitian spectral state, any stored
+    trace numbers and any config hash load back bit for bit, and saving
+    what was loaded writes the same bytes."""
     grid = GRIDS[n]
     rng = np.random.default_rng(seed)
     k_max = max(1, int(band * n / 3))
     u = random_band_limited(grid, 2, k_max, rng, u_amp)
     u_spec = leray_project_spec(grid, grid.dealias(grid.to_spec(u)))
-    state = SimState(t=t, step=step, u=VelocityField(grid, phys=grid.to_phys(u_spec)),
-                     n=DirectorField(grid, phys=random_band_limited(grid, 3, n // 2, rng, n_amp)))
+    n_spec = grid.to_spec(random_band_limited(grid, 3, n // 2, rng, n_amp))
+    state = SimState(t=t, step=step, u=VelocityField(grid, spec=u_spec),
+                     n=DirectorField(grid, spec=n_spec))
     gl = GLParams(epsilon=eps)
     noise = NoiseModel(grid, seed=noise_seed, path_id=path_id, mode_cutoff=4)
     trace = RunTrace(**numbers)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = os.path.join(tmp, "a.ckpt"), os.path.join(tmp, "b.ckpt")
-        save_checkpoint(first, state, trace, gl, noise)
-        loaded, loaded_trace = load_checkpoint(first, grid, gl, noise)
-        save_checkpoint(second, loaded, loaded_trace, gl, noise)
+        save_checkpoint(first, state, trace, gl, noise, cfg_hash)
+        loaded, loaded_trace = load_checkpoint(first, grid, gl, noise, cfg_hash)
+        save_checkpoint(second, loaded, loaded_trace, gl, noise, cfg_hash)
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
     for name, value in numbers.items():
         assert struct.pack("<d", getattr(loaded_trace, name)) == struct.pack("<d", value)
     assert loaded_trace.last is None and loaded_trace.delta is None
-    assert np.array_equal(loaded.u.phys, state.u.phys)
-    assert np.array_equal(loaded.n.phys, state.n.phys)
+    assert np.array_equal(loaded.u.spec, u_spec)
+    assert np.array_equal(loaded.n.spec, n_spec)
     assert (loaded.t, loaded.step) == (t, step)
+
+
+def test_long_noisy_run_keeps_the_spectral_velocity_valid():
+    """The velocity spectrum is never rebuilt from its physical array, so
+    nothing resets its non-Hermitian part, its content outside the 2/3 band
+    or its divergence: over 400 steps at N = 16 with both noises on, each
+    stays at roundoff, as the checkpoint loader requires (1e-12, 1e-12 and
+    1e-10).  The director's spectrum is rebuilt every step; its Hermitian
+    defect is checked too."""
+    grid = GRIDS[16]
+    x1, x2 = grid.meshgrid()
+    u_spec = leray_project_spec(grid, grid.to_spec(0.3 * np.stack([np.sin(x2), np.sin(x1)])))
+    state = SimState(t=0.0, step=0, u=VelocityField(grid, spec=u_spec),
+                     n=DirectorField(grid, phys=np.stack([np.cos(x1), np.sin(x1),
+                                                          np.zeros_like(x1)])))
+    noise = NoiseModel(grid, seed=17, mode_cutoff=5,
+                       h=DirectorField.from_scalar_axis(grid, np.cos(x1)))
+    cfg, gl = StepperConfig(dt=5e-3, t_end=2.0), GLParams(epsilon=0.3)
+    worst = {"u_herm": 0.0, "n_herm": 0.0, "band": 0.0, "div": 0.0}
+    for _ in range(cfg.n_steps):
+        state, _ = step(state, cfg, gl, noise)
+        mag = np.abs(state.u.spec)
+        worst["u_herm"] = max(worst["u_herm"], state.u.conj_symmetry_defect())
+        worst["n_herm"] = max(worst["n_herm"], state.n.conj_symmetry_defect())
+        worst["band"] = max(worst["band"],
+                            float(np.max(mag[:, ~grid.dealias_mask]) / np.max(mag)))
+        worst["div"] = max(worst["div"], state.u.divergence_defect())
+    assert state.step == 400
+    assert worst["u_herm"] <= 1e-15 and worst["n_herm"] <= 1e-15, worst
+    assert worst["band"] == 0.0, worst
+    assert worst["div"] <= 1e-14, worst
 
 
 # text the INI echo keeps as it is: no comment prefixes, no line breaks, no

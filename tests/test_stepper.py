@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nsgl.grid import DirectorField, VelocityField
+from nsgl.diagnostics import energy_report
+from nsgl.grid import DirectorField, SpectralGrid, VelocityField
 from nsgl.noise import NoiseModel, sample_increment
 from nsgl.operators import GLParams, leray_project_spec
 from nsgl.stepper import (
@@ -49,6 +50,18 @@ def test_diffusion_substep_is_exact(grid32):
     assert np.allclose(u_out, np.exp(-9.0 * dt) * u0, atol=1e-14)
     expect_n = np.stack([np.exp(-4.0 * dt) * n0[0], np.zeros_like(x1), n0[2]])
     assert np.allclose(n_out, expect_n, atol=1e-14)
+
+
+def test_diffusion_multiplier_is_computed_once_with_the_same_bits(grid32, rng):
+    """diffuse_spec takes exp(-|k|^2 dt) from a per-(grid, dt) cache: the
+    expression it replaced, kept here, gives the same bits on every call,
+    also for another grid object of the same size."""
+    spec = rng.standard_normal((3, *grid32.spec_shape)) \
+        + 1j * rng.standard_normal((3, *grid32.spec_shape))
+    for dt in (5e-4, 1e-3 / 2, 1e-3 / 4, 0.37):
+        for grid in (grid32, SpectralGrid(32), grid32):
+            assert np.array_equal(diffuse_spec(grid, spec, dt),
+                                  spec * np.exp(-grid.k2 * dt))
 
 
 def rk4_gl_oracle(n0, dt, epsilon, n_sub=8192):
@@ -384,6 +397,34 @@ def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
     assert calls == {"forward": 5, "inverse": 6}
+
+
+def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
+    """A stepped state carries the spectra the step computed beside their
+    to_phys, so its energy report takes 1 forward slice (w = |n|^2) and 11
+    inverse (grad n, grad w, lap n); a state given by its physical arrays
+    alone takes 6 forward.  With the 21 + 33 of the step, a path-step runs
+    22 + 44."""
+    g = grid32
+    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+    state, _ = step(coupled_initial_state(g), StepperConfig(dt=1e-3, t_end=1e-3),
+                    GLParams(epsilon=0.4), noise)
+    slices = {"forward": 0, "inverse": 0}
+
+    def counted(fn, kind):
+        def wrapper(a, *args, **kwargs):
+            a = np.asarray(a)
+            slices[kind] += a.size // (a.shape[-2] * a.shape[-1])
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("fft2", "rfft2", "fftn", "rfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
+    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    energy_report(state, GLParams(epsilon=0.4))
+    assert slices == {"forward": 1, "inverse": 11}
 
 
 def test_noisy_step_keeps_velocity_band_limited_and_solenoidal(grid32):
