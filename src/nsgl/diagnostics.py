@@ -77,6 +77,12 @@ class CoveringSet:
     row, the first 0) as (hi, lo, wrap): the arc's sum is ``prefix[hi] -
     prefix[lo] + prefix[wrap]``, where ``wrap`` is the row total's entry
     for an arc that wraps and the row's leading 0 otherwise.
+
+    The radius must be at least the grid spacing ``dx = 2 pi / N``: a ball
+    of radius 2R then holds about a dozen grid points (9 to 14 around the
+    centers at R = dx, N = 64), and the lattice at most ceil(N / sqrt 2)^2
+    centers.  A smaller radius is refused before anything is allocated,
+    since the lattice grows as R^-2.
     """
 
     grid: SpectralGrid
@@ -85,9 +91,10 @@ class CoveringSet:
     arcs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r = self.radius
-        if not (0.0 < r <= np.pi / 2.0):
-            raise ValueError(f"stops.radius must be in (0, pi/2], got {r}")
+        r, dx = self.radius, self.grid.dx
+        if not (dx <= r <= np.pi / 2.0):
+            raise ValueError(f"stops.radius must be in [2 pi / N, pi/2] = [{dx:.6g}, "
+                             f"{np.pi / 2.0:.6g}] at N = {self.grid.n_modes}, got {r}")
         m = int(np.ceil(2.0 * np.pi / (r * np.sqrt(2.0))))
         line = 2.0 * np.pi * np.arange(m) / m
         centers = np.array([(a, b) for a in line for b in line])

@@ -1,9 +1,9 @@
 """Experiment harnesses: single paths, relaxation families, ensembles.
 
 The relaxation study advances every family member through the identical
-Brownian path (same stream key, same substream layout), so differences
-between members isolate the penalty parameter.  The smallest epsilon acts
-as the reference trajectory.
+Brownian path (same stream key, same substream layout), drawn once per
+step and shared, so differences between members isolate the penalty
+parameter.  The smallest epsilon acts as the reference trajectory.
 """
 
 from __future__ import annotations
@@ -90,10 +90,12 @@ class _Path:
         if self.on_report is not None:
             self.on_report(state, self.trace)
 
-    def advance(self, force_level: int | None = None):
-        """One step; returns the state it started from and its ledger."""
+    def advance(self, force_level: int | None = None, draws: dict | None = None):
+        """One step; returns the state it started from and its ledger.
+        ``draws`` is the noise draws dict of ``step``."""
         prev = self.state
-        self.state, ledger = step(prev, self.cfg, self.gl, self.noise, force_level=force_level)
+        self.state, ledger = step(prev, self.cfg, self.gl, self.noise,
+                                  force_level=force_level, draws=draws)
         self.trace.append(self._report(self.state), ledger)
         self._notify(self.state)
         return prev, ledger
@@ -244,12 +246,13 @@ class _Member:
     res_ito: float = 0.0
     res_strat: float = 0.0
 
-    def advance(self, level: int, accum_until: float):
-        """One step at the family's level; an unhalved step up to
-        ``accum_until`` adds its limit-equation residuals."""
+    def advance(self, level: int, accum_until: float, draws: dict):
+        """One step at the family's level, on the noise draws the family
+        shares for it; an unhalved step up to ``accum_until`` adds its
+        limit-equation residuals."""
         path = self.path
         drift = path.drift
-        prev, ledger = path.advance(force_level=level)
+        prev, ledger = path.advance(force_level=level, draws=draws)
         if level == 0 and prev.t <= accum_until:
             ito, strat = _limit_residuals(path.state.grid, path.cfg.dt, prev, path.state,
                                           path.noise, ledger.d_eta, drift)
@@ -299,8 +302,11 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
 
         for _ in range(cfg.n_steps):
             level = max(required_level(m.path.state, cfg) for m in members)
+            # the members follow one Brownian path: the first draws each
+            # increment of this step, the others read it from ``draws``
+            draws = {}
             for m in members:
-                m.advance(level, accum_until)
+                m.advance(level, accum_until, draws)
             accum_until = min(accum_until, min(m.path.sigma for m in members))
             if ref.state.t > accum_until:
                 continue

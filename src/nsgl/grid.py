@@ -27,6 +27,7 @@ A batched transform gives each slice the same bits as a call of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -225,7 +226,8 @@ class _Field:
     The half spectrum is the canonical data of a simulation state (see
     ``nsgl.stepper.SimState``); a physical array given beside it must be its
     ``to_phys``.  A field given one representation computes the other on
-    first access and caches it; both arrays are marked read-only.
+    first access and caches it; both arrays are marked read-only, and so is
+    ``spec_abs2``, the |c|^2 of the spectrum, also computed on first use.
     """
 
     n_components = 0
@@ -247,6 +249,7 @@ class _Field:
         self.grid = grid
         self._phys = phys
         self._spec = spec
+        self._spec_abs2 = None
 
     @property
     def phys(self) -> np.ndarray:
@@ -263,6 +266,14 @@ class _Field:
             s.setflags(write=False)
             self._spec = s
         return self._spec
+
+    @property
+    def spec_abs2(self) -> np.ndarray:
+        if self._spec_abs2 is None:
+            a = np.abs(self.spec) ** 2
+            a.setflags(write=False)
+            self._spec_abs2 = a
+        return self._spec_abs2
 
     def mean_defect(self) -> float:
         """Magnitude of the k=0 coefficient (spatial mean)."""
@@ -332,12 +343,22 @@ def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> fl
     if homogeneous is None:
         homogeneous = not (isinstance(f, DirectorField) and order >= 1.0)
     g = f.grid
+    weight = _sobolev_weight(g, order, homogeneous)
+    return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * f.spec_abs2)))
+
+
+@functools.lru_cache(maxsize=16)
+def _sobolev_weight(grid: SpectralGrid, order: float, homogeneous: bool) -> np.ndarray:
+    """|k|^(2s) on the half spectrum (0 where |k|^(2s) is not finite), plus 1
+    for the full norm; computed once per grid size, order and form (a family
+    uses four)."""
     with np.errstate(divide="ignore"):
-        weight = g.k2**order if order != 0.0 else np.ones_like(g.k2)
+        weight = grid.k2**order if order != 0.0 else np.ones_like(grid.k2)
     weight = np.where(np.isfinite(weight), weight, 0.0)
     if not homogeneous:
         weight = weight + 1.0
-    return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * np.abs(f.spec) ** 2)))
+    weight.setflags(write=False)
+    return weight
 
 
 def random_band_limited(grid: SpectralGrid, n_components: int, k_max: int,

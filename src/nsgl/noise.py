@@ -57,6 +57,9 @@ class NoiseModel:
     k_points: np.ndarray = field(init=False, repr=False, compare=False)
     q_weights: np.ndarray = field(init=False, repr=False, compare=False)
     h_grad: np.ndarray | None = field(init=False, repr=False, compare=False)
+    # the directions i (0 for x1, 1 for x2) whose h_grad[i] is not identically
+    # zero: () for a constant h, (0,) for h = cos x1
+    h_dirs: tuple = field(init=False, repr=False, compare=False)
     h_mag: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_unit: np.ndarray | None = field(init=False, repr=False, compare=False)
     # sample_increment's scatter tables: per k point the coefficient scale
@@ -118,9 +121,11 @@ class NoiseModel:
             for arr, name in [(hg, "h_grad"), (mag, "h_mag"), (unit, "h_unit")]:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
+            object.__setattr__(self, "h_dirs", tuple(i for i in range(2) if np.any(hg[i])))
         else:
             for name in ("h_grad", "h_mag", "h_unit"):
                 object.__setattr__(self, name, None)
+            object.__setattr__(self, "h_dirs", ())
 
     @property
     def n_basis(self) -> int:

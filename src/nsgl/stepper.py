@@ -14,7 +14,10 @@ ledger closes at order dt^2.
 A step whose CFL bound fails is replayed as two half steps drawing their
 increments from disjoint counter substreams; rejected attempts never consume
 randomness, so every applied increment is a fresh Gaussian of the correct
-variance and replays stay bitwise reproducible.
+variance and replays stay bitwise reproducible.  Paths that share one noise
+stream (a coupled family) can share the draws too: ``step`` takes a
+``draws`` dict that keeps each increment under its counter ``(step, level,
+slot)``, so the second path to reach a counter reads the first one's draw.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .operators import (
     GLParams,
     coupling_drift_spec,
     cross3,
-    grad_pair,
     leray_project_spec,
 )
 
@@ -182,18 +184,23 @@ def required_level(state: SimState, cfg: StepperConfig) -> int:
 # -- composite step -----------------------------------------------------------
 
 def step(state: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
-         force_level: int | None = None) -> tuple[SimState, StepLedger]:
+         force_level: int | None = None,
+         draws: dict | None = None) -> tuple[SimState, StepLedger]:
     """Advance one logical step of cfg.dt, splitting under CFL pressure.
 
     ``force_level`` drives every coupled family member through the same
     substream layout so their Brownian paths stay pathwise identical.
+    ``draws``, when given, is shared by paths on the same ``noise`` stream
+    and step: an increment found in it under ``(step, level, slot)`` is
+    used as drawn, and one drawn here is stored there.
     """
     ledger = StepLedger()
-    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level)
+    draws = {} if draws is None else draws
+    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level, draws)
     return replace(new, step=state.step + 1), ledger
 
 
-def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level):
+def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws):
     if force_level is not None:
         split = level < force_level
     else:
@@ -203,10 +210,15 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level):
             raise CflError(
                 f"CFL bound still violated after {cfg.max_halvings} halvings at t={state.t:.6g}"
             )
-        mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger, force_level)
-        return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger, force_level)
+        mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger,
+                       force_level, draws)
+        return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger,
+                        force_level, draws)
 
-    inc = sample_increment(noise, dt, state.step, level=level, slot=slot)
+    key = (state.step, level, slot)
+    inc = draws.get(key)
+    if inc is None:
+        inc = draws[key] = sample_increment(noise, dt, state.step, level=level, slot=slot)
     ledger.d_eta += inc.d_eta
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
@@ -216,14 +228,19 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level):
 def _director_noise(grid, n_phys, noise, inc, dt, ledger):
     """Record the director-noise ledger terms at ``n_phys``, then rotate it.
 
-    A function of its own so that grad n and n x grad h are freed before
-    the exchange stage allocates its own work arrays.
+    Only the directions i with a nonzero d_i h (``noise.h_dirs``) enter the
+    sums: the terms of the others are exact zeros, so leaving them out keeps
+    the sums' bits, and a constant h takes no transform here at all.  A
+    function of its own so that grad n and n x grad h are freed before the
+    exchange stage allocates its own work arrays.
     """
-    grad_n = np.stack(grad_pair(grid, grid.to_spec(n_phys)))
-    cross = np.stack([cross3(n_phys, noise.h_grad[0]),
-                      cross3(n_phys, noise.h_grad[1])])
-    ledger.grad_cross_deta += grid.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
-    ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
+    dirs = noise.h_dirs
+    if dirs:
+        n_spec = grid.to_spec(n_phys)
+        grad_n = np.stack(grid.to_phys_many([grid.deriv(n_spec, i + 1) for i in dirs]))
+        cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
+        ledger.grad_cross_deta += grid.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
+        ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
     return rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
 
 

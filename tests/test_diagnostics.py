@@ -78,6 +78,10 @@ def test_covering_radius_validation(grid32):
         CoveringSet(grid32, 0.0)
     with pytest.raises(ValueError):
         CoveringSet(grid32, PI / 2.0 + 0.1)
+    # the floor is the grid spacing, itself admitted
+    with pytest.raises(ValueError, match=r"stops\.radius"):
+        CoveringSet(grid32, np.nextafter(grid32.dx, 0.0))
+    assert CoveringSet(grid32, grid32.dx).n_centers == 23 * 23
 
 
 def test_report_local_maxima_uniform_field(grid64):

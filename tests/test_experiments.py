@@ -395,3 +395,42 @@ def test_drivers_call_step_once_per_path_step(grid16, monkeypatch):
     calls.clear()
     run_coupled_family(circle_state(grid16), cfg, (0.4, 0.2, 0.1), noise, n_paths=2)
     assert len(calls) == cfg.n_steps * 2 * 3
+
+
+def test_family_draws_each_increment_once_per_step(grid16, monkeypatch):
+    """The members of a family share one Brownian path, so each (path, step,
+    level, slot) increment is drawn once, however many members there are:
+    with every step halved to level 1, a 3-member family on 2 paths draws
+    n_steps x 2 substeps x 2 paths increments.  Each member's rows equal
+    those of its solo path at the same level, which draws its own."""
+    import nsgl.experiments as experiments
+    import nsgl.stepper as stepper
+    from nsgl.io_cli import format_report
+
+    draws = []
+    plain_sample = stepper.sample_increment
+
+    def counting_sample(model, dt, step_index, level=0, slot=0):
+        draws.append((model.path_id, step_index, level, slot))
+        return plain_sample(model, dt, step_index, level=level, slot=slot)
+
+    monkeypatch.setattr(stepper, "sample_increment", counting_sample)
+    monkeypatch.setattr(experiments, "required_level", lambda state, cfg: 1)
+    cfg = StepperConfig(dt=2e-3, t_end=0.012)
+    noise = NoiseModel(grid16, seed=29, mode_cutoff=4, h=single_mode_h(grid16))
+    eps_family = (0.4, 0.2, 0.1)
+    rows = {}
+    run_coupled_family(circle_state(grid16), cfg, eps_family, noise, n_paths=2,
+                       on_member_report=lambda p, e, r: rows.setdefault(
+                           (p, e), []).append(format_report(r)))
+    assert len(draws) == cfg.n_steps * 2 * 2
+    assert sorted(draws) == sorted((p, k, 1, s) for p in range(2)
+                                   for k in range(cfg.n_steps) for s in range(2))
+    for (p, eps), family_rows in rows.items():
+        solo = []
+        path = experiments._Path(circle_state(grid16), cfg, GLParams(epsilon=eps),
+                                 dataclasses.replace(noise, path_id=p), None, "auto",
+                                 lambda st, tr: solo.append(format_report(tr.last)))
+        for _ in range(cfg.n_steps):
+            path.advance(force_level=1)
+        assert family_rows == solo, (p, eps)

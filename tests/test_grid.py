@@ -171,6 +171,36 @@ def test_sobolev_norm_zero_mode_under_negative_order(grid32):
     assert sobolev_norm(f, 0.0, homogeneous=False) > 0.0
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_sobolev_norm_cache_keeps_the_uncached_bits(grid32, rng, alpha):
+    """The weight table cached per (grid, order, form) and the field's cached
+    |c|^2 give the uncached formula bit for bit, for the four (order,
+    homogeneous) pairs of the family's distances, and both are read-only."""
+    from nsgl.grid import _sobolev_weight
+
+    g = grid32
+
+    def uncached(f, order, homogeneous):
+        with np.errstate(divide="ignore"):
+            weight = g.k2**order if order != 0.0 else np.ones_like(g.k2)
+        weight = np.where(np.isfinite(weight), weight, 0.0)
+        if not homogeneous:
+            weight = weight + 1.0
+        return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * np.abs(f.spec) ** 2)))
+
+    u = VelocityField(g, phys=random_band_limited(g, 2, 8, rng))
+    n = DirectorField(g, phys=random_band_limited(g, 3, 8, rng))
+    for f, order, homogeneous in [(u, alpha - 1.0, True), (n, alpha, False),
+                                  (u, alpha, True), (n, 1.0 + alpha, False)]:
+        for _ in range(2):  # computing, then reading the caches
+            assert sobolev_norm(f, order, homogeneous=homogeneous) \
+                == uncached(f, order, homogeneous)
+        assert not _sobolev_weight(g, order, homogeneous).flags.writeable
+        assert not f.spec_abs2.flags.writeable
+        with pytest.raises(ValueError):
+            f.spec_abs2[0, 0, 0] = 1.0
+
+
 def test_random_band_limited_properties(grid32, rng):
     phys = random_band_limited(grid32, 2, 5, rng, amplitude=0.7)
     assert np.isclose(np.max(np.abs(phys)), 0.7, rtol=1e-12)

@@ -161,6 +161,27 @@ def test_cli_run_rejects_nan_t_end(tmp_path, capsys):
     assert "config error" in err and "stepper.t_end" in err
 
 
+@pytest.mark.parametrize("command", ["run", "converge", "ensemble", "dump-config"])
+def test_cli_refuses_a_radius_below_the_grid_spacing(tmp_path, capsys, monkeypatch, command):
+    """The covering lattice grows as R^-2, so a radius below dx = 2 pi / N is
+    refused before any distance table is built, by every config command;
+    R = dx itself (pi/8 at N = 16) is admitted."""
+    import nsgl.diagnostics as diagnostics
+
+    def no_table(*args):
+        raise AssertionError("distance table built for a refused radius")
+
+    monkeypatch.setattr(diagnostics, "_wrap_dist_sq", no_table)
+    for n, radius in ((16, 1e-3), (64, 0.01), (16, math.nextafter(math.pi / 8, 0.0))):
+        body = f"[grid]\nn_modes = {n}\n[stops]\nradius = {radius!r}\n"
+        assert main([command, "-c", write_config(tmp_path, body)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("config error: stops.radius must be in")
+    monkeypatch.undo()
+    body = f"[grid]\nn_modes = 16\n[stops]\nradius = {math.pi / 8!r}\n"
+    assert main(["dump-config", "-c", write_config(tmp_path, body)]) == 0
+
+
 def test_nan_stop_delta_is_config_error(tmp_path):
     cfg = load_config(write_config(tmp_path, "[stops]\ndelta = nan\n"))
     with pytest.raises(ConfigError, match=r"stops\.delta"):

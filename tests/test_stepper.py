@@ -343,17 +343,9 @@ def test_stepper_config_rejects_negative_max_halvings():
     assert StepperConfig(dt=1e-3, t_end=1.0, max_halvings=0).max_halvings == 0
 
 
-def test_strang_step_transform_counts(grid32, monkeypatch):
-    """One unsplit Strang step with both noises on runs 21 forward and 33
-    inverse 2D transform slices, from a state whose spectra are already
-    cached, as the per-step energy report leaves them.  Each of the two
-    drift evaluations takes 6 forward and 8 inverse slices of them."""
-    g = grid32
-    src = coupled_initial_state(g)
-    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
-    state.u.spec, state.n.spec
-    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+def count_slices(monkeypatch):
+    """Wrap every numpy.fft 2D/ND transform to count the 2D slices it
+    transforms; returns the live {"forward": ..., "inverse": ...} counts."""
     slices = {"forward": 0, "inverse": 0}
 
     def counted(fn, kind):
@@ -367,21 +359,99 @@ def test_strang_step_transform_counts(grid32, monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
     for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    return slices
+
+
+def cached_state(g):
+    """The coupled initial state with its spectra already cached, as the
+    per-step energy report leaves a state."""
+    src = coupled_initial_state(g)
+    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
+    state.u.spec, state.n.spec
+    return state
+
+
+def scalar_h(g, profile):
+    x1, x2 = g.meshgrid()
+    scalar = {"constant": np.full(x1.shape, 0.8), "single_mode": np.cos(x1),
+              "two_mode": np.cos(x1) + np.cos(x2)}[profile]
+    return DirectorField.from_scalar_axis(g, scalar)
+
+
+def test_strang_step_transform_counts(grid32, monkeypatch):
+    """One unsplit Strang step with both noises on and h = cos x1 runs 21
+    forward and 30 inverse 2D transform slices, from a state whose spectra
+    are already cached, as the per-step energy report leaves them.  Each of
+    the two drift evaluations takes 6 forward and 8 inverse slices of them,
+    and the director-noise ledger 3 + 3: n forward and d1 n back, since
+    d2 h is exactly 0."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
+    assert noise.h_dirs == (0,)
+    state = cached_state(g)
+    slices = count_slices(monkeypatch)
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
-    assert slices == {"forward": 21, "inverse": 33}
+    assert slices == {"forward": 21, "inverse": 30}
+
+
+@pytest.mark.parametrize("profile, dirs, counts", [
+    ("constant", (), {"forward": 18, "inverse": 27}),
+    ("two_mode", (0, 1), {"forward": 21, "inverse": 33}),
+])
+def test_ledger_transforms_follow_the_directions_h_varies_in(grid32, monkeypatch,
+                                                              profile, dirs, counts):
+    """A constant h takes no ledger transform (18 + 27 per step); for
+    h = cos x1 + cos x2 both derivatives of n go back (21 + 33)."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, profile))
+    assert noise.h_dirs == dirs
+    state = cached_state(g)
+    slices = count_slices(monkeypatch)
+    step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
+    assert slices == counts
+
+
+def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
+    """The ledger leaves out the directions in which h does not vary.  For
+    h = cos x1 it equals the two-direction formula bit for bit; for a
+    constant h it runs no transform and both terms stay exactly 0.0."""
+    from nsgl.operators import cross3, grad_pair
+    from nsgl.stepper import StepLedger, _director_noise
+
+    g = grid32
+    n_phys = cached_state(g).n.phys
+    dt, d_eta = 1e-3, 0.0371
+    inc = dataclasses.replace(sample_increment(quiet_noise(g), dt, 0), d_eta=d_eta)
+
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
+    assert not np.any(noise.h_grad[1])
+    grad_n = np.stack(grad_pair(g, g.to_spec(n_phys)))
+    cross = np.stack([cross3(n_phys, noise.h_grad[0]), cross3(n_phys, noise.h_grad[1])])
+    ref_grad_cross = 0.0 + g.integrate(np.sum(grad_n * cross, axis=(0, 1))) * d_eta
+    ref_cross_sq = 0.0 + g.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
+    ledger = StepLedger()
+    rotated = _director_noise(g, n_phys, noise, inc, dt, ledger)
+    assert ledger.grad_cross_deta == ref_grad_cross != 0.0
+    assert ledger.cross_sq_dt == ref_cross_sq > 0.0
+    assert np.array_equal(rotated, rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta))
+
+    const = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "constant"))
+    slices = count_slices(monkeypatch)
+    ledger = StepLedger()
+    _director_noise(g, n_phys, const, inc, dt, ledger)
+    assert slices == {"forward": 0, "inverse": 0}
+    assert ledger.grad_cross_deta == 0.0 and ledger.cross_sq_dt == 0.0
 
 
 def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     """At N = 32 every stage of one unsplit Strang step packs its transforms
-    into one numpy.fft call: 5 forward and 6 inverse calls carry the 21 and
-    33 slices that one call per input takes 11 and 12 calls for."""
+    into one numpy.fft call: with h = cos x1, 5 forward and 6 inverse calls
+    carry the 21 and 30 slices that one call per input takes 11 and 11
+    calls for."""
     g = grid32
-    src = coupled_initial_state(g)
-    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
-    state.u.spec, state.n.spec
-    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+    state = cached_state(g)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     calls = {"forward": 0, "inverse": 0}
 
     def counted(fn, kind):
@@ -403,26 +473,13 @@ def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
     """A stepped state carries the spectra the step computed beside their
     to_phys, so its energy report takes 1 forward slice (w = |n|^2) and 11
     inverse (grad n, grad w, lap n); a state given by its physical arrays
-    alone takes 6 forward.  With the 21 + 33 of the step, a path-step runs
-    22 + 44."""
+    alone takes 6 forward.  With the 21 + 30 of a step with h = cos x1, a
+    path-step runs 22 + 41."""
     g = grid32
-    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=h)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     state, _ = step(coupled_initial_state(g), StepperConfig(dt=1e-3, t_end=1e-3),
                     GLParams(epsilon=0.4), noise)
-    slices = {"forward": 0, "inverse": 0}
-
-    def counted(fn, kind):
-        def wrapper(a, *args, **kwargs):
-            a = np.asarray(a)
-            slices[kind] += a.size // (a.shape[-2] * a.shape[-1])
-            return fn(a, *args, **kwargs)
-        return wrapper
-
-    for name in ("fft2", "rfft2", "fftn", "rfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
-    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    slices = count_slices(monkeypatch)
     energy_report(state, GLParams(epsilon=0.4))
     assert slices == {"forward": 1, "inverse": 11}
 

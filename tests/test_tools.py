@@ -1,0 +1,37 @@
+"""The repository's helper scripts run and say what they document."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_stream_digest_prints_one_stable_digest_per_output():
+    """tools/stream_digest.py runs run, ensemble and converge at N = 16 and
+    prints a sha256 for each stdout, stderr, NDJSON and checkpoint file;
+    two runs against one tree print the same lines."""
+    cmd = [sys.executable, str(ROOT / "tools" / "stream_digest.py"), str(ROOT / "src")]
+    first = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    second = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    assert first.stdout == second.stdout and first.stderr == ""
+    lines = first.stdout.splitlines()
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    names = [line.split("  ")[1] for line in lines]
+    assert names[:6] == ["run.stdout", "run.stderr", "run/run.ckpt", "run/run.ndjson",
+                         "ensemble.stdout", "ensemble.stderr"]
+    assert names[6:8] == ["converge.stdout", "converge.stderr"]
+    # 3 members on 2 paths, one stream each
+    assert len(names[8:]) == 6 and all(n.startswith("converge/family/") for n in names[8:])
+    # the run's summary and the reports are not empty
+    empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+    digests = dict(line.split("  ")[::-1] for line in lines)
+    assert all(digests[n] != empty for n in ("run.stderr", "ensemble.stdout",
+                                            "converge.stdout", "run/run.ndjson"))
+
+
+def test_stream_digest_usage_error():
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "stream_digest.py")],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and out.stderr.startswith("usage:")
