@@ -14,16 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpectralGrid, packed_spectra
+from .grid import SpectralGrid
 from .operators import GLParams
 from .stepper import SimState, StepLedger
 
-__all__ = [
-    "EnergyReport",
-    "CoveringSet",
-    "RunTrace",
-    "energy_report",
-]
+__all__ = ["EnergyReport", "CoveringSet", "RunTrace", "energy_report"]
 
 
 @dataclass(frozen=True)
@@ -50,17 +45,6 @@ class EnergyReport:
     local_grad_max: float = math.nan     # same for the |grad n|^2 integrand
 
 
-def _wrap_dist_sq(grid: SpectralGrid, centers) -> np.ndarray:
-    """Squared torus distance from each center (rows of an (M, 2) array) to
-    every grid point, shape (M, N, N)."""
-    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
-    d1 = np.abs(grid.x1[None, :] - c[:, 0:1])
-    d1 = np.minimum(d1, 2.0 * np.pi - d1)
-    d2 = np.abs(grid.x2[None, :] - c[:, 1:2])
-    d2 = np.minimum(d2, 2.0 * np.pi - d2)
-    return d1[:, :, None] ** 2 + d2[:, None, :] ** 2
-
-
 @dataclass(frozen=True)
 class CoveringSet:
     """Square lattice of ball centers with spacing <= R sqrt(2).
@@ -76,39 +60,55 @@ class CoveringSet:
     the flattened row prefix sums of ``local_maxima`` (N + 1 entries per
     row, the first 0) as (hi, lo, wrap): the arc's sum is ``prefix[hi] -
     prefix[lo] + prefix[wrap]``, where ``wrap`` is the row total's entry
-    for an arc that wraps and the row's leading 0 otherwise.
+    for an arc that wraps and the row's leading 0 otherwise.  Lattice and
+    grid are each one line times itself, x1 and x2 alike, so the arcs follow
+    in O(M N) memory from ``dsq``, shape (m, N), m^2 = M: the squared
+    wrapped distance from each lattice line to each grid line.
 
     The radius must be at least the grid spacing ``dx = 2 pi / N``: a ball
-    of radius 2R then holds about a dozen grid points (9 to 14 around the
-    centers at R = dx, N = 64), and the lattice at most ceil(N / sqrt 2)^2
-    centers.  A smaller radius is refused before anything is allocated,
-    since the lattice grows as R^-2.
+    of radius 2R then holds about a dozen grid points (9 to 14 at N = 64).
+    A smaller one is refused at once, since the lattice grows as R^-2.
     """
 
     grid: SpectralGrid
     radius: float
     centers: np.ndarray = field(init=False, repr=False, compare=False)
+    dsq: np.ndarray = field(init=False, repr=False, compare=False)
     arcs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        r, dx = self.radius, self.grid.dx
+        r, dx, n = self.radius, self.grid.dx, self.grid.n_modes
         if not (dx <= r <= np.pi / 2.0):
             raise ValueError(f"stops.radius must be in [2 pi / N, pi/2] = [{dx:.6g}, "
-                             f"{np.pi / 2.0:.6g}] at N = {self.grid.n_modes}, got {r}")
+                             f"{np.pi / 2.0:.6g}] at N = {n}, got {r}")
         m = int(np.ceil(2.0 * np.pi / (r * np.sqrt(2.0))))
         line = 2.0 * np.pi * np.arange(m) / m
-        centers = np.array([(a, b) for a in line for b in line])
-        inside = _wrap_dist_sq(self.grid, centers) <= (2.0 * r) ** 2
-        n = self.grid.n_modes
-        count = inside.sum(axis=2, dtype=np.int32)
-        # an arc starts at the point inside whose left neighbour is not
-        # (False < True); a full or empty row has none and is taken from 0
-        start = np.argmax(np.roll(inside, 1, axis=2) < inside, axis=2)
+        d = np.abs(self.grid.x1[None, :] - line[:, None])
+        dsq, r2 = np.minimum(d, 2.0 * np.pi - d) ** 2, (2.0 * r) ** 2
+        # center (a, b) holds point (i, j) when dsq[a, i] + dsq[b, j] <= r2.
+        # On axes (a, i, b) an arc spans offsets -lo..hi around the grid line
+        # k nearest line[b]; both ends are guessed from its half-width, off
+        # by at most one, and settled by that comparison, shrinking first:
+        # extending first can run across a one-point gap.
+        row, k = dsq[:, :, None], np.argmin(dsq, axis=1)
+        q = (line / dx - k + n / 2) % n - n / 2  # line[b] - x[k] in units of dx
+        half = np.sqrt(np.maximum(r2 - row, 0.0)) / dx
+
+        def inside(offset):
+            return row + dsq[np.arange(m), (k + offset) % n] <= r2
+
+        sign = np.array([1, -1])[:, None, None, None]  # the hi and lo ends
+        ends = np.maximum(np.floor(sign * q + half).astype(np.int64), 0)
+        ends -= ~inside(sign * ends)
+        ends += inside(sign * (ends + 1))
+        count = np.minimum(ends.sum(axis=0) + 1, n) * inside(0)
+        start = np.where((0 < count) & (count < n), (k - ends[1]) % n, 0)
+        count, start = (a.transpose(0, 2, 1).reshape(m * m, n) for a in (count, start))
         end = start + count
-        wraps = end > n
-        arcs = np.arange(n) * (n + 1) + np.stack([np.where(wraps, end - n, end), start,
-                                                  np.where(wraps, n, 0)])
-        for name, arr in [("centers", centers), ("arcs", arcs)]:
+        wrap = np.where(end > n, n, 0)
+        arcs = np.arange(n) * (n + 1) + np.stack([end - wrap, start, wrap])
+        centers = np.column_stack([np.repeat(line, m), np.tile(line, m)])
+        for name, arr in [("centers", centers), ("dsq", dsq), ("arcs", arcs)]:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
@@ -120,10 +120,10 @@ class CoveringSet:
         """Exhaustive max over grid points of the distance to the nearest center.
 
         The lattice invariant is defect <= R: every B(x, R) then sits inside
-        B(x_i, 2R) for the nearest center x_i.
+        B(x_i, 2R) for the nearest center x_i.  Rounded addition is monotone,
+        so the min over centers of dsq[a, i] + dsq[b, j] sums two minima.
         """
-        dist_sq = _wrap_dist_sq(self.grid, self.centers)
-        return float(np.sqrt(np.max(np.min(dist_sq, axis=0))))
+        return float(np.sqrt(2.0 * np.max(np.min(self.dsq, axis=0))))
 
     def local_maxima(self, integrand: np.ndarray) -> float:
         """Largest quadrature sum over the points within 2R of a center."""
@@ -149,7 +149,7 @@ def energy_report(state: SimState, gl: GLParams,
     u_phys, n_phys = state.u.phys, state.n.phys
     w = np.sum(n_phys**2, axis=0)
     # a stepped state carries its spectra, so only w goes forward here
-    u_spec, n_spec, w_spec = packed_spectra((state.u, state.n), w)
+    u_spec, n_spec, w_spec = state.u.spec, state.n.spec, g.to_spec(w)
     # each grad w slice rides with the grad n stack beside it, so N = 64
     # packs (3 + 1, 3 + 1, 3) slices
     d1, dw1, d2, dw2, lap_n = g.to_phys_many([
@@ -177,8 +177,6 @@ def energy_report(state: SimState, gl: GLParams,
     grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
     relax_sq = g.integrate(np.sum((lap_n + f_pen) ** 2, axis=0))
 
-    abs_n = np.sqrt(w)
-
     loc_e = loc_g = math.nan
     if covering is not None:
         # density of the monitored energy.  The quartic well enters with
@@ -200,8 +198,8 @@ def energy_report(state: SimState, gl: GLParams,
         lambda2=0.5 * grad_u_sq,
         eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
         eps_grad_defect=eps_grad_defect,
-        min_abs_n=float(np.min(abs_n)),
-        max_abs_n=float(np.max(abs_n)),
+        min_abs_n=math.sqrt(np.min(w)),  # sqrt is monotone and correctly rounded
+        max_abs_n=math.sqrt(np.max(w)),
         grad_n_L4=float(g.integrate(gn2**2) ** 0.25),
         u_sq=u_sq,
         grad_n_sq=grad_n_sq,

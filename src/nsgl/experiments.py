@@ -379,6 +379,9 @@ class EnsembleReport:
 
     @property
     def balance_se(self) -> float:
+        """Standard error of the balance mean; nan for fewer than 2 paths."""
+        if len(self.balance) < 2:
+            return np.nan
         return float(np.std(self.balance, ddof=1) / np.sqrt(len(self.balance)))
 
     def to_text(self) -> str:

@@ -319,20 +319,6 @@ class DirectorField(_Field):
         return np.sqrt(np.sum(self.phys**2, axis=0))
 
 
-def packed_spectra(fields, *extra) -> list:
-    """Spectra of ``fields``, then of the physical arrays ``extra``.
-
-    The fields' missing spectra and the extra arrays go forward in one
-    packed stage; the fields cache theirs as ``spec`` would.
-    """
-    missing = [f for f in fields if f._spec is None]
-    specs = fields[0].grid.to_spec_many([f._phys for f in missing] + list(extra))
-    for f, spec in zip(missing, specs):
-        spec.setflags(write=False)
-        f._spec = spec
-    return [f.spec for f in fields] + specs[len(missing):]
-
-
 def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> float:
     """Spectral Sobolev norm of order ``order``.
 

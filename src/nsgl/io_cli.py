@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import ctypes
 import math
 import os
 import struct
@@ -233,8 +234,8 @@ def parse_eps_family(text: str) -> tuple[float, ...]:
         raise ConfigError(f"convergence.eps_family: cannot parse {text!r}") from None
     if not eps:
         raise ConfigError("convergence.eps_family: needs at least one value")
-    if any(e <= 0.0 for e in eps):
-        raise ConfigError("convergence.eps_family: entries must be > 0")
+    if not all(0.0 < e < math.inf for e in eps):
+        raise ConfigError("convergence.eps_family: entries must be finite and > 0")
     if len(set(eps)) != len(eps):
         raise ConfigError("convergence.eps_family: entries must be distinct")
     return eps
@@ -692,20 +693,44 @@ _CONFIG_COMMANDS = {
 }
 
 
+def _hold_freed_heap():
+    """Fix glibc's heap thresholds at the top of their dynamic range (blocks
+    up to 32 MiB from the heap, 64 MiB of free heap kept): left to rise with
+    the largest block freed so far, they let the heap shrink and regrow
+    every step at N = 128, each time faulting in fresh pages."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+        mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
+    _hold_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
         if args.command == "check":
-            return _cmd_check(args)
-        # called through the module globals: perfbench/tracer.py times both
-        # by rebinding nsgl.io_cli.load_config and build_components
-        bundle = build_components(load_config(args.config))
-        return _CONFIG_COMMANDS[args.command](args, bundle)
+            code = _cmd_check(args)
+        else:
+            # called through the module globals: perfbench/tracer.py times
+            # both by rebinding nsgl.io_cli.load_config and build_components
+            bundle = build_components(load_config(args.config))
+            code = _CONFIG_COMMANDS[args.command](args, bundle)
+        sys.stdout.flush()  # a reader that went away shows here, not at exit
+        return code
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        # inputs are read behind a ConfigError, so an output failed
+        if isinstance(exc, BrokenPipeError):  # stdout's reader is gone: quiet the exit flush
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except (NumericsError, CflError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -1,12 +1,13 @@
 """Energy reports, covering-based local maxima, stop detectors, traces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nsgl.experiments as experiments
-from nsgl.diagnostics import CoveringSet, EnergyReport, RunTrace, _wrap_dist_sq, energy_report
+from nsgl.diagnostics import CoveringSet, EnergyReport, RunTrace, energy_report
 from nsgl.experiments import run_path
 from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from nsgl.noise import NoiseModel
@@ -82,6 +83,65 @@ def test_covering_radius_validation(grid32):
     with pytest.raises(ValueError, match=r"stops\.radius"):
         CoveringSet(grid32, np.nextafter(grid32.dx, 0.0))
     assert CoveringSet(grid32, grid32.dx).n_centers == 23 * 23
+    # at the floor N = 64 has 46^2 centers over 64^2 points; the dense
+    # (M, N, N) build traced 78 MB there
+    grid = SpectralGrid(64)
+    tracemalloc.start()
+    try:
+        CoveringSet(grid, grid.dx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
+def _wrap_dist_sq(grid, centers) -> np.ndarray:
+    """Squared torus distance from each center (rows of an (M, 2) array) to
+    every grid point, shape (M, N, N): the dense reference of the covering."""
+    c = np.atleast_2d(np.asarray(centers, dtype=np.float64))
+    d1 = np.abs(grid.x1[None, :] - c[:, 0:1])
+    d1 = np.minimum(d1, 2.0 * np.pi - d1)
+    d2 = np.abs(grid.x2[None, :] - c[:, 1:2])
+    d2 = np.minimum(d2, 2.0 * np.pi - d2)
+    return d1[:, :, None] ** 2 + d2[:, None, :] ** 2
+
+
+def dense_covering(cov, chunk=128):
+    """The arcs and the coverage defect of ``cov`` from the dense distance
+    array, as CoveringSet built them from it, ``chunk`` centers at a time:
+    the arc of a (center, row) starts at the point inside whose left
+    neighbour is not (a full or empty row from 0)."""
+    n, arcs, nearest = cov.grid.n_modes, [], np.inf
+    for lo in range(0, cov.n_centers, chunk):
+        dist = _wrap_dist_sq(cov.grid, cov.centers[lo:lo + chunk])
+        nearest = np.minimum(nearest, np.min(dist, axis=0))
+        inside = dist <= (2.0 * cov.radius) ** 2
+        count = inside.sum(axis=2, dtype=np.int32)
+        start = np.argmax(np.roll(inside, 1, axis=2) < inside, axis=2)
+        end = start + count
+        wraps = end > n
+        arcs.append(np.arange(n) * (n + 1) + np.stack([np.where(wraps, end - n, end), start,
+                                                       np.where(wraps, n, 0)]))
+    return np.concatenate(arcs, axis=1), float(np.sqrt(np.max(nearest)))
+
+
+@pytest.mark.parametrize("n", [16, 32, 48, 64, 96, 128])
+def test_covering_equals_the_dense_construction(n):
+    """The arcs built from the (m, N) line table, and the coverage defect,
+    are bitwise those of the dense (M, N, N) comparison: at the floor dx,
+    one ulp above it, at pi/8, pi/4, pi/3, pi/2 (full and wrapping arcs)
+    and at seeded random radii.  Radii below 0.1 are skipped at N >= 96,
+    where the dense reference itself is costly."""
+    grid = SpectralGrid(n)
+    radii = [grid.dx, np.nextafter(grid.dx, np.inf), PI / 8.0, PI / 4.0, PI / 3.0, PI / 2.0]
+    radii += list(np.random.default_rng(n).uniform(grid.dx, PI / 2.0, 6))
+    for radius in radii:
+        if n >= 96 and radius < 0.1:
+            continue
+        cov = CoveringSet(grid, radius)
+        arcs, defect = dense_covering(cov)
+        assert cov.arcs.dtype == arcs.dtype and np.array_equal(cov.arcs, arcs), radius
+        assert cov.coverage_defect() == defect, radius
 
 
 def test_report_local_maxima_uniform_field(grid64):

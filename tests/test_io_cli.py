@@ -7,6 +7,7 @@ asserted directly; nothing here shells out.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,22 +163,23 @@ def test_cli_run_rejects_nan_t_end(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["run", "converge", "ensemble", "dump-config"])
-def test_cli_refuses_a_radius_below_the_grid_spacing(tmp_path, capsys, monkeypatch, command):
+def test_cli_refuses_a_radius_below_the_grid_spacing(tmp_path, capsys, command):
     """The covering lattice grows as R^-2, so a radius below dx = 2 pi / N is
-    refused before any distance table is built, by every config command;
-    R = dx itself (pi/8 at N = 16) is admitted."""
-    import nsgl.diagnostics as diagnostics
-
-    def no_table(*args):
-        raise AssertionError("distance table built for a refused radius")
-
-    monkeypatch.setattr(diagnostics, "_wrap_dist_sq", no_table)
+    refused before the covering allocates, by every config command: each
+    refusal traces under 4 MB, where the arcs of N = 64 at R = 0.01 alone
+    would take 445^2 * 64 * 3 int64.  R = dx itself (pi/8 at N = 16) is
+    admitted."""
     for n, radius in ((16, 1e-3), (64, 0.01), (16, math.nextafter(math.pi / 8, 0.0))):
         body = f"[grid]\nn_modes = {n}\n[stops]\nradius = {radius!r}\n"
-        assert main([command, "-c", write_config(tmp_path, body)]) == 1
+        tracemalloc.start()
+        try:
+            assert main([command, "-c", write_config(tmp_path, body)]) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("config error: stops.radius must be in")
-    monkeypatch.undo()
     body = f"[grid]\nn_modes = 16\n[stops]\nradius = {math.pi / 8!r}\n"
     assert main(["dump-config", "-c", write_config(tmp_path, body)]) == 0
 
@@ -203,9 +205,18 @@ def test_cli_ensemble_rejects_path_ids_beyond_stream_key(tmp_path, capsys):
 
 def test_parse_eps_family():
     assert parse_eps_family("0.4, 0.2 ,0.1") == (0.4, 0.2, 0.1)
-    for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1"):
+    for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1", "0.4, nan", "inf"):
         with pytest.raises(ConfigError):
             parse_eps_family(bad)
+
+
+@pytest.mark.parametrize("family", ["nan, 0.1", "inf, 0.1"])
+def test_cli_refuses_a_non_finite_eps_family(tmp_path, capsys, family):
+    body = SMALL_RUN + f"[convergence]\neps_family = {family}\nn_paths = 1\n"
+    assert main(["converge", "-c", write_config(tmp_path, body)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: convergence.eps_family")
 
 
 # -- presets ----------------------------------------------------------------------
@@ -857,3 +868,21 @@ def test_cli_ensemble_subcommand(tmp_path, capsys):
     assert main(["ensemble", "-c", write_config(tmp_path, body)]) == 0
     out = capsys.readouterr().out
     assert "ensemble report" in out and "paths = 2" in out and "balance mean" in out
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("run", "[output]\nndjson_path = {missing}/run.ndjson\n"),
+    ("run", "[output]\ncheckpoint_path = {missing}/run.ckpt\ncheckpoint_every = 2\n"),
+    ("converge", "[convergence]\neps_family = 0.2, 0.1\nn_paths = 1\noutput_dir = {file}\n"),
+], ids=["ndjson_path", "checkpoint_path", "output_dir"])
+def test_cli_output_errors_end_in_one_line(tmp_path, capsys, command, keys):
+    """An output that cannot be written (a stream or a checkpoint in a
+    missing directory, found only at the first save after two steps; an
+    output_dir that is a file) exits 1 with one stderr line."""
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    body = SMALL_RUN + keys.format(missing=tmp_path / "missing", file=taken)
+    assert main([command, "-c", write_config(tmp_path, body)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("output error: ")
+    assert str(tmp_path) in err

@@ -20,17 +20,49 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
-def test_python_m_nsgl_runs_the_cli_without_warnings(tmp_path):
-    """``python3 -m nsgl`` is the CLI: exit 0 and nothing on stderr."""
+def nsgl_command(tmp_path, command, ini_text):
+    """``python3 -m nsgl COMMAND -c INI`` argv and environment, the package
+    taken from the tree under test."""
     import nsgl
 
     ini = tmp_path / "run.ini"
-    ini.write_text("[grid]\nn_modes = 16\n", encoding="utf-8")
+    ini.write_text(ini_text, encoding="utf-8")
     src = os.path.dirname(os.path.dirname(os.path.abspath(nsgl.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-m", "nsgl", "dump-config", "-c", str(ini)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return [sys.executable, "-m", "nsgl", command, "-c", str(ini)], env
+
+
+def test_python_m_nsgl_runs_the_cli_without_warnings(tmp_path):
+    """``python3 -m nsgl`` is the CLI: exit 0 and nothing on stderr."""
+    argv, env = nsgl_command(tmp_path, "dump-config", "[grid]\nn_modes = 16\n")
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0
     assert done.stderr == ""
     assert "n_modes = 16" in done.stdout
+
+
+def test_single_path_ensemble_reports_nan_se_without_warnings(tmp_path):
+    """One path has no sample standard deviation: se = nan, stderr empty."""
+    ini = ("[grid]\nn_modes = 16\n[stepper]\ndt = 5e-3\nt_end = 0.01\n"
+           "[ensemble]\nn_paths = 1\n")
+    argv, env = nsgl_command(tmp_path, "ensemble", ini)
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert "paths = 1" in done.stdout and "se = nan" in done.stdout
+
+
+def test_a_closed_stdout_ends_in_one_stderr_line(tmp_path):
+    """``nsgl run | head -1`` with the reader gone before the first row:
+    exit 1, one stderr line, no traceback and nothing from the interpreter's
+    flush at exit."""
+    ini = "[grid]\nn_modes = 16\n[stepper]\ndt = 5e-3\nt_end = 0.02\n"
+    argv, env = nsgl_command(tmp_path, "run", ini)
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env, text=True)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err.startswith("output error: ") and err.count("\n") == 1

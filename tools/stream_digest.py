@@ -7,10 +7,12 @@ package).  In a temporary directory the script runs, through
 ``python3 -m nsgl`` with ``PYTHONPATH=SRC``:
 
 * ``run`` at N = 16 with ``h = cos x1``, writing NDJSON and a checkpoint
-  every 5 steps;
+  every 5 steps, with ``stops.radius = pi/8``: the floor dx at N = 16,
+  12^2 = 144 covering centers;
 * ``ensemble`` at N = 16 with a constant h, 4 paths;
 * ``converge`` at N = 16 with ``h = cos x1``, 3 members on 2 paths, a CFL
-  safety small enough that every step is halved once, and member streams.
+  safety small enough that every step is halved once, member streams, and
+  ``stops.radius = pi/2``, whose covering has full and wrapping arcs.
 
 It prints one ``sha256  name`` line for the stdout and stderr of each call
 and for each NDJSON and checkpoint file, in a fixed order, then exits with
@@ -51,6 +53,8 @@ seed = 301
 u0 = random_band
 u0_amplitude = 0.3
 n0 = random_unit
+[stops]
+radius = 0.39269908169872414
 [output]
 ndjson_path = run.ndjson
 checkpoint_path = run.ckpt
@@ -90,6 +94,7 @@ u0 = taylor_green
 n0 = circle_x1
 [stops]
 delta = 1e9
+radius = 1.5707963267948966
 [convergence]
 eps_family = 0.4, 0.2, 0.1
 n_paths = 2
