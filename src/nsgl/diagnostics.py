@@ -133,7 +133,7 @@ class CoveringSet:
         sums, lo, wrap = prefix.take(self.arcs)
         sums -= lo
         sums += wrap
-        return float(np.max(sums.sum(axis=1))) * self.grid.quad_weight
+        return float(sums.sum(axis=1).max()) * self.grid.quad_weight
 
 
 def energy_report(state: SimState, gl: GLParams,
@@ -147,7 +147,7 @@ def energy_report(state: SimState, gl: GLParams,
     """
     g = state.grid
     u_phys, n_phys = state.u.phys, state.n.phys
-    w = np.sum(n_phys**2, axis=0)
+    w = (n_phys**2).sum(axis=0)
     # a stepped state carries its spectra, so only w goes forward here
     u_spec, n_spec, w_spec = state.u.spec, state.n.spec, g.to_spec(w)
     # each grad w slice rides with the grad n stack beside it, so N = 64
@@ -165,17 +165,17 @@ def energy_report(state: SimState, gl: GLParams,
         derivs_out.extend((grad_n[0], grad_n[1], lap_n))
     eps_grad_defect = g.l2_norm_phys(grad_w) / gl.epsilon
     del grad_w
-    gn2 = np.sum(grad_n**2, axis=(0, 1))
+    gn2 = (grad_n**2).sum(axis=(0, 1))
 
     defect = 1.0 - w
     gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
     f_pen = defect * n_phys / gl.epsilon**2  # operators.gl_penalty_phys, from w
 
-    u2 = np.sum(u_phys**2, axis=0)
+    u2 = (u_phys**2).sum(axis=0)
     u_sq = g.integrate(u2)
     grad_n_sq = g.integrate(gn2)
-    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
-    relax_sq = g.integrate(np.sum((lap_n + f_pen) ** 2, axis=0))
+    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(u_spec) ** 2)
+    relax_sq = g.integrate(((lap_n + f_pen) ** 2).sum(axis=0))
 
     loc_e = loc_g = math.nan
     if covering is not None:
@@ -194,16 +194,16 @@ def energy_report(state: SimState, gl: GLParams,
         energy_E=u_sq + grad_n_sq + 2.0 * gl_mass,
         enstrophy_D=grad_u_sq + relax_sq,
         gl_mass=gl_mass,
-        lambda1=0.5 * g.integrate(np.sum(lap_n**2, axis=0)),
+        lambda1=0.5 * g.integrate((lap_n**2).sum(axis=0)),
         lambda2=0.5 * grad_u_sq,
         eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
         eps_grad_defect=eps_grad_defect,
-        min_abs_n=math.sqrt(np.min(w)),  # sqrt is monotone and correctly rounded
-        max_abs_n=math.sqrt(np.max(w)),
+        min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
+        max_abs_n=math.sqrt(w.max()),
         grad_n_L4=float(g.integrate(gn2**2) ** 0.25),
         u_sq=u_sq,
         grad_n_sq=grad_n_sq,
-        max_abs_u=float(np.max(np.sqrt(u2))),
+        max_abs_u=float(np.sqrt(u2).max()),
         div_defect=state.u.divergence_defect(),
         local_energy_max=loc_e,
         local_grad_max=loc_g,

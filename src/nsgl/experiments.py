@@ -214,7 +214,7 @@ class ConvergenceReport:
 def _limit_drift(state: SimState, d1, d2, lap) -> np.ndarray:
     """Drift lap n + |grad n|^2 n - u.grad n of the limit equation at ``state``,
     from the physical derivatives of n its energy report computed."""
-    grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
+    grad_sq = (d1 * d1 + d2 * d2).sum(axis=0)
     conv = state.u.phys[0] * d1 + state.u.phys[1] * d2
     return lap + grad_sq * state.n.phys - conv
 

@@ -77,12 +77,21 @@ class SpectralGrid:
     -----
     Index [i, j] corresponds to the point (x1[i], x2[j]).  Wavenumber tables
     broadcast over the half spectrum: ``kx`` has shape (N, 1), ``ky`` shape
-    (1, N/2+1).  ``k2_safe`` is |k|^2 with the zero mode set to 1, a safe
-    divisor.  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
+    (1, N/2+1).  ``k2_safe`` is |k|^2 with the zero mode set to 1, the Leray
+    projection's divisor, in complex128.  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
     kills the unpaired Nyquist lines, the k1 = -N/2 row and the k2 = N/2
     column, after every differentiation; ``ik1`` and ``ik2`` are the
     derivative multipliers i*k*diff_mask.  ``herm_weight`` (shape
     (1, N/2+1)) weights half-spectrum sums so they equal full-spectrum sums.
+
+    The tables a step multiplies spectra by are held in complex128, the
+    spectra's dtype, so no call casts a bool or float table first:
+    ``dealias_c`` (the mask), ``lap_c`` (the Laplacian multiplier
+    -k2 * diff_mask), and ``kx_c``, ``ky_c`` and ``k2_safe`` (the Leray
+    projection's).  numpy multiplies and divides a complex array by a real
+    or bool one by casting it to complex first, so the products keep their
+    bits (the Laplacian's up to the sign of a zero, since it folds two
+    factors into one).
     """
 
     n_modes: int
@@ -97,6 +106,10 @@ class SpectralGrid:
     ik1: np.ndarray = field(init=False, repr=False, compare=False)
     ik2: np.ndarray = field(init=False, repr=False, compare=False)
     herm_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    dealias_c: np.ndarray = field(init=False, repr=False, compare=False)
+    lap_c: np.ndarray = field(init=False, repr=False, compare=False)
+    kx_c: np.ndarray = field(init=False, repr=False, compare=False)
+    ky_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_modes
@@ -111,11 +124,14 @@ class SpectralGrid:
         diff = (kx != -(n // 2)) & (ky != n // 2)
         weight = np.full(ky.shape, 2.0)
         weight[:, [0, -1]] = 1.0
+        c = np.complex128
         for name, val in [
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
-            ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2)),
+            ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2).astype(c)),
             ("dealias_mask", dealias), ("diff_mask", diff),
             ("ik1", 1j * kx * diff), ("ik2", 1j * ky * diff), ("herm_weight", weight),
+            ("dealias_c", dealias.astype(c)), ("lap_c", (-k2 * diff).astype(c)),
+            ("kx_c", kx.astype(c)), ("ky_c", ky.astype(c)),
         ]:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -169,8 +185,8 @@ class SpectralGrid:
         emptied on entry and each input is dropped once its group has gone
         through, so no input outlives its own transform here.
         """
-        counts = [a.size // math.prod(a.shape[-2:]) for a in arrays]
         leading = [a.shape[:-2] for a in arrays]
+        counts = [math.prod(lead) for lead in leading]
         pending = arrays[::-1]
         arrays.clear()
         out = []
@@ -178,13 +194,14 @@ class SpectralGrid:
             if stop - start == 1:
                 out.append(transform(pending.pop()))
                 continue
-            packed = np.concatenate([a.reshape(-1, *a.shape[-2:])
-                                     for a in (pending.pop() for _ in range(start, stop))])
+            group = [pending.pop() for _ in range(start, stop)]
+            packed = np.concatenate([a.reshape((-1,) + a.shape[-2:]) for a in group])
+            del group
             flat = transform(packed)
             del packed
-            first = 0
+            first, tail = 0, flat.shape[-2:]
             for count, lead in zip(counts[start:stop], leading[start:stop]):
-                out.append(flat[first:first + count].reshape(*lead, *flat.shape[-2:]))
+                out.append(flat[first:first + count].reshape(lead + tail))
                 first += count
         return out
 
@@ -195,29 +212,31 @@ class SpectralGrid:
         return (self.ik1 if axis == 1 else self.ik2) * spec
 
     def laplacian(self, spec: np.ndarray) -> np.ndarray:
-        return -self.k2 * spec * self.diff_mask
+        return self.lap_c * spec
 
     def dealias(self, spec: np.ndarray) -> np.ndarray:
-        return spec * self.dealias_mask
+        return spec * self.dealias_c
 
     # -- quadrature ---------------------------------------------------------
+    # reductions are ndarray methods: the same ufunc reduce as np.sum and
+    # np.max, without their Python wrappers
 
     def integrate(self, phys: np.ndarray) -> float:
-        return float(np.sum(phys)) * self.quad_weight
+        return float(phys.sum()) * self.quad_weight
 
     def l2_norm_phys(self, phys: np.ndarray) -> float:
         """L2 norm of a (multi-component) physical field."""
-        return float(np.sqrt(np.sum(phys * phys) * self.quad_weight))
+        return math.sqrt((phys * phys).sum() * self.quad_weight)
 
     def spec_sum(self, values: np.ndarray) -> float:
         """Full-spectrum sum of a real per-mode quantity given on the half spectrum."""
-        return float(np.sum(self.herm_weight * values))
+        return float((self.herm_weight * values).sum())
 
     def l2_norm_spec(self, spec: np.ndarray) -> float:
-        return float(2.0 * np.pi * np.sqrt(self.spec_sum(np.abs(spec) ** 2)))
+        return 2.0 * np.pi * math.sqrt(self.spec_sum(abs(spec) ** 2))
 
     def l2_inner_spec(self, a: np.ndarray, b: np.ndarray) -> float:
-        return (2.0 * np.pi) ** 2 * self.spec_sum(np.real(a * np.conj(b)))
+        return (2.0 * np.pi) ** 2 * self.spec_sum((a * b.conj()).real)
 
 
 class _Field:

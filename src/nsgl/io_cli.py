@@ -27,6 +27,7 @@ import argparse
 import configparser
 import contextlib
 import ctypes
+import errno
 import math
 import os
 import struct
@@ -419,7 +420,8 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
     3*N*(N/2+1) complex128, C order, little endian.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
-    so a write that fails midway leaves the previous checkpoint whole.
+    so a write that fails midway leaves the previous checkpoint whole; an
+    ``OSError`` on that file names ``path``.
     """
     n = state.grid.n_modes
     header = _CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, n, state.step,
@@ -432,9 +434,11 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
             fh.write(np.ascontiguousarray(state.u.spec, dtype="<c16").tobytes())
             fh.write(np.ascontiguousarray(state.n.spec, dtype="<c16").tobytes())
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
         raise
 
 
@@ -585,6 +589,9 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     every = cfg.get("output", "report_every")
     ck_path = cfg.get("output", "checkpoint_path")
     ck_every = cfg.get("output", "checkpoint_every")
+    # a checkpoint that cannot be saved fails the run before any row or step
+    if ck_path and not os.path.isdir(os.path.dirname(ck_path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), ck_path)
     sink = sys.stdout if out_path == "-" else open(out_path, "w", encoding="utf-8")
 
     def on_report(state, trace):

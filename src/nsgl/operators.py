@@ -40,10 +40,16 @@ class GLParams:
 # -- array kernels ------------------------------------------------------------
 
 def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
-    """Remove the gradient part mode-by-mode and zero the mean."""
-    kdotu = grid.kx * u_spec[0] + grid.ky * u_spec[1]
-    out = np.stack([u_spec[0] - grid.kx * kdotu / grid.k2_safe,
-                    u_spec[1] - grid.ky * kdotu / grid.k2_safe])
+    """Remove the gradient part mode-by-mode and zero the mean.
+
+    The gradient part is ``(k * kdotu) / k2_safe``, multiplied before it is
+    divided: ``k * (kdotu / k2_safe)`` rounds differently.
+    """
+    kx, ky, k2 = grid.kx_c, grid.ky_c, grid.k2_safe
+    kdotu = kx * u_spec[0] + ky * u_spec[1]
+    out = np.empty((2, *kdotu.shape), kdotu.dtype)
+    np.subtract(u_spec[0], kx * kdotu / k2, out=out[0])
+    np.subtract(u_spec[1], ky * kdotu / k2, out=out[1])
     out[:, 0, 0] = 0.0
     return out
 
@@ -60,16 +66,15 @@ def _transport_phys(u_phys, d1, d2) -> np.ndarray:
 
 def _stress_phys(d1, d2) -> list:
     """The three distinct entries t11, t12, t22 of grad(n) (.) grad(n)."""
-    return [np.sum(d1 * d1, axis=0), np.sum(d1 * d2, axis=0), np.sum(d2 * d2, axis=0)]
+    return [(d1 * d1).sum(axis=0), (d1 * d2).sum(axis=0), (d2 * d2).sum(axis=0)]
 
 
 def _stress_div(grid, t11, t12, t22) -> np.ndarray:
     """Projected divergence of the stress from its spectral entries, dealiased here."""
     t11, t12, t22 = (grid.dealias(t) for t in (t11, t12, t22))
-    div = np.stack([
-        grid.deriv(t11, 1) + grid.deriv(t12, 2),
-        grid.deriv(t12, 1) + grid.deriv(t22, 2),
-    ])
+    div = np.empty((2, *t11.shape), t11.dtype)
+    np.add(grid.deriv(t11, 1), grid.deriv(t12, 2), out=div[0])
+    np.add(grid.deriv(t12, 1), grid.deriv(t22, 2), out=div[1])
     return leray_project_spec(grid, div)
 
 
@@ -112,12 +117,12 @@ def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarr
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of (3, ...) component stacks."""
-    return np.stack([
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    ])
+    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
 
 
 def gl_penalty_phys(n_phys: np.ndarray, epsilon: float) -> np.ndarray:
-    return (1.0 - np.sum(n_phys * n_phys, axis=0)) * n_phys / epsilon**2
+    return (1.0 - (n_phys * n_phys).sum(axis=0)) * n_phys / epsilon**2

@@ -140,7 +140,7 @@ def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float) -> np.ndarra
     |n|^2 evolves as y -> y / ((1-y) exp(-2 dt/eps^2) + y); the denominator is
     positive for every y >= 0, and the overflow-free form holds for any dt.
     """
-    y0 = np.sum(n_phys * n_phys, axis=0)
+    y0 = (n_phys * n_phys).sum(axis=0)
     decay = np.exp(-2.0 * dt / epsilon**2)
     denom = np.maximum((1.0 - y0) * decay + y0, 1e-300)  # 0/0 guard at n = 0
     return n_phys / np.sqrt(denom)
@@ -152,7 +152,7 @@ def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float) -> np.ndarray:
     c = np.cos(theta)
     s = np.sin(theta)
     axn = cross3(h_unit, n_phys)
-    adotn = np.sum(h_unit * n_phys, axis=0)
+    adotn = (h_unit * n_phys).sum(axis=0)
     return n_phys * c + axn * s + h_unit * (adotn * (1.0 - c))
 
 
@@ -167,7 +167,7 @@ def midpoint_exchange(grid, u_spec, n_spec, dt):
 
 def _cfl_limit(state: SimState, cfg: StepperConfig) -> float:
     """Largest step meeting the advective CFL bound; inf when u is at rest."""
-    speed = float(np.max(np.abs(state.u.phys)))
+    speed = float(abs(state.u.phys).max())
     if speed <= 0.0:
         return math.inf
     return cfg.cfl_safety * state.grid.dx / speed
@@ -226,22 +226,27 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws)
 
 
 def _director_noise(grid, n_phys, noise, inc, dt, ledger):
-    """Record the director-noise ledger terms at ``n_phys``, then rotate it.
+    """Rotate ``n_phys``, record the director-noise ledger terms at the
+    unrotated director, and return the spectrum of the rotated one.
 
-    Only the directions i with a nonzero d_i h (``noise.h_dirs``) enter the
-    sums: the terms of the others are exact zeros, so leaving them out keeps
-    the sums' bits, and a constant h takes no transform here at all.  A
-    function of its own so that grad n and n x grad h are freed before the
-    exchange stage allocates its own work arrays.
+    The rotation reads neither ledger term, so it goes first and the
+    unrotated and rotated directors go forward in one ``to_spec_many``
+    call.  Only the directions i with a nonzero d_i h (``noise.h_dirs``)
+    enter the sums: the terms of the others are exact zeros, so leaving
+    them out keeps the sums' bits, and a constant h takes no ledger
+    transform at all.  A function of its own so that grad n and n x grad h
+    are freed before the exchange stage allocates its own work arrays.
     """
+    rotated = rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
     dirs = noise.h_dirs
-    if dirs:
-        n_spec = grid.to_spec(n_phys)
-        grad_n = np.stack(grid.to_phys_many([grid.deriv(n_spec, i + 1) for i in dirs]))
-        cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
-        ledger.grad_cross_deta += grid.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
-        ledger.cross_sq_dt += grid.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
-    return rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
+    if not dirs:
+        return grid.to_spec(rotated)
+    n_spec, rotated_spec = grid.to_spec_many([n_phys, rotated])
+    grad_n = np.stack(grid.to_phys_many([grid.deriv(n_spec, i + 1) for i in dirs]))
+    cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
+    ledger.grad_cross_deta += grid.integrate((grad_n * cross).sum(axis=(0, 1))) * inc.d_eta
+    ledger.cross_sq_dt += grid.integrate((cross * cross).sum(axis=(0, 1))) * dt
+    return rotated_spec
 
 
 def _composite(state, dt, inc, gl, noise, ledger):
@@ -251,9 +256,12 @@ def _composite(state, dt, inc, gl, noise, ledger):
     n_phys = gl_reaction_phys(grid.to_phys(diffuse_spec(grid, state.n.spec, half)),
                               half, gl.epsilon)
     if noise.director_on and noise.h is not None:
-        n_phys = _director_noise(grid, n_phys, noise, inc, dt, ledger)
+        n_spec = _director_noise(grid, n_phys, noise, inc, dt, ledger)
+    else:
+        n_spec = grid.to_spec(n_phys)
+    del n_phys  # the exchange stage below is the step's memory peak
 
-    u_spec, n_spec = midpoint_exchange(grid, u_spec, grid.to_spec(n_phys), dt)
+    u_spec, n_spec = midpoint_exchange(grid, u_spec, n_spec, dt)
     if noise.velocity_on:
         ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW.spec[0]) \
             + grid.l2_inner_spec(u_spec[1], inc.dW.spec[1])

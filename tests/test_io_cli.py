@@ -877,8 +877,8 @@ def test_cli_ensemble_subcommand(tmp_path, capsys):
 ], ids=["ndjson_path", "checkpoint_path", "output_dir"])
 def test_cli_output_errors_end_in_one_line(tmp_path, capsys, command, keys):
     """An output that cannot be written (a stream or a checkpoint in a
-    missing directory, found only at the first save after two steps; an
-    output_dir that is a file) exits 1 with one stderr line."""
+    missing directory; an output_dir that is a file) exits 1 with one
+    stderr line."""
     taken = tmp_path / "taken"
     taken.write_text("", encoding="utf-8")
     body = SMALL_RUN + keys.format(missing=tmp_path / "missing", file=taken)
@@ -886,3 +886,35 @@ def test_cli_output_errors_end_in_one_line(tmp_path, capsys, command, keys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("output error: ")
     assert str(tmp_path) in err
+
+
+def test_cli_run_checks_the_checkpoint_directory_before_any_row(tmp_path, capsys):
+    """A checkpoint path in a missing directory fails the run before it
+    opens the NDJSON stream or takes a step: no row is written, and the one
+    stderr line names the configured path, not a temporary file."""
+    ckpt = tmp_path / "missing" / "run.ckpt"
+    body = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + (
+        f"[output]\nndjson_path = {tmp_path / 'run.ndjson'}\n"
+        f"checkpoint_path = {ckpt}\ncheckpoint_every = 5\n")
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"output error: [Errno 2] No such file or directory: '{ckpt}'\n"
+    assert not (tmp_path / "run.ndjson").exists()
+
+
+def test_failed_checkpoint_save_names_the_configured_path(grid16, tmp_path, monkeypatch):
+    """An OSError on the temporary file, here from the final rename, names
+    the checkpoint path the caller gave."""
+    import nsgl.io_cli as io_cli
+
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", src, dst)
+
+    monkeypatch.setattr(io_cli.os, "replace", refuse)
+    path = str(tmp_path / "state.ckpt")
+    with pytest.raises(PermissionError) as info:
+        save_checkpoint(path, small_state(grid16), RunTrace(), GLParams(epsilon=0.25),
+                        NoiseModel(grid16, mode_cutoff=4), CFG_HASH)
+    assert str(info.value) == f"[Errno 13] Permission denied: {path!r}"
+    assert list(tmp_path.iterdir()) == []

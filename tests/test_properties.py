@@ -1,5 +1,6 @@
 """Property tests: the checkpoint and config round trips over random inputs,
-and the invariants a long noisy run keeps on its spectral state.
+the invariants a long noisy run keeps on its spectral state, and the
+complex spectral tables against the expressions they replaced.
 
 The examples are derandomized, so every run of the suite draws the same
 ones, and few, so the suite's time barely moves.
@@ -28,7 +29,7 @@ from nsgl.io_cli import (  # noqa: E402
     save_checkpoint,
 )
 from nsgl.noise import NoiseModel  # noqa: E402
-from nsgl.operators import GLParams, leray_project_spec  # noqa: E402
+from nsgl.operators import GLParams, cross3, leray_project_spec  # noqa: E402
 from nsgl.stepper import SimState, StepperConfig, step  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -108,6 +109,46 @@ def test_long_noisy_run_keeps_the_spectral_velocity_valid():
     assert worst["u_herm"] <= 1e-15 and worst["n_herm"] <= 1e-15, worst
     assert worst["band"] == 0.0, worst
     assert worst["div"] <= 1e-14, worst
+
+
+def _half_spectrum(rng, grid, scale, zero_share):
+    """(3, N, N/2+1) complex128 with parts of size ``scale``, the zero mode
+    included, and about ``zero_share`` of the real and imaginary parts set
+    to +0.0 or -0.0, so signed zeros meet every table entry."""
+    parts = scale * rng.standard_normal((2, 3, *grid.spec_shape))
+    zeros = rng.random(parts.shape) < zero_share
+    parts[zeros] = np.copysign(0.0, rng.standard_normal(np.count_nonzero(zeros)))
+    return parts[0] + 1j * parts[1]
+
+
+@PROPERTY
+@given(n=st.sampled_from(sorted(GRIDS)), seed=st.integers(0, 2**32 - 1),
+       scale_exp=st.integers(-300, 300), zero_share=st.sampled_from([0.0, 0.1, 0.5, 1.0]))
+def test_complex_tables_keep_the_bits(n, seed, scale_exp, zero_share):
+    """``dealias``, ``laplacian``, ``leray_project_spec`` and ``cross3``
+    equal the expressions they replaced: the bool-mask product, -k2 * spec
+    * diff_mask, the float-table projection and the ``np.stack`` cross
+    product.  All but the Laplacian keep every bit; the Laplacian folds two
+    factors into one table, so it may differ in the sign of a zero."""
+    grid = GRIDS[n]
+    rng = np.random.default_rng(seed)
+    spec = _half_spectrum(rng, grid, 10.0 ** scale_exp, zero_share)
+
+    assert grid.dealias(spec).tobytes() == (spec * grid.dealias_mask).tobytes()
+    assert np.array_equal(grid.laplacian(spec), -grid.k2 * spec * grid.diff_mask)
+
+    u = spec[:2]
+    k2_safe = np.where(grid.k2 == 0.0, 1.0, grid.k2)
+    kdotu = grid.kx * u[0] + grid.ky * u[1]
+    old = np.stack([u[0] - grid.kx * kdotu / k2_safe,
+                    u[1] - grid.ky * kdotu / k2_safe])
+    old[:, 0, 0] = 0.0
+    assert leray_project_spec(grid, u).tobytes() == old.tobytes()
+
+    a, b = (grid.to_phys(s) for s in (spec, _half_spectrum(rng, grid, 1.0, zero_share)))
+    stacked = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                        a[0] * b[1] - a[1] * b[0]])
+    assert cross3(a, b).tobytes() == stacked.tobytes()
 
 
 # text the INI echo keeps as it is: no comment prefixes, no line breaks, no

@@ -343,15 +343,15 @@ def test_stepper_config_rejects_negative_max_halvings():
     assert StepperConfig(dt=1e-3, t_end=1.0, max_halvings=0).max_halvings == 0
 
 
-def count_slices(monkeypatch):
-    """Wrap every numpy.fft 2D/ND transform to count the 2D slices it
-    transforms; returns the live {"forward": ..., "inverse": ...} counts."""
-    slices = {"forward": 0, "inverse": 0}
+def count_fft(monkeypatch, per_call):
+    """Wrap every numpy.fft 2D/ND transform to add ``per_call(a)`` for its
+    input ``a``; returns the live {"forward": ..., "inverse": ...} counts."""
+    counts = {"forward": 0, "inverse": 0}
 
     def counted(fn, kind):
         def wrapper(a, *args, **kwargs):
             a = np.asarray(a)
-            slices[kind] += a.size // (a.shape[-2] * a.shape[-1])
+            counts[kind] += per_call(a)
             return fn(a, *args, **kwargs)
         return wrapper
 
@@ -359,7 +359,17 @@ def count_slices(monkeypatch):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
     for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
-    return slices
+    return counts
+
+
+def count_slices(monkeypatch):
+    """The 2D slices numpy.fft transforms (see ``count_fft``)."""
+    return count_fft(monkeypatch, lambda a: a.size // (a.shape[-2] * a.shape[-1]))
+
+
+def count_calls(monkeypatch):
+    """The numpy.fft transform calls (see ``count_fft``)."""
+    return count_fft(monkeypatch, lambda a: 1)
 
 
 def cached_state(g):
@@ -434,39 +444,75 @@ def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
     rotated = _director_noise(g, n_phys, noise, inc, dt, ledger)
     assert ledger.grad_cross_deta == ref_grad_cross != 0.0
     assert ledger.cross_sq_dt == ref_cross_sq > 0.0
-    assert np.array_equal(rotated, rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta))
+    assert np.array_equal(rotated,
+                          g.to_spec(rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta)))
 
     const = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "constant"))
     slices = count_slices(monkeypatch)
     ledger = StepLedger()
     _director_noise(g, n_phys, const, inc, dt, ledger)
-    assert slices == {"forward": 0, "inverse": 0}
+    assert slices == {"forward": 3, "inverse": 0}  # the rotated director alone
     assert ledger.grad_cross_deta == 0.0 and ledger.cross_sq_dt == 0.0
+
+
+@pytest.mark.parametrize("profile", ["constant", "single_mode", "two_mode"])
+def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
+    """``_director_noise`` rotates first and sends the unrotated and rotated
+    directors forward in one call.  Its ledger sums and rotated spectrum
+    equal, bit for bit, those of the ledger-first order: n forward alone,
+    the sums, then the rotation and its own forward transform."""
+    from nsgl.operators import cross3
+    from nsgl.stepper import StepLedger, _director_noise
+
+    g = grid32
+    n_phys = cached_state(g).n.phys
+    dt = 1e-3
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, profile))
+    inc = dataclasses.replace(sample_increment(noise, dt, 0), d_eta=-0.0213)
+
+    ref = StepLedger(grad_cross_deta=0.25, cross_sq_dt=0.5)
+    dirs = noise.h_dirs
+    if dirs:
+        n_spec = g.to_spec(n_phys)
+        grad_n = np.stack(g.to_phys_many([g.deriv(n_spec, i + 1) for i in dirs]))
+        cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
+        ref.grad_cross_deta += g.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
+        ref.cross_sq_dt += g.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
+    ref_spec = g.to_spec(rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta))
+
+    ledger = StepLedger(grad_cross_deta=0.25, cross_sq_dt=0.5)
+    spec = _director_noise(g, n_phys, noise, inc, dt, ledger)
+    assert ledger == ref
+    assert spec.tobytes() == ref_spec.tobytes()
 
 
 def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     """At N = 32 every stage of one unsplit Strang step packs its transforms
-    into one numpy.fft call: with h = cos x1, 5 forward and 6 inverse calls
+    into one numpy.fft call: with h = cos x1, 4 forward and 6 inverse calls
     carry the 21 and 30 slices that one call per input takes 11 and 11
-    calls for."""
+    calls for.  The forward calls are the director-noise stage (n and the
+    rotated n), the two drift evaluations and the second reaction."""
     g = grid32
     state = cached_state(g)
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
-    calls = {"forward": 0, "inverse": 0}
-
-    def counted(fn, kind):
-        def wrapper(*args, **kwargs):
-            calls[kind] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in ("fft2", "rfft2", "fftn", "rfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
-    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    calls = count_calls(monkeypatch)
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
-    assert calls == {"forward": 5, "inverse": 6}
+    assert calls == {"forward": 4, "inverse": 6}
+
+
+def test_path_step_numpy_fft_calls(grid32, monkeypatch):
+    """A path-step at N = 32 (one step and the energy report of its state,
+    as ``experiments._Path.advance`` takes them) makes 12 numpy.fft calls:
+    the step's 4 + 6, and the report's 1 + 1."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
+    gl = GLParams(epsilon=0.4)
+    state = cached_state(g)
+    calls = count_calls(monkeypatch)
+    new, _ = step(state, StepperConfig(dt=1e-3, t_end=1e-3), gl, noise)
+    energy_report(new, gl)
+    assert calls == {"forward": 5, "inverse": 7}
 
 
 def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):

@@ -31,6 +31,26 @@ def test_stream_digest_prints_one_stable_digest_per_output():
                                             "converge.stdout", "run/run.ndjson"))
 
 
+def test_stream_digest_of_the_benchmark_workloads():
+    """``--workloads`` runs the three benchmark workloads at seed 301 and
+    prints one digest per output: 16 lines, stdout and stderr of each call,
+    the 8 member streams of ``family-n64`` and the NDJSON and checkpoint of
+    ``run-n128``."""
+    cmd = [sys.executable, str(ROOT / "tools" / "stream_digest.py"), "--workloads",
+           str(ROOT / "src")]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    assert out.stderr == ""
+    lines = out.stdout.splitlines()
+    assert len(lines) == 16
+    assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
+    names = [line.split("  ")[1] for line in lines]
+    assert names[:4] == ["ensemble-n32.stdout", "ensemble-n32.stderr",
+                         "family-n64.stdout", "family-n64.stderr"]
+    assert all(n.startswith("family-n64/family/path00") for n in names[4:12])
+    assert names[12:] == ["run-n128.stdout", "run-n128.stderr", "run-n128/run.ckpt",
+                          "run-n128/run.ndjson"]
+
+
 def test_stream_digest_usage_error():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "stream_digest.py")],
                          capture_output=True, text=True)

@@ -1,10 +1,15 @@
-"""sha256 digests of every output of three small fixed-seed ``nsgl`` calls.
+"""sha256 digests of every output of three fixed-seed ``nsgl`` calls.
 
-    python3 tools/stream_digest.py SRC
+    python3 tools/stream_digest.py [--workloads] SRC
 
 SRC is the ``src`` directory of a checkout (the one holding the ``nsgl``
 package).  In a temporary directory the script runs, through
-``python3 -m nsgl`` with ``PYTHONPATH=SRC``:
+``python3 -m nsgl`` with ``PYTHONPATH=SRC``, either the three small calls
+below or, with ``--workloads``, the benchmark's three workloads at seed 301
+(their INIs come from ``perfbench/workloads.py`` beside this script), which
+write 16 files: ``ensemble-n32`` its stdout and stderr, ``family-n64`` those
+and 8 member streams, ``run-n128`` those, its NDJSON and its checkpoint.
+The small calls are:
 
 * ``run`` at N = 16 with ``h = cos x1``, writing NDJSON and a checkpoint
   every 5 steps, with ``stops.radius = pi/8``: the floor dx at N = 16,
@@ -18,17 +23,22 @@ It prints one ``sha256  name`` line for the stdout and stderr of each call
 and for each NDJSON and checkpoint file, in a fixed order, then exits with
 the largest exit code of the calls.  Two checkouts whose lines are equal
 wrote the same bytes, so a diff of the two outputs shows whether a change
-moved any output.
+moved any output.  The small calls take a few seconds, the workloads about
+ten.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOAD_SEED = 301
 
 _SEEDS = """\
 [noise]
@@ -36,8 +46,9 @@ seed = 301
 mode_cutoff = 4
 """
 
+# (name, nsgl command, INI text); each small call is named after its command
 CALLS = (
-    ("run", """\
+    ("run", "run", """\
 [grid]
 n_modes = 16
 [stepper]
@@ -60,7 +71,7 @@ ndjson_path = run.ndjson
 checkpoint_path = run.ckpt
 checkpoint_every = 5
 """ + _SEEDS),
-    ("ensemble", """\
+    ("ensemble", "ensemble", """\
 [grid]
 n_modes = 16
 [stepper]
@@ -79,7 +90,7 @@ n0 = random_unit
 [ensemble]
 n_paths = 4
 """ + _SEEDS),
-    ("converge", """\
+    ("converge", "converge", """\
 [grid]
 n_modes = 16
 [stepper]
@@ -107,35 +118,48 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(src: Path) -> tuple[list[str], int]:
-    """The digest lines of the three calls against ``src``, and their worst
-    exit code."""
+def workload_calls() -> list:
+    """The benchmark's workloads as calls, at ``WORKLOAD_SEED``."""
+    sys.path.insert(0, str(PERFBENCH))  # workloads.py imports its sibling stats.py
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [(w.name, w.command, w.ini_text(WORKLOAD_SEED))
+            for w in workloads.WORKLOADS.values()]
+
+
+def digest(src: Path, calls=CALLS) -> tuple[list[str], int]:
+    """The digest lines of ``calls`` against ``src``, and their worst exit
+    code."""
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     lines, worst = [], 0
     with tempfile.TemporaryDirectory(prefix="nsgl-digest-") as tmp:
-        for command, ini in CALLS:
-            work = Path(tmp) / command
+        for name, command, ini in calls:
+            work = Path(tmp) / name
             work.mkdir()
             (work / "cfg.ini").write_text(ini, encoding="utf-8")
             proc = subprocess.run([sys.executable, "-m", "nsgl", command, "-c", "cfg.ini"],
                                   cwd=work, env=env, capture_output=True)
             worst = max(worst, proc.returncode)
-            lines.append(f"{_sha(proc.stdout)}  {command}.stdout")
-            lines.append(f"{_sha(proc.stderr)}  {command}.stderr")
+            lines.append(f"{_sha(proc.stdout)}  {name}.stdout")
+            lines.append(f"{_sha(proc.stderr)}  {name}.stderr")
             for path in sorted(p for p in work.rglob("*")
                                if p.is_file() and p.suffix in (".ndjson", ".ckpt")):
                 rel = path.relative_to(work).as_posix()
-                lines.append(f"{_sha(path.read_bytes())}  {command}/{rel}")
+                lines.append(f"{_sha(path.read_bytes())}  {name}/{rel}")
     return lines, worst
 
 
 def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
+    args = sys.argv[1:] if argv is None else list(argv)
+    workloads = args[:1] == ["--workloads"]
+    args = args[workloads:]
     if len(args) != 1 or not (Path(args[0]) / "nsgl").is_dir():
-        print("usage: python3 tools/stream_digest.py SRC  "
+        print("usage: python3 tools/stream_digest.py [--workloads] SRC  "
               "(SRC holds the nsgl package)", file=sys.stderr)
         return 2
-    lines, worst = digest(Path(args[0]))
+    lines, worst = digest(Path(args[0]), workload_calls() if workloads else CALLS)
     print("\n".join(lines))
     return worst
 
