@@ -45,6 +45,11 @@ class EnergyReport:
     local_grad_max: float = math.nan     # same for the |grad n|^2 integrand
 
 
+# the state monitors: what ``run`` and ``converge`` stream and stop on, but a
+# ``RunTrace`` without stop detectors never reads
+MONITORS = ("eps_defect", "eps_grad_defect", "min_abs_n", "max_abs_u", "div_defect")
+
+
 @dataclass(frozen=True)
 class CoveringSet:
     """Square lattice of ball centers with spacing <= R sqrt(2).
@@ -138,43 +143,53 @@ class CoveringSet:
 
 def energy_report(state: SimState, gl: GLParams,
                   covering: CoveringSet | None = None,
-                  derivs_out: list | None = None) -> EnergyReport:
+                  derivs_out: list | None = None, monitors: bool = True) -> EnergyReport:
     """Diagnostics of one state.
 
     ``derivs_out``, when a list, receives the physical d1 n, d2 n (each
     (3, N, N)) and lap n the report computed, for a caller that needs them
-    too.
+    too.  ``monitors=False`` leaves the fields ``MONITORS`` names at NaN,
+    and so takes no transform of ``w = |n|^2``: a report for a caller that
+    folds only the balance (``RunTrace`` without stop detectors).  Every
+    other field keeps its bits.
     """
     g = state.grid
     u_phys, n_phys = state.u.phys, state.n.phys
     w = (n_phys**2).sum(axis=0)
-    # a stepped state carries its spectra, so only w goes forward here
-    u_spec, n_spec, w_spec = state.u.spec, state.n.spec, g.to_spec(w)
-    # each grad w slice rides with the grad n stack beside it, so N = 64
-    # packs (3 + 1, 3 + 1, 3) slices
-    d1, dw1, d2, dw2, lap_n = g.to_phys_many([
-        g.deriv(n_spec, 1), g.deriv(w_spec, 1), g.deriv(n_spec, 2), g.deriv(w_spec, 2),
-        g.laplacian(n_spec),
-    ])
+    # a stepped state carries its spectra, so only w goes forward here, and
+    # only for the monitors.  Each grad w slice rides with the grad n stack
+    # beside it, so N = 64 packs (3 + 1, 3 + 1, 3) slices, and (3, 3, 3)
+    # without w
+    specs = (state.n.spec, g.to_spec(w)) if monitors else (state.n.spec,)
+    *grads, lap_n = g.to_phys_many(
+        [g.deriv(s, i) for i in (1, 2) for s in specs] + [g.laplacian(specs[0])])
     # the partials are dropped once stacked and grad w once used, so at
     # N = 128 no more arrays are alive at once than one transform per term left
-    grad_n = np.stack([d1, d2])  # (2,3,N,N)
-    grad_w = np.stack([dw1, dw2])
-    del d1, dw1, d2, dw2
+    grad_n = np.stack(grads[::len(specs)])  # (2,3,N,N)
+    grad_w = np.stack(grads[1::2]) if monitors else None
+    del grads
     if derivs_out is not None:
         derivs_out.extend((grad_n[0], grad_n[1], lap_n))
-    eps_grad_defect = g.l2_norm_phys(grad_w) / gl.epsilon
+    defect = 1.0 - w
+    u2 = (u_phys**2).sum(axis=0)
+    monitored = dict.fromkeys(MONITORS, math.nan)
+    if monitors:
+        monitored.update(
+            eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
+            eps_grad_defect=g.l2_norm_phys(grad_w) / gl.epsilon,
+            min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
+            max_abs_u=float(np.sqrt(u2).max()),
+            div_defect=state.u.divergence_defect(),
+        )
     del grad_w
     gn2 = (grad_n**2).sum(axis=(0, 1))
 
-    defect = 1.0 - w
     gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
     f_pen = defect * n_phys / gl.epsilon**2  # operators.gl_penalty_phys, from w
 
-    u2 = (u_phys**2).sum(axis=0)
     u_sq = g.integrate(u2)
     grad_n_sq = g.integrate(gn2)
-    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(u_spec) ** 2)
+    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(state.u.spec) ** 2)
     relax_sq = g.integrate(((lap_n + f_pen) ** 2).sum(axis=0))
 
     loc_e = loc_g = math.nan
@@ -196,17 +211,13 @@ def energy_report(state: SimState, gl: GLParams,
         gl_mass=gl_mass,
         lambda1=0.5 * g.integrate((lap_n**2).sum(axis=0)),
         lambda2=0.5 * grad_u_sq,
-        eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
-        eps_grad_defect=eps_grad_defect,
-        min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
         max_abs_n=math.sqrt(w.max()),
         grad_n_L4=float(g.integrate(gn2**2) ** 0.25),
         u_sq=u_sq,
         grad_n_sq=grad_n_sq,
-        max_abs_u=float(np.sqrt(u2).max()),
-        div_defect=state.u.divergence_defect(),
         local_energy_max=loc_e,
         local_grad_max=loc_g,
+        **monitored,
     )
 
 

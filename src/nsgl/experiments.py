@@ -57,14 +57,17 @@ class _Path:
     into ``trace`` and hands ``(state, trace)`` to ``on_report``; the
     report is ``trace.last``.  With ``keep_drift``, ``drift`` holds the
     limit-equation drift of the current state (``_limit_drift``), built
-    from its report's derivatives.
+    from its report's derivatives.  ``monitors=False`` reports without the
+    state monitors (``diagnostics.MONITORS``), for a path whose trace only
+    folds the balance: no covering, so no stop detector reads them.
     """
 
     def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report,
-                 keep_drift: bool = False, trace: RunTrace | None = None):
+                 keep_drift: bool = False, trace: RunTrace | None = None,
+                 monitors: bool = True):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
-        self.covering, self.on_report = covering, on_report
+        self.covering, self.on_report, self.monitors = covering, on_report, monitors
         self.keep_drift, self.drift = keep_drift, None
         rep = self._report(state0)
         fresh = trace is None
@@ -80,7 +83,8 @@ class _Path:
 
     def _report(self, state):
         derivs = [] if self.keep_drift else None
-        rep = energy_report(state, self.gl, self.covering, derivs_out=derivs)
+        rep = energy_report(state, self.gl, self.covering, derivs_out=derivs,
+                            monitors=self.monitors)
         _check_finite(rep, state.t)
         if derivs is not None:
             self.drift = _limit_drift(state, *derivs)
@@ -100,6 +104,12 @@ class _Path:
         self._notify(self.state)
         return prev, ledger
 
+    def run(self) -> RunTrace:
+        """Advance to ``cfg.t_end``; returns the trace."""
+        for _ in range(max(0, self.cfg.n_steps - self.state.step)):
+            self.advance()
+        return self.trace
+
     @property
     def sigma(self) -> float:
         """Stopping time so far (the horizon when no detector runs)."""
@@ -115,10 +125,7 @@ def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseMod
     :func:`nsgl.io_cli.load_checkpoint`); the run then continues it, so its
     end values are those of the uninterrupted run.
     """
-    path = _Path(state0, cfg, gl, noise, covering, stop_delta, on_report, trace=trace)
-    for _ in range(max(0, cfg.n_steps - state0.step)):
-        path.advance()
-    return path.trace
+    return _Path(state0, cfg, gl, noise, covering, stop_delta, on_report, trace=trace).run()
 
 
 # -- log-log rate fitting ------------------------------------------------------
@@ -402,7 +409,8 @@ class EnsembleReport:
 def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise_base: NoiseModel, n_paths: int) -> EnsembleReport:
     """Independent paths (path_id offsets) from shared initial data, with no
-    stop detectors or covering maxima: the report reads neither."""
+    stop detectors, covering maxima or state monitors: the report reads
+    none of them, only E, D and max |n| through each path's trace."""
     sup_e = np.zeros(n_paths)
     int_d = np.zeros(n_paths)
     balance = np.zeros(n_paths)
@@ -411,7 +419,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     max_n = 0.0
     for p in range(n_paths):
         noise = replace(noise_base, path_id=noise_base.path_id + p)
-        trace = run_path(state0, cfg, gl, noise)
+        trace = _Path(state0, cfg, gl, noise, None, None, None, monitors=False).run()
         sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
         residual[p] = res = trace.residual
         balance[p] = res + 2.0 * trace.sum_u_dw + 2.0 * trace.sum_grad_cross

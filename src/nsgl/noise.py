@@ -13,6 +13,7 @@ step consume disjoint substreams.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,15 +64,16 @@ class NoiseModel:
     h_mag: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_unit: np.ndarray | None = field(init=False, repr=False, compare=False)
     # sample_increment's scatter tables: per k point the coefficient scale
-    # 0.5 * _NORM * q and the unit vector perpendicular to k; the points with
-    # k2 >= 0 (``own``) are written at k, those with k2 <= 0 (``mirror``) as
-    # conjugates at -k, at the (row, column) indices ``own_at``/``mirror_at``
+    # 0.5 * _NORM * q; then per entry written, in the flattened (2, N, N/2+1)
+    # half spectrum, its index ``scatter_at``, its source ``scatter_from`` in
+    # the coefficients followed by their conjugates, and the component
+    # ``scatter_perp`` (complex128) of the unit vector perpendicular to k.
+    # A point with k2 >= 0 is written at k, one with k2 <= 0 as its conjugate
+    # at -k; no two entries share an index
     q_scale: np.ndarray = field(init=False, repr=False, compare=False)
-    perp: np.ndarray = field(init=False, repr=False, compare=False)
-    own: np.ndarray = field(init=False, repr=False, compare=False)
-    mirror: np.ndarray = field(init=False, repr=False, compare=False)
-    own_at: tuple = field(init=False, repr=False, compare=False)
-    mirror_at: tuple = field(init=False, repr=False, compare=False)
+    scatter_at: np.ndarray = field(init=False, repr=False, compare=False)
+    scatter_from: np.ndarray = field(init=False, repr=False, compare=False)
+    scatter_perp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.grid.n_modes
@@ -100,19 +102,22 @@ class NoiseModel:
         q = (1.0 + ksq) ** (-self.gamma / 2.0)
         k1, k2 = k_points[:, 0], k_points[:, 1]
         norm = np.sqrt((k1 * k1 + k2 * k2).astype(np.float64))
-        own, mirror = k2 >= 0, k2 <= 0
+        perp = np.stack([-k2 / norm, k1 / norm])
+        own, mirror = np.flatnonzero(k2 >= 0), np.flatnonzero(k2 <= 0)
+        width = n // 2 + 1
+        at = [c * n * width + flat for c in range(2)
+              for flat in (k1[own] % n * width + k2[own],
+                           (-k1[mirror]) % n * width - k2[mirror])]
         tables = [
             ("k_points", k_points), ("q_weights", q), ("q_scale", 0.5 * _NORM * q),
-            ("perp", np.stack([-k2 / norm, k1 / norm])), ("own", own), ("mirror", mirror),
+            ("scatter_at", np.concatenate(at)),
+            ("scatter_from", np.tile(np.concatenate([own, len(k_points) + mirror]), 2)),
+            ("scatter_perp", np.concatenate([perp[:, own], perp[:, mirror]], axis=1)
+             .astype(np.complex128).reshape(-1)),
         ]
         for name, arr in tables:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        for name, at in [("own_at", (k1[own] % n, k2[own])),
-                         ("mirror_at", ((-k1[mirror]) % n, -k2[mirror]))]:
-            for arr in at:
-                arr.setflags(write=False)
-            object.__setattr__(self, name, at)
         if self.h is not None:
             hg = np.stack(grad_pair(self.grid, self.h.spec))
             mag = np.sqrt(np.sum(self.h.phys**2, axis=0))
@@ -158,10 +163,26 @@ class WienerIncrement:
     d_eta: float
 
 
+@functools.cache
+def _generator() -> np.random.Generator:
+    """The one generator every draw uses.  Built on first use: numpy 2 imports
+    ``numpy.random`` lazily, about 24 ms, which a command that draws nothing
+    (``dump-config``) does not pay."""
+    return np.random.Generator(np.random.Philox(key=0))
+
+
 def _stream(model: NoiseModel, step_index: int, level: int, slot: int) -> np.random.Generator:
-    key = np.array([model.seed, model.path_id], dtype=np.uint64)
-    counter = np.array([0, slot, level, step_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    """The generator of ``Philox(key=(seed, path_id), counter=(0, slot, level,
+    step_index))``, positioned where a fresh one starts.  Its whole state is
+    set here, so a draw depends on its key and counter alone, whatever came
+    before it; it is shared, so it stays valid only until the next call."""
+    gen = _generator()
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, slot, level, step_index], "key": [model.seed, model.path_id]},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+    return gen
 
 
 def sample_increment(model: NoiseModel, dt: float, step_index: int,
@@ -180,7 +201,6 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
         coeff = model.q_scale * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
         # the half spectrum stores k2 >= 0: a point with k2 < 0 is written as
         # its conjugate at -k, and the k2 = 0 column gets both k and -k
-        for c in range(2):
-            spec[c][model.own_at] = (coeff * model.perp[c])[model.own]
-            spec[c][model.mirror_at] = (np.conj(coeff) * model.perp[c])[model.mirror]
+        both = np.concatenate([coeff, np.conj(coeff)])
+        spec.put(model.scatter_at, both[model.scatter_from] * model.scatter_perp)
     return WienerIncrement(dW=VelocityField(g, spec=spec), d_eta=float(xi[-1]))

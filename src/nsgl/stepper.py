@@ -65,6 +65,12 @@ class StepperConfig:
             raise ValueError(f"stepper.dt must be finite and > 0, got {self.dt}")
         if not (0.0 <= self.t_end < math.inf):
             raise ValueError(f"stepper.t_end must be finite and >= 0, got {self.t_end}")
+        # a run ends at n_steps * dt, so t_end must be that time to the
+        # tolerance of a resumed checkpoint's clock
+        if not (self.t_end / self.dt < math.inf
+                and abs(self.t_end - self.n_steps * self.dt) <= 1e-9 * max(1.0, self.t_end)):
+            raise ValueError(f"stepper.t_end must be a whole number of stepper.dt steps, "
+                             f"got t_end = {self.t_end} with dt = {self.dt}")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise ValueError(f"stepper.cfl_safety must be in (0, 1], got {self.cfl_safety}")
         if self.max_halvings < 0:

@@ -1,5 +1,6 @@
 """Energy reports, covering-based local maxima, stop detectors, traces."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import nsgl.experiments as experiments
-from nsgl.diagnostics import CoveringSet, EnergyReport, RunTrace, energy_report
+from nsgl.diagnostics import MONITORS, CoveringSet, EnergyReport, RunTrace, energy_report
 from nsgl.experiments import run_path
 from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
 from nsgl.noise import NoiseModel
@@ -210,6 +211,59 @@ def test_report_reuses_w_and_u_squared_bitwise(grid32, rng):
     defect = 1.0 - np.sum(n_phys**2, axis=0)
     e_point = np.sum(u_phys**2, axis=0) + gn2 + defect**2 / (2.0 * gl.epsilon**2)
     assert rep.local_energy_max == cov.local_maxima(e_point)
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_report_without_monitors_keeps_every_other_field_bitwise(n):
+    """``monitors=False`` leaves the five state monitors at NaN and every
+    other field, the ones ``RunTrace`` folds among them, at the full
+    report's bits; so do the derivatives it hands back.  N = 64 and 128
+    pack the inverse stage into other calls than N = 16 and 32."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
+    n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
+    state = SimState(t=0.25, step=3, u=VelocityField(g, spec=u_spec),
+                     n=DirectorField(g, phys=n_phys))
+    gl = GLParams(epsilon=0.3)
+    full_derivs, derivs = [], []
+    full = energy_report(state, gl, derivs_out=full_derivs)
+    rep = energy_report(state, gl, derivs_out=derivs, monitors=False)
+    assert set(MONITORS) == {"eps_defect", "eps_grad_defect", "min_abs_n", "max_abs_u",
+                             "div_defect"}
+    for f in dataclasses.fields(EnergyReport):
+        got = getattr(rep, f.name)
+        if f.name in MONITORS:
+            assert math.isnan(got) and not math.isnan(getattr(full, f.name)), f.name
+        else:
+            assert np.float64(got).tobytes() == np.float64(getattr(full, f.name)).tobytes(), \
+                f.name
+    assert rep.energy_E > 0.0 and rep.grad_n_L4 > 0.0 and rep.lambda1 > 0.0
+    for a, b in zip(derivs, full_derivs, strict=True):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_only_the_ensemble_reports_without_monitors(grid16, monkeypatch):
+    """``run_ensemble`` reports every path-step without the state monitors;
+    ``run_path`` and the family members keep the full report."""
+    seen = []
+
+    def recording_report(*args, **kwargs):
+        seen.append(kwargs.get("monitors", True))
+        return energy_report(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "energy_report", recording_report)
+    x1, _ = grid16.meshgrid()
+    state = SimState.from_arrays(grid16, np.zeros((2, 16, 16)),
+                                 np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)]))
+    cfg, gl = StepperConfig(dt=5e-3, t_end=0.01), GLParams(epsilon=0.3)
+    noise = NoiseModel(grid16, seed=9, mode_cutoff=4)
+    experiments.run_ensemble(state, cfg, gl, noise, n_paths=2)
+    assert seen == [False] * 6
+    seen.clear()
+    run_path(state, cfg, gl, noise)
+    experiments.run_coupled_family(state, cfg, (0.3, 0.2), noise, n_paths=1)
+    assert seen == [True] * 9
 
 
 def make_report(step, t, local_max=0.0, min_n=1.0):

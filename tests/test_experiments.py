@@ -335,6 +335,48 @@ def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
     assert levels and max(levels) == 0
 
 
+def test_ensemble_paths_equal_solo_runs(grid16, monkeypatch):
+    """Every path of an ensemble, reported without the state monitors, is
+    the full-report solo run on path ``path_id + p``: sup E, E(T), int D,
+    the residual, the balance statistic and max |n| agree bit for bit."""
+    import nsgl.experiments as experiments
+
+    traces = []
+    plain_run = experiments._Path.run
+
+    def recording_run(self):
+        traces.append(plain_run(self))
+        return traces[-1]
+
+    monkeypatch.setattr(experiments._Path, "run", recording_run)
+    cfg, gl = StepperConfig(dt=2e-3, t_end=0.02), GLParams(epsilon=0.3)
+    noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
+    assert noise.velocity_on and noise.director_on
+    n_paths = 3
+    rep = run_ensemble(circle_state(grid16), cfg, gl, noise, n_paths=n_paths)
+    assert len(traces) == n_paths
+    monkeypatch.undo()
+
+    def bits(x):
+        return np.float64(x).tobytes()
+
+    finals, max_ns = [], []
+    for p, ens in enumerate(traces):
+        solo = run_path(circle_state(grid16), cfg, gl,
+                        dataclasses.replace(noise, path_id=noise.path_id + p))
+        assert not np.isnan(solo.last.eps_defect) and np.isnan(ens.last.eps_defect)
+        balance = solo.residual + 2.0 * solo.sum_u_dw + 2.0 * solo.sum_grad_cross
+        assert solo.sum_u_dw != 0.0 and solo.sum_grad_cross != 0.0
+        for got, want in [(rep.sup_energy[p], solo.sup_e), (ens.last.energy_E, solo.last.energy_E),
+                          (rep.int_dissipation[p], solo.int_d), (rep.residual[p], solo.residual),
+                          (rep.balance[p], balance), (ens.max_n, solo.max_n)]:
+            assert bits(got) == bits(want), p
+        finals.append(solo.last.energy_E)
+        max_ns.append(solo.max_n)
+    assert bits(rep.mean_energy_final) == bits(np.mean(finals))
+    assert bits(rep.max_abs_n) == bits(max(max_ns))
+
+
 def test_family_residuals_equal_fresh_derivative_reference(grid16):
     """The family's limit-equation residuals, built from the derivatives each
     report already computed, equal a reference that transforms lap n, d1 n

@@ -162,6 +162,35 @@ def test_cli_run_rejects_nan_t_end(tmp_path, capsys):
     assert "config error" in err and "stepper.t_end" in err
 
 
+@pytest.mark.parametrize("t_end", ["0.0016", "0.0004"])
+def test_cli_run_refuses_a_t_end_off_the_step_grid(tmp_path, capsys, t_end):
+    """A run ends at round(t_end / dt) * dt, so at dt = 1e-3 a t_end of
+    0.0016 would run to 0.002 and 0.0004 would take no step; both are
+    refused with one config error line, before any output."""
+    body = SMALL_RUN.replace("dt = 5e-3", "dt = 1e-3").replace("t_end = 0.025",
+                                                                f"t_end = {t_end}")
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("config error: stepper.t_end must be")
+    assert f"t_end = {t_end}" in err
+
+
+@pytest.mark.parametrize("t_end, n_steps", [("0.043", 43), ("0.25", 250)])
+def test_cli_accepts_a_t_end_on_the_step_grid_up_to_rounding(tmp_path, capsys, t_end,
+                                                             n_steps):
+    """0.043 / 1e-3 is 42.99999999999999 in floating point, within the
+    resume clock's tolerance of 43 steps, so it is accepted like the exact
+    0.25 / 1e-3."""
+    assert (0.043 / 1e-3 != 43.0) and (0.25 / 1e-3 == 250.0)
+    body = SMALL_RUN.replace("dt = 5e-3", "dt = 1e-3").replace("t_end = 0.025",
+                                                                f"t_end = {t_end}")
+    path = write_config(tmp_path, body)
+    assert main(["dump-config", "-c", path]) == 0
+    assert f"t_end = {t_end}" in capsys.readouterr().out
+    assert build_components(load_config(path)).stepper.n_steps == n_steps
+
+
 @pytest.mark.parametrize("command", ["run", "converge", "ensemble", "dump-config"])
 def test_cli_refuses_a_radius_below_the_grid_spacing(tmp_path, capsys, command):
     """The covering lattice grows as R^-2, so a radius below dx = 2 pi / N is

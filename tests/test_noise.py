@@ -132,13 +132,45 @@ def grid_l2_sq(field):
     return field.grid.l2_norm_phys(field.phys) ** 2
 
 
+def fresh_stream(model, step_index, level, slot):
+    """The reference stream of a draw: a new Philox keyed (seed, path_id) at
+    counter (0, slot, level, step_index)."""
+    key = np.array([model.seed, model.path_id], dtype=np.uint64)
+    counter = np.array([0, slot, level, step_index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+def test_stream_equals_a_fresh_philox_per_draw(grid32):
+    """``_stream`` resets one shared generator per draw; what it yields is
+    what a fresh Philox at the same key and counter yields, bit for bit,
+    however draws of two models and of several counters interleave, and
+    sample_increment's draws follow it."""
+    from nsgl.noise import _stream
+
+    models = [NoiseModel(grid=grid32, mode_cutoff=4, seed=5, path_id=3),
+              NoiseModel(grid=grid32, mode_cutoff=4, seed=2**64 - 1, path_id=2**64 - 2)]
+    m = len(models[0].k_points)
+    counters = [(0, 0, 0), (7, 0, 0), (7, 1, 1), (7, 3, 5), (2**63, 8, 255), (7, 0, 0)]
+    for step_index, level, slot in counters:
+        for model in models:
+            got = _stream(model, step_index, level, slot).standard_normal(2 * m + 1)
+            want = fresh_stream(model, step_index, level, slot).standard_normal(2 * m + 1)
+            assert got.tobytes() == want.tobytes(), (model.seed, step_index, level, slot)
+            # a partly used stream does not leak into the next draw
+            _stream(model, step_index + 1, level, slot).standard_normal(3)
+    for model in models:
+        inc = sample_increment(model, 1e-3, 7, level=1, slot=1)
+        xi = fresh_stream(model, 7, 1, 1).standard_normal(2 * m + 1) * np.sqrt(1e-3)
+        assert inc.d_eta == float(xi[-1])
+
+
 def reference_increment_spec(model, dt, step_index):
     """The velocity increment's half spectrum with the scatter tables built
-    inside the call, as before they were precomputed on the model."""
-    from nsgl.noise import _NORM, _stream
+    inside the call and a fresh generator, as before both were kept."""
+    from nsgl.noise import _NORM
 
     m = len(model.k_points)
-    xi = _stream(model, step_index, 0, 0).standard_normal(2 * m + 1) * np.sqrt(dt)
+    xi = fresh_stream(model, step_index, 0, 0).standard_normal(2 * m + 1) * np.sqrt(dt)
     n = model.grid.n_modes
     spec = np.zeros((2, *model.grid.spec_shape), dtype=np.complex128)
     k1, k2 = model.k_points[:, 0], model.k_points[:, 1]
@@ -157,4 +189,4 @@ def test_precomputed_scatter_tables_keep_draws_bitwise(grid32, cutoff):
     model = NoiseModel(grid=grid32, mode_cutoff=cutoff, seed=5, path_id=9)
     for step_index in (0, 3):
         got = sample_increment(model, 1e-3, step_index).dW.spec
-        assert np.array_equal(got, reference_increment_spec(model, 1e-3, step_index))
+        assert got.tobytes() == reference_increment_spec(model, 1e-3, step_index).tobytes()

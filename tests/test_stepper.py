@@ -515,6 +515,25 @@ def test_path_step_numpy_fft_calls(grid32, monkeypatch):
     assert calls == {"forward": 5, "inverse": 7}
 
 
+def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
+    """An ensemble path-step at N = 32 (one step and the report without the
+    state monitors, as ``run_ensemble`` takes them) makes 11 numpy.fft
+    calls: the step's 4 + 6, and the report's 0 + 1, whose one inverse call
+    carries d1 n, d2 n and lap n, 9 slices."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
+    gl = GLParams(epsilon=0.4)
+    state = cached_state(g)
+    calls = count_calls(monkeypatch)
+    new, _ = step(state, StepperConfig(dt=1e-3, t_end=1e-3), gl, noise)
+    energy_report(new, gl, monitors=False)
+    assert calls == {"forward": 4, "inverse": 7}
+    monkeypatch.undo()
+    slices = count_slices(monkeypatch)
+    energy_report(new, gl, monitors=False)
+    assert slices == {"forward": 0, "inverse": 9}
+
+
 def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
     """A stepped state carries the spectra the step computed beside their
     to_phys, so its energy report takes 1 forward slice (w = |n|^2) and 11

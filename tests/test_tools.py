@@ -1,5 +1,6 @@
 """The repository's helper scripts run and say what they document."""
 
+import importlib.util
 import re
 import subprocess
 import sys
@@ -55,3 +56,39 @@ def test_stream_digest_usage_error():
     out = subprocess.run([sys.executable, str(ROOT / "tools" / "stream_digest.py")],
                          capture_output=True, text=True)
     assert out.returncode == 2 and out.stderr.startswith("usage:")
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "tools" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary_arithmetic():
+    """Medians and quartiles as ``statistics.quantiles(n=4)`` gives them, the
+    median gain signed so that positive is better, the parent's quartile
+    spread, and the pairs the change won strictly."""
+    bench = load_bench_pairs()
+    parent = [100.0, 104.0, 98.0, 102.0, 101.0]
+    change = [110.0, 103.0, 109.0, 112.0, 101.0]
+    s = bench.summarize(parent, change, higher_is_better=True)
+    assert s["parent"] == (99.0, 101.0, 103.0)
+    assert s["change"] == (102.0, 109.0, 111.0)
+    assert s["gain"] == 8.0 and s["spread"] == 4.0
+    assert s["relative"] == 8.0 / 101.0
+    assert s["wins"] == 3 and s["pairs"] == 5  # 104 -> 103 lost, 101 -> 101 a tie
+    lower = bench.summarize(parent, change, higher_is_better=False)
+    assert lower["gain"] == -8.0 and lower["wins"] == 1
+    assert bench.summarize([5.0], [4.0], higher_is_better=False)["parent"] == (5.0, 5.0, 5.0)
+    line = bench.format_summary("steps_per_s", s)
+    assert line.startswith("steps_per_s: 101 (99, 103) -> 109 (102, 111), +7.92%")
+    assert "change ahead in 3 of 5" in line
+
+
+def test_bench_pairs_refuses_a_tree_without_the_benchmark(tmp_path):
+    out = subprocess.run([sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+                          str(tmp_path), str(ROOT), "--workload", "ensemble-n32"],
+                         capture_output=True, text=True)
+    assert out.returncode == 2 and "no perfbench/run.py under" in out.stderr

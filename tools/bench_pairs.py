@@ -1,0 +1,130 @@
+"""Alternating benchmark pairs of two checkouts, and their summary.
+
+    python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
+        --pairs K --seconds S --seed N
+
+PARENT_TREE and CHANGE_TREE are the roots of two source checkouts, each with
+its own ``perfbench/`` and ``src/``.  For each of K pairs the script runs
+``perfbench/run.py --workload W --seed N --seconds S --trace 0`` once from
+each tree, the parent first in odd pairs and the change first in even ones,
+so a drift in the host's speed does not favour one side.  It prints one line
+per pair as it goes, then for each end-to-end metric both sides' medians
+and quartiles, the median's change, and in how many pairs the change was
+ahead.  A run whose exit code is nonzero, or that reports a failed
+invocation, is printed as such and stops the script with exit code 1.
+Nothing is written under either ``perfbench/``; the runs keep their scratch
+files in each checkout's ``.perfbench_runs/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# name -> True when higher is better; the benchmark's end-to-end metrics
+METRICS = {"steps_per_s": True, "setup_s": False, "peak_rss_mb": False}
+
+
+def quartiles(values) -> tuple[float, float, float]:
+    """(q1, median, q3) as ``statistics.quantiles(values, n=4)`` gives them;
+    one value is its own median and quartiles."""
+    vals = [float(v) for v in values]
+    if len(vals) == 1:
+        return vals[0], vals[0], vals[0]
+    q1, q2, q3 = statistics.quantiles(vals, n=4)
+    return q1, q2, q3
+
+
+def summarize(parent, change, higher_is_better: bool) -> dict:
+    """Summary of one metric over pairs: ``parent[i]`` and ``change[i]``
+    come from pair i.
+
+    ``gain`` is the change's median minus the parent's, signed so that
+    positive is better; ``spread`` is the parent's interquartile range;
+    ``wins`` counts the pairs in which the change was strictly better.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("summarize needs one parent and one change value per pair")
+    sign = 1.0 if higher_is_better else -1.0
+    p, c = quartiles(parent), quartiles(change)
+    return {
+        "parent": p, "change": c,
+        "gain": sign * (c[1] - p[1]),
+        "relative": (c[1] - p[1]) / p[1] if p[1] else float("nan"),
+        "spread": p[2] - p[0],
+        "wins": sum(sign * (b - a) > 0.0 for a, b in zip(parent, change)),
+        "pairs": len(parent),
+    }
+
+
+def run_once(tree: Path, workload: str, seconds: int, seed: int) -> tuple[dict | None, str]:
+    """Metrics of one ``--trace 0`` run from ``tree``, or None and why not."""
+    cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    lines = out.stdout.strip().splitlines()
+    if out.returncode != 0 or not lines:
+        return None, f"exit {out.returncode}: {out.stderr.strip()[-300:]}"
+    result = json.loads(lines[-1])
+    if result["failed"]:
+        return None, f"{result['failed']} of {result['attempted']} invocations failed"
+    return {k: result["metrics"][k]["value"] for k in METRICS}, ""
+
+
+def format_summary(name: str, s: dict) -> str:
+    (p1, p2, p3), (c1, c2, c3) = s["parent"], s["change"]
+    return (f"{name}: {p2:.6g} ({p1:.6g}, {p3:.6g}) -> {c2:.6g} ({c1:.6g}, {c3:.6g}), "
+            f"{100.0 * s['relative']:+.2f}%; change ahead in {s['wins']} of {s['pairs']}; "
+            f"median gain {s['gain']:.6g} vs parent quartile spread {s['spread']:.6g}")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=36)
+    parser.add_argument("--seed", type=int, default=0)
+    args = parser.parse_args(argv)
+    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for tree in trees.values():
+        if not (tree / "perfbench" / "run.py").is_file():
+            parser.error(f"no perfbench/run.py under {tree}")
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+
+    values = {side: {k: [] for k in METRICS} for side in trees}
+    failed = False
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        got = {}
+        for side in order:
+            got[side], why = run_once(trees[side], args.workload, args.seconds, args.seed)
+            if got[side] is None:
+                print(f"pair {i + 1}: {side} run failed: {why}", flush=True)
+                failed = True
+        if failed:
+            break
+        for side in trees:
+            for k in METRICS:
+                values[side][k].append(got[side][k])
+        cells = "  ".join(f"{k} {got['parent'][k]:.6g} -> {got['change'][k]:.6g}"
+                          for k in METRICS)
+        print(f"pair {i + 1} ({order[0]} first): {cells}", flush=True)
+
+    if values["parent"]["steps_per_s"]:
+        print(f"== {args.workload}: {len(values['parent']['steps_per_s'])} pairs, "
+              f"seed {args.seed}, {args.seconds} s, parent -> change, median (q1, q3)")
+        for k, higher in METRICS.items():
+            print(format_summary(k, summarize(values["parent"][k], values["change"][k],
+                                              higher)))
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
