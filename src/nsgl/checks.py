@@ -101,11 +101,9 @@ def bilaplacian_identity_residual(d: DirectorField) -> float:
     mag2 = np.sum(d.phys**2, axis=0)
     term_sq = 0.5 * g.to_phys(g.laplacian(g.laplacian(g.to_spec(mag2))))
 
-    grad_d = np.stack(grad_pair(g, spec))
-    grad_lap = np.stack(grad_pair(g, lap))
-    term_mix = 4.0 * np.sum(grad_d * grad_lap, axis=(0, 1))
+    term_mix = 4.0 * np.sum(grad_pair(g, spec) * grad_pair(g, lap), axis=(0, 1))
 
-    hess = np.stack([*grad_pair(g, g.deriv(spec, 1)), *grad_pair(g, g.deriv(spec, 2))])
+    hess = np.concatenate([grad_pair(g, g.deriv(spec, 1)), grad_pair(g, g.deriv(spec, 2))])
     term_hess = 2.0 * np.sum(hess**2, axis=(0, 1))
 
     lap_phys = g.to_phys(lap)
@@ -154,7 +152,7 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32,
         scale = grid.l2_norm_spec(w.spec) * grid.l2_norm_spec(v.spec) + tiny
         note("leray_self_adjoint", abs(lhs - rhs) / scale)
 
-        gspec = np.stack([grid.deriv(phi_spec, 1), grid.deriv(phi_spec, 2)])
+        gspec = grid.grad_c[:, 0] * phi_spec
         note("leray_kills_gradients", grid.l2_norm_spec(leray_project_spec(grid, gspec))
              / (grid.l2_norm_spec(gspec) + tiny))
 

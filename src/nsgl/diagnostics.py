@@ -156,18 +156,15 @@ def energy_report(state: SimState, gl: GLParams,
     g = state.grid
     u_phys, n_phys = state.u.phys, state.n.phys
     w = (n_phys**2).sum(axis=0)
-    # a stepped state carries its spectra, so only w goes forward here, and
-    # only for the monitors.  Each grad w slice rides with the grad n stack
-    # beside it, so N = 64 packs (3 + 1, 3 + 1, 3) slices, and (3, 3, 3)
-    # without w
-    specs = (state.n.spec, g.to_spec(w)) if monitors else (state.n.spec,)
-    *grads, lap_n = g.to_phys_many(
-        [g.deriv(s, i) for i in (1, 2) for s in specs] + [g.laplacian(specs[0])])
-    # the partials are dropped once stacked and grad w once used, so at
-    # N = 128 no more arrays are alive at once than one transform per term left
-    grad_n = np.stack(grads[::len(specs)])  # (2,3,N,N)
-    grad_w = np.stack(grads[1::2]) if monitors else None
-    del grads
+    # a stepped state carries its spectra, so only w goes forward, for the
+    # monitors.  One stack goes back in place: d1 n, d2 n, lap n (, d1 w, d2 w)
+    back = np.empty((11 if monitors else 9, *g.spec_shape), np.complex128)
+    np.multiply(g.dlap_c, state.n.spec, out=back[:9].reshape(3, *state.n.spec.shape))
+    if monitors:
+        np.multiply(g.grad_c[:, 0], g.to_spec(w), out=back[9:])
+    phys = g.to_phys(back, in_place=True)
+    del back
+    grad_n, lap_n = phys[:6].reshape(2, 3, *phys.shape[1:]), phys[6:9]
     if derivs_out is not None:
         derivs_out.extend((grad_n[0], grad_n[1], lap_n))
     defect = 1.0 - w
@@ -176,21 +173,22 @@ def energy_report(state: SimState, gl: GLParams,
     if monitors:
         monitored.update(
             eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
-            eps_grad_defect=g.l2_norm_phys(grad_w) / gl.epsilon,
+            eps_grad_defect=g.l2_norm_phys(phys[9:]) / gl.epsilon,
             min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
             max_abs_u=float(np.sqrt(u2).max()),
             div_defect=state.u.divergence_defect(),
         )
-    del grad_w
     gn2 = (grad_n**2).sum(axis=(0, 1))
 
     gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
-    f_pen = defect * n_phys / gl.epsilon**2  # operators.gl_penalty_phys, from w
 
     u_sq = g.integrate(u2)
     grad_n_sq = g.integrate(gn2)
     grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(state.u.spec) ** 2)
-    relax_sq = g.integrate(((lap_n + f_pen) ** 2).sum(axis=0))
+    relax = defect * n_phys / gl.epsilon**2  # f(n), operators.gl_penalty_phys from w
+    relax += lap_n  # squared in place and dropped: the covering below is the peak
+    relax_sq = g.integrate(np.square(relax, out=relax).sum(axis=0))
+    del relax
 
     loc_e = loc_g = math.nan
     if covering is not None:

@@ -11,18 +11,20 @@ Every field is real, so c(-k) = conj(c(k)) and only the Hermitian half
 spectrum is stored: spectral arrays have shape (..., N, N/2+1), holding
 k1 in fftfreq order (0, 1, ..., N/2-1, -N/2, ..., -1) along the first
 spectral axis and k2 = 0, 1, ..., N/2 along the second.  ``to_spec`` is a
-real-to-complex ``rfft2`` and ``to_phys`` its inverse ``irfft2``, which
-reads only the Hermitian part of the two self-conjugate columns k2 = 0 and
-k2 = N/2.  A sum over the full spectrum becomes a sum over the half with
+real-to-complex ``rfftn`` over the last two axes and ``to_phys`` its inverse
+``irfftn``, which reads only the Hermitian part of the two self-conjugate
+columns k2 = 0 and k2 = N/2.  A sum over the full spectrum becomes a sum over the half with
 ``herm_weight``: 1 on those two columns, whose modes appear once, and 2
 elsewhere, where each stored mode stands for itself and its conjugate.
 
-``to_spec_many`` and ``to_phys_many`` transform several independent arrays
-of one stage with as few ``numpy.fft`` calls as ``PACK_BYTES`` allows:
-adjacent inputs are concatenated along a leading axis while the group's
-physical size stays within the budget, so small grids pay numpy's per-call
-cost once per stage while at N = 128 every input keeps a call of its own.
-A batched transform gives each slice the same bits as a call of its own.
+A transform takes a stack (..., N, N) or (..., N, N/2+1) and sends it
+through ``numpy.fft`` in chunks of at most ``CHUNK_BYTES`` of physical
+slices, each written with ``out=`` into its part of one result array
+(``irfft2`` would not do: numpy 2.4's passes ``out=None`` on to
+``irfftn``, so its ``out`` stays unwritten).  A stage builds its whole
+input as one stack, so its transforms cost one call at small N, and a
+chunked or batched transform gives each slice the same bits as a call of
+its own.
 """
 
 from __future__ import annotations
@@ -41,26 +43,10 @@ __all__ = [
     "random_band_limited",
 ]
 
-# Largest physical size in bytes, N*N*8 per 2D slice, of one packed transform
-# call: N = 32 fits 16 slices per call, N = 64 fits 4, and at N = 128 one
-# slice fills it, so no input is concatenated there.  Above it, concatenation
-# stops paying: at N = 128 one 12-slice call took longer than 12 single calls.
-PACK_BYTES = 128 * 1024
-
-
-def _pack_groups(counts, limit: int):
-    """(start, stop) index ranges of consecutive inputs, given their slice
-    counts, each holding at most ``limit`` slices; an input larger than the
-    limit is a group of its own, never split."""
-    groups, start, total = [], 0, 0
-    for i, count in enumerate(counts):
-        if i > start and total + count > limit:
-            groups.append((start, i))
-            start, total = i, 0
-        total += count
-    if counts:
-        groups.append((start, len(counts)))
-    return groups
+# Largest physical size in bytes, N*N*8 per 2D slice, of one transform
+# call: 48 slices at N = 32, 12 at N = 64, 3 at N = 128.  Per slice, larger
+# calls were no faster, and a chunk's irfftn allocates a temporary its size.
+CHUNK_BYTES = 384 * 1024
 
 
 @dataclass(frozen=True)
@@ -80,18 +66,20 @@ class SpectralGrid:
     (1, N/2+1).  ``k2_safe`` is |k|^2 with the zero mode set to 1, the Leray
     projection's divisor, in complex128.  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
     kills the unpaired Nyquist lines, the k1 = -N/2 row and the k2 = N/2
-    column, after every differentiation; ``ik1`` and ``ik2`` are the
-    derivative multipliers i*k*diff_mask.  ``herm_weight`` (shape
+    column, after every differentiation.  ``herm_weight`` (shape
     (1, N/2+1)) weights half-spectrum sums so they equal full-spectrum sums.
 
     The tables a step multiplies spectra by are held in complex128, the
     spectra's dtype, so no call casts a bool or float table first:
-    ``dealias_c`` (the mask), ``lap_c`` (the Laplacian multiplier
-    -k2 * diff_mask), and ``kx_c``, ``ky_c`` and ``k2_safe`` (the Leray
-    projection's).  numpy multiplies and divides a complex array by a real
-    or bool one by casting it to complex first, so the products keep their
-    bits (the Laplacian's up to the sign of a zero, since it folds two
-    factors into one).
+    ``dealias_c`` (the mask), ``kx_c``, ``ky_c`` and ``k2_safe`` (the Leray
+    projection's), and ``dlap_c``, shape (3, 1, N, N/2+1), the multipliers
+    of d1, d2 (i*k*diff_mask) and the Laplacian (-k2 * diff_mask), whose
+    first two are ``grad_c``.  ``np.multiply(dlap_c, spec, out=...)`` writes
+    the derivative stack of a (C, N, N/2+1) spectrum as (3, C, N, N/2+1).
+    numpy multiplies and divides a complex array by a real or bool one by
+    casting it to complex first, so the products keep their bits (the
+    Laplacian's up to the sign of a zero, since it folds two factors into
+    one).
     """
 
     n_modes: int
@@ -103,11 +91,10 @@ class SpectralGrid:
     k2_safe: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     diff_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    ik1: np.ndarray = field(init=False, repr=False, compare=False)
-    ik2: np.ndarray = field(init=False, repr=False, compare=False)
     herm_weight: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_c: np.ndarray = field(init=False, repr=False, compare=False)
-    lap_c: np.ndarray = field(init=False, repr=False, compare=False)
+    dlap_c: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_c: np.ndarray = field(init=False, repr=False, compare=False)
     kx_c: np.ndarray = field(init=False, repr=False, compare=False)
     ky_c: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -125,12 +112,12 @@ class SpectralGrid:
         weight = np.full(ky.shape, 2.0)
         weight[:, [0, -1]] = 1.0
         c = np.complex128
+        dlap = np.stack([1j * kx * diff, 1j * ky * diff, (-k2 * diff).astype(c)])[:, None]
         for name, val in [
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
             ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2).astype(c)),
-            ("dealias_mask", dealias), ("diff_mask", diff),
-            ("ik1", 1j * kx * diff), ("ik2", 1j * ky * diff), ("herm_weight", weight),
-            ("dealias_c", dealias.astype(c)), ("lap_c", (-k2 * diff).astype(c)),
+            ("dealias_mask", dealias), ("diff_mask", diff), ("herm_weight", weight),
+            ("dealias_c", dealias.astype(c)), ("dlap_c", dlap), ("grad_c", dlap[:2]),
             ("kx_c", kx.astype(c)), ("ky_c", ky.astype(c)),
         ]:
             val.setflags(write=False)
@@ -159,60 +146,47 @@ class SpectralGrid:
 
     # -- transforms ---------------------------------------------------------
 
-    def to_spec(self, phys: np.ndarray) -> np.ndarray:
-        return np.fft.rfft2(phys, axes=(-2, -1), norm="forward")
+    def to_spec(self, phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectra of a stack of physical slices (..., N, N), written
+        into ``out`` (C-contiguous; allocated when None)."""
+        if out is None:
+            out = np.empty(phys.shape[:-2] + self.spec_shape, np.complex128)
+        return self._chunked(np.fft.rfftn, phys, out, None)
 
-    def to_phys(self, spec: np.ndarray) -> np.ndarray:
-        return np.fft.irfft2(spec, s=(self.n_modes, self.n_modes), axes=(-2, -1), norm="forward")
+    def to_phys(self, spec: np.ndarray, in_place: bool = False) -> np.ndarray:
+        """Physical slices of a stack of half spectra (..., N, N/2+1);
+        ``in_place`` writes them over the C-contiguous ``spec``, a stage input
+        that nothing reads afterwards.  ``irfftn`` reads a chunk in full (its
+        first pass makes a new array) before it writes it, and a chunk's
+        physical slices end before the next chunk's spectra begin
+        (8 N^2 < 16 N (N/2+1) bytes per slice)."""
+        n = self.n_modes
+        shape = spec.shape[:-2] + (n, n)
+        if in_place:
+            flat = spec.reshape(-1, copy=False).view(np.float64)
+            out = flat[:math.prod(shape)].reshape(shape)
+        else:
+            out = np.empty(shape)
+        return self._chunked(np.fft.irfftn, spec, out, (n, n))
 
-    def to_spec_many(self, arrays: list) -> list:
-        """``to_spec`` of each physical array, packed under ``PACK_BYTES``;
-        empties ``arrays`` (see ``_packed``)."""
-        return self._packed(self.to_spec, arrays)
-
-    def to_phys_many(self, specs: list) -> list:
-        """``to_phys`` of each half-spectrum array, packed under ``PACK_BYTES``;
-        empties ``specs`` (see ``_packed``)."""
-        return self._packed(self.to_phys, specs)
-
-    def _packed(self, transform, arrays: list) -> list:
-        """Apply ``transform`` to every array of ``arrays``, which must not
-        depend on one another, concatenating adjacent ones into one call while
-        the group stays within ``PACK_BYTES``.
-
-        Returns one result per input, in order, in the input's leading shape;
-        packed results are views of their group's output.  ``arrays`` is
-        emptied on entry and each input is dropped once its group has gone
-        through, so no input outlives its own transform here.
-        """
-        leading = [a.shape[:-2] for a in arrays]
-        counts = [math.prod(lead) for lead in leading]
-        pending = arrays[::-1]
-        arrays.clear()
-        out = []
-        for start, stop in _pack_groups(counts, max(1, PACK_BYTES // (8 * self.size))):
-            if stop - start == 1:
-                out.append(transform(pending.pop()))
-                continue
-            group = [pending.pop() for _ in range(start, stop)]
-            packed = np.concatenate([a.reshape((-1,) + a.shape[-2:]) for a in group])
-            del group
-            flat = transform(packed)
-            del packed
-            first, tail = 0, flat.shape[-2:]
-            for count, lead in zip(counts[start:stop], leading[start:stop]):
-                out.append(flat[first:first + count].reshape(lead + tail))
-                first += count
+    def _chunked(self, transform, src: np.ndarray, out: np.ndarray, s) -> np.ndarray:
+        """``transform`` of every 2D slice of ``src`` into ``out``: one call
+        per chunk of at most ``CHUNK_BYTES`` of physical slices."""
+        src = src.reshape((-1,) + src.shape[-2:])
+        dst = out.reshape((-1,) + out.shape[-2:], copy=False)
+        step = max(1, CHUNK_BYTES // (8 * self.size))
+        for i in range(0, len(src), step):
+            transform(src[i:i + step], s=s, axes=(-2, -1), norm="forward", out=dst[i:i + step])
         return out
 
     # -- spectral calculus --------------------------------------------------
 
     def deriv(self, spec: np.ndarray, axis: int) -> np.ndarray:
         """Partial derivative along axis 1 or 2, Nyquist lines zeroed."""
-        return (self.ik1 if axis == 1 else self.ik2) * spec
+        return self.grad_c[axis - 1, 0] * spec
 
     def laplacian(self, spec: np.ndarray) -> np.ndarray:
-        return self.lap_c * spec
+        return self.dlap_c[2, 0] * spec
 
     def dealias(self, spec: np.ndarray) -> np.ndarray:
         return spec * self.dealias_c

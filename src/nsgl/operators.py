@@ -54,38 +54,37 @@ def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
     return out
 
 
-def grad_pair(grid: SpectralGrid, spec: np.ndarray):
-    """Physical partial derivatives (d1 f, d2 f) of a spectral component stack."""
-    return tuple(grid.to_phys_many([grid.deriv(spec, 1), grid.deriv(spec, 2)]))
+def grad_pair(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    """Physical partial derivatives (d1 f, d2 f) of a spectral component
+    stack, as one (2, C, N, N) array."""
+    return grid.to_phys(grid.grad_c * spec)
 
 
-def _transport_phys(u_phys, d1, d2) -> np.ndarray:
-    """(u . grad) f on the grid from the physical partials of f."""
-    return u_phys[0] * d1 + u_phys[1] * d2
+def _stress_phys(d1, d2, out) -> np.ndarray:
+    """The three distinct entries t11, t12, t22 of grad(n) (.) grad(n), into out[:3]."""
+    for k, (a, b) in enumerate(((d1, d1), (d1, d2), (d2, d2))):
+        (a * b).sum(axis=0, out=out[k])
+    return out
 
 
-def _stress_phys(d1, d2) -> list:
-    """The three distinct entries t11, t12, t22 of grad(n) (.) grad(n)."""
-    return [(d1 * d1).sum(axis=0), (d1 * d2).sum(axis=0), (d2 * d2).sum(axis=0)]
-
-
-def _stress_div(grid, t11, t12, t22) -> np.ndarray:
-    """Projected divergence of the stress from its spectral entries, dealiased here."""
-    t11, t12, t22 = (grid.dealias(t) for t in (t11, t12, t22))
-    div = np.empty((2, *t11.shape), t11.dtype)
-    np.add(grid.deriv(t11, 1), grid.deriv(t12, 2), out=div[0])
-    np.add(grid.deriv(t12, 1), grid.deriv(t22, 2), out=div[1])
+def _stress_div(grid, t) -> np.ndarray:
+    """Projected divergence of the stress from its spectral entries
+    (t11, t12, t22), dealiased here: (d1 t11 + d2 t12, d1 t12 + d2 t22)."""
+    t = grid.dealias(t)
+    div = grid.grad_c[0] * t[:2]
+    div += grid.grad_c[1] * t[1:]
     return leray_project_spec(grid, div)
 
 
 def stress_div_spec(grid, d1, d2) -> np.ndarray:
     """Projected divergence of grad(n) (.) grad(n) from the physical partials of n."""
-    return _stress_div(grid, *grid.to_spec_many(_stress_phys(d1, d2)))
+    return _stress_div(grid, grid.to_spec(_stress_phys(d1, d2, np.empty((3, *d1.shape[1:])))))
 
 
 def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
     """(u . grad) f for any component stack f, dealiased, in spectral space."""
-    return grid.dealias(grid.to_spec(_transport_phys(u_phys, *grad_pair(grid, f_spec))))
+    d1, d2 = grad_pair(grid, f_spec)
+    return grid.dealias(grid.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
 
 
 def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarray):
@@ -98,26 +97,31 @@ def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarr
     Every u that reaches the exchange stage meets that precondition: the
     initial velocity, the noise increments and the exchange output are all
     dealiased and solenoidal.  n is not band-limited, so its transport keeps
-    the advective form.  Each direction is one packed transform stage: u and
-    grad n go back to the grid together (8 slices), and the three entries of
-    sigma and the n transport come forward together (6 slices).
+    the advective form.  Each direction is one stacked transform stage: u
+    and grad n go back to the grid in place (8 slices), and the three entries
+    of sigma and the n transport come forward together (6 slices).
     """
-    u_phys, dn1, dn2 = grid.to_phys_many([u_spec, grid.deriv(n_spec, 1), grid.deriv(n_spec, 2)])
-    # the list alone holds the forward inputs, so each is freed once it is
-    # transformed: at N = 128, where nothing is packed, that lowers the peak
-    forward = _stress_phys(dn1, dn2) + [_transport_phys(u_phys, dn1, dn2)]
-    del dn1, dn2
+    back = np.empty((8, *u_spec.shape[1:]), np.complex128)
+    back[:2] = u_spec
+    np.multiply(grid.grad_c, n_spec, out=back[2:].reshape(2, *n_spec.shape))
+    phys = grid.to_phys(back, in_place=True)
+    u_phys, dn1, dn2 = phys[:2], phys[2:5], phys[5:]
+    forward = _stress_phys(dn1, dn2, np.empty((6, *phys.shape[1:])))
     forward[0] += u_phys[0] * u_phys[0]
     forward[1] += u_phys[0] * u_phys[1]
     forward[2] += u_phys[1] * u_phys[1]
-    del u_phys
-    t11, t12, t22, n_conv = grid.to_spec_many(forward)
-    return -_stress_div(grid, t11, t12, t22), -grid.dealias(n_conv)
+    np.multiply(u_phys[0], dn1, out=forward[3:])
+    forward[3:] += u_phys[1] * dn2
+    del back, phys, u_phys, dn1, dn2
+    spec = grid.to_spec(forward)
+    del forward
+    return -_stress_div(grid, spec[:3]), -grid.dealias(spec[3:])
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of (3, ...) component stacks."""
-    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross product of (3, ...) component stacks, into ``out`` when given."""
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
     np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
     np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
     np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])

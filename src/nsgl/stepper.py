@@ -136,11 +136,11 @@ def _heat_multiplier(grid: SpectralGrid, dt: float) -> np.ndarray:
     return mult
 
 
-def diffuse_spec(grid: SpectralGrid, spec: np.ndarray, dt: float) -> np.ndarray:
-    return spec * _heat_multiplier(grid, dt)
+def diffuse_spec(grid: SpectralGrid, spec: np.ndarray, dt: float, out=None) -> np.ndarray:
+    return np.multiply(spec, _heat_multiplier(grid, dt), out=out)
 
 
-def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float) -> np.ndarray:
+def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float, out=None) -> np.ndarray:
     """Exact flow of dn/dt = (1/eps^2)(1-|n|^2) n: logistic in |n|^2, fixed direction.
 
     |n|^2 evolves as y -> y / ((1-y) exp(-2 dt/eps^2) + y); the denominator is
@@ -149,25 +149,32 @@ def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float) -> np.ndarra
     y0 = (n_phys * n_phys).sum(axis=0)
     decay = np.exp(-2.0 * dt / epsilon**2)
     denom = np.maximum((1.0 - y0) * decay + y0, 1e-300)  # 0/0 guard at n = 0
-    return n_phys / np.sqrt(denom)
+    return np.divide(n_phys, np.sqrt(denom), out=out)
 
 
-def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float) -> np.ndarray:
-    """Exact flow of dn = (n x h) deta: rotation by -|h| deta about h/|h|."""
+def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float, out=None,
+                h_index=None) -> np.ndarray:
+    """Exact flow of dn = (n x h) deta: rotation by -|h| deta about h/|h|.
+    ``out`` may be ``n_phys``.  With ``h_index``, ``h_mag[h_index]`` is |h|:
+    the trig runs on its distinct values only (``NoiseModel.h_mag_values``)."""
     theta = -h_mag * d_eta
     c = np.cos(theta)
     s = np.sin(theta)
+    if h_index is not None:
+        c, s = c[h_index], s[h_index]
     axn = cross3(h_unit, n_phys)
     adotn = (h_unit * n_phys).sum(axis=0)
-    return n_phys * c + axn * s + h_unit * (adotn * (1.0 - c))
+    return np.add(n_phys * c + axn * s, h_unit * (adotn * (1.0 - c)), out=out)
 
 
 def midpoint_exchange(grid, u_spec, n_spec, dt):
     """Exchange stage alone: explicit midpoint rule for the transport/stress drift."""
-    du1, dn1 = coupling_drift_spec(grid, u_spec, n_spec)
-    du2, dn2 = coupling_drift_spec(grid, u_spec + 0.5 * dt * du1, n_spec + 0.5 * dt * dn1)
-    u_new = grid.dealias(u_spec + dt * du2)
-    n_new = grid.dealias(n_spec + dt * dn2)
+    du, dn = coupling_drift_spec(grid, u_spec, n_spec)
+    u_mid, n_mid = u_spec + 0.5 * dt * du, n_spec + 0.5 * dt * dn
+    del du, dn  # not held through the second drift, the step's memory peak
+    du, dn = coupling_drift_spec(grid, u_mid, n_mid)
+    u_new = grid.dealias(u_spec + dt * du)
+    n_new = grid.dealias(n_spec + dt * dn)
     return leray_project_spec(grid, u_new), n_new
 
 
@@ -235,32 +242,38 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
     """Rotate ``n_phys``, record the director-noise ledger terms at the
     unrotated director, and return the spectrum of the rotated one.
 
-    The rotation reads neither ledger term, so it goes first and the
-    unrotated and rotated directors go forward in one ``to_spec_many``
-    call.  Only the directions i with a nonzero d_i h (``noise.h_dirs``)
-    enter the sums: the terms of the others are exact zeros, so leaving
-    them out keeps the sums' bits, and a constant h takes no ledger
+    The rotation reads neither ledger term, so it goes first, and the
+    unrotated and rotated directors go forward as one stack.  Only the
+    directions i with a nonzero d_i h (``noise.h_dirs``, a contiguous
+    range) enter the sums: the terms of the others are exact zeros, so
+    leaving them out keeps the sums' bits, and a constant h takes no ledger
     transform at all.  A function of its own so that grad n and n x grad h
-    are freed before the exchange stage allocates its own work arrays.
+    are freed before the exchange stage allocates its own work arrays, as is
+    the ledger's half of the stack: the rotated spectrum is copied out.
     """
-    rotated = rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta)
     dirs = noise.h_dirs
+    stack = np.empty((6 if dirs else 3, *n_phys.shape[1:]))
+    rotate_phys(n_phys, noise.h_unit, noise.h_mag_values, inc.d_eta, out=stack[-3:],
+                h_index=noise.h_mag_index)
     if not dirs:
-        return grid.to_spec(rotated)
-    n_spec, rotated_spec = grid.to_spec_many([n_phys, rotated])
-    grad_n = np.stack(grid.to_phys_many([grid.deriv(n_spec, i + 1) for i in dirs]))
-    cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
+        return grid.to_spec(stack)
+    stack[:3] = n_phys
+    spec = grid.to_spec(stack)
+    grad_n = grid.to_phys(grid.grad_c[dirs[0]:dirs[-1] + 1] * spec[:3], in_place=True)
+    cross = np.empty_like(grad_n)
+    for j, i in enumerate(dirs):
+        cross3(n_phys, noise.h_grad[i], out=cross[j])
     ledger.grad_cross_deta += grid.integrate((grad_n * cross).sum(axis=(0, 1))) * inc.d_eta
     ledger.cross_sq_dt += grid.integrate((cross * cross).sum(axis=(0, 1))) * dt
-    return rotated_spec
+    return spec[3:].copy()
 
 
 def _composite(state, dt, inc, gl, noise, ledger):
     grid = state.grid
     half = dt / 2
     u_spec = diffuse_spec(grid, state.u.spec, half)
-    n_phys = gl_reaction_phys(grid.to_phys(diffuse_spec(grid, state.n.spec, half)),
-                              half, gl.epsilon)
+    n_phys = grid.to_phys(diffuse_spec(grid, state.n.spec, half), in_place=True)
+    gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
     if noise.director_on and noise.h is not None:
         n_spec = _director_noise(grid, n_phys, noise, inc, dt, ledger)
     else:
@@ -273,16 +286,17 @@ def _composite(state, dt, inc, gl, noise, ledger):
             + grid.l2_inner_spec(u_spec[1], inc.dW.spec[1])
         u_spec = u_spec + inc.dW.spec
 
-    n_phys = gl_reaction_phys(grid.to_phys(n_spec), half, gl.epsilon)
-    n_spec = diffuse_spec(grid, grid.to_spec(n_phys), half)
-    u_spec = diffuse_spec(grid, u_spec, half)
-
-    # the spectra are the state; their to_phys rides along for the report
-    # and the CFL test, so neither transforms the state again
-    u_phys, n_phys = grid.to_phys_many([u_spec, n_spec])
+    # the spectra are the state, one (5, N, N/2+1) stack; their to_phys rides
+    # along for the report and the CFL test, so neither transforms it again
+    new = np.empty((5, *grid.spec_shape), np.complex128)
+    n_phys = grid.to_phys(n_spec, in_place=True)
+    gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
+    diffuse_spec(grid, grid.to_spec(n_phys, out=new[2:]), half, out=new[2:])
+    diffuse_spec(grid, u_spec, half, out=new[:2])
+    phys = grid.to_phys(new)
     return SimState(
         t=state.t + dt,
         step=state.step,
-        u=VelocityField(grid, phys=u_phys, spec=u_spec),
-        n=DirectorField(grid, phys=n_phys, spec=n_spec),
+        u=VelocityField(grid, phys=phys[:2], spec=new[:2]),
+        n=DirectorField(grid, phys=phys[2:], spec=new[2:]),
     )

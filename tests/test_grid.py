@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nsgl.grid import (
-    PACK_BYTES,
+    CHUNK_BYTES,
     DirectorField,
     SpectralGrid,
     VelocityField,
@@ -275,58 +275,64 @@ def test_conj_symmetry_defect_flags_unpaired_column_mode(grid32):
         DirectorField(grid32, spec=np.zeros((3, 32, 32), dtype=complex))
 
 
-def test_pack_groups_never_split_an_input():
-    from nsgl.grid import _pack_groups
-
-    assert _pack_groups([], 4) == []
-    assert _pack_groups([1, 3, 2, 1, 3], 4) == [(0, 2), (2, 4), (4, 5)]
-    assert _pack_groups([5, 1, 1], 4) == [(0, 1), (1, 3)]  # an oversized input goes alone
-    assert _pack_groups([3, 3], 1) == [(0, 1), (1, 2)]
-
-
-# 1 + 3 + 2 + 1 + 3 + 1 + 2 + 3 + 3 = 19 slices: N = 16 packs all of them into
-# one call, N = 32 (16 slices per call) crosses the budget once, N = 64 (4
-# per call) several times, and N = 128 gives every input a call of its own
-_PACK_SHAPES = [(), (3,), (2,), (), (3,), (1,), (2,), (3,), (3,)]
-_PACK_CALLS = {16: 1, 32: 2, 64: 6, 128: 9}
-
-
-def _count_calls(monkeypatch, name):
+def _record_calls(monkeypatch, name):
+    """The leading slice count of every ``numpy.fft.<name>`` call."""
     calls = []
     inner = getattr(np.fft, name)
 
-    def counted(a, *args, **kwargs):
-        calls.append(np.shape(a))
+    def recorded(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
         return inner(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, name, counted)
+    monkeypatch.setattr(np.fft, name, recorded)
     return calls
 
 
-@pytest.mark.parametrize("n", sorted(_PACK_CALLS))
-def test_packed_transforms_equal_one_call_per_input(n, monkeypatch):
-    """Packing adjacent inputs into one numpy.fft call leaves every result
-    bitwise equal to a call of its own, and no call exceeds PACK_BYTES
-    unless it carries a single input."""
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_stacked_transforms_equal_one_call_per_slice(n, monkeypatch):
+    """A stack larger than CHUNK_BYTES goes through in chunks that stay
+    within it (192 slices per call at N = 16, 3 at N = 128), and every slice
+    of the result is bitwise equal to a transform call of its own."""
     g = SpectralGrid(n)
-    rng = np.random.default_rng(n)
-    phys = [rng.standard_normal((*lead, n, n)) for lead in _PACK_SHAPES]
-    specs = [g.to_spec(p) for p in phys]
-    assert sum(a.size for a in phys) // g.size == 19
+    per_call = max(1, CHUNK_BYTES // (8 * g.size))
+    lead = (2, per_call + 1)
+    phys = np.random.default_rng(n).standard_normal((*lead, n, n))
+    singles = [np.fft.rfft2(p, norm="forward") for p in phys.reshape(-1, n, n)]
 
-    for name, transform, inputs, expected in (
-        ("rfft2", g.to_spec_many, phys, specs),
-        ("irfft2", g.to_phys_many, specs, [g.to_phys(s) for s in specs]),
+    for name, transform, src, expected in (
+        ("rfftn", g.to_spec, phys, singles),
+        ("irfftn", g.to_phys, np.stack(singles).reshape(*lead, *g.spec_shape),
+         [np.fft.irfft2(s, s=(n, n), norm="forward") for s in singles]),
     ):
-        calls = _count_calls(monkeypatch, name)
-        pending = list(inputs)
-        got = transform(pending)
-        assert pending == []  # the inputs are released as they are transformed
-        assert len(calls) == _PACK_CALLS[n]
-        singles = [a.shape for a in inputs]
-        for shape in calls:
-            assert shape in singles or int(np.prod(shape[:-2])) * g.size * 8 <= PACK_BYTES
-        assert len(got) == len(expected)
-        for a, b in zip(got, expected):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert np.array_equal(a, b)
+        calls = _record_calls(monkeypatch, name)
+        got = transform(src)
+        assert calls == [per_call, per_call, 2]
+        assert got.shape[:2] == lead
+        flat = got.reshape(-1, *got.shape[2:])
+        assert len(flat) == len(expected)
+        for a, b in zip(flat, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_chunked_transforms_write_their_whole_output(n):
+    """The chunked transforms write every byte of their output with
+    ``out=``, which numpy 2.4's ``irfft2`` would not (it passes ``out=None``
+    on to ``irfftn``): into a NaN-filled buffer, and, for the inverse, over
+    its own input, byte-equal to one unchunked call either way."""
+    g = SpectralGrid(n)
+    count = 2 * max(1, CHUNK_BYTES // (8 * g.size)) + 1  # the last chunk partial
+    phys = np.random.default_rng(n + 1).standard_normal((count, n, n))
+    spec_ref = np.fft.rfft2(phys, norm="forward")
+    phys_ref = np.fft.irfft2(spec_ref, s=(n, n), norm="forward")
+
+    out = np.full(spec_ref.shape, np.nan, np.complex128)
+    assert g.to_spec(phys, out=out) is out
+    assert out.tobytes() == spec_ref.tobytes()
+    out = np.full(phys.shape, np.nan)
+    g._chunked(np.fft.irfftn, spec_ref, out, (n, n))
+    assert out.tobytes() == phys_ref.tobytes()
+    spec = spec_ref.copy()
+    got = g.to_phys(spec, in_place=True)
+    assert np.shares_memory(got, spec)
+    assert got.tobytes() == phys_ref.tobytes()

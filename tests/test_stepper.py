@@ -145,6 +145,28 @@ def test_rotation_isometry_and_inverse(grid32, rng, make_director):
     assert np.allclose(back, n.phys, atol=1e-13)
 
 
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("profile", ["constant", "single_mode"])
+def test_rotation_trig_on_the_distinct_values_of_h_keeps_the_bits(n, profile, rng,
+                                                                  make_director):
+    """``NoiseModel`` keeps the distinct values of |h|, at most N for either
+    profile, and the rotation that takes its trig on them and gathers it
+    onto the grid is byte-equal to full-grid trig, also written in place."""
+    g = SpectralGrid(n)
+    noise = NoiseModel(grid=g, h=scalar_h(g, profile))
+    assert len(noise.h_mag_values) <= n
+    assert np.array_equal(noise.h_mag_values[noise.h_mag_index], noise.h_mag)
+    n_phys = make_director(g, rng, k_max=5, amplitude=0.8).phys
+    for d_eta in (0.63, -1e-3, 7.25):
+        full = rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta)
+        args = (noise.h_unit, noise.h_mag_values, d_eta)
+        got = rotate_phys(n_phys, *args, h_index=noise.h_mag_index)
+        assert got.tobytes() == full.tobytes()
+        in_place = n_phys.copy()
+        rotate_phys(in_place, *args, out=in_place, h_index=noise.h_mag_index)
+        assert in_place.tobytes() == full.tobytes()
+
+
 def test_taylor_green_full_step_reduces_to_heat_decay(grid32):
     """TG velocity with constant director: every coupling term vanishes."""
     g = grid32
@@ -474,7 +496,7 @@ def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
     dirs = noise.h_dirs
     if dirs:
         n_spec = g.to_spec(n_phys)
-        grad_n = np.stack(g.to_phys_many([g.deriv(n_spec, i + 1) for i in dirs]))
+        grad_n = np.stack([g.to_phys(g.deriv(n_spec, i + 1)) for i in dirs])
         cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
         ref.grad_cross_deta += g.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
         ref.cross_sq_dt += g.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
@@ -532,6 +554,56 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     slices = count_slices(monkeypatch)
     energy_report(new, gl, monitors=False)
     assert slices == {"forward": 0, "inverse": 9}
+
+
+_N128_INI = """
+[grid]
+n_modes = 128
+[stepper]
+dt = 0.001
+t_end = 0.1
+[gl]
+epsilon = 0.1
+[noise]
+gamma = 3.0
+seed = 301
+[h_field]
+profile = single_mode
+magnitude = 1.0
+[initial]
+u0 = random_band
+n0 = random_unit
+seed = 301
+"""
+
+
+def test_n128_step_and_report_memory_peaks(tmp_path):
+    """At N = 128 one step and the full energy report of its state keep
+    their tracemalloc peaks at or below 4.50 MB and 2.89 MB, the peaks of
+    the per-input transforms that the stacked stages replaced (4.497 and
+    2.888 MB, measured the same way): stage inputs are transformed in
+    place, and each stack is dropped once its last reader is done."""
+    import tracemalloc
+
+    from nsgl.io_cli import build_components, load_config
+
+    ini = tmp_path / "n128.ini"
+    ini.write_text(_N128_INI)
+    b = build_components(load_config(str(ini)))
+    state, _ = step(b.state0, b.stepper, b.gl, b.noise)  # fills every cache
+    energy_report(state, b.gl, b.covering)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        state, _ = step(state, b.stepper, b.gl, b.noise)
+        step_peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        energy_report(state, b.gl, b.covering)
+        report_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert step_peak <= 4.50e6 and report_peak <= 2.89e6, (step_peak, report_peak)
 
 
 def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
