@@ -8,7 +8,7 @@ parameter.  The smallest epsilon acts as the reference trajectory.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -298,7 +298,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
     tau = np.full(n_paths, cfg.t_end)
 
     for p in range(n_paths):
-        noise = replace(noise_base, path_id=noise_base.path_id + p)
+        noise = noise_base.for_path(noise_base.path_id + p)
         members = []
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
@@ -418,7 +418,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     e_final = np.zeros(n_paths)
     max_n = 0.0
     for p in range(n_paths):
-        noise = replace(noise_base, path_id=noise_base.path_id + p)
+        noise = noise_base.for_path(noise_base.path_id + p)
         trace = _Path(state0, cfg, gl, noise, None, None, None, monitors=False).run()
         sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
         residual[p] = res = trace.residual

@@ -17,14 +17,14 @@ columns k2 = 0 and k2 = N/2.  A sum over the full spectrum becomes a sum over th
 ``herm_weight``: 1 on those two columns, whose modes appear once, and 2
 elsewhere, where each stored mode stands for itself and its conjugate.
 
-A transform takes a stack (..., N, N) or (..., N, N/2+1) and sends it
-through ``numpy.fft`` in chunks of at most ``CHUNK_BYTES`` of physical
-slices, each written with ``out=`` into its part of one result array
-(``irfft2`` would not do: numpy 2.4's passes ``out=None`` on to
-``irfftn``, so its ``out`` stays unwritten).  A stage builds its whole
-input as one stack, so its transforms cost one call at small N, and a
-chunked or batched transform gives each slice the same bits as a call of
-its own.
+A transform takes a stack (..., N, N) or (..., N, N/2+1) and sends it,
+in chunks of at most ``CHUNK_BYTES`` of physical slices, through the
+pocketfft kernels that ``numpy.fft.rfftn`` / ``irfftn`` end in: one 1-D
+pass per axis, each chunk written with ``out=`` into its part of one
+result array.  The kernels give numpy.fft's bytes without its per-call
+Python layer.  A stage builds its whole input as one stack, so its
+transforms cost one chunk at small N, and a chunked or batched transform
+gives each slice the same bits as a call of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +34,14 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# The gufuncs numpy.fft's rfftn/irfftn end in, one 1-D pass per axis (numpy
+# >= 2.0).  Called directly, a chunk skips numpy.fft's n-d wrapper.  Timed
+# alone at N = 32 (2-vCPU VM, numpy 2.4.6), that wrapper added about 10 us
+# to a forward call and 5 us to an inverse one, where a one-slice chunk
+# takes 11 us; along an ensemble run, where its code runs cold, the fitted
+# fixed cost per call fell from 37-47 to 17-18 us.  norm="forward" is the
+# factor 1/n on each forward pass and 1 on each inverse pass.
+from numpy.fft import _pocketfft_umath as _pfu
 
 __all__ = [
     "SpectralGrid",
@@ -44,9 +52,12 @@ __all__ = [
 ]
 
 # Largest physical size in bytes, N*N*8 per 2D slice, of one transform
-# call: 48 slices at N = 32, 12 at N = 64, 3 at N = 128.  Per slice, larger
-# calls were no faster, and a chunk's irfftn allocates a temporary its size.
+# chunk: 48 slices at N = 32, 12 at N = 64, 3 at N = 128.  Per slice, larger
+# chunks were no faster, and a chunk's inverse fills a temporary its size.
 CHUNK_BYTES = 384 * 1024
+
+# a kernel's core axis at -2, for its input, its factor and its output
+_AXIS_2 = [(-2,), (), (-2,)]
 
 
 @dataclass(frozen=True)
@@ -151,14 +162,14 @@ class SpectralGrid:
         into ``out`` (C-contiguous; allocated when None)."""
         if out is None:
             out = np.empty(phys.shape[:-2] + self.spec_shape, np.complex128)
-        return self._chunked(np.fft.rfftn, phys, out, None)
+        return self._chunked(phys, out)
 
     def to_phys(self, spec: np.ndarray, in_place: bool = False) -> np.ndarray:
         """Physical slices of a stack of half spectra (..., N, N/2+1);
         ``in_place`` writes them over the C-contiguous ``spec``, a stage input
-        that nothing reads afterwards.  ``irfftn`` reads a chunk in full (its
-        first pass makes a new array) before it writes it, and a chunk's
-        physical slices end before the next chunk's spectra begin
+        that nothing reads afterwards.  A chunk's first pass reads it in full
+        into a temporary before anything is written, and a chunk's physical
+        slices end before the next chunk's spectra begin
         (8 N^2 < 16 N (N/2+1) bytes per slice)."""
         n = self.n_modes
         shape = spec.shape[:-2] + (n, n)
@@ -167,16 +178,27 @@ class SpectralGrid:
             out = flat[:math.prod(shape)].reshape(shape)
         else:
             out = np.empty(shape)
-        return self._chunked(np.fft.irfftn, spec, out, (n, n))
+        return self._chunked(spec, out)
 
-    def _chunked(self, transform, src: np.ndarray, out: np.ndarray, s) -> np.ndarray:
-        """``transform`` of every 2D slice of ``src`` into ``out``: one call
-        per chunk of at most ``CHUNK_BYTES`` of physical slices."""
+    def _chunked(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The transform of every 2D slice of ``src`` into ``out``, forward
+        when ``out`` is complex: one chunk of at most ``CHUNK_BYTES`` of
+        physical slices at a time, in numpy.fft's passes.  Forward, the last
+        axis goes into ``out`` and axis -2 is transformed there in place;
+        back, axis -2 goes into a temporary and the last axis into ``out``."""
         src = src.reshape((-1,) + src.shape[-2:])
         dst = out.reshape((-1,) + out.shape[-2:], copy=False)
         step = max(1, CHUNK_BYTES // (8 * self.size))
+        forward = out.dtype == np.complex128
+        fct = 1.0 / self.n_modes
         for i in range(0, len(src), step):
-            transform(src[i:i + step], s=s, axes=(-2, -1), norm="forward", out=dst[i:i + step])
+            a, b = src[i:i + step], dst[i:i + step]
+            if forward:
+                _pfu.rfft_n_even(a, fct, out=b)
+                _pfu.fft(b, fct, out=b, axes=_AXIS_2)
+            else:
+                cols = _pfu.ifft(a, 1.0, out=np.empty(a.shape, np.complex128), axes=_AXIS_2)
+                _pfu.irfft(cols, 1.0, out=b)
         return out
 
     # -- spectral calculus --------------------------------------------------

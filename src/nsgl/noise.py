@@ -13,6 +13,7 @@ step consume disjoint substreams.
 
 from __future__ import annotations
 
+import copy
 import functools
 from dataclasses import dataclass, field
 
@@ -87,8 +88,7 @@ class NoiseModel:
         if not (self.gamma > 2.0):
             raise ValueError(f"noise.gamma must be > 2, got {self.gamma}")
         for key in ("seed", "path_id"):
-            if not 0 <= getattr(self, key) < 2**64:
-                raise ValueError(f"noise.{key} must be in [0, 2**64), got {getattr(self, key)}")
+            _check_key(key, getattr(self, key))
         if cutoff > n / 3.0:
             raise ValueError(
                 f"noise.mode_cutoff must stay within the dealias region (<= N/3), got {cutoff}"
@@ -142,6 +142,15 @@ class NoiseModel:
                 object.__setattr__(self, name, None)
             object.__setattr__(self, "h_dirs", ())
 
+    def for_path(self, path_id: int) -> NoiseModel:
+        """This model on path ``path_id``: a copy that shares every table,
+        since none depends on the path (``dataclasses.replace`` would build
+        them all again, the h tables included)."""
+        _check_key("path_id", path_id)
+        model = copy.copy(self)
+        object.__setattr__(model, "path_id", path_id)
+        return model
+
     @property
     def n_basis(self) -> int:
         """Number of retained basis elements (a cos and a sin per k point)."""
@@ -163,6 +172,11 @@ class NoiseModel:
         norm = np.sqrt(float(k1 * k1 + k2 * k2))
         perp = np.array([-k2 / norm, k1 / norm])
         return VelocityField(self.grid, phys=_NORM * wave * perp[:, None, None])
+
+
+def _check_key(key: str, value: int) -> None:
+    if not 0 <= value < 2**64:
+        raise ValueError(f"noise.{key} must be in [0, 2**64), got {value}")
 
 
 @dataclass(frozen=True)

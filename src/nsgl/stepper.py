@@ -130,8 +130,9 @@ class StepLedger:
 @functools.lru_cache(maxsize=16)
 def _heat_multiplier(grid: SpectralGrid, dt: float) -> np.ndarray:
     """exp(-|k|^2 dt), computed once per grid size and step length (a run
-    uses a handful: the half steps of dt and of its CFL halvings)."""
-    mult = np.exp(-grid.k2 * dt)
+    uses a handful: the half steps of dt and of its CFL halvings).  It is
+    held in complex128, like the grid's tables, so no multiply casts it."""
+    mult = np.exp(-grid.k2 * dt).astype(np.complex128)
     mult.setflags(write=False)
     return mult
 

@@ -1,8 +1,11 @@
 """Transforms, masks, quadrature, and Sobolev norms on the periodic grid."""
 
+import types
+
 import numpy as np
 import pytest
 
+import nsgl.grid
 from nsgl.grid import (
     CHUNK_BYTES,
     DirectorField,
@@ -45,7 +48,7 @@ def test_transform_round_trip(grid32, rng):
 
 @pytest.mark.parametrize("n", [16, 32, 48, 64, 128])
 def test_transform_scaling_inside_the_fft_call(n):
-    """``to_spec``/``to_phys`` scale by N^2 inside numpy.fft: bitwise the raw
+    """``to_spec``/``to_phys`` scale by N^2 inside the kernel calls: bitwise the raw
     transform divided or multiplied by N^2 when N is a power of two, and
     equal to roundoff otherwise."""
     g = SpectralGrid(n)
@@ -276,22 +279,27 @@ def test_conj_symmetry_defect_flags_unpaired_column_mode(grid32):
 
 
 def _record_calls(monkeypatch, name):
-    """The leading slice count of every ``numpy.fft.<name>`` call."""
+    """The leading slice count of every call of the grid's kernel ``name``
+    (``rfft_n_even``, a forward chunk's first pass, or ``ifft``, an inverse
+    chunk's)."""
     calls = []
-    inner = getattr(np.fft, name)
+    kernels = nsgl.grid._pfu
+    inner = getattr(kernels, name)
 
     def recorded(a, *args, **kwargs):
         calls.append(int(np.prod(np.shape(a)[:-2])))
         return inner(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.fft, name, recorded)
+    patched = {k: getattr(kernels, k) for k in ("rfft_n_even", "fft", "ifft", "irfft")}
+    patched[name] = recorded
+    monkeypatch.setattr(nsgl.grid, "_pfu", types.SimpleNamespace(**patched))
     return calls
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_stacked_transforms_equal_one_call_per_slice(n, monkeypatch):
     """A stack larger than CHUNK_BYTES goes through in chunks that stay
-    within it (192 slices per call at N = 16, 3 at N = 128), and every slice
+    within it (192 slices per chunk at N = 16, 3 at N = 128), and every slice
     of the result is bitwise equal to a transform call of its own."""
     g = SpectralGrid(n)
     per_call = max(1, CHUNK_BYTES // (8 * g.size))
@@ -300,8 +308,8 @@ def test_stacked_transforms_equal_one_call_per_slice(n, monkeypatch):
     singles = [np.fft.rfft2(p, norm="forward") for p in phys.reshape(-1, n, n)]
 
     for name, transform, src, expected in (
-        ("rfftn", g.to_spec, phys, singles),
-        ("irfftn", g.to_phys, np.stack(singles).reshape(*lead, *g.spec_shape),
+        ("rfft_n_even", g.to_spec, phys, singles),
+        ("ifft", g.to_phys, np.stack(singles).reshape(*lead, *g.spec_shape),
          [np.fft.irfft2(s, s=(n, n), norm="forward") for s in singles]),
     ):
         calls = _record_calls(monkeypatch, name)
@@ -314,23 +322,26 @@ def test_stacked_transforms_equal_one_call_per_slice(n, monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("n", [16, 18, 32, 48, 64, 128])
 def test_chunked_transforms_write_their_whole_output(n):
-    """The chunked transforms write every byte of their output with
-    ``out=``, which numpy 2.4's ``irfft2`` would not (it passes ``out=None``
-    on to ``irfftn``): into a NaN-filled buffer, and, for the inverse, over
-    its own input, byte-equal to one unchunked call either way."""
+    """The grid's kernel calls give ``numpy.fft.rfftn`` / ``irfftn`` with
+    ``norm="forward"`` byte for byte, for a stack that crosses the budget,
+    and write every byte of their output with ``out=``: into a NaN-filled
+    buffer, and, for the inverse, over its own input.  At the sizes that are
+    not powers of two, 18 and 48, the forward factor ``1.0 / n`` is not
+    exact, so it has to be numpy's ``reciprocal``."""
     g = SpectralGrid(n)
+    assert 1.0 / n == np.reciprocal(n, dtype=np.float64)
     count = 2 * max(1, CHUNK_BYTES // (8 * g.size)) + 1  # the last chunk partial
     phys = np.random.default_rng(n + 1).standard_normal((count, n, n))
-    spec_ref = np.fft.rfft2(phys, norm="forward")
-    phys_ref = np.fft.irfft2(spec_ref, s=(n, n), norm="forward")
+    spec_ref = np.fft.rfftn(phys, axes=(-2, -1), norm="forward")
+    phys_ref = np.fft.irfftn(spec_ref, s=(n, n), axes=(-2, -1), norm="forward")
 
     out = np.full(spec_ref.shape, np.nan, np.complex128)
     assert g.to_spec(phys, out=out) is out
     assert out.tobytes() == spec_ref.tobytes()
     out = np.full(phys.shape, np.nan)
-    g._chunked(np.fft.irfftn, spec_ref, out, (n, n))
+    assert g._chunked(spec_ref, out) is out
     assert out.tobytes() == phys_ref.tobytes()
     spec = spec_ref.copy()
     got = g.to_phys(spec, in_place=True)

@@ -190,3 +190,28 @@ def test_precomputed_scatter_tables_keep_draws_bitwise(grid32, cutoff):
     for step_index in (0, 3):
         got = sample_increment(model, 1e-3, step_index).dW.spec
         assert got.tobytes() == reference_increment_spec(model, 1e-3, step_index).tobytes()
+
+
+def test_for_path_shares_the_tables_and_checks_the_path_id(grid32):
+    """``for_path`` is ``dataclasses.replace(model, path_id=...)`` without
+    rebuilding a table: the same fields, the very same h tables, and the
+    same draws; a path_id outside [0, 2**64) is refused as by the constructor."""
+    import dataclasses
+
+    from nsgl.grid import DirectorField
+
+    h = DirectorField.from_scalar_axis(grid32, np.cos(grid32.meshgrid()[0]))
+    model = NoiseModel(grid=grid32, mode_cutoff=4, seed=5, path_id=3, h=h)
+    other = model.for_path(11)
+    rebuilt = dataclasses.replace(model, path_id=11)
+    assert other == rebuilt and other.path_id == 11 and model.path_id == 3
+    for name in ("h_grad", "h_mag", "h_unit", "h_mag_values", "h_mag_index",
+                 "scatter_at", "q_scale"):
+        assert getattr(other, name) is getattr(model, name)
+        assert getattr(other, name).tobytes() == getattr(rebuilt, name).tobytes()
+    assert other.h_dirs == rebuilt.h_dirs == (0,)
+    a, b = (sample_increment(m, 1e-3, step_index=2) for m in (other, rebuilt))
+    assert a.dW.spec.tobytes() == b.dW.spec.tobytes() and a.d_eta == b.d_eta
+    for bad in (-1, 2**64):
+        with pytest.raises(ValueError, match="path_id"):
+            model.for_path(bad)

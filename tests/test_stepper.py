@@ -1,10 +1,12 @@
 """Exact substep kernels, splitting order, CFL handling, reproducibility."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
 
+import nsgl.grid
 from nsgl.diagnostics import energy_report
 from nsgl.grid import DirectorField, SpectralGrid, VelocityField
 from nsgl.noise import NoiseModel, sample_increment
@@ -53,15 +55,19 @@ def test_diffusion_substep_is_exact(grid32):
 
 
 def test_diffusion_multiplier_is_computed_once_with_the_same_bits(grid32, rng):
-    """diffuse_spec takes exp(-|k|^2 dt) from a per-(grid, dt) cache: the
-    expression it replaced, kept here, gives the same bits on every call,
-    also for another grid object of the same size."""
+    """diffuse_spec takes exp(-|k|^2 dt) in complex128 from a per-(grid, dt)
+    cache: the float expression it replaced, kept here, gives the same bytes
+    on every call, signed zeros included, also for another grid object of
+    the same size."""
     spec = rng.standard_normal((3, *grid32.spec_shape)) \
         + 1j * rng.standard_normal((3, *grid32.spec_shape))
+    spec[0, 0, :4] = [0.0, -0.0, complex(-0.0, 0.0), complex(0.0, -0.0)]
     for dt in (5e-4, 1e-3 / 2, 1e-3 / 4, 0.37):
         for grid in (grid32, SpectralGrid(32), grid32):
-            assert np.array_equal(diffuse_spec(grid, spec, dt),
-                                  spec * np.exp(-grid.k2 * dt))
+            got = diffuse_spec(grid, spec, dt)
+            assert got.tobytes() == (spec * np.exp(-grid.k2 * dt)).tobytes()
+    from nsgl.stepper import _heat_multiplier
+    assert _heat_multiplier(grid32, 0.37).dtype == np.complex128
 
 
 def rk4_gl_oracle(n0, dt, epsilon, n_sub=8192):
@@ -366,31 +372,33 @@ def test_stepper_config_rejects_negative_max_halvings():
 
 
 def count_fft(monkeypatch, per_call):
-    """Wrap every numpy.fft 2D/ND transform to add ``per_call(a)`` for its
-    input ``a``; returns the live {"forward": ..., "inverse": ...} counts."""
+    """Wrap the grid's transform kernels to add ``per_call(a)`` for the
+    input ``a`` of every chunk: at ``rfft_n_even``, a forward chunk's first
+    pass, and ``ifft``, an inverse chunk's; returns the live
+    {"forward": ..., "inverse": ...} counts."""
     counts = {"forward": 0, "inverse": 0}
+    kernels = nsgl.grid._pfu
 
     def counted(fn, kind):
         def wrapper(a, *args, **kwargs):
-            a = np.asarray(a)
             counts[kind] += per_call(a)
             return fn(a, *args, **kwargs)
         return wrapper
 
-    for name in ("fft2", "rfft2", "fftn", "rfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "forward"))
-    for name in ("ifft2", "irfft2", "ifftn", "irfftn"):
-        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "inverse"))
+    monkeypatch.setattr(nsgl.grid, "_pfu", types.SimpleNamespace(
+        rfft_n_even=counted(kernels.rfft_n_even, "forward"), fft=kernels.fft,
+        ifft=counted(kernels.ifft, "inverse"), irfft=kernels.irfft))
     return counts
 
 
 def count_slices(monkeypatch):
-    """The 2D slices numpy.fft transforms (see ``count_fft``)."""
+    """The 2D slices the grid transforms (see ``count_fft``)."""
     return count_fft(monkeypatch, lambda a: a.size // (a.shape[-2] * a.shape[-1]))
 
 
 def count_calls(monkeypatch):
-    """The numpy.fft transform calls (see ``count_fft``)."""
+    """The grid's transform chunks, one kernel call per axis each (see
+    ``count_fft``)."""
     return count_fft(monkeypatch, lambda a: 1)
 
 
@@ -510,9 +518,9 @@ def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
 
 def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
     """At N = 32 every stage of one unsplit Strang step packs its transforms
-    into one numpy.fft call: with h = cos x1, 4 forward and 6 inverse calls
+    into one transform chunk: with h = cos x1, 4 forward and 6 inverse chunks
     carry the 21 and 30 slices that one call per input takes 11 and 11
-    calls for.  The forward calls are the director-noise stage (n and the
+    calls for.  The forward chunks are the director-noise stage (n and the
     rotated n), the two drift evaluations and the second reaction."""
     g = grid32
     state = cached_state(g)
@@ -525,7 +533,7 @@ def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
 
 def test_path_step_numpy_fft_calls(grid32, monkeypatch):
     """A path-step at N = 32 (one step and the energy report of its state,
-    as ``experiments._Path.advance`` takes them) makes 12 numpy.fft calls:
+    as ``experiments._Path.advance`` takes them) makes 12 transform chunks:
     the step's 4 + 6, and the report's 1 + 1."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
@@ -539,8 +547,8 @@ def test_path_step_numpy_fft_calls(grid32, monkeypatch):
 
 def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     """An ensemble path-step at N = 32 (one step and the report without the
-    state monitors, as ``run_ensemble`` takes them) makes 11 numpy.fft
-    calls: the step's 4 + 6, and the report's 0 + 1, whose one inverse call
+    state monitors, as ``run_ensemble`` takes them) makes 11 transform
+    chunks: the step's 4 + 6, and the report's 0 + 1, whose one inverse chunk
     carries d1 n, d2 n and lap n, 9 slices."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
