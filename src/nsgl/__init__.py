@@ -24,7 +24,7 @@ from .experiments import (
     run_ensemble,
     run_path,
 )
-from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from .grid import SpectralGrid, random_band_limited
 from .io_cli import (
     ConfigError,
     build_components,
@@ -46,7 +46,6 @@ __all__ = [
     "ConfigError",
     "ConvergenceReport",
     "CoveringSet",
-    "DirectorField",
     "EnergyReport",
     "EnsembleReport",
     "GLParams",
@@ -56,7 +55,6 @@ __all__ = [
     "SimState",
     "SpectralGrid",
     "StepperConfig",
-    "VelocityField",
     "build_components",
     "dump_config",
     "energy_report",

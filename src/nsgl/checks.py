@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited, sobolev_norm
+from .grid import SpectralGrid, random_band_limited, sobolev_norm
 from .operators import (convect_spec, cross3, gl_penalty_phys, grad_pair,
                         leray_project_spec, stress_div_spec)
 from .stepper import gl_reaction_phys, rotate_phys
@@ -84,21 +84,21 @@ def _gl_map_residual() -> float:
     return worst
 
 
-def bilaplacian_identity_residual(d: DirectorField) -> float:
-    """L2 residual of
+def bilaplacian_identity_residual(grid: SpectralGrid, d: np.ndarray) -> float:
+    """L2 residual, for the grid values d of a director (3, N, N), of
     d . lap^2 d = 0.5 lap^2 |d|^2 - 4 grad d . grad lap d - 2 |hess d|^2 - |lap d|^2.
 
     Exact (to roundoff) when d is band-limited to |k_i| < N/4: quadratic
     products then stay strictly below the unpaired Nyquist line N/2 that
     differentiation masks out.
     """
-    g = d.grid
-    spec = d.spec
+    g = grid
+    spec = g.to_spec(d)
     lap = g.laplacian(spec)
     bilap = g.laplacian(lap)
-    lhs = np.sum(d.phys * g.to_phys(bilap), axis=0)
+    lhs = np.sum(d * g.to_phys(bilap), axis=0)
 
-    mag2 = np.sum(d.phys**2, axis=0)
+    mag2 = np.sum(d**2, axis=0)
     term_sq = 0.5 * g.to_phys(g.laplacian(g.laplacian(g.to_spec(mag2))))
 
     term_mix = 4.0 * np.sum(grad_pair(g, spec) * grad_pair(g, lap), axis=(0, 1))
@@ -136,20 +136,21 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32,
         worst[name] = max(worst[name], residual)
 
     for _ in range(samples):
-        w = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
-        v = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng))
-        nf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
-        hf = DirectorField(grid, phys=random_band_limited(grid, 3, k_max, rng))
+        w_spec = grid.to_spec(random_band_limited(grid, 2, k_max, rng))
+        v_spec = grid.to_spec(random_band_limited(grid, 2, k_max, rng))
+        n_phys = random_band_limited(grid, 3, k_max, rng)
+        n_spec = grid.to_spec(n_phys)
+        h_phys = random_band_limited(grid, 3, k_max, rng)
         phi_spec = grid.to_spec(random_band_limited(grid, 1, k_max, rng)[0])
 
-        pw = leray_project_spec(grid, w.spec)  # also the solenoidal u below
+        pw = leray_project_spec(grid, w_spec)  # also the solenoidal u below
         ppw = leray_project_spec(grid, pw)
         note("leray_idempotent", grid.l2_norm_spec(ppw - pw) / (grid.l2_norm_spec(pw) + tiny))
 
-        pv = leray_project_spec(grid, v.spec)
-        lhs = grid.l2_inner_spec(pw, v.spec)
-        rhs = grid.l2_inner_spec(w.spec, pv)
-        scale = grid.l2_norm_spec(w.spec) * grid.l2_norm_spec(v.spec) + tiny
+        pv = leray_project_spec(grid, v_spec)
+        lhs = grid.l2_inner_spec(pw, v_spec)
+        rhs = grid.l2_inner_spec(w_spec, pv)
+        scale = grid.l2_norm_spec(w_spec) * grid.l2_norm_spec(v_spec) + tiny
         note("leray_self_adjoint", abs(lhs - rhs) / scale)
 
         gspec = grid.grad_c[:, 0] * phi_spec
@@ -162,30 +163,30 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32,
         scale = grid.l2_norm_spec(cu) * grid.l2_norm_spec(pw) + tiny
         note("advect_u_skew", abs(pair) / scale)
 
-        cn = convect_spec(grid, u_phys, nf.spec)
-        pair = grid.l2_inner_spec(cn, nf.spec)
-        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(nf.spec) + tiny
+        cn = convect_spec(grid, u_phys, n_spec)
+        pair = grid.l2_inner_spec(cn, n_spec)
+        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(n_spec) + tiny
         note("advect_n_skew", abs(pair) / scale)
 
-        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, nf.spec)), pw)
-        b = grid.l2_inner_spec(cn, grid.laplacian(nf.spec))
+        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, n_spec)), pw)
+        b = grid.l2_inner_spec(cn, grid.laplacian(n_spec))
         note("stress_transport_cancel", abs(a - b) / (abs(a) + abs(b) + tiny))
 
-        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(nf.phys, 1.0)))
-        nxh = grid.to_spec(cross3(nf.phys, hf.phys))
+        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(n_phys, 1.0)))
+        nxh = grid.to_spec(cross3(n_phys, h_phys))
         pair = grid.l2_inner_spec(fpen, nxh)
         scale = grid.l2_norm_spec(fpen) * grid.l2_norm_spec(nxh) + tiny
         note("penalty_orthogonal", abs(pair) / scale)
 
-        res = bilaplacian_identity_residual(nf)
-        scale = 1.0 + sobolev_norm(nf, 4.0, homogeneous=False) ** 2
+        res = bilaplacian_identity_residual(grid, n_phys)
+        scale = 1.0 + sobolev_norm(grid, n_spec, 4.0, homogeneous=False) ** 2
         note("bilaplacian_identity", res / scale)
 
-        mag = hf.norm_phys()
-        unit = hf.phys / np.where(mag > 0.0, mag, 1.0)
+        mag = np.sqrt(np.sum(h_phys**2, axis=0))
+        unit = h_phys / np.where(mag > 0.0, mag, 1.0)
         d_eta = float(rng.uniform(-2.0, 2.0))
-        rotated = rotate_phys(nf.phys, unit, mag, d_eta)
-        before = np.sqrt(np.sum(nf.phys ** 2, axis=0))
+        rotated = rotate_phys(n_phys, unit, mag, d_eta)
+        before = np.sqrt(np.sum(n_phys ** 2, axis=0))
         after = np.sqrt(np.sum(rotated ** 2, axis=0))
         note("rotation_isometry",
              float(np.max(np.abs(after - before))) / (float(np.max(before)) + tiny))

@@ -154,12 +154,12 @@ def energy_report(state: SimState, gl: GLParams,
     other field keeps its bits.
     """
     g = state.grid
-    u_phys, n_phys = state.u.phys, state.n.phys
+    u_phys, n_phys, n_spec = state.u_phys, state.n_phys, state.n_spec
     w = (n_phys**2).sum(axis=0)
     # a stepped state carries its spectra, so only w goes forward, for the
     # monitors.  One stack goes back in place: d1 n, d2 n, lap n (, d1 w, d2 w)
     back = np.empty((11 if monitors else 9, *g.spec_shape), np.complex128)
-    np.multiply(g.dlap_c, state.n.spec, out=back[:9].reshape(3, *state.n.spec.shape))
+    np.multiply(g.dlap_c, n_spec, out=back[:9].reshape(3, *n_spec.shape))
     if monitors:
         np.multiply(g.grad_c[:, 0], g.to_spec(w), out=back[9:])
     phys = g.to_phys(back, in_place=True)
@@ -176,7 +176,7 @@ def energy_report(state: SimState, gl: GLParams,
             eps_grad_defect=g.l2_norm_phys(phys[9:]) / gl.epsilon,
             min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
             max_abs_u=float(np.sqrt(u2).max()),
-            div_defect=state.u.divergence_defect(),
+            div_defect=g.divergence_defect(state.u_spec),
         )
     gn2 = (grad_n**2).sum(axis=(0, 1))
 
@@ -184,7 +184,7 @@ def energy_report(state: SimState, gl: GLParams,
 
     u_sq = g.integrate(u2)
     grad_n_sq = g.integrate(gn2)
-    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(state.u.spec) ** 2)
+    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(state.u_spec) ** 2)
     relax = defect * n_phys / gl.epsilon**2  # f(n), operators.gl_penalty_phys from w
     relax += lap_n  # squared in place and dropped: the covering below is the peak
     relax_sq = g.integrate(np.square(relax, out=relax).sum(axis=0))

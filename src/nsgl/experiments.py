@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import CoveringSet, RunTrace, energy_report
-from .grid import DirectorField, VelocityField, sobolev_norm
+from .grid import sobolev_norm
 from .noise import NoiseModel
 from .operators import GLParams, cross3
 from .stepper import SimState, StepperConfig, required_level, step
@@ -222,8 +222,8 @@ def _limit_drift(state: SimState, d1, d2, lap) -> np.ndarray:
     """Drift lap n + |grad n|^2 n - u.grad n of the limit equation at ``state``,
     from the physical derivatives of n its energy report computed."""
     grad_sq = (d1 * d1 + d2 * d2).sum(axis=0)
-    conv = state.u.phys[0] * d1 + state.u.phys[1] * d2
-    return lap + grad_sq * state.n.phys - conv
+    conv = state.u_phys[0] * d1 + state.u_phys[1] * d2
+    return lap + grad_sq * state.n_phys - conv
 
 
 def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: NoiseModel,
@@ -232,11 +232,11 @@ def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: Nois
     dn = (lap n + |grad n|^2 n - u.grad n) dt + (n x h) deta, with ``drift``
     taken at the left point ``prev``; the Stratonovich defect also takes off
     0.5 (n x h) x h dt."""
-    r = r2 = (new.n.phys - prev.n.phys) - dt * drift
-    if noise.director_on and noise.h is not None:
-        nxh = cross3(prev.n.phys, noise.h.phys)
+    r = r2 = (new.n_phys - prev.n_phys) - dt * drift
+    if noise.h is not None:
+        nxh = cross3(prev.n_phys, noise.h)
         r = r - d_eta * nxh
-        r2 = r - dt * (0.5 * cross3(nxh, noise.h.phys))
+        r2 = r - dt * (0.5 * cross3(nxh, noise.h))
     return grid.l2_norm_phys(r), grid.l2_norm_phys(r2)
 
 
@@ -265,6 +265,12 @@ class _Member:
                                           path.noise, ledger.d_eta, drift)
             self.res_ito += ito
             self.res_strat += strat
+
+
+def _path_models(noise_base: NoiseModel, n_paths: int) -> list:
+    """Every path's noise model, on path ids ``noise_base.path_id + p``; built
+    before any path runs, so a path id past the stream keys fails at once."""
+    return [noise_base.for_path(noise_base.path_id + p) for p in range(n_paths)]
 
 
 def _member_observer(on_member_report, p: int, eps: float):
@@ -296,9 +302,9 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         max_abs_n=np.zeros(n_paths),
     ) for eps in eps_family}
     tau = np.full(n_paths, cfg.t_end)
+    noises = _path_models(noise_base, n_paths)
 
-    for p in range(n_paths):
-        noise = noise_base.for_path(noise_base.path_id + p)
+    for p, noise in enumerate(noises):
         members = []
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
@@ -321,13 +327,13 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
                 m.defect = max(m.defect, m.path.trace.last.eps_defect * m.eps)
                 if m.path is ref:
                     continue
-                du = VelocityField(grid, spec=m.path.state.u.spec - ref.state.u.spec)
-                dn = DirectorField(grid, spec=m.path.state.n.spec - ref.state.n.spec)
-                d_low = sobolev_norm(du, alpha - 1.0, homogeneous=True) \
-                    + sobolev_norm(dn, alpha, homogeneous=False)
+                diff = m.path.state.spec - ref.state.spec
+                du, dn = diff[:2], diff[2:]
+                d_low = sobolev_norm(grid, du, alpha - 1.0, homogeneous=True) \
+                    + sobolev_norm(grid, dn, alpha, homogeneous=False)
                 m.sup = max(m.sup, d_low)
-                d_high_sq = sobolev_norm(du, alpha, homogeneous=True) ** 2 \
-                    + sobolev_norm(dn, 1.0 + alpha, homogeneous=False) ** 2
+                d_high_sq = sobolev_norm(grid, du, alpha, homogeneous=True) ** 2 \
+                    + sobolev_norm(grid, dn, 1.0 + alpha, homogeneous=False) ** 2
                 m.l2_sq += 0.5 * cfg.dt * (m.l2_prev + d_high_sq)
                 m.l2_prev = d_high_sq
 
@@ -417,8 +423,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     residual = np.zeros(n_paths)
     e_final = np.zeros(n_paths)
     max_n = 0.0
-    for p in range(n_paths):
-        noise = noise_base.for_path(noise_base.path_id + p)
+    for p, noise in enumerate(_path_models(noise_base, n_paths)):
         trace = _Path(state0, cfg, gl, noise, None, None, None, monitors=False).run()
         sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
         residual[p] = res = trace.residual

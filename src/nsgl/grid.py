@@ -1,4 +1,4 @@
-"""Fourier grid and field containers on the periodic square [0, 2*pi)^2.
+"""Fourier grid, transforms and spectral norms on the periodic square [0, 2*pi)^2.
 
 Spectral convention: f(x) = sum_k c(k) exp(i k.x) with integer wavenumbers,
 so ``to_spec`` is the raw FFT divided by N^2 and Parseval reads
@@ -7,15 +7,18 @@ so ``to_spec`` is the raw FFT divided by N^2 and Parseval reads
 separate array pass; for power-of-two N it is bitwise equal to dividing
 numpy's default ``rfft2`` by N^2 and multiplying its default ``irfft2`` by N^2.
 
-Every field is real, so c(-k) = conj(c(k)) and only the Hermitian half
-spectrum is stored: spectral arrays have shape (..., N, N/2+1), holding
-k1 in fftfreq order (0, 1, ..., N/2-1, -N/2, ..., -1) along the first
-spectral axis and k2 = 0, 1, ..., N/2 along the second.  ``to_spec`` is a
-real-to-complex ``rfftn`` over the last two axes and ``to_phys`` its inverse
-``irfftn``, which reads only the Hermitian part of the two self-conjugate
-columns k2 = 0 and k2 = N/2.  A sum over the full spectrum becomes a sum over the half with
-``herm_weight``: 1 on those two columns, whose modes appear once, and 2
-elsewhere, where each stored mode stands for itself and its conjugate.
+A field is a plain array, a stack of grid values (..., N, N) or of half
+spectra; a simulation state is one stack of each, u's 2 components then
+n's 3 (``nsgl.stepper.SimState``).  Every field is real, so c(-k) =
+conj(c(k)) and only the Hermitian half spectrum is stored: spectral arrays
+have shape (..., N, N/2+1), holding k1 in fftfreq order (0, 1, ..., N/2-1,
+-N/2, ..., -1) along the first spectral axis and k2 = 0, 1, ..., N/2 along
+the second.  ``to_spec`` is a real-to-complex ``rfftn`` over the last two
+axes and ``to_phys`` its inverse ``irfftn``, which reads only the Hermitian
+part of the two self-conjugate columns k2 = 0 and k2 = N/2.  A sum over the
+full spectrum becomes a sum over the half with ``herm_weight``: 1 on those
+two columns, whose modes appear once, and 2 elsewhere, where each stored
+mode stands for itself and its conjugate.
 
 A transform takes a stack (..., N, N) or (..., N, N/2+1) and sends it,
 in chunks of at most ``CHUNK_BYTES`` of physical slices, through the
@@ -45,8 +48,6 @@ from numpy.fft import _pocketfft_umath as _pfu
 
 __all__ = [
     "SpectralGrid",
-    "VelocityField",
-    "DirectorField",
     "sobolev_norm",
     "random_band_limited",
 ]
@@ -234,118 +235,22 @@ class SpectralGrid:
     def l2_inner_spec(self, a: np.ndarray, b: np.ndarray) -> float:
         return (2.0 * np.pi) ** 2 * self.spec_sum((a * b.conj()).real)
 
+    def divergence_defect(self, u_spec: np.ndarray) -> float:
+        """|div u| / |u| in L2 for the (2, N, N/2+1) half spectra of a velocity;
+        valid states are solenoidal."""
+        div = self.deriv(u_spec[0], 1) + self.deriv(u_spec[1], 2)
+        return self.l2_norm_spec(div) / max(self.l2_norm_spec(u_spec), 1e-300)
 
-class _Field:
-    """Immutable field snapshot holding its half spectrum and/or physical array.
 
-    The half spectrum is the canonical data of a simulation state (see
-    ``nsgl.stepper.SimState``); a physical array given beside it must be its
-    ``to_phys``.  A field given one representation computes the other on
-    first access and caches it; both arrays are marked read-only, and so is
-    ``spec_abs2``, the |c|^2 of the spectrum, also computed on first use.
+def sobolev_norm(grid: SpectralGrid, spec: np.ndarray, order: float,
+                 homogeneous: bool) -> float:
+    """Spectral Sobolev norm of order ``order`` of a stack of half spectra.
+
+    The homogeneous form is ((2*pi)^2 * sum |k|^(2s) |c|^2)^(1/2); the full
+    form adds the |k|^0 (L2) term.
     """
-
-    n_components = 0
-
-    def __init__(self, grid: SpectralGrid, phys=None, spec=None):
-        if phys is None and spec is None:
-            raise ValueError("need at least one representation")
-        for arr, shape in ((phys, (grid.n_modes, grid.n_modes)), (spec, grid.spec_shape)):
-            if arr is not None and arr.shape != (self.n_components, *shape):
-                raise ValueError(
-                    f"expected shape {(self.n_components, *shape)}, got {arr.shape}"
-                )
-        if phys is not None:
-            phys = np.asarray(phys, dtype=np.float64)
-            phys.setflags(write=False)
-        if spec is not None:
-            spec = np.asarray(spec, dtype=np.complex128)
-            spec.setflags(write=False)
-        self.grid = grid
-        self._phys = phys
-        self._spec = spec
-        self._spec_abs2 = None
-
-    @property
-    def phys(self) -> np.ndarray:
-        if self._phys is None:
-            p = self.grid.to_phys(self._spec)
-            p.setflags(write=False)
-            self._phys = p
-        return self._phys
-
-    @property
-    def spec(self) -> np.ndarray:
-        if self._spec is None:
-            s = self.grid.to_spec(self._phys)
-            s.setflags(write=False)
-            self._spec = s
-        return self._spec
-
-    @property
-    def spec_abs2(self) -> np.ndarray:
-        if self._spec_abs2 is None:
-            a = np.abs(self.spec) ** 2
-            a.setflags(write=False)
-            self._spec_abs2 = a
-        return self._spec_abs2
-
-    def mean_defect(self) -> float:
-        """Magnitude of the k=0 coefficient (spatial mean)."""
-        return float(np.max(np.abs(self.spec[:, 0, 0])))
-
-    def conj_symmetry_defect(self) -> float:
-        """Non-Hermitian part of the self-conjugate columns k2 = 0 and k2 = N/2,
-        which the inverse transform discards, relative to the largest coefficient.
-
-        Those columns must satisfy c(-k1) = conj(c(k1)).
-        """
-        cols = self.spec[..., [0, -1]]
-        partner = np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))  # conj c(-k1)
-        scale = max(float(np.max(np.abs(self.spec))), 1e-300)
-        return 0.5 * float(np.max(np.abs(cols - partner))) / scale
-
-
-class VelocityField(_Field):
-    """Two-component velocity; valid states are mean-zero and solenoidal."""
-
-    n_components = 2
-
-    def divergence_defect(self) -> float:
-        g = self.grid
-        div = g.deriv(self.spec[0], 1) + g.deriv(self.spec[1], 2)
-        scale = max(g.l2_norm_spec(self.spec), 1e-300)
-        return g.l2_norm_spec(div) / scale
-
-
-class DirectorField(_Field):
-    """Three-component director field on the 2D torus."""
-
-    n_components = 3
-
-    @classmethod
-    def from_scalar_axis(cls, grid, scalar_phys, axis=(1.0, 1.0, 1.0)):
-        """Field h(x) * axis from a scalar profile h(x)."""
-        axis = np.asarray(axis, dtype=np.float64)
-        return cls(grid, phys=scalar_phys[None, :, :] * axis[:, None, None])
-
-    def norm_phys(self) -> np.ndarray:
-        """Pointwise Euclidean magnitude |n(x)|, shape (N, N)."""
-        return np.sqrt(np.sum(self.phys**2, axis=0))
-
-
-def sobolev_norm(f: _Field, order: float, homogeneous: bool | None = None) -> float:
-    """Spectral Sobolev norm of order ``order``.
-
-    The homogeneous form is ((2*pi)^2 * sum |k|^(2s) |c|^2)^(1/2).  Velocity
-    fields default to it (their zero mode vanishes); director fields with
-    s >= 1 default to the full norm, which adds the |k|^0 (L2) term.
-    """
-    if homogeneous is None:
-        homogeneous = not (isinstance(f, DirectorField) and order >= 1.0)
-    g = f.grid
-    weight = _sobolev_weight(g, order, homogeneous)
-    return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * f.spec_abs2)))
+    weight = _sobolev_weight(grid, order, homogeneous)
+    return float(2.0 * np.pi * np.sqrt(grid.spec_sum(weight * np.abs(spec) ** 2)))
 
 
 @functools.lru_cache(maxsize=16)

@@ -44,7 +44,7 @@ from .experiments import (
     run_ensemble,
     run_path,
 )
-from .grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from .grid import SpectralGrid, random_band_limited
 from .noise import NoiseModel
 from .operators import GLParams, leray_project_spec
 from .stepper import CflError, SimState, StepperConfig
@@ -313,7 +313,8 @@ def _initial_director(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
     return phys
 
 
-def _axis_field(grid: SpectralGrid, cfg: SimConfig) -> DirectorField:
+def _axis_field(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
+    """Grid values (3, N, N) of h: the profile times the axis (1, 1, 1)."""
     profile = cfg.get("h_field", "profile")
     mag = cfg.get("h_field", "magnitude")
     if profile == "constant":
@@ -323,7 +324,7 @@ def _axis_field(grid: SpectralGrid, cfg: SimConfig) -> DirectorField:
         scalar = mag * np.cos(x1)
     else:
         raise ConfigError(f"h_field.profile: unknown profile {profile!r}")
-    return DirectorField.from_scalar_axis(grid, scalar)
+    return scalar * np.ones((3, 1, 1))
 
 
 @dataclass
@@ -355,6 +356,7 @@ def build_components(cfg: SimConfig) -> SimBundle:
             max_halvings=cfg.get("stepper", "max_halvings"),
         )
         gl = GLParams(epsilon=cfg.get("gl", "epsilon"))
+        h = _axis_field(grid, cfg)  # a bad profile fails with the director noise off too
         noise = NoiseModel(
             grid=grid,
             gamma=cfg.get("noise", "gamma"),
@@ -362,8 +364,7 @@ def build_components(cfg: SimConfig) -> SimBundle:
             seed=cfg.get("noise", "seed"),
             path_id=cfg.get("noise", "path_id"),
             velocity_on=cfg.get("noise", "velocity_on"),
-            director_on=cfg.get("noise", "director_on"),
-            h=_axis_field(grid, cfg),
+            h=h if cfg.get("noise", "director_on") else None,
         )
         covering = CoveringSet(grid, cfg.get("stops", "radius"))
     except ValueError as exc:
@@ -416,8 +417,8 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
     Header (little endian): magic "NSGL", u32 version, u32 n_modes, u64 step,
     u64 seed, u64 path_id, f64 epsilon, f64 t, the 14 f64 trace numbers of
     ``_CKPT_TRACE``, then the 32-byte ``cfg_hash`` (see :func:`config_hash`).
-    Payload: the half spectra of u, 2*N*(N/2+1) complex128, then of n,
-    3*N*(N/2+1) complex128, C order, little endian.
+    Payload: ``state.spec``, the half spectra of u, 2*N*(N/2+1) complex128,
+    then of n, 3*N*(N/2+1) complex128, C order, little endian.
 
     The bytes go to a temporary file beside ``path`` that then replaces it,
     so a write that fails midway leaves the previous checkpoint whole; an
@@ -431,8 +432,7 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
     try:
         with open(tmp, "wb") as fh:
             fh.write(header)
-            fh.write(np.ascontiguousarray(state.u.spec, dtype="<c16").tobytes())
-            fh.write(np.ascontiguousarray(state.n.spec, dtype="<c16").tobytes())
+            fh.write(np.ascontiguousarray(state.spec, dtype="<c16").tobytes())
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(FileNotFoundError):
@@ -448,7 +448,8 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     under the config whose :func:`config_hash` is ``cfg_hash``, can continue
     exactly; the mirror of :func:`save_checkpoint`.
 
-    Returns the state, whose half spectra are the stored bits, and its trace,
+    Returns the state, whose half spectra are the stored bits and whose grid
+    values are their ``to_phys``, and its trace,
     which holds the stored numbers only (no ``last`` report, no ``delta``):
     ``run_path`` completes it.
 
@@ -494,23 +495,33 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     if not all(math.isfinite(v) or name.startswith("t_sigma") and v == math.inf
                for name, v in zip(_CKPT_TRACE, stored)):
         raise ConfigError(f"{path}: non-finite value in the run trace")
-    spectra = payload.reshape(5, *shape)
-    u, director = VelocityField(grid, spec=spectra[:2]), DirectorField(grid, spec=spectra[2:])
-    for name, f in (("velocity", u), ("director", director)):
-        sym = f.conj_symmetry_defect()
+    spec = payload.reshape(5, *shape)
+    for name, part in (("velocity", spec[:2]), ("director", spec[2:])):
+        sym = _conj_symmetry_defect(part)
         if not sym <= 1e-12:
             raise ConfigError(f"{path}: {name} spectrum is not Hermitian: "
                               f"conjugate-symmetry defect {sym:.3g} exceeds 1e-12")
-    defect = u.divergence_defect()
+    defect = grid.divergence_defect(spec[:2])
     if not defect <= 1e-10:
         raise ConfigError(f"{path}: velocity divergence defect {defect:.3g} exceeds 1e-10")
-    mag = np.abs(u.spec)
+    mag = np.abs(spec[:2])
     top, outside = float(np.max(mag)), float(np.max(mag[:, ~grid.dealias_mask]))
     if not outside <= 1e-12 * top:
         raise ConfigError(f"{path}: velocity content outside the 2/3 band is "
                           f"{outside / top:.3g} of its largest coefficient, above 1e-12")
-    state = SimState(t=t, step=step_idx, u=u, n=director)
+    state = SimState(t=t, step=step_idx, grid=grid, spec=spec, phys=grid.to_phys(spec))
     return state, RunTrace(**dict(zip(_CKPT_TRACE, stored)))
+
+
+def _conj_symmetry_defect(spec: np.ndarray) -> float:
+    """Non-Hermitian part of the self-conjugate columns k2 = 0 and k2 = N/2
+    of a stack of half spectra, which the inverse transform discards,
+    relative to the largest coefficient: those columns must satisfy
+    c(-k1) = conj(c(k1))."""
+    cols = spec[..., [0, -1]]
+    partner = np.conj(np.roll(cols[..., ::-1, :], 1, axis=-2))  # conj c(-k1)
+    scale = max(float(np.max(np.abs(spec))), 1e-300)
+    return 0.5 * float(np.max(np.abs(cols - partner))) / scale
 
 
 # -- NDJSON report stream ----------------------------------------------------------
@@ -577,12 +588,12 @@ def _cmd_run(args, bundle: SimBundle) -> int:
         state0, trace0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise,
                                          cfg_hash)
         # the run continues at t + k dt for step + k, so the checkpoint's own
-        # clock must be step * dt of this config; NaN fails the comparison
+        # clock must be step * dt of this config
         step_idx, t, dt = state0.step, state0.t, bundle.stepper.dt
         if step_idx > n_total:
             raise ConfigError(
                 f"checkpoint step {step_idx} is past the configured {n_total} steps")
-        if not abs(t - step_idx * dt) <= 1e-9 * max(1.0, abs(t)):
+        if not bundle.stepper.on_clock(t, step_idx):
             raise ConfigError(
                 f"checkpoint t = {t:.17g} at step {step_idx} does not fit stepper.dt = {dt}")
     out_path = cfg.get("output", "ndjson_path")

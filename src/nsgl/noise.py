@@ -3,7 +3,10 @@
 The velocity noise is W(t) = sum_j q_j w_j(t) e_j over real solenoidal
 Fourier pairs e_j orthonormal in L2, with q_j = (1 + |k|^2)^(-gamma/2).
 The director noise is a single scalar Brownian motion eta shared by every
-grid point, entering through rotations about the static axis field h.
+grid point, entering through rotations about the static axis field h, given
+as its (3, N, N) grid values; ``h = None`` is the one switch that turns the
+director noise off.  An increment's dW is a plain (2, N, N/2+1) half
+spectrum, read-only like every array a model holds.
 
 Increments are drawn from a counter-based generator keyed by
 (seed, path_id) with the counter encoding (step, level, slot), so any step
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import DirectorField, SpectralGrid, VelocityField
+from .grid import SpectralGrid
 from .operators import grad_pair
 
 __all__ = ["NoiseModel", "sample_increment"]
@@ -43,8 +46,10 @@ class NoiseModel:
     seed, path_id : int
         Stream key, each in [0, 2**64); distinct path_ids give independent
         Brownian paths.
-    h : DirectorField or None
-        Static axis field of the director rotations (None disables them).
+    h : ndarray or None
+        Static axis field of the director rotations, grid values of shape
+        (3, N, N), held as a read-only copy; None switches the director
+        noise off.
     """
 
     grid: SpectralGrid
@@ -53,8 +58,7 @@ class NoiseModel:
     seed: int = 0
     path_id: int = 0
     velocity_on: bool = True
-    director_on: bool = True
-    h: DirectorField | None = None
+    h: np.ndarray | None = field(default=None, repr=False, compare=False)
     # derived tables
     k_points: np.ndarray = field(init=False, repr=False, compare=False)
     q_weights: np.ndarray = field(init=False, repr=False, compare=False)
@@ -123,10 +127,15 @@ class NoiseModel:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.h is not None:
-            hg = grad_pair(self.grid, self.h.spec)
-            mag = np.sqrt(np.sum(self.h.phys**2, axis=0))
+            h = np.array(self.h, dtype=np.float64)
+            if h.shape != (3, n, n):
+                raise ValueError(f"noise.h must have shape {(3, n, n)}, got {h.shape}")
+            h.setflags(write=False)
+            object.__setattr__(self, "h", h)
+            hg = grad_pair(self.grid, self.grid.to_spec(h))
+            mag = np.sqrt(np.sum(h**2, axis=0))
             safe = np.where(mag > 0.0, mag, 1.0)
-            unit = self.h.phys / safe
+            unit = h / safe
             # first-seen order, one row of Python floats at a time: np.unique's
             # sort code, or the floats of the whole grid, cost 0.2 to 1.5 MB of RSS
             seen = {}
@@ -161,8 +170,9 @@ class NoiseModel:
         """Trace of Q in L2: sum of q_j^2 over the retained basis."""
         return float(2.0 * np.sum(self.q_weights**2))
 
-    def basis_field(self, j: int) -> VelocityField:
-        """The j-th basis element (ordering: per k point, cos then sin)."""
+    def basis_field(self, j: int) -> np.ndarray:
+        """Grid values (2, N, N) of the j-th basis element (ordering: per k
+        point, cos then sin)."""
         if not 0 <= j < self.n_basis:
             raise IndexError(j)
         k1, k2 = self.k_points[j // 2]
@@ -171,7 +181,7 @@ class NoiseModel:
         wave = np.cos(phase) if j % 2 == 0 else np.sin(phase)
         norm = np.sqrt(float(k1 * k1 + k2 * k2))
         perp = np.array([-k2 / norm, k1 / norm])
-        return VelocityField(self.grid, phys=_NORM * wave * perp[:, None, None])
+        return _NORM * wave * perp[:, None, None]
 
 
 def _check_key(key: str, value: int) -> None:
@@ -181,9 +191,10 @@ def _check_key(key: str, value: int) -> None:
 
 @dataclass(frozen=True)
 class WienerIncrement:
-    """Increments applied over one (sub)step."""
+    """Increments applied over one (sub)step: ``dW`` is the read-only
+    (2, N, N/2+1) half spectrum of the velocity increment."""
 
-    dW: VelocityField
+    dW: np.ndarray
     d_eta: float
 
 
@@ -227,4 +238,5 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
         # its conjugate at -k, and the k2 = 0 column gets both k and -k
         both = np.concatenate([coeff, np.conj(coeff)])
         spec.put(model.scatter_at, both[model.scatter_from] * model.scatter_perp)
-    return WienerIncrement(dW=VelocityField(g, spec=spec), d_eta=float(xi[-1]))
+    spec.setflags(write=False)
+    return WienerIncrement(dW=spec, d_eta=float(xi[-1]))

@@ -9,7 +9,9 @@ Diffusion (heat multiplier), the radial reaction map, and the rotation are
 evaluated exactly; the central exchange stage uses an explicit midpoint rule
 for the transport/stress drift with the Wiener increment added at the end,
 so the composite is second order deterministically and the discrete energy
-ledger closes at order dt^2.
+ledger closes at order dt^2.  The state is two stacks (``SimState``): the
+(5, N, N/2+1) half spectra of u and n, which a step builds as one array,
+and their (5, N, N) grid values, one ``to_phys`` of it.
 
 A step whose CFL bound fails is replayed as two half steps drawing their
 increments from disjoint counter substreams; rejected attempts never consume
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import DirectorField, SpectralGrid, VelocityField
+from .grid import SpectralGrid
 from .noise import NoiseModel, sample_increment
 from .operators import (
     GLParams,
@@ -65,10 +67,8 @@ class StepperConfig:
             raise ValueError(f"stepper.dt must be finite and > 0, got {self.dt}")
         if not (0.0 <= self.t_end < math.inf):
             raise ValueError(f"stepper.t_end must be finite and >= 0, got {self.t_end}")
-        # a run ends at n_steps * dt, so t_end must be that time to the
-        # tolerance of a resumed checkpoint's clock
-        if not (self.t_end / self.dt < math.inf
-                and abs(self.t_end - self.n_steps * self.dt) <= 1e-9 * max(1.0, self.t_end)):
+        # a run ends at n_steps * dt, so t_end must be on the step clock
+        if not (self.t_end / self.dt < math.inf and self.on_clock(self.t_end, self.n_steps)):
             raise ValueError(f"stepper.t_end must be a whole number of stepper.dt steps, "
                              f"got t_end = {self.t_end} with dt = {self.dt}")
         if not (0.0 < self.cfl_safety <= 1.0):
@@ -80,31 +80,53 @@ class StepperConfig:
     def n_steps(self) -> int:
         return int(round(self.t_end / self.dt))
 
+    def on_clock(self, t: float, step: int) -> bool:
+        """Whether t is step ``step`` of this dt, to 1e-9 * max(1, |t|): the
+        tolerance of a resumed checkpoint's clock.  NaN is never on it."""
+        return abs(t - step * self.dt) <= 1e-9 * max(1.0, abs(t))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)  # compared and hashed by identity: it holds arrays
 class SimState:
-    """Immutable snapshot; the half spectra of u and n are the canonical data.
-
-    A state a step produced carries its spectra and their ``to_phys``; a
-    loaded checkpoint carries the spectra and transforms them on first use.
-    A state built ``from_arrays`` (initial data) keeps the physical arrays
-    as given, and its spectra are their ``to_spec``.
-    """
+    """Immutable snapshot of the pair (u, n) as two read-only stacks:
+    ``spec``, the canonical half spectra (5, N, N/2+1), u's 2 components
+    then n's 3, and ``phys``, their grid values (5, N, N) in the same order.
+    A stepped or loaded state's ``phys`` is the ``to_phys`` of its ``spec``;
+    one built ``from_arrays`` (initial data) keeps the values as given, and
+    its ``spec`` is their ``to_spec``."""
 
     t: float
     step: int
-    u: VelocityField
-    n: DirectorField
+    grid: SpectralGrid
+    spec: np.ndarray
+    phys: np.ndarray
+
+    def __post_init__(self):
+        n = self.grid.n_modes
+        for name, shape, dtype in (("spec", (5, *self.grid.spec_shape), np.complex128),
+                                   ("phys", (5, n, n), np.float64)):
+            arr = getattr(self, name)
+            if arr.shape != shape or arr.dtype != dtype:
+                raise ValueError(f"SimState.{name} must be {np.dtype(dtype)} of shape "
+                                 f"{shape}, got {arr.dtype} of shape {arr.shape}")
+            arr.setflags(write=False)
 
     @classmethod
     def from_arrays(cls, grid: SpectralGrid, u_phys, n_phys, t=0.0, step=0):
-        return cls(t=t, step=step,
-                   u=VelocityField(grid, phys=np.array(u_phys, dtype=np.float64)),
-                   n=DirectorField(grid, phys=np.array(n_phys, dtype=np.float64)))
+        """The state of the grid values u (2, N, N) and n (3, N, N)."""
+        n = grid.n_modes
+        u_phys, n_phys = np.asarray(u_phys), np.asarray(n_phys)
+        if u_phys.shape != (2, n, n) or n_phys.shape != (3, n, n):
+            raise ValueError(f"expected u of shape {(2, n, n)} and n of shape {(3, n, n)}, "
+                             f"got {u_phys.shape} and {n_phys.shape}")
+        phys = np.concatenate([u_phys, n_phys]).astype(np.float64, copy=False)
+        return cls(t=t, step=step, grid=grid, spec=grid.to_spec(phys), phys=phys)
 
-    @property
-    def grid(self) -> SpectralGrid:
-        return self.u.grid
+    # read-only views of u's and n's parts of the stacks
+    u_spec = property(lambda self: self.spec[:2])
+    n_spec = property(lambda self: self.spec[2:])
+    u_phys = property(lambda self: self.phys[:2])
+    n_phys = property(lambda self: self.phys[2:])
 
 
 @dataclass
@@ -181,7 +203,7 @@ def midpoint_exchange(grid, u_spec, n_spec, dt):
 
 def _cfl_limit(state: SimState, cfg: StepperConfig) -> float:
     """Largest step meeting the advective CFL bound; inf when u is at rest."""
-    speed = float(abs(state.u.phys).max())
+    speed = float(abs(state.u_phys).max())
     if speed <= 0.0:
         return math.inf
     return cfg.cfl_safety * state.grid.dx / speed
@@ -272,10 +294,10 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
 def _composite(state, dt, inc, gl, noise, ledger):
     grid = state.grid
     half = dt / 2
-    u_spec = diffuse_spec(grid, state.u.spec, half)
-    n_phys = grid.to_phys(diffuse_spec(grid, state.n.spec, half), in_place=True)
+    u_spec = diffuse_spec(grid, state.u_spec, half)
+    n_phys = grid.to_phys(diffuse_spec(grid, state.n_spec, half), in_place=True)
     gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
-    if noise.director_on and noise.h is not None:
+    if noise.h is not None:
         n_spec = _director_noise(grid, n_phys, noise, inc, dt, ledger)
     else:
         n_spec = grid.to_spec(n_phys)
@@ -283,9 +305,9 @@ def _composite(state, dt, inc, gl, noise, ledger):
 
     u_spec, n_spec = midpoint_exchange(grid, u_spec, n_spec, dt)
     if noise.velocity_on:
-        ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW.spec[0]) \
-            + grid.l2_inner_spec(u_spec[1], inc.dW.spec[1])
-        u_spec = u_spec + inc.dW.spec
+        ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW[0]) \
+            + grid.l2_inner_spec(u_spec[1], inc.dW[1])
+        u_spec = u_spec + inc.dW
 
     # the spectra are the state, one (5, N, N/2+1) stack; their to_phys rides
     # along for the report and the CFL test, so neither transforms it again
@@ -294,10 +316,5 @@ def _composite(state, dt, inc, gl, noise, ledger):
     gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
     diffuse_spec(grid, grid.to_spec(n_phys, out=new[2:]), half, out=new[2:])
     diffuse_spec(grid, u_spec, half, out=new[:2])
-    phys = grid.to_phys(new)
-    return SimState(
-        t=state.t + dt,
-        step=state.step,
-        u=VelocityField(grid, phys=phys[:2], spec=new[:2]),
-        n=DirectorField(grid, phys=phys[2:], spec=new[2:]),
-    )
+    return SimState(t=state.t + dt, step=state.step, grid=grid, spec=new,
+                    phys=grid.to_phys(new))

@@ -1,10 +1,14 @@
-"""Shared fixtures: cached grids and random band-limited field factories."""
+"""Shared fixtures: cached grids and random band-limited field factories.
+
+A velocity factory gives a (2, N, N/2+1) half spectrum, a director factory
+(3, N, N) grid values: the arrays a ``SimState`` stacks."""
 
 import numpy as np
 import pytest
 
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from nsgl.grid import SpectralGrid, random_band_limited
 from nsgl.operators import leray_project_spec
+from nsgl.stepper import SimState
 
 
 @pytest.fixture(scope="session")
@@ -29,19 +33,20 @@ def rng():
 
 @pytest.fixture
 def make_velocity():
-    """Factory for solenoidal band-limited velocity fields."""
+    """Factory for the half spectra of solenoidal band-limited velocities."""
 
     def build(grid, rng, k_max=None, amplitude=1.0):
         k_max = grid.n_modes // 4 if k_max is None else k_max
-        raw = VelocityField(grid, phys=random_band_limited(grid, 2, k_max, rng, amplitude))
-        return VelocityField(grid, spec=leray_project_spec(grid, raw.spec))
+        raw = grid.to_spec(random_band_limited(grid, 2, k_max, rng, amplitude))
+        return leray_project_spec(grid, raw)
 
     return build
 
 
 @pytest.fixture
 def make_director():
-    """Factory for band-limited director fields, optionally unit length."""
+    """Factory for the grid values of band-limited directors, optionally
+    unit length."""
 
     def build(grid, rng, k_max=None, amplitude=0.3, unit=False):
         k_max = grid.n_modes // 4 if k_max is None else k_max
@@ -49,7 +54,7 @@ def make_director():
         if unit:
             phys = phys + np.array([0.0, 0.0, 1.0])[:, None, None]
             phys = phys / np.sqrt(np.sum(phys * phys, axis=0))
-        return DirectorField(grid, phys=phys)
+        return phys
 
     return build
 
@@ -60,7 +65,21 @@ def circle_director():
 
     def build(grid):
         x1, _ = grid.meshgrid()
-        phys = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
-        return DirectorField(grid, phys=phys)
+        return np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def make_state():
+    """Factory for the state of a velocity given by its half spectra
+    (2, N, N/2+1) and a director given by its grid values (3, N, N): the
+    stacks hold those arrays as given, beside u's ``to_phys`` and n's
+    ``to_spec``."""
+
+    def build(grid, u_spec, n_phys, t=0.0, step=0):
+        spec = np.concatenate([u_spec, grid.to_spec(n_phys)])
+        phys = np.concatenate([grid.to_phys(u_spec), n_phys])
+        return SimState(t=t, step=step, grid=grid, spec=spec, phys=phys)
 
     return build

@@ -18,7 +18,7 @@ import pytest
 from nsgl.checks import _rk4_logistic, run_identity_checks
 from nsgl.diagnostics import CoveringSet
 from nsgl.experiments import run_coupled_family, run_ensemble, run_path
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from nsgl.grid import SpectralGrid, random_band_limited
 from nsgl.io_cli import main
 from nsgl.noise import NoiseModel
 from nsgl.operators import GLParams, leray_project_spec
@@ -40,7 +40,15 @@ def _announce(capsys, num, label, ok, detail):
 
 
 def _quiet_noise(grid):
-    return NoiseModel(grid, velocity_on=False, director_on=False)
+    return NoiseModel(grid, velocity_on=False)
+
+
+def _state(grid, u_spec, n_phys):
+    """The t = 0 state of a velocity given by its half spectra and a director
+    given by its grid values: each stacked beside its transform."""
+    return SimState(t=0.0, step=0, grid=grid,
+                    spec=np.concatenate([u_spec, grid.to_spec(n_phys)]),
+                    phys=np.concatenate([grid.to_phys(u_spec), n_phys]))
 
 
 # -- gate 1 -----------------------------------------------------------------------
@@ -155,8 +163,7 @@ def test_energy_balance_is_second_order(capsys):
     t0 = time.monotonic()
     rels = []
     for dt in (1e-3, 5e-4, 2.5e-4, 1.25e-4):
-        state = SimState(t=0.0, step=0, u=VelocityField(g, spec=u_spec),
-                         n=DirectorField(g, phys=n_phys))
+        state = _state(g, u_spec, n_phys)
         trace = run_path(state, StepperConfig(dt=dt, t_end=0.5), gl, noise)
         rels.append(abs(trace.residual) / trace.e0)
     elapsed = time.monotonic() - t0
@@ -181,10 +188,9 @@ def test_stochastic_mean_energy_balance(capsys):
     u_spec = g.dealias(leray_project_spec(g, g.to_spec(u_raw)))
     n_phys = 0.2 * random_band_limited(g, 3, 3, rng)
     n_phys[2] += 1.0
-    state = SimState(t=0.0, step=0, u=VelocityField(g, spec=u_spec),
-                     n=DirectorField(g, phys=n_phys))
+    state = _state(g, u_spec, n_phys)
     x1, _ = g.meshgrid()
-    h = DirectorField.from_scalar_axis(g, np.cos(x1))
+    h = np.cos(x1) * np.ones((3, 1, 1))
     noise = NoiseModel(g, gamma=3.0, seed=2026, h=h)
 
     t0 = time.monotonic()
@@ -210,14 +216,14 @@ def test_director_max_principle_matrix(capsys):
     u_phys = 0.5 * np.stack([np.cos(x1) * np.sin(x2), -np.sin(x1) * np.cos(x2)])
     n_phys = np.stack([0.9 * np.cos(x1), 0.9 * np.sin(x1), np.full_like(x1, 0.3)])
     assert float(np.max(np.sum(n_phys ** 2, axis=0))) <= 1.0  # fixture sanity
-    h = DirectorField.from_scalar_axis(g, np.cos(x1))
+    h = np.cos(x1) * np.ones((3, 1, 1))
     cfg = StepperConfig(dt=1e-3, t_end=0.1)
 
     worst = -np.inf
     for eps in EPS_FAMILY:
         for noise_on in (False, True):
-            noise = NoiseModel(g, gamma=3.0, seed=77, h=h,
-                               velocity_on=noise_on, director_on=noise_on)
+            noise = NoiseModel(g, gamma=3.0, seed=77, h=h if noise_on else None,
+                               velocity_on=noise_on)
             trace = run_path(SimState.from_arrays(g, u_phys, n_phys), cfg,
                              GLParams(epsilon=eps), noise)
             worst = max(worst, trace.max_n - 1.0)
@@ -246,7 +252,7 @@ def _run_relaxation_family():
     u_phys = 0.5 * np.stack([np.cos(x1) * np.sin(x2), -np.sin(x1) * np.cos(x2)])
     n_phys = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
     state = SimState.from_arrays(g, u_phys, n_phys)
-    h = DirectorField.from_scalar_axis(g, 0.5 * np.cos(x1))
+    h = 0.5 * np.cos(x1) * np.ones((3, 1, 1))
     noise = NoiseModel(g, gamma=3.0, seed=4242, h=h)
     covering = CoveringSet(g, radius=np.pi / 4)
     return run_coupled_family(state, StepperConfig(dt=1e-3, t_end=0.25),

@@ -10,7 +10,7 @@ import pytest
 import nsgl.experiments as experiments
 from nsgl.diagnostics import MONITORS, CoveringSet, EnergyReport, RunTrace, energy_report
 from nsgl.experiments import run_path
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from nsgl.grid import SpectralGrid, random_band_limited
 from nsgl.noise import NoiseModel
 from nsgl.operators import GLParams, gl_penalty_phys, leray_project_spec
 from nsgl.stepper import SimState, StepperConfig, StepLedger, step
@@ -54,13 +54,12 @@ def test_energy_report_with_velocity(grid32):
 
 def test_gl_mass_matches_operator(grid32):
     """Closed forms of (1/4 eps^2) int (1 - |n|^2)^2 for constant directors."""
-    u = circle_state(grid32).u
-    zero = DirectorField(grid32, phys=np.zeros((3, 32, 32)))
-    rep = energy_report(SimState(t=0.0, step=0, u=u, n=zero), GLParams(epsilon=1.0))
+    u = circle_state(grid32).u_phys
+    zero = np.zeros((3, 32, 32))
+    rep = energy_report(SimState.from_arrays(grid32, u, zero), GLParams(epsilon=1.0))
     assert rep.gl_mass == pytest.approx(PI**2, rel=1e-14)
-    half = DirectorField.from_scalar_axis(grid32, np.full((32, 32), 0.5),
-                                          axis=(1.0, 0.0, 0.0))
-    state = SimState(t=0.0, step=0, u=u, n=half)
+    half = np.full((32, 32), 0.5) * np.array([1.0, 0.0, 0.0])[:, None, None]
+    state = SimState.from_arrays(grid32, u, half)
     rep = energy_report(state, GLParams(epsilon=0.5))
     assert rep.gl_mass == pytest.approx((9.0 / 16.0) * 4.0 * PI**2, rel=1e-14)
 
@@ -187,20 +186,19 @@ def test_local_maxima_match_the_dense_mask_reference(n, radius):
             assert abs(cov.local_maxima(f) - ref) <= 1e-14 * ref
 
 
-def test_report_reuses_w_and_u_squared_bitwise(grid32, rng):
+def test_report_reuses_w_and_u_squared_bitwise(grid32, rng, make_state):
     """energy_report takes the penalty from w = |n|^2 and reuses sum u^2 for
     u_sq, max |u| and the local energy density; the expressions it
     replaced, kept here, give the same bits."""
     g = grid32
     u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
     n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
-    state = SimState(t=0.0, step=0, u=VelocityField(g, spec=u_spec),
-                     n=DirectorField(g, phys=n_phys))
+    state = make_state(g, u_spec, n_phys)
     gl, cov = GLParams(epsilon=0.3), CoveringSet(g, PI / 4.0)
     derivs = []
     rep = energy_report(state, gl, cov, derivs_out=derivs)
     d1, d2, lap_n = derivs
-    u_phys = state.u.phys
+    u_phys = state.u_phys
     gn2 = np.sum(np.stack([d1, d2]) ** 2, axis=(0, 1))
     relax_sq = g.integrate(np.sum((lap_n + gl_penalty_phys(n_phys, gl.epsilon)) ** 2, axis=0))
     grad_u_sq = (2.0 * PI) ** 2 * g.spec_sum(g.k2 * np.abs(u_spec) ** 2)
@@ -214,7 +212,7 @@ def test_report_reuses_w_and_u_squared_bitwise(grid32, rng):
 
 
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
-def test_report_without_monitors_keeps_every_other_field_bitwise(n):
+def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
     """``monitors=False`` leaves the five state monitors at NaN and every
     other field, the ones ``RunTrace`` folds among them, at the full
     report's bits; so do the derivatives it hands back.  N = 64 and 128
@@ -223,8 +221,7 @@ def test_report_without_monitors_keeps_every_other_field_bitwise(n):
     rng = np.random.default_rng(n)
     u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
     n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
-    state = SimState(t=0.25, step=3, u=VelocityField(g, spec=u_spec),
-                     n=DirectorField(g, phys=n_phys))
+    state = make_state(g, u_spec, n_phys, t=0.25, step=3)
     gl = GLParams(epsilon=0.3)
     full_derivs, derivs = [], []
     full = energy_report(state, gl, derivs_out=full_derivs)
@@ -355,7 +352,7 @@ def test_fold_matches_the_history_formulas(grid16, monkeypatch):
         grid16, 0.2 * np.stack([np.sin(x2), np.zeros_like(x2)]),
         np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)]))
     noise = NoiseModel(grid16, seed=9, mode_cutoff=4,
-                       h=DirectorField.from_scalar_axis(grid16, np.cos(x1)))
+                       h=np.cos(x1) * np.ones((3, 1, 1)))
     cov = CoveringSet(grid16, PI / 4.0)
     reports, ledgers = [], []
 

@@ -20,7 +20,6 @@ from nsgl.experiments import (
     run_ensemble,
     run_path,
 )
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField
 from nsgl.noise import NoiseModel
 from nsgl.operators import GLParams
 from nsgl.stepper import SimState, StepperConfig
@@ -28,7 +27,6 @@ from nsgl.stepper import SimState, StepperConfig
 
 def quiet_noise(grid, **kw):
     kw.setdefault("velocity_on", False)
-    kw.setdefault("director_on", False)
     kw.setdefault("mode_cutoff", 4)
     return NoiseModel(grid, **kw)
 
@@ -44,7 +42,7 @@ def circle_state(grid, rho=1.0):
 def constant_h(grid, mag=0.8):
     h = np.zeros((3, grid.n_modes, grid.n_modes))
     h[2] = mag
-    return DirectorField(grid, phys=h)
+    return h
 
 
 # -- fit_rate -------------------------------------------------------------------
@@ -103,14 +101,14 @@ def test_run_path_resumes_from_partial_step_count(grid16):
     """A state whose step counter is already past zero only gets the remainder."""
     cfg = StepperConfig(dt=0.01, t_end=0.1)
     st = circle_state(grid16)
-    st = SimState(t=0.07, step=7, u=st.u, n=st.n)
+    st = dataclasses.replace(st, t=0.07, step=7)
     steps = []
     trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16),
                      on_report=lambda s, tr: steps.append(tr.last.step))
     assert steps == [7, 8, 9, 10]
     assert trace.last.step == 10 and trace.t0 == 0.07
     # already past the horizon: one report, zero steps
-    st = SimState(t=0.15, step=15, u=st.u, n=st.n)
+    st = dataclasses.replace(st, t=0.15, step=15)
     steps = []
     trace = run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16),
                      on_report=lambda s, tr: steps.append(tr.last.step))
@@ -297,7 +295,7 @@ def test_run_ensemble_noise_off_balance_is_pure_drift(grid16):
 
 
 def single_mode_h(grid, mag=1.0):
-    return DirectorField.from_scalar_axis(grid, mag * np.cos(grid.meshgrid()[0]))
+    return mag * np.cos(grid.meshgrid()[0]) * np.ones((3, 1, 1))
 
 
 def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
@@ -317,7 +315,7 @@ def test_family_member_rows_equal_solo_runs(grid16, monkeypatch):
     monkeypatch.setattr(experiments, "step", recording_step)
     cfg = StepperConfig(dt=2e-3, t_end=0.02)
     noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
-    assert noise.velocity_on and noise.director_on
+    assert noise.velocity_on and noise.h is not None
     cov = CoveringSet(grid16, np.pi / 4.0)
     eps_family = (0.4, 0.2, 0.1)
     rows = {}
@@ -351,7 +349,7 @@ def test_ensemble_paths_equal_solo_runs(grid16, monkeypatch):
     monkeypatch.setattr(experiments._Path, "run", recording_run)
     cfg, gl = StepperConfig(dt=2e-3, t_end=0.02), GLParams(epsilon=0.3)
     noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
-    assert noise.velocity_on and noise.director_on
+    assert noise.velocity_on and noise.h is not None
     n_paths = 3
     rep = run_ensemble(circle_state(grid16), cfg, gl, noise, n_paths=n_paths)
     assert len(traces) == n_paths
@@ -396,19 +394,19 @@ def test_family_residuals_equal_fresh_derivative_reference(grid16):
                  on_report=lambda st, tr: states.append(st))
         ito = strat = 0.0
         for k, (prev, new) in enumerate(zip(states, states[1:])):
-            n_spec = prev.n.spec
+            n_spec = prev.n_spec
             lap = g.to_phys(g.laplacian(n_spec))
             d1 = g.to_phys(g.deriv(n_spec, 1))
             d2 = g.to_phys(g.deriv(n_spec, 2))
             grad_sq = np.sum(d1 * d1 + d2 * d2, axis=0)
-            conv = prev.u.phys[0] * d1 + prev.u.phys[1] * d2
-            r = (new.n.phys - prev.n.phys) - cfg.dt * (lap + grad_sq * prev.n.phys - conv)
-            nxh = cross3(prev.n.phys, h.phys)
+            conv = prev.u_phys[0] * d1 + prev.u_phys[1] * d2
+            r = (new.n_phys - prev.n_phys) - cfg.dt * (lap + grad_sq * prev.n_phys - conv)
+            nxh = cross3(prev.n_phys, h)
             r = r - sample_increment(noise, cfg.dt, k).d_eta * nxh
-            r2 = r - cfg.dt * (0.5 * cross3(nxh, h.phys))
+            r2 = r - cfg.dt * (0.5 * cross3(nxh, h))
             ito += g.l2_norm_phys(r)
             strat += g.l2_norm_phys(r2)
-        assert np.max(np.abs(states[-1].u.phys)) > 0.0  # the transport term is live
+        assert np.max(np.abs(states[-1].u_phys)) > 0.0  # the transport term is live
         assert report.members[eps].residual_ito[0] == ito
         assert report.members[eps].residual_strat[0] == strat
 
@@ -476,3 +474,29 @@ def test_family_draws_each_increment_once_per_step(grid16, monkeypatch):
         for _ in range(cfg.n_steps):
             path.advance(force_level=1)
         assert family_rows == solo, (p, eps)
+
+
+@pytest.mark.parametrize("driver", ["ensemble", "family"])
+def test_a_path_id_overflow_fails_before_any_path_runs(grid16, monkeypatch, driver):
+    """Both drivers build every path's noise model before the first path
+    runs, so path ids past the 2**64 stream keys fail with no step taken."""
+    import nsgl.experiments as experiments
+
+    calls = []
+    plain_step = experiments.step
+
+    def counting_step(*args, **kwargs):
+        calls.append(1)
+        return plain_step(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "step", counting_step)
+    cfg = StepperConfig(dt=1e-3, t_end=0.004)
+    noise = NoiseModel(grid16, path_id=2**64 - 2, mode_cutoff=4)
+    with pytest.raises(ValueError, match="path_id"):
+        if driver == "ensemble":
+            run_ensemble(circle_state(grid16), cfg, GLParams(epsilon=0.3), noise, n_paths=3)
+        else:
+            run_coupled_family(circle_state(grid16), cfg, (0.4, 0.2), noise, n_paths=3)
+    assert calls == []
+    run_ensemble(circle_state(grid16), cfg, GLParams(epsilon=0.3), noise, n_paths=2)
+    assert len(calls) == 2 * cfg.n_steps  # the last two keys run

@@ -8,12 +8,11 @@ import pytest
 import nsgl.grid
 from nsgl.grid import (
     CHUNK_BYTES,
-    DirectorField,
     SpectralGrid,
-    VelocityField,
     random_band_limited,
     sobolev_norm,
 )
+from nsgl.io_cli import _conj_symmetry_defect
 from nsgl.operators import grad_pair
 
 
@@ -114,71 +113,51 @@ def test_parseval_and_quadrature(grid32, rng):
     assert abs(g.integrate(np.cos(4.0 * x1))) < 1e-12
 
 
-def test_field_spec_phys_caching(grid32, rng):
-    phys = random_band_limited(grid32, 2, 6, rng)
-    u = VelocityField(grid32, phys=phys)
-    s1 = u.spec
-    assert s1 is u.spec  # memoized
-    v = VelocityField(grid32, spec=s1)
-    assert np.allclose(v.phys, phys, atol=1e-13)
-    with pytest.raises(ValueError):
-        VelocityField(grid32, phys=None, spec=None)
-    assert not u.phys.flags.writeable
-
-
 def test_velocity_divergence_defect(grid32, rng, make_velocity):
-    u = make_velocity(grid32, rng)
-    assert u.divergence_defect() < 1e-12
+    assert grid32.divergence_defect(make_velocity(grid32, rng)) < 1e-12
     x1, x2 = grid32.meshgrid()
-    bad = VelocityField(grid32, phys=np.stack([np.sin(x1), np.cos(x2)]))
-    assert bad.divergence_defect() > 0.1
-
-
-def test_director_from_scalar_axis(grid32):
-    scalar = np.full((32, 32), 2.0)
-    h = DirectorField.from_scalar_axis(grid32, scalar)
-    assert h.phys.shape == (3, 32, 32)
-    assert np.allclose(h.phys, 2.0)
-    assert np.allclose(h.norm_phys(), 2.0 * np.sqrt(3.0))
+    bad = grid32.to_spec(np.stack([np.sin(x1), np.cos(x2)]))
+    assert grid32.divergence_defect(bad) > 0.1
 
 
 def test_conjugate_symmetry_and_mean(grid32, rng):
-    phys = random_band_limited(grid32, 3, 5, rng)
-    n = DirectorField(grid32, phys=phys)
-    assert n.conj_symmetry_defect() < 1e-14
-    assert n.mean_defect() < 1e-14  # zero_mean construction
+    spec = grid32.to_spec(random_band_limited(grid32, 3, 5, rng))
+    assert _conj_symmetry_defect(spec) < 1e-14
+    assert np.max(np.abs(spec[:, 0, 0])) < 1e-14  # zero_mean construction
 
 
 def test_sobolev_norm_single_mode_values(grid32):
     """H^s of cos(3 x1): L2 mass 2 pi^2, |k|^2s weight 9^s (+1 if full)."""
     g = grid32
     x1, _ = g.meshgrid()
-    f = DirectorField.from_scalar_axis(g, np.cos(3.0 * x1), axis=(1.0, 0.0, 0.0))
+    wave = np.cos(3.0 * x1)
+    zero = np.zeros_like(x1)
+    f = g.to_spec(np.stack([wave, zero, zero]))
     l2_sq = 2.0 * np.pi**2
-    assert np.isclose(sobolev_norm(f, 0.0, homogeneous=True) ** 2, l2_sq, rtol=1e-12)
-    assert np.isclose(sobolev_norm(f, 1.0, homogeneous=True) ** 2, 9.0 * l2_sq,
+    assert np.isclose(sobolev_norm(g, f, 0.0, homogeneous=True) ** 2, l2_sq, rtol=1e-12)
+    assert np.isclose(sobolev_norm(g, f, 1.0, homogeneous=True) ** 2, 9.0 * l2_sq,
                       rtol=1e-12)
-    # director fields of order >= 1 default to the full norm
-    assert np.isclose(sobolev_norm(f, 1.0) ** 2, 10.0 * l2_sq, rtol=1e-12)
-    u = VelocityField(g, phys=np.stack([np.cos(3.0 * x1), np.zeros_like(x1)]))
-    # velocities default homogeneous
-    assert np.isclose(sobolev_norm(u, 1.0) ** 2, 9.0 * l2_sq, rtol=1e-12)
-    assert np.isclose(sobolev_norm(f, 0.5, homogeneous=True) ** 2, 3.0 * l2_sq,
+    assert np.isclose(sobolev_norm(g, f, 1.0, homogeneous=False) ** 2, 10.0 * l2_sq,
+                      rtol=1e-12)
+    u = g.to_spec(np.stack([wave, zero]))
+    assert np.isclose(sobolev_norm(g, u, 1.0, homogeneous=True) ** 2, 9.0 * l2_sq,
+                      rtol=1e-12)
+    assert np.isclose(sobolev_norm(g, f, 0.5, homogeneous=True) ** 2, 3.0 * l2_sq,
                       rtol=1e-12)
 
 
 def test_sobolev_norm_zero_mode_under_negative_order(grid32):
-    f = DirectorField.from_scalar_axis(grid32, np.full((32, 32), 1.0))
+    f = grid32.to_spec(np.ones((3, 32, 32)))
     # homogeneous negative order must not blow up on the k=0 mode
-    assert sobolev_norm(f, -1.0, homogeneous=True) == 0.0
-    assert sobolev_norm(f, 0.0, homogeneous=False) > 0.0
+    assert sobolev_norm(grid32, f, -1.0, homogeneous=True) == 0.0
+    assert sobolev_norm(grid32, f, 0.0, homogeneous=False) > 0.0
 
 
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
 def test_sobolev_norm_cache_keeps_the_uncached_bits(grid32, rng, alpha):
-    """The weight table cached per (grid, order, form) and the field's cached
-    |c|^2 give the uncached formula bit for bit, for the four (order,
-    homogeneous) pairs of the family's distances, and both are read-only."""
+    """The weight table cached per (grid, order, form) gives the uncached
+    formula bit for bit, for the four (order, homogeneous) pairs of the
+    family's distances, and it is read-only."""
     from nsgl.grid import _sobolev_weight
 
     g = grid32
@@ -189,19 +168,16 @@ def test_sobolev_norm_cache_keeps_the_uncached_bits(grid32, rng, alpha):
         weight = np.where(np.isfinite(weight), weight, 0.0)
         if not homogeneous:
             weight = weight + 1.0
-        return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * np.abs(f.spec) ** 2)))
+        return float(2.0 * np.pi * np.sqrt(g.spec_sum(weight * np.abs(f) ** 2)))
 
-    u = VelocityField(g, phys=random_band_limited(g, 2, 8, rng))
-    n = DirectorField(g, phys=random_band_limited(g, 3, 8, rng))
+    u = g.to_spec(random_band_limited(g, 2, 8, rng))
+    n = g.to_spec(random_band_limited(g, 3, 8, rng))
     for f, order, homogeneous in [(u, alpha - 1.0, True), (n, alpha, False),
                                   (u, alpha, True), (n, 1.0 + alpha, False)]:
-        for _ in range(2):  # computing, then reading the caches
-            assert sobolev_norm(f, order, homogeneous=homogeneous) \
+        for _ in range(2):  # computing, then reading the cache
+            assert sobolev_norm(g, f, order, homogeneous=homogeneous) \
                 == uncached(f, order, homogeneous)
         assert not _sobolev_weight(g, order, homogeneous).flags.writeable
-        assert not f.spec_abs2.flags.writeable
-        with pytest.raises(ValueError):
-            f.spec_abs2[0, 0, 0] = 1.0
 
 
 def test_random_band_limited_properties(grid32, rng):
@@ -242,8 +218,8 @@ def test_half_spectrum_sums_on_white_noise(grid32, rng):
     assert np.isclose(g.l2_inner_spec(sa, sb), g.integrate(np.sum(a * b, axis=0)),
                       rtol=1e-12)
     assert np.isclose(g.l2_inner_spec(sa, sa), g.l2_norm_phys(a) ** 2, rtol=1e-12)
-    f = DirectorField(g, phys=a)
-    assert np.isclose(sobolev_norm(f, 0.0), g.l2_norm_phys(a), rtol=1e-12)
+    assert np.isclose(sobolev_norm(g, sa, 0.0, homogeneous=True), g.l2_norm_phys(a),
+                      rtol=1e-12)
 
 
 def test_half_spectrum_derivatives_match_full_complex_fft(grid32, rng):
@@ -267,15 +243,13 @@ def test_half_spectrum_derivatives_match_full_complex_fft(grid32, rng):
     assert np.max(np.abs(got - reference(-(kx**2 + ky**2)))) < 1e-12
 
 
-def test_conj_symmetry_defect_flags_unpaired_column_mode(grid32):
+def test_conj_symmetry_defect_flags_unpaired_column_mode():
     spec = np.zeros((3, 32, 17), dtype=complex)
     spec[0, 3, 0] = 1.0
     spec[0, -3, 0] = 1.0  # the conjugate partner of (3, 0)
-    assert DirectorField(grid32, spec=spec.copy()).conj_symmetry_defect() == 0.0
+    assert _conj_symmetry_defect(spec) == 0.0
     spec[0, -3, 0] = 0.5
-    assert DirectorField(grid32, spec=spec.copy()).conj_symmetry_defect() == 0.25
-    with pytest.raises(ValueError):
-        DirectorField(grid32, spec=np.zeros((3, 32, 32), dtype=complex))
+    assert _conj_symmetry_defect(spec) == 0.25
 
 
 def _record_calls(monkeypatch, name):

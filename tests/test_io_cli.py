@@ -4,6 +4,7 @@ The CLI tests drive ``main(argv)`` in-process so exit codes and streams are
 asserted directly; nothing here shells out.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -14,7 +15,6 @@ import pytest
 
 from nsgl.checks import run_identity_checks
 from nsgl.diagnostics import EnergyReport, RunTrace
-from nsgl.grid import DirectorField, VelocityField
 from nsgl.io_cli import (
     REPORT_KEYS,
     ConfigError,
@@ -28,6 +28,7 @@ from nsgl.io_cli import (
     parse_eps_family,
     save_checkpoint,
 )
+from nsgl.experiments import run_path
 from nsgl.operators import GLParams
 from nsgl.noise import NoiseModel
 from nsgl.stepper import SimState
@@ -251,35 +252,41 @@ def test_cli_refuses_a_non_finite_eps_family(tmp_path, capsys, family):
 # -- presets ----------------------------------------------------------------------
 
 
+def norm(phys):
+    """Pointwise Euclidean magnitude of a (C, N, N) stack."""
+    return np.sqrt(np.sum(phys**2, axis=0))
+
+
 def test_initial_presets_build_consistent_state(tmp_path):
     bundle = build_components(load_config(write_config(tmp_path, SMALL_RUN)))
     st = bundle.state0
     x1, x2 = bundle.grid.meshgrid()
-    assert np.allclose(st.u.phys[0], 0.2 * np.sin(x2), atol=1e-12)
-    assert np.allclose(st.u.phys[1], 0.0, atol=1e-13)
-    assert st.u.divergence_defect() < 1e-12
-    assert np.allclose(st.n.norm_phys(), 1.0, atol=1e-12)
+    assert np.allclose(st.u_phys[0], 0.2 * np.sin(x2), atol=1e-12)
+    assert np.allclose(st.u_phys[1], 0.0, atol=1e-13)
+    assert bundle.grid.divergence_defect(st.u_spec) < 1e-12
+    assert np.allclose(norm(st.n_phys), 1.0, atol=1e-12)
     # constant h with magnitude m means each component equals m
-    assert np.allclose(bundle.noise.h.phys, 1.0)
+    assert bundle.noise.h.shape == (3, 16, 16)
+    assert np.allclose(bundle.noise.h, 1.0)
 
 
 def test_taylor_green_and_random_band_are_divergence_free(tmp_path):
     for preset in ("taylor_green", "random_band"):
         body = f"[grid]\nn_modes = 16\n[initial]\nu0 = {preset}\nseed = 5\n"
         bundle = build_components(load_config(write_config(tmp_path, body)))
-        assert bundle.state0.u.divergence_defect() < 1e-12
+        assert bundle.grid.divergence_defect(bundle.state0.u_spec) < 1e-12
         if preset == "random_band":
-            assert float(np.max(np.abs(bundle.state0.u.phys))) > 0.0
+            assert float(np.max(np.abs(bundle.state0.u_phys))) > 0.0
 
 
 def test_random_director_presets(tmp_path):
     base = "[grid]\nn_modes = 16\n[initial]\nn0 = {n0}\nnormalize_n0 = {norm}\nseed = 5\n"
     unit = build_components(load_config(write_config(
         tmp_path, base.format(n0="random_unit", norm="false")))).state0
-    assert np.allclose(unit.n.norm_phys(), 1.0, atol=1e-12)  # forced for this preset
+    assert np.allclose(norm(unit.n_phys), 1.0, atol=1e-12)  # forced for this preset
     raw = build_components(load_config(write_config(
         tmp_path, base.format(n0="random_band", norm="false")))).state0
-    assert abs(float(np.max(raw.n.norm_phys())) - 1.0) > 1e-3
+    assert abs(float(np.max(norm(raw.n_phys))) - 1.0) > 1e-3
 
 
 def test_file_preset_round_trip_and_shape_check(tmp_path):
@@ -290,7 +297,7 @@ def test_file_preset_round_trip_and_shape_check(tmp_path):
     np.save(path, n0)
     body = f"[grid]\nn_modes = 16\n[initial]\nn0 = file:{path}\nnormalize_n0 = false\n"
     bundle = build_components(load_config(write_config(tmp_path, body)))
-    assert np.array_equal(bundle.state0.n.phys, n0)
+    assert np.array_equal(bundle.state0.n_phys, n0)
     bad = tmp_path / "bad.npy"
     np.save(bad, np.zeros((3, 8, 8)))
     body = f"[grid]\nn_modes = 16\n[initial]\nn0 = file:{bad}\n"
@@ -335,12 +342,34 @@ def test_normalization_guard_rejects_vanishing_director(tmp_path):
         build_components(load_config(write_config(tmp_path, body)))
 
 
+def test_director_on_false_is_the_model_without_h(tmp_path, capsys):
+    """``noise.director_on = false`` builds the noise model with ``h = None``,
+    the one switch of the director noise: a CLI ``run`` writes the rows of
+    the library run on a model given no h, and other rows with the switch
+    on."""
+    rows = {}
+    for on in ("true", "false"):
+        body = SMALL_RUN.replace("mode_cutoff = 4\n", f"mode_cutoff = 4\ndirector_on = {on}\n") \
+            + "[h_field]\nprofile = single_mode\n"
+        path = write_config(tmp_path, body, f"{on}.ini")
+        assert main(["run", "-c", path]) == 0
+        rows[on] = capsys.readouterr().out
+        bundle = build_components(load_config(path))
+        assert (bundle.noise.h is None) == (on == "false")
+    assert rows["true"] != rows["false"]
+    lib = []
+    run_path(bundle.state0, bundle.stepper, bundle.gl,
+             NoiseModel(bundle.grid, seed=9, mode_cutoff=4), covering=bundle.covering,
+             on_report=lambda st, tr: lib.append(format_report(tr.last) + "\n"))
+    assert rows["false"] == "".join(lib)
+
+
 def test_single_mode_axis_profile(tmp_path):
     body = "[grid]\nn_modes = 16\n[h_field]\nprofile = single_mode\nmagnitude = 2.0\n"
     bundle = build_components(load_config(write_config(tmp_path, body)))
     x1, _ = bundle.grid.meshgrid()
-    assert np.allclose(bundle.noise.h.phys[0], 2.0 * np.cos(x1), atol=1e-12)
-    assert np.allclose(bundle.noise.h.phys[1], bundle.noise.h.phys[0])
+    assert np.allclose(bundle.noise.h[0], 2.0 * np.cos(x1), atol=1e-12)
+    assert np.allclose(bundle.noise.h[1], bundle.noise.h[0])
 
 
 # -- checkpoints -------------------------------------------------------------------
@@ -355,9 +384,9 @@ def small_state(grid16, seed=3):
     u_spec = grid16.dealias(leray_project_spec(grid16, grid16.to_spec(u)))
     n = random_band_limited(grid16, 3, 4, rng, 0.2)
     n[2] += 1.0
-    return SimState(t=0.375, step=12,
-                    u=VelocityField(grid16, spec=u_spec),
-                    n=DirectorField(grid16, phys=n))
+    return SimState(t=0.375, step=12, grid=grid16,
+                    spec=np.concatenate([u_spec, grid16.to_spec(n)]),
+                    phys=np.concatenate([grid16.to_phys(u_spec), n]))
 
 
 # stands for the config hash of the run that writes a library-level checkpoint
@@ -375,9 +404,8 @@ def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     loaded, loaded_trace = load_checkpoint(path, grid16, gl, noise, CFG_HASH)
     assert isinstance(loaded, SimState)
     # the half spectra are the state; the physical arrays are their to_phys
-    assert np.array_equal(loaded.u.spec, st.u.spec)
-    assert np.array_equal(loaded.n.spec, st.n.spec)
-    assert np.array_equal(loaded.n.phys, grid16.to_phys(st.n.spec))
+    assert loaded.spec.tobytes() == st.spec.tobytes()
+    assert loaded.phys.tobytes() == grid16.to_phys(st.spec).tobytes()
     assert loaded.t == 0.375 and loaded.step == 12
     # the stored numbers come back; the last report and delta are the run's
     assert loaded_trace == RunTrace(**{**vars(trace), "last": None})
@@ -395,8 +423,7 @@ def write_old_checkpoint(path, state, gl, noise, version):
                              noise.path_id, gl.epsilon, state.t))
         if version == 2:
             fh.write(struct.pack("<14d", *[0.0] * 14))
-        fh.write(np.ascontiguousarray(state.u.phys, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(state.n.phys, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(state.phys, dtype="<f8").tobytes())
 
 
 def test_checkpoint_error_cases(grid16, tmp_path):
@@ -477,9 +504,9 @@ def test_checkpoint_refuses_what_a_run_cannot_continue(grid16, tmp_path, capsys,
     cfg_path = write_config(tmp_path, body)
     cfg_hash = config_hash(load_config(cfg_path))
     path = tmp_path / f"{kind}.ckpt"
-    save_checkpoint(str(path), SimState(t=0.025, step=5, u=VelocityField(grid16, phys=u),
-                                        n=DirectorField(grid16, spec=n_spec)),
-                    RunTrace(), gl, noise, cfg_hash)
+    spec = np.concatenate([grid16.to_spec(u), n_spec])
+    state = SimState(t=0.025, step=5, grid=grid16, spec=spec, phys=grid16.to_phys(spec))
+    save_checkpoint(str(path), state, RunTrace(), gl, noise, cfg_hash)
     with pytest.raises(ConfigError, match=pattern):
         load_checkpoint(str(path), grid16, gl, noise, cfg_hash)
     assert main(["run", "-c", cfg_path, "--resume", str(path)]) == 1
@@ -501,26 +528,23 @@ def test_failed_checkpoint_write_keeps_the_previous_one(grid16, tmp_path, monkey
     before = path.read_bytes()
 
     calls = []
-    real = np.ascontiguousarray
 
-    def fail_on_director(a, *args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:  # the header and u are written by now
-            raise OSError("disk full")
-        return real(a, *args, **kwargs)
+    def fail_on_payload(a, *args, **kwargs):
+        calls.append(1)  # the header is written by now
+        raise OSError("disk full")
 
-    monkeypatch.setattr(io_cli.np, "ascontiguousarray", fail_on_director)
+    monkeypatch.setattr(io_cli.np, "ascontiguousarray", fail_on_payload)
     later = small_state(grid16, seed=4)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise, CFG_HASH)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
     monkeypatch.undo()
     save_checkpoint(str(path), later, RunTrace(), GLParams(epsilon=0.25), noise, CFG_HASH)
     loaded, _ = load_checkpoint(str(path), grid16, GLParams(epsilon=0.25), noise, CFG_HASH)
-    assert np.array_equal(loaded.n.spec, later.n.spec)
+    assert np.array_equal(loaded.spec, later.spec)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["state.ckpt"]
 
 
@@ -821,7 +845,7 @@ def test_cli_resume_refuses_checkpoint_off_the_step_clock(tmp_path, capsys):
     cfg_hash = config_hash(bundle.cfg)
     state, trace = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise, cfg_hash)
     off = tmp_path / "off.ckpt"
-    save_checkpoint(str(off), SimState(t=0.1, step=5, u=state.u, n=state.n), trace,
+    save_checkpoint(str(off), dataclasses.replace(state, t=0.1, step=5), trace,
                     bundle.gl, bundle.noise, cfg_hash)
     assert main(["run", "-c", write_config(tmp_path, resumed.replace("t_end = 0.025",
                                                                      "t_end = 0.05"),

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nsgl.io_cli import _conj_symmetry_defect
 from nsgl.noise import NoiseModel, sample_increment
 
 
@@ -66,46 +67,48 @@ def test_basis_fields_orthonormal_solenoidal(grid32):
     model = NoiseModel(grid=grid32, mode_cutoff=2)
     fields = [model.basis_field(j) for j in range(model.n_basis)]
     g = grid32
-    gram = np.array([[g.integrate(np.sum(a.phys * b.phys, axis=0)) for b in fields]
+    gram = np.array([[g.integrate(np.sum(a * b, axis=0)) for b in fields]
                      for a in fields])
     assert np.allclose(gram, np.eye(model.n_basis), atol=1e-12)
     for f in fields:
-        assert f.divergence_defect() < 1e-12
-        assert f.mean_defect() < 1e-14
+        spec = g.to_spec(f)
+        assert g.divergence_defect(spec) < 1e-12
+        assert np.max(np.abs(spec[:, 0, 0])) < 1e-14
 
 
 def test_increment_determinism_and_stream_separation(grid32):
     model = NoiseModel(grid=grid32, mode_cutoff=4, seed=5, path_id=3)
     a = sample_increment(model, 1e-3, step_index=7)
     b = sample_increment(model, 1e-3, step_index=7)
-    assert np.array_equal(a.dW.spec, b.dW.spec)
+    assert np.array_equal(a.dW, b.dW)
     assert a.d_eta == b.d_eta
     c = sample_increment(model, 1e-3, step_index=8)
-    assert not np.array_equal(a.dW.spec, c.dW.spec)
+    assert not np.array_equal(a.dW, c.dW)
     import dataclasses
     other_path = dataclasses.replace(model, path_id=4)
     d = sample_increment(other_path, 1e-3, step_index=7)
-    assert not np.array_equal(a.dW.spec, d.dW.spec)
+    assert not np.array_equal(a.dW, d.dW)
     e = sample_increment(model, 5e-4, step_index=7, level=1, slot=0)
     f = sample_increment(model, 5e-4, step_index=7, level=1, slot=1)
-    assert not np.array_equal(e.dW.spec, f.dW.spec)
-    assert not np.array_equal(e.dW.spec, a.dW.spec)
+    assert not np.array_equal(e.dW, f.dW)
+    assert not np.array_equal(e.dW, a.dW)
 
 
 def test_increment_structure(grid32):
     model = NoiseModel(grid=grid32, mode_cutoff=3, seed=2)
     inc = sample_increment(model, 2e-3, step_index=0)
     dw = inc.dW
-    assert dw.conj_symmetry_defect() < 1e-14
-    assert dw.divergence_defect() < 1e-12
-    assert dw.mean_defect() < 1e-15
-    # support is exactly the retained annulus
     g = grid32
+    assert dw.shape == (2, *g.spec_shape) and not dw.flags.writeable
+    assert _conj_symmetry_defect(dw) < 1e-14
+    assert g.divergence_defect(dw) < 1e-12
+    assert np.max(np.abs(dw[:, 0, 0])) < 1e-15
+    # support is exactly the retained annulus
     k_abs = np.sqrt(g.k2)
     outside = (k_abs > 3.0) | (k_abs == 0.0)
-    assert np.max(np.abs(dw.spec[:, outside])) == 0.0
-    spec_rt = g.to_spec(dw.phys)
-    assert np.max(np.abs(spec_rt - dw.spec)) < 1e-15
+    assert np.max(np.abs(dw[:, outside])) == 0.0
+    spec_rt = g.to_spec(g.to_phys(dw))
+    assert np.max(np.abs(spec_rt - dw)) < 1e-15
 
 
 def test_increment_moments(grid32):
@@ -118,7 +121,7 @@ def test_increment_moments(grid32):
     eta_sum = 0.0
     for j in range(n_draws):
         inc = sample_increment(model, dt, step_index=j)
-        w_mass += grid_l2_sq(inc.dW)
+        w_mass += grid32.l2_norm_spec(inc.dW) ** 2
         eta_sq += inc.d_eta**2
         eta_sum += inc.d_eta
     w_mass /= n_draws
@@ -126,10 +129,6 @@ def test_increment_moments(grid32):
     assert abs(w_mass - model.trace_q * dt) < 0.05 * model.trace_q * dt
     assert abs(eta_sq - dt) < 0.15 * dt
     assert abs(eta_sum / n_draws) < 3.0 * np.sqrt(dt / n_draws)
-
-
-def grid_l2_sq(field):
-    return field.grid.l2_norm_phys(field.phys) ** 2
 
 
 def fresh_stream(model, step_index, level, slot):
@@ -188,7 +187,7 @@ def reference_increment_spec(model, dt, step_index):
 def test_precomputed_scatter_tables_keep_draws_bitwise(grid32, cutoff):
     model = NoiseModel(grid=grid32, mode_cutoff=cutoff, seed=5, path_id=9)
     for step_index in (0, 3):
-        got = sample_increment(model, 1e-3, step_index).dW.spec
+        got = sample_increment(model, 1e-3, step_index).dW
         assert got.tobytes() == reference_increment_spec(model, 1e-3, step_index).tobytes()
 
 
@@ -198,9 +197,7 @@ def test_for_path_shares_the_tables_and_checks_the_path_id(grid32):
     same draws; a path_id outside [0, 2**64) is refused as by the constructor."""
     import dataclasses
 
-    from nsgl.grid import DirectorField
-
-    h = DirectorField.from_scalar_axis(grid32, np.cos(grid32.meshgrid()[0]))
+    h = np.cos(grid32.meshgrid()[0]) * np.ones((3, 1, 1))
     model = NoiseModel(grid=grid32, mode_cutoff=4, seed=5, path_id=3, h=h)
     other = model.for_path(11)
     rebuilt = dataclasses.replace(model, path_id=11)
@@ -211,7 +208,24 @@ def test_for_path_shares_the_tables_and_checks_the_path_id(grid32):
         assert getattr(other, name).tobytes() == getattr(rebuilt, name).tobytes()
     assert other.h_dirs == rebuilt.h_dirs == (0,)
     a, b = (sample_increment(m, 1e-3, step_index=2) for m in (other, rebuilt))
-    assert a.dW.spec.tobytes() == b.dW.spec.tobytes() and a.d_eta == b.d_eta
+    assert a.dW.tobytes() == b.dW.tobytes() and a.d_eta == b.d_eta
     for bad in (-1, 2**64):
         with pytest.raises(ValueError, match="path_id"):
             model.for_path(bad)
+
+
+def test_h_is_a_read_only_copy_of_its_shape(grid16):
+    """``NoiseModel(h=...)`` holds a read-only float64 copy of (3, N, N) grid
+    values, so writing into the caller's array later changes nothing, and
+    refuses any other shape."""
+    h = np.ones((3, 16, 16))
+    model = NoiseModel(grid=grid16, h=h)
+    assert model.h is not h and not model.h.flags.writeable
+    assert model.h.dtype == np.float64 and np.array_equal(model.h, h)
+    h[:] = 2.0
+    assert np.all(model.h == 1.0)
+    with pytest.raises(ValueError):
+        model.h[0, 0, 0] = 0.0
+    for shape in ((2, 16, 16), (3, 32, 32), (3, 16)):
+        with pytest.raises(ValueError, match="noise.h must have shape"):
+            NoiseModel(grid=grid16, h=np.ones(shape))

@@ -5,7 +5,7 @@ import pytest
 
 from nsgl.checks import bilaplacian_identity_residual
 from nsgl.diagnostics import energy_report
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited
+from nsgl.grid import SpectralGrid, random_band_limited, sobolev_norm
 from nsgl.operators import (
     GLParams,
     convect_spec,
@@ -21,23 +21,27 @@ from nsgl.stepper import SimState
 PI = np.pi
 
 
-def project(u):
-    return VelocityField(u.grid, spec=leray_project_spec(u.grid, u.spec))
+def projected_convection(g, u_spec):
+    return leray_project_spec(g, convect_spec(g, g.to_phys(u_spec), u_spec))
 
 
-def projected_convection(u):
-    g = u.grid
-    return leray_project_spec(g, convect_spec(g, u.phys, u.spec))
+def stress(g, n_phys):
+    """Projected divergence of grad(n) (.) grad(n), a velocity half spectrum."""
+    return stress_div_spec(g, *grad_pair(g, g.to_spec(n_phys)))
 
 
-def stress(n):
-    """Projected divergence of grad(n) (.) grad(n), as a velocity field."""
-    return VelocityField(n.grid, spec=stress_div_spec(n.grid, *grad_pair(n.grid, n.spec)))
+def penalty_spec(g, n_phys, epsilon):
+    return g.dealias(g.to_spec(gl_penalty_phys(n_phys, epsilon)))
 
 
-def penalty_spec(n, epsilon):
-    g = n.grid
-    return g.dealias(g.to_spec(gl_penalty_phys(n.phys, epsilon)))
+def mean_defect(spec):
+    """Magnitude of the k = 0 coefficient (spatial mean) of a stack."""
+    return float(np.max(np.abs(spec[:, 0, 0])))
+
+
+def constant(axis, value=1.0):
+    """Grid values at N = 32 of the constant field value * axis."""
+    return np.full((32, 32), value) * np.asarray(axis)[:, None, None]
 
 
 def test_gl_params_validation():
@@ -50,18 +54,18 @@ def test_gl_params_validation():
 
 def test_leray_properties(grid32, rng, make_velocity):
     g = grid32
-    raw = VelocityField(g, phys=np.stack([rng.standard_normal((32, 32))] * 2))
-    p1 = project(raw)
-    p2 = project(p1)
-    assert p1.divergence_defect() < 1e-12
-    assert np.max(np.abs(p2.spec - p1.spec)) < 1e-14
-    assert p1.mean_defect() < 1e-14
+    raw = g.to_spec(np.stack([rng.standard_normal((32, 32))] * 2))
+    p1 = leray_project_spec(g, raw)
+    p2 = leray_project_spec(g, p1)
+    assert g.divergence_defect(p1) < 1e-12
+    assert np.max(np.abs(p2 - p1)) < 1e-14
+    assert mean_defect(p1) < 1e-14
     # gradients are annihilated
     x1, x2 = g.meshgrid()
     phi_spec = g.to_spec(np.sin(2.0 * x1) * np.cos(x2))
-    grad = VelocityField(g, spec=np.stack([g.deriv(phi_spec, 1), g.deriv(phi_spec, 2)]))
-    killed = leray_project_spec(g, grad.spec)
-    assert g.l2_norm_spec(killed) < 1e-12 * g.l2_norm_spec(grad.spec)
+    grad = np.stack([g.deriv(phi_spec, 1), g.deriv(phi_spec, 2)])
+    killed = leray_project_spec(g, grad)
+    assert g.l2_norm_spec(killed) < 1e-12 * g.l2_norm_spec(grad)
 
 
 def test_convect_velocity_analytic(grid32):
@@ -71,17 +75,17 @@ def test_convect_velocity_analytic(grid32):
     """
     g = grid32
     _, x2 = g.meshgrid()
-    u = VelocityField(g, phys=np.stack([np.sin(x2), np.zeros_like(x2)]))
-    cu = projected_convection(u)
+    u = g.to_spec(np.stack([np.sin(x2), np.zeros_like(x2)]))
+    cu = projected_convection(g, u)
     assert g.l2_norm_spec(cu) < 1e-13
 
 
 def test_convect_director_analytic(grid32):
     g = grid32
     x1, x2 = g.meshgrid()
-    u = VelocityField(g, phys=np.stack([np.sin(x2), np.zeros_like(x2)]))
-    n = DirectorField(g, phys=np.stack([np.sin(x1), np.zeros_like(x1), np.zeros_like(x1)]))
-    cn = g.to_phys(convect_spec(g, u.phys, n.spec))
+    u = np.stack([np.sin(x2), np.zeros_like(x2)])
+    n = g.to_spec(np.stack([np.sin(x1), np.zeros_like(x1), np.zeros_like(x1)]))
+    cn = g.to_phys(convect_spec(g, u, n))
     expect = np.stack([np.sin(x2) * np.cos(x1), np.zeros_like(x1), np.zeros_like(x1)])
     assert np.allclose(cn, expect, atol=1e-12)
 
@@ -89,17 +93,17 @@ def test_convect_director_analytic(grid32):
 def test_convect_skew_symmetry(grid32, rng, make_velocity, make_director):
     g = grid32
     u = make_velocity(g, rng, k_max=6)
-    n = make_director(g, rng, k_max=6)
-    cu = projected_convection(u)
-    cn = convect_spec(g, u.phys, n.spec)
-    assert abs(g.l2_inner_spec(cu, u.spec)) < 1e-12
-    assert abs(g.l2_inner_spec(cn, n.spec)) < 1e-12
+    n = g.to_spec(make_director(g, rng, k_max=6))
+    cu = projected_convection(g, u)
+    cn = convect_spec(g, g.to_phys(u), n)
+    assert abs(g.l2_inner_spec(cu, u)) < 1e-12
+    assert abs(g.l2_inner_spec(cn, n)) < 1e-12
 
 
 def test_ericksen_stress_vanishes_on_circle_field(grid32, circle_director):
     """grad n (.) grad n = diag(1, 0) for the circle field; its divergence is 0."""
-    s = stress(circle_director(grid32))
-    assert grid32.l2_norm_spec(s.spec) < 1e-12
+    s = stress(grid32, circle_director(grid32))
+    assert grid32.l2_norm_spec(s) < 1e-12
 
 
 def test_ericksen_stress_energy_pairing(grid64, rng, make_velocity, make_director):
@@ -107,15 +111,16 @@ def test_ericksen_stress_energy_pairing(grid64, rng, make_velocity, make_directo
     g = grid64
     u = make_velocity(g, rng, k_max=6)
     n = make_director(g, rng, k_max=6)
-    lhs = g.l2_inner_spec(stress(n).spec, u.spec)
-    rhs = g.l2_inner_spec(convect_spec(g, u.phys, n.spec), g.laplacian(n.spec))
+    n_spec = g.to_spec(n)
+    lhs = g.l2_inner_spec(stress(g, n), u)
+    rhs = g.l2_inner_spec(convect_spec(g, g.to_phys(u), n_spec), g.laplacian(n_spec))
     assert abs(lhs - rhs) < 1e-9 * (abs(lhs) + abs(rhs) + 1.0)
 
 
 def test_ericksen_stress_is_solenoidal_mean_free(grid32, rng, make_director):
-    s = stress(make_director(grid32, rng, k_max=6))
-    assert s.divergence_defect() < 1e-12
-    assert s.mean_defect() < 1e-14
+    s = stress(grid32, make_director(grid32, rng, k_max=6))
+    assert grid32.divergence_defect(s) < 1e-12
+    assert mean_defect(s) < 1e-14
 
 
 def advective_drift_spec(g, u_spec, n_spec):
@@ -133,7 +138,7 @@ def test_conservative_drift_matches_advective_on_band_limited_solenoidal_u(n, ma
     above N/3 breaks that precondition and must not match."""
     g = SpectralGrid(n)
     rng = np.random.default_rng(n)
-    n_spec = make_director(g, rng, k_max=n // 2, unit=True).spec
+    n_spec = g.to_spec(make_director(g, rng, k_max=n // 2, unit=True))
     for k_max, band_limited in ((n // 4, True), (n // 3, True), (n // 2, False)):
         raw = g.to_spec(random_band_limited(g, 2, k_max, rng))
         u_spec = leray_project_spec(g, g.dealias(raw) if band_limited else raw)
@@ -155,10 +160,8 @@ def test_cross3_matches_numpy(rng):
 
 def test_gl_penalty_values(grid32):
     g = grid32
-    ones = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(0.0, 0.0, 1.0))
-    assert g.l2_norm_spec(penalty_spec(ones, 0.3)) < 1e-13
-    half = DirectorField.from_scalar_axis(g, np.full((32, 32), 0.5), axis=(1.0, 0.0, 0.0))
-    f = g.to_phys(penalty_spec(half, 0.5))
+    assert g.l2_norm_spec(penalty_spec(g, constant((0.0, 0.0, 1.0)), 0.3)) < 1e-13
+    f = g.to_phys(penalty_spec(g, constant((1.0, 0.0, 0.0), 0.5), 0.5))
     # (1 - 1/4) * (1/2) / (1/4) = 3/2 along e1
     assert np.allclose(f[0], 1.5, atol=1e-12)
     assert np.allclose(f[1:], 0.0, atol=1e-13)
@@ -168,22 +171,19 @@ def test_gl_potential_mass_frozen_values(grid32):
     g = grid32
 
     def potential_mass(n, epsilon):
-        state = SimState(t=0.0, step=0, u=VelocityField(g, phys=np.zeros((2, 32, 32))), n=n)
+        state = SimState.from_arrays(g, np.zeros((2, 32, 32)), n)
         return energy_report(state, GLParams(epsilon=epsilon)).gl_mass
 
-    zero = DirectorField(g, phys=np.zeros((3, 32, 32)))
+    zero = np.zeros((3, 32, 32))
     assert np.isclose(potential_mass(zero, 1.0), PI**2, rtol=1e-14)
-    half = DirectorField.from_scalar_axis(g, np.full((32, 32), 0.5),
-                                          axis=(1.0, 0.0, 0.0))
+    half = constant((1.0, 0.0, 0.0), 0.5)
     expect = (9.0 / 16.0) * 4.0 * PI**2
     assert np.isclose(potential_mass(half, 0.5), expect, rtol=1e-14)
 
 
 def test_director_cross_h_orientation(grid32):
     g = grid32
-    e1 = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(1.0, 0.0, 0.0))
-    e3 = DirectorField.from_scalar_axis(g, np.ones((32, 32)), axis=(0.0, 0.0, 1.0))
-    out = cross3(e1.phys, e3.phys)
+    out = cross3(constant((1.0, 0.0, 0.0)), constant((0.0, 0.0, 1.0)))
     assert np.allclose(out[1], -1.0, atol=1e-15)
     assert np.allclose(out[0], 0.0, atol=1e-15)
     assert np.allclose(out[2], 0.0, atol=1e-15)
@@ -193,14 +193,13 @@ def test_penalty_orthogonal_to_rotation_direction(grid32, rng, make_director):
     g = grid32
     n = make_director(g, rng, k_max=3)
     h = make_director(g, rng, k_max=3)
-    f = penalty_spec(n, 0.7)
-    pair = g.l2_inner_spec(f, g.to_spec(cross3(n.phys, h.phys)))
+    f = penalty_spec(g, n, 0.7)
+    pair = g.l2_inner_spec(f, g.to_spec(cross3(n, h)))
     assert abs(pair) < 1e-12
 
 
 def test_bilaplacian_identity_band_limited(grid64, rng, make_director):
-    from nsgl.grid import sobolev_norm
     n = make_director(grid64, rng, k_max=15)  # < N/4: products stay resolved
-    res = bilaplacian_identity_residual(n)
-    scale = 1.0 + sobolev_norm(n, 4.0, homogeneous=False) ** 2
+    res = bilaplacian_identity_residual(grid64, n)
+    scale = 1.0 + sobolev_norm(grid64, grid64.to_spec(n), 4.0, homogeneous=False) ** 2
     assert res / scale < 1e-8

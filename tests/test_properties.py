@@ -17,11 +17,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField, random_band_limited  # noqa: E402
+from nsgl.grid import SpectralGrid, random_band_limited  # noqa: E402
 from nsgl.diagnostics import RunTrace  # noqa: E402
 from nsgl.io_cli import (  # noqa: E402
     _CKPT_TRACE,
     _SCHEMA,
+    _conj_symmetry_defect,
     SimConfig,
     dump_config,
     load_checkpoint,
@@ -60,8 +61,8 @@ def test_checkpoint_save_then_load_is_bitwise(n, seed, band, u_amp, n_amp, step,
     u = random_band_limited(grid, 2, k_max, rng, u_amp)
     u_spec = leray_project_spec(grid, grid.dealias(grid.to_spec(u)))
     n_spec = grid.to_spec(random_band_limited(grid, 3, n // 2, rng, n_amp))
-    state = SimState(t=t, step=step, u=VelocityField(grid, spec=u_spec),
-                     n=DirectorField(grid, spec=n_spec))
+    spec = np.concatenate([u_spec, n_spec])
+    state = SimState(t=t, step=step, grid=grid, spec=spec, phys=grid.to_phys(spec))
     gl = GLParams(epsilon=eps)
     noise = NoiseModel(grid, seed=noise_seed, path_id=path_id, mode_cutoff=4)
     trace = RunTrace(**numbers)
@@ -75,8 +76,8 @@ def test_checkpoint_save_then_load_is_bitwise(n, seed, band, u_amp, n_amp, step,
     for name, value in numbers.items():
         assert struct.pack("<d", getattr(loaded_trace, name)) == struct.pack("<d", value)
     assert loaded_trace.last is None and loaded_trace.delta is None
-    assert np.array_equal(loaded.u.spec, u_spec)
-    assert np.array_equal(loaded.n.spec, n_spec)
+    assert np.array_equal(loaded.u_spec, u_spec)
+    assert np.array_equal(loaded.n_spec, n_spec)
     assert (loaded.t, loaded.step) == (t, step)
 
 
@@ -90,21 +91,21 @@ def test_long_noisy_run_keeps_the_spectral_velocity_valid():
     grid = GRIDS[16]
     x1, x2 = grid.meshgrid()
     u_spec = leray_project_spec(grid, grid.to_spec(0.3 * np.stack([np.sin(x2), np.sin(x1)])))
-    state = SimState(t=0.0, step=0, u=VelocityField(grid, spec=u_spec),
-                     n=DirectorField(grid, phys=np.stack([np.cos(x1), np.sin(x1),
-                                                          np.zeros_like(x1)])))
-    noise = NoiseModel(grid, seed=17, mode_cutoff=5,
-                       h=DirectorField.from_scalar_axis(grid, np.cos(x1)))
+    n_phys = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
+    state = SimState(t=0.0, step=0, grid=grid,
+                     spec=np.concatenate([u_spec, grid.to_spec(n_phys)]),
+                     phys=np.concatenate([grid.to_phys(u_spec), n_phys]))
+    noise = NoiseModel(grid, seed=17, mode_cutoff=5, h=np.cos(x1) * np.ones((3, 1, 1)))
     cfg, gl = StepperConfig(dt=5e-3, t_end=2.0), GLParams(epsilon=0.3)
     worst = {"u_herm": 0.0, "n_herm": 0.0, "band": 0.0, "div": 0.0}
     for _ in range(cfg.n_steps):
         state, _ = step(state, cfg, gl, noise)
-        mag = np.abs(state.u.spec)
-        worst["u_herm"] = max(worst["u_herm"], state.u.conj_symmetry_defect())
-        worst["n_herm"] = max(worst["n_herm"], state.n.conj_symmetry_defect())
+        mag = np.abs(state.u_spec)
+        worst["u_herm"] = max(worst["u_herm"], _conj_symmetry_defect(state.u_spec))
+        worst["n_herm"] = max(worst["n_herm"], _conj_symmetry_defect(state.n_spec))
         worst["band"] = max(worst["band"],
                             float(np.max(mag[:, ~grid.dealias_mask]) / np.max(mag)))
-        worst["div"] = max(worst["div"], state.u.divergence_defect())
+        worst["div"] = max(worst["div"], grid.divergence_defect(state.u_spec))
     assert state.step == 400
     assert worst["u_herm"] <= 1e-15 and worst["n_herm"] <= 1e-15, worst
     assert worst["band"] == 0.0, worst

@@ -8,7 +8,7 @@ import pytest
 
 import nsgl.grid
 from nsgl.diagnostics import energy_report
-from nsgl.grid import DirectorField, SpectralGrid, VelocityField
+from nsgl.grid import SpectralGrid, random_band_limited
 from nsgl.noise import NoiseModel, sample_increment
 from nsgl.operators import GLParams, leray_project_spec
 from nsgl.stepper import (
@@ -27,7 +27,7 @@ from nsgl.stepper import (
 def quiet_noise(grid, **kw):
     """Noise model with both channels disabled (streams still deterministic)."""
     kw.setdefault("mode_cutoff", 4)
-    return NoiseModel(grid=grid, velocity_on=False, director_on=False, h=None, **kw)
+    return NoiseModel(grid=grid, velocity_on=False, h=None, **kw)
 
 
 def test_stepper_config_validation():
@@ -40,6 +40,46 @@ def test_stepper_config_validation():
     assert StepperConfig(dt=1e-3, t_end=0.25).n_steps == 250
 
 
+def test_sim_state_stacks_are_read_only_and_shape_checked(grid16, rng):
+    """A state holds its two stacks read-only and refuses any other shape or
+    dtype; ``from_arrays`` keeps the grid values as given, with their
+    spectra beside them, and refuses 3 + 2 components."""
+    u, n = rng.standard_normal((2, 16, 16)), rng.standard_normal((3, 16, 16))
+    state = SimState.from_arrays(grid16, u, n, t=0.5, step=4)
+    assert (state.t, state.step, state.grid) == (0.5, 4, grid16)
+    assert np.array_equal(state.u_phys, u) and np.array_equal(state.n_phys, n)
+    assert state.spec.tobytes() == grid16.to_spec(np.concatenate([u, n])).tobytes()
+    assert np.array_equal(state.u_spec, state.spec[:2])
+    assert np.array_equal(state.n_spec, state.spec[2:])
+    u[:] = 0.0  # the state holds its own copy
+    assert state.u_phys.any()
+    for view in (state.spec, state.phys, state.u_spec, state.n_spec,
+                 state.u_phys, state.n_phys):
+        assert not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="expected u"):
+        SimState.from_arrays(grid16, n, u)
+    bad = [("spec", state.spec[:4]), ("spec", np.zeros((5, 16, 16), complex)),
+           ("phys", state.phys[:, :8]), ("phys", state.phys.astype(np.float32)),
+           ("spec", np.zeros((5, 32, 17), complex))]
+    for name, arr in bad:
+        with pytest.raises(ValueError, match=f"SimState.{name}"):
+            dataclasses.replace(state, **{name: arr})
+
+
+def test_step_clock_rule():
+    """``StepperConfig.on_clock`` is the one rule for a time on the step
+    clock: t_end in the constructor and a resumed checkpoint's t."""
+    cfg = StepperConfig(dt=0.1, t_end=0.3)
+    assert cfg.on_clock(0.30000000000000004, 3) and cfg.on_clock(0.0, 0)
+    assert not cfg.on_clock(0.3 + 2e-9, 3) and not cfg.on_clock(0.3, 2)
+    assert cfg.on_clock(1e3 + 5e-7, 10**4) and not cfg.on_clock(1e3 + 2e-6, 10**4)
+    assert not cfg.on_clock(float("nan"), 3)
+    with pytest.raises(ValueError, match="whole number"):
+        StepperConfig(dt=0.1, t_end=0.35)
+
+
 def test_diffusion_substep_is_exact(grid32):
     g = grid32
     x1, x2 = g.meshgrid()
@@ -47,8 +87,8 @@ def test_diffusion_substep_is_exact(grid32):
     n0 = np.stack([np.cos(2.0 * x1), np.zeros_like(x1), np.ones_like(x1)])
     state = SimState.from_arrays(g, u0, n0)
     dt = 0.37
-    u_out = g.to_phys(diffuse_spec(g, state.u.spec, dt))
-    n_out = g.to_phys(diffuse_spec(g, state.n.spec, dt))
+    u_out = g.to_phys(diffuse_spec(g, state.u_spec, dt))
+    n_out = g.to_phys(diffuse_spec(g, state.n_spec, dt))
     assert np.allclose(u_out, np.exp(-9.0 * dt) * u0, atol=1e-14)
     expect_n = np.stack([np.exp(-4.0 * dt) * n0[0], np.zeros_like(x1), n0[2]])
     assert np.allclose(n_out, expect_n, atol=1e-14)
@@ -143,12 +183,12 @@ def test_rotation_quarter_turn_example():
 def test_rotation_isometry_and_inverse(grid32, rng, make_director):
     n = make_director(grid32, rng, k_max=5, amplitude=0.8)
     h = make_director(grid32, rng, k_max=5, amplitude=1.0)
-    mag = h.norm_phys()
-    unit = h.phys / np.where(mag > 0.0, mag, 1.0)
-    fwd = rotate_phys(n.phys, unit, mag, 0.63)
-    assert np.allclose(np.sum(fwd**2, axis=0), np.sum(n.phys**2, axis=0), atol=1e-13)
+    mag = np.sqrt(np.sum(h**2, axis=0))
+    unit = h / np.where(mag > 0.0, mag, 1.0)
+    fwd = rotate_phys(n, unit, mag, 0.63)
+    assert np.allclose(np.sum(fwd**2, axis=0), np.sum(n**2, axis=0), atol=1e-13)
     back = rotate_phys(fwd, unit, mag, -0.63)
-    assert np.allclose(back, n.phys, atol=1e-13)
+    assert np.allclose(back, n, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [32, 128])
@@ -162,7 +202,7 @@ def test_rotation_trig_on_the_distinct_values_of_h_keeps_the_bits(n, profile, rn
     noise = NoiseModel(grid=g, h=scalar_h(g, profile))
     assert len(noise.h_mag_values) <= n
     assert np.array_equal(noise.h_mag_values[noise.h_mag_index], noise.h_mag)
-    n_phys = make_director(g, rng, k_max=5, amplitude=0.8).phys
+    n_phys = make_director(g, rng, k_max=5, amplitude=0.8)
     for d_eta in (0.63, -1e-3, 7.25):
         full = rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta)
         args = (noise.h_unit, noise.h_mag_values, d_eta)
@@ -188,20 +228,22 @@ def test_taylor_green_full_step_reduces_to_heat_decay(grid32):
     for _ in range(cfg.n_steps):
         state, _ = step(state, cfg, gl, noise)
     expect = np.exp(-2.0 * cfg.t_end) * u0
-    err = np.max(np.abs(state.u.phys - expect)) / amp
+    err = np.max(np.abs(state.u_phys - expect)) / amp
     assert err < 1e-6
-    assert np.max(np.abs(state.n.phys - n0)) < 1e-12
+    assert np.max(np.abs(state.n_phys - n0)) < 1e-12
 
 
 def coupled_initial_state(grid, seed=7):
-    from nsgl.grid import random_band_limited
+    """A solenoidal u given by its half spectra and a unit n given by its
+    grid values, each stacked beside its transform."""
     rng = np.random.default_rng(seed)
-    raw = VelocityField(grid, phys=random_band_limited(grid, 2, 4, rng, 0.4))
-    u = VelocityField(grid, spec=leray_project_spec(grid, raw.spec))
+    u_spec = leray_project_spec(grid, grid.to_spec(random_band_limited(grid, 2, 4, rng, 0.4)))
     pert = random_band_limited(grid, 3, 4, rng, 0.3)
     pert[2] += 1.0
     n_phys = pert / np.sqrt(np.sum(pert**2, axis=0))
-    return SimState(t=0.0, step=0, u=u, n=DirectorField(grid, phys=n_phys))
+    return SimState(t=0.0, step=0, grid=grid,
+                    spec=np.concatenate([u_spec, grid.to_spec(n_phys)]),
+                    phys=np.concatenate([grid.to_phys(u_spec), n_phys]))
 
 
 def run_to(state, dt, t_end, grid):
@@ -215,7 +257,7 @@ def run_to(state, dt, t_end, grid):
 
 def state_distance(a, b):
     g = a.grid
-    return g.l2_norm_phys(a.u.phys - b.u.phys) + g.l2_norm_phys(a.n.phys - b.n.phys)
+    return g.l2_norm_phys(a.u_phys - b.u_phys) + g.l2_norm_phys(a.n_phys - b.n_phys)
 
 
 def test_strang_self_convergence_second_order(grid32):
@@ -237,7 +279,7 @@ def test_exchange_stage_local_order_three(grid32):
     """
     g = grid32
     raw = coupled_initial_state(g)
-    spec0 = (g.dealias(raw.u.spec), g.dealias(raw.n.spec))
+    spec0 = (g.dealias(raw.u_spec), g.dealias(raw.n_spec))
     dt = 4e-3
 
     def one_vs_two(h):
@@ -302,8 +344,7 @@ def test_force_level_layout(grid32):
     gl = GLParams(epsilon=0.5)
     plain, led0 = step(state, cfg, gl, noise)
     forced, led1 = step(state, cfg, gl, noise, force_level=0)
-    assert np.array_equal(plain.u.phys, forced.u.phys)
-    assert np.array_equal(plain.n.phys, forced.n.phys)
+    assert np.array_equal(plain.phys, forced.phys)
     assert led0.n_substeps == led1.n_substeps == 1
     _, led2 = step(state, cfg, gl, noise, force_level=2)
     assert led2.n_substeps == 4 and led2.level_max == 2
@@ -311,8 +352,7 @@ def test_force_level_layout(grid32):
 
 def test_step_bitwise_reproducible_with_noise(grid32):
     g = grid32
-    h = DirectorField.from_scalar_axis(g, np.full((32, 32), 0.8))
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=9, path_id=1, h=h)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=9, path_id=1, h=scalar_h(g, "constant"))
     state = coupled_initial_state(g)
     cfg = StepperConfig(dt=1e-3, t_end=5e-3)
     gl = GLParams(epsilon=0.4)
@@ -325,25 +365,24 @@ def test_step_bitwise_reproducible_with_noise(grid32):
 
     a = advance()
     b = advance()
-    assert np.array_equal(a.u.phys, b.u.phys)
-    assert np.array_equal(a.n.phys, b.n.phys)
+    assert np.array_equal(a.phys, b.phys)
 
 
 def test_rotation_applied_only_when_director_on(grid32):
+    """``h = None`` is the one switch of the director noise."""
     g = grid32
-    h = DirectorField.from_scalar_axis(g, np.full((32, 32), 1.0))
+    h = np.ones((3, 32, 32))
     state = coupled_initial_state(g)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     gl = GLParams(epsilon=0.4)
     on = NoiseModel(grid=g, mode_cutoff=4, seed=2, velocity_on=False, h=h)
-    off = NoiseModel(grid=g, mode_cutoff=4, seed=2, velocity_on=False,
-                     director_on=False, h=h)
+    off = NoiseModel(grid=g, mode_cutoff=4, seed=2, velocity_on=False, h=None)
     s_on, led_on = step(state, cfg, gl, on)
     s_off, led_off = step(state, cfg, gl, off)
-    assert not np.array_equal(s_on.n.phys, s_off.n.phys)
+    assert not np.array_equal(s_on.n_phys, s_off.n_phys)
     # constant-axis rotation leaves grad n . grad n invariant, so the stress
     # and hence u agree to roundoff (not bitwise: the algebra reorders)
-    assert np.allclose(s_on.u.phys, s_off.u.phys, atol=1e-12)
+    assert np.allclose(s_on.u_phys, s_off.u_phys, atol=1e-12)
     assert led_off.grad_cross_deta == 0.0 and led_off.cross_sq_dt == 0.0
     assert led_on.cross_sq_dt == 0.0  # grad h = 0 for constant h
 
@@ -354,14 +393,14 @@ def test_velocity_noise_ledger_pairing(grid32):
     state = coupled_initial_state(g)
     cfg = StepperConfig(dt=1e-3, t_end=1e-3)
     gl = GLParams(epsilon=0.4)
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=31, director_on=False, h=None)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=31, h=None)
     new, ledger = step(state, cfg, gl, noise)
     inc = sample_increment(noise, cfg.dt, 0)
     # reconstruct the pre-noise velocity: subtract dW, undo the final half diffusion
-    u_spec_final = new.u.spec
-    u_pre = u_spec_final / np.exp(-g.k2 * cfg.dt / 2.0) - inc.dW.spec
-    expect = g.l2_inner_spec(u_pre[0], inc.dW.spec[0]) \
-        + g.l2_inner_spec(u_pre[1], inc.dW.spec[1])
+    u_spec_final = new.u_spec
+    u_pre = u_spec_final / np.exp(-g.k2 * cfg.dt / 2.0) - inc.dW
+    expect = g.l2_inner_spec(u_pre[0], inc.dW[0]) \
+        + g.l2_inner_spec(u_pre[1], inc.dW[1])
     assert ledger.u_dw == pytest.approx(expect, rel=1e-8, abs=1e-12)
 
 
@@ -403,19 +442,17 @@ def count_calls(monkeypatch):
 
 
 def cached_state(g):
-    """The coupled initial state with its spectra already cached, as the
-    per-step energy report leaves a state."""
+    """The coupled initial state's grid values as initial data: a state
+    ``from_arrays``, which holds their spectra too."""
     src = coupled_initial_state(g)
-    state = SimState.from_arrays(g, src.u.phys, src.n.phys)
-    state.u.spec, state.n.spec
-    return state
+    return SimState.from_arrays(g, src.u_phys, src.n_phys)
 
 
 def scalar_h(g, profile):
     x1, x2 = g.meshgrid()
     scalar = {"constant": np.full(x1.shape, 0.8), "single_mode": np.cos(x1),
               "two_mode": np.cos(x1) + np.cos(x2)}[profile]
-    return DirectorField.from_scalar_axis(g, scalar)
+    return scalar * np.ones((3, 1, 1))
 
 
 def test_strang_step_transform_counts(grid32, monkeypatch):
@@ -460,7 +497,7 @@ def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
     from nsgl.stepper import StepLedger, _director_noise
 
     g = grid32
-    n_phys = cached_state(g).n.phys
+    n_phys = cached_state(g).n_phys
     dt, d_eta = 1e-3, 0.0371
     inc = dataclasses.replace(sample_increment(quiet_noise(g), dt, 0), d_eta=d_eta)
 
@@ -495,7 +532,7 @@ def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
     from nsgl.stepper import StepLedger, _director_noise
 
     g = grid32
-    n_phys = cached_state(g).n.phys
+    n_phys = cached_state(g).n_phys
     dt = 1e-3
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, profile))
     inc = dataclasses.replace(sample_increment(noise, dt, 0), d_eta=-0.0213)
@@ -615,11 +652,10 @@ def test_n128_step_and_report_memory_peaks(tmp_path):
 
 
 def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
-    """A stepped state carries the spectra the step computed beside their
-    to_phys, so its energy report takes 1 forward slice (w = |n|^2) and 11
-    inverse (grad n, grad w, lap n); a state given by its physical arrays
-    alone takes 6 forward.  With the 21 + 30 of a step with h = cos x1, a
-    path-step runs 22 + 41."""
+    """Every state carries its spectra beside their grid values, so the
+    energy report of a stepped state takes 1 forward slice (w = |n|^2) and
+    11 inverse (grad n, grad w, lap n).  With the 21 + 30 of a step with
+    h = cos x1, a path-step runs 22 + 41."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     state, _ = step(coupled_initial_state(g), StepperConfig(dt=1e-3, t_end=1e-3),
@@ -635,17 +671,17 @@ def test_noisy_step_keeps_velocity_band_limited_and_solenoidal(grid32):
     with both noises on, unsplit and split once, hands back such a u to
     roundoff."""
     g = grid32
-    h = DirectorField.from_scalar_axis(g, np.cos(g.meshgrid()[0]))
-    noise = NoiseModel(grid=g, mode_cutoff=g.n_modes // 3, seed=5, h=h)
+    noise = NoiseModel(grid=g, mode_cutoff=g.n_modes // 3, seed=5,
+                       h=scalar_h(g, "single_mode"))
     state = coupled_initial_state(g)
     cfg = StepperConfig(dt=1e-3, t_end=2e-3)
     gl = GLParams(epsilon=0.4)
     for level in (None, 1):
         out, _ = step(state, cfg, gl, noise, force_level=level)
-        spec = out.u.spec
+        spec = out.u_spec
         scale = np.max(np.abs(spec))
         assert np.max(np.abs(spec[:, ~g.dealias_mask])) < 1e-14 * scale
-        assert out.u.divergence_defect() < 1e-13
+        assert g.divergence_defect(spec) < 1e-13
         state = out
 
 

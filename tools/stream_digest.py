@@ -1,10 +1,10 @@
-"""sha256 digests of every output of three fixed-seed ``nsgl`` calls.
+"""sha256 digests of every output of four fixed-seed ``nsgl`` calls.
 
     python3 tools/stream_digest.py [--workloads] SRC
 
 SRC is the ``src`` directory of a checkout (the one holding the ``nsgl``
 package).  In a temporary directory the script runs, through
-``python3 -m nsgl`` with ``PYTHONPATH=SRC``, either the three small calls
+``python3 -m nsgl`` with ``PYTHONPATH=SRC``, either the four small calls
 below or, with ``--workloads``, the benchmark's three workloads at seed 301
 (their INIs come from ``perfbench/workloads.py`` beside this script), which
 write 16 files: ``ensemble-n32`` its stdout and stderr, ``family-n64`` those
@@ -17,7 +17,11 @@ The small calls are:
 * ``ensemble`` at N = 16 with a constant h, 4 paths;
 * ``converge`` at N = 16 with ``h = cos x1``, 3 members on 2 paths, a CFL
   safety small enough that every step is halved once, member streams, and
-  ``stops.radius = pi/2``, whose covering has full and wrapping arcs.
+  ``stops.radius = pi/2``, whose covering has full and wrapping arcs;
+* ``resume``: the ``run`` config run to its midpoint, t = 0.025, then
+  continued to its end with ``run --resume``.  Its NDJSON, checkpoint,
+  stdout and stderr are the continued run's, so a change to the checkpoint
+  load path shows here.
 
 It prints one ``sha256  name`` line for the stdout and stderr of each call
 and for each NDJSON and checkpoint file, in a fixed order, then exits with
@@ -46,9 +50,7 @@ seed = 301
 mode_cutoff = 4
 """
 
-# (name, nsgl command, INI text); each small call is named after its command
-CALLS = (
-    ("run", "run", """\
+_RUN_INI = """\
 [grid]
 n_modes = 16
 [stepper]
@@ -70,8 +72,19 @@ radius = 0.39269908169872414
 ndjson_path = run.ndjson
 checkpoint_path = run.ckpt
 checkpoint_every = 5
-""" + _SEEDS),
-    ("ensemble", "ensemble", """\
+""" + _SEEDS
+
+
+def _call(name: str, command: str, ini: str) -> tuple:
+    """One ``nsgl COMMAND -c cfg.ini`` call."""
+    return name, {"cfg.ini": ini}, [[command, "-c", "cfg.ini"]]
+
+
+# (name, INI files, nsgl argvs): the argvs run in order in one directory,
+# and the outputs digested are the last one's and the files left behind
+CALLS = (
+    _call("run", "run", _RUN_INI),
+    _call("ensemble", "ensemble", """\
 [grid]
 n_modes = 16
 [stepper]
@@ -90,7 +103,7 @@ n0 = random_unit
 [ensemble]
 n_paths = 4
 """ + _SEEDS),
-    ("converge", "converge", """\
+    _call("converge", "converge", """\
 [grid]
 n_modes = 16
 [stepper]
@@ -111,6 +124,9 @@ eps_family = 0.4, 0.2, 0.1
 n_paths = 2
 output_dir = family
 """ + _SEEDS),
+    ("resume",
+     {"half.ini": _RUN_INI.replace("t_end = 0.05", "t_end = 0.025"), "cfg.ini": _RUN_INI},
+     [["run", "-c", "half.ini"], ["run", "-c", "cfg.ini", "--resume", "run.ckpt"]]),
 )
 
 
@@ -125,7 +141,7 @@ def workload_calls() -> list:
         workloads = importlib.import_module("workloads")
     finally:
         sys.path.remove(str(PERFBENCH))
-    return [(w.name, w.command, w.ini_text(WORKLOAD_SEED))
+    return [_call(w.name, w.command, w.ini_text(WORKLOAD_SEED))
             for w in workloads.WORKLOADS.values()]
 
 
@@ -135,13 +151,15 @@ def digest(src: Path, calls=CALLS) -> tuple[list[str], int]:
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     lines, worst = [], 0
     with tempfile.TemporaryDirectory(prefix="nsgl-digest-") as tmp:
-        for name, command, ini in calls:
+        for name, inis, argvs in calls:
             work = Path(tmp) / name
             work.mkdir()
-            (work / "cfg.ini").write_text(ini, encoding="utf-8")
-            proc = subprocess.run([sys.executable, "-m", "nsgl", command, "-c", "cfg.ini"],
-                                  cwd=work, env=env, capture_output=True)
-            worst = max(worst, proc.returncode)
+            for file, ini in inis.items():
+                (work / file).write_text(ini, encoding="utf-8")
+            for argv in argvs:
+                proc = subprocess.run([sys.executable, "-m", "nsgl", *argv],
+                                      cwd=work, env=env, capture_output=True)
+                worst = max(worst, proc.returncode)
             lines.append(f"{_sha(proc.stdout)}  {name}.stdout")
             lines.append(f"{_sha(proc.stderr)}  {name}.stderr")
             for path in sorted(p for p in work.rglob("*")
