@@ -141,82 +141,125 @@ class CoveringSet:
         return float(sums.sum(axis=1).max()) * self.grid.quad_weight
 
 
-def energy_report(state: SimState, gl: GLParams,
-                  covering: CoveringSet | None = None,
-                  derivs_out: list | None = None, monitors: bool = True) -> EnergyReport:
-    """Diagnostics of one state.
+def _stack(arrays):
+    """One (P, ...) array of P equal-shape arrays; a group of one is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def energy_report(state, gl, covering: CoveringSet | None = None,
+                  derivs_out: list | None = None, monitors: bool = True):
+    """Diagnostics of one state, or of every state of a group.
+
+    ``state`` is a SimState, or a sequence of P states on one grid (a group
+    of paths), with ``gl`` one GLParams or one per state.  A group is
+    reported in one pass over a leading path axis: its derivative stack
+    goes back to the grid as one transform, and every reduction runs over
+    each path's own trailing axes, so each report has the bits of a call on
+    its state alone.  Returns an EnergyReport, or a list of them in the
+    order of the states.
 
     ``derivs_out``, when a list, receives the physical d1 n, d2 n (each
-    (3, N, N)) and lap n the report computed, for a caller that needs them
-    too.  ``monitors=False`` leaves the fields ``MONITORS`` names at NaN,
-    and so takes no transform of ``w = |n|^2``: a report for a caller that
-    folds only the balance (``RunTrace`` without stop detectors).  Every
-    other field keeps its bits.
+    (3, N, N), or (P, 3, N, N) for a group) and lap n the report computed,
+    for a caller that needs them too.  ``monitors=False`` leaves the fields
+    ``MONITORS`` names at NaN, and so takes no transform of ``w = |n|^2``:
+    a report for a caller that folds only the balance (``RunTrace`` without
+    stop detectors).  Every other field keeps its bits.
     """
-    g = state.grid
-    u_phys, n_phys, n_spec = state.u_phys, state.n_phys, state.n_spec
-    w = (n_phys**2).sum(axis=0)
-    # a stepped state carries its spectra, so only w goes forward, for the
-    # monitors.  One stack goes back in place: d1 n, d2 n, lap n (, d1 w, d2 w)
-    back = np.empty((11 if monitors else 9, *g.spec_shape), np.complex128)
-    np.multiply(g.dlap_c, n_spec, out=back[:9].reshape(3, *n_spec.shape))
+    group = not isinstance(state, SimState)
+    states = list(state) if group else [state]
+    gls = list(gl) if group and not isinstance(gl, GLParams) else [gl] * len(states)
+    if len(gls) != len(states):
+        raise ValueError(f"energy_report got {len(gls)} GLParams for {len(states)} states")
+    g = states[0].grid
+    qw, paths = g.quad_weight, len(states)
+    # each path's epsilon^2, shaped to divide a (P, ...) stack path by path
+    eps2 = np.array([x.epsilon**2 for x in gls])[:, None, None]
+
+    def integrals(x):  # per path: g.integrate of its own (..., N, N) part
+        return [v * qw for v in x.sum(axis=tuple(range(1, x.ndim))).tolist()]
+
+    # a stepped state carries its spectra, so only w = |n|^2 goes forward,
+    # for the monitors.  One stack goes back in place, per path d1 n, d2 n,
+    # lap n (, d1 w, d2 w).  It is the report's memory peak, so the stacked
+    # spectra are dropped before it, and the grid values stacked after it
+    spec = _stack([s.spec for s in states])
+    back = np.empty((paths, 11 if monitors else 9, *g.spec_shape), np.complex128)
+    np.multiply(g.dlap_c, spec[:, None, 2:],
+                out=back[:, :9].reshape(paths, 3, 3, *g.spec_shape, copy=False))
+    grad_u_sq = (g.herm_weight * (g.k2 * abs(spec[:, :2]) ** 2)).sum(axis=(1, 2, 3)).tolist()
+    del spec
+    w = np.empty((paths, g.n_modes, g.n_modes))
+    for s, w_path in zip(states, w):
+        np.square(s.n_phys).sum(axis=0, out=w_path)
     if monitors:
-        np.multiply(g.grad_c[:, 0], g.to_spec(w), out=back[9:])
-    phys = g.to_phys(back, in_place=True)
+        np.multiply(g.grad_c[:, 0], g.to_spec(w)[:, None], out=back[:, 9:])
+    d = g.to_phys(back, in_place=True)
     del back
-    grad_n, lap_n = phys[:6].reshape(2, 3, *phys.shape[1:]), phys[6:9]
-    if derivs_out is not None:
-        derivs_out.extend((grad_n[0], grad_n[1], lap_n))
+    phys = _stack([s.phys for s in states])
+    u2 = np.square(phys[:, :2]).sum(axis=1)
     defect = 1.0 - w
-    u2 = (u_phys**2).sum(axis=0)
-    monitored = dict.fromkeys(MONITORS, math.nan)
+    defect_sq = integrals(np.square(defect))
+    grad_n = d[:, :6].reshape(paths, 2, 3, *d.shape[2:], copy=False)
+    lap_n = d[:, 6:9]
+    if derivs_out is not None:
+        derivs_out.extend(x if group else x[0] for x in (grad_n[:, 0], grad_n[:, 1], lap_n))
     if monitors:
-        monitored.update(
-            eps_defect=g.l2_norm_phys(defect[None]) / gl.epsilon,
-            eps_grad_defect=g.l2_norm_phys(phys[9:]) / gl.epsilon,
-            min_abs_n=math.sqrt(w.min()),  # sqrt is monotone and correctly rounded
-            max_abs_u=float(np.sqrt(u2).max()),
-            div_defect=g.divergence_defect(state.u_spec),
-        )
-    gn2 = (grad_n**2).sum(axis=(0, 1))
-
-    gl_mass = g.integrate(defect**2) / (4.0 * gl.epsilon**2)
-
-    u_sq = g.integrate(u2)
-    grad_n_sq = g.integrate(gn2)
-    grad_u_sq = (2.0 * np.pi) ** 2 * g.spec_sum(g.k2 * abs(state.u_spec) ** 2)
-    relax = defect * n_phys / gl.epsilon**2  # f(n), operators.gl_penalty_phys from w
-    relax += lap_n  # squared in place and dropped: the covering below is the peak
-    relax_sq = g.integrate(np.square(relax, out=relax).sum(axis=0))
+        grad_w = d[:, 9:]
+        grad_w_sq = integrals(grad_w * grad_w)
+        w_min, u_max = w.min(axis=(1, 2)).tolist(), np.sqrt(u2).max(axis=(1, 2)).tolist()
+    # the derivatives are squared in place unless the caller keeps them
+    keep = derivs_out is not None
+    gn2 = np.square(grad_n, out=None if keep else grad_n).sum(axis=(1, 2))
+    relax = np.multiply(defect[:, None], phys[:, 2:])  # f(n), operators.gl_penalty_phys
+    del phys
+    relax /= eps2[:, None]
+    relax += lap_n
+    relax_sq = integrals(np.square(relax, out=relax).sum(axis=1))
     del relax
+    lap_sq = integrals(np.square(lap_n, out=None if keep else lap_n).sum(axis=1))
+    u_sq, grad_n_sq = integrals(u2), integrals(gn2)
 
-    loc_e = loc_g = math.nan
+    loc = [(math.nan, math.nan)] * paths
     if covering is not None:
         # density of the monitored energy.  The quartic well enters with
         # weight 2: that is the unique weight for which the time derivative
         # of the total pairs exactly with -2 times the enstrophy, turning the
         # balance residual into a pure discretization error.  (The reported
         # gl_mass stays the unweighted integral.)
-        e_point = u2 + gn2 + defect**2 / (2.0 * gl.epsilon**2)
-        loc_e = covering.local_maxima(e_point)
-        loc_g = covering.local_maxima(gn2)
+        e_point = u2 + gn2 + np.square(defect, out=defect) / (2.0 * eps2)
+        loc = [(covering.local_maxima(e), covering.local_maxima(g2))
+               for e, g2 in zip(e_point, gn2)]
+    l4 = integrals(np.square(gn2, out=gn2))
+    w_max = w.max(axis=(1, 2)).tolist()
 
-    return EnergyReport(
-        step=state.step,
-        t=state.t,
-        energy_E=u_sq + grad_n_sq + 2.0 * gl_mass,
-        enstrophy_D=grad_u_sq + relax_sq,
-        gl_mass=gl_mass,
-        lambda1=0.5 * g.integrate((lap_n**2).sum(axis=0)),
-        lambda2=0.5 * grad_u_sq,
-        max_abs_n=math.sqrt(w.max()),
-        grad_n_L4=float(g.integrate(gn2**2) ** 0.25),
-        u_sq=u_sq,
-        grad_n_sq=grad_n_sq,
-        local_energy_max=loc_e,
-        local_grad_max=loc_g,
-        **monitored,
-    )
+    reps = []
+    for p, (s, x) in enumerate(zip(states, gls)):
+        monitored = dict.fromkeys(MONITORS, math.nan) if not monitors else dict(
+            eps_defect=math.sqrt(defect_sq[p]) / x.epsilon,
+            eps_grad_defect=math.sqrt(grad_w_sq[p]) / x.epsilon,
+            min_abs_n=math.sqrt(w_min[p]),  # sqrt is monotone and correctly rounded
+            max_abs_u=u_max[p],
+            div_defect=g.divergence_defect(s.u_spec),
+        )
+        gl_mass = defect_sq[p] / (4.0 * x.epsilon**2)
+        grad_u = (2.0 * np.pi) ** 2 * grad_u_sq[p]
+        reps.append(EnergyReport(
+            step=s.step,
+            t=s.t,
+            energy_E=u_sq[p] + grad_n_sq[p] + 2.0 * gl_mass,
+            enstrophy_D=grad_u + relax_sq[p],
+            gl_mass=gl_mass,
+            lambda1=0.5 * lap_sq[p],
+            lambda2=0.5 * grad_u,
+            max_abs_n=math.sqrt(w_max[p]),
+            grad_n_L4=l4[p] ** 0.25,
+            u_sq=u_sq[p],
+            grad_n_sq=grad_n_sq[p],
+            local_energy_max=loc[p][0],
+            local_grad_max=loc[p][1],
+            **monitored,
+        ))
+    return reps if group else reps[0]
 
 
 @dataclass

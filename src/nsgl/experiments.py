@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagnostics import CoveringSet, RunTrace, energy_report
-from .grid import sobolev_norm
+from .grid import CHUNK_BYTES, sobolev_norm
 from .noise import NoiseModel
 from .operators import GLParams, cross3
 from .stepper import SimState, StepperConfig, required_level, step
@@ -48,13 +48,16 @@ def _check_finite(report, t):
 class _Path:
     """One path's state, stepping and report trace: the core every driver shares.
 
-    Construction reports the start state.  A fresh path folds that report
-    into a new trace; a path resumed with the ``trace`` loaded beside its
-    start state only takes the report as the trace's ``last``, since the
-    trace already holds it.  Either way the stop detectors are armed when a
-    covering is given, with ``stop_delta`` resolved against the trace's
-    ``e0``.  Each ``advance`` takes one logical step, reports it, folds it
-    into ``trace`` and hands ``(state, trace)`` to ``on_report``; the
+    Paths go in groups of one or more that share a covering and
+    ``monitors`` (``_start``, ``_advance``): each path steps on its own,
+    then one ``energy_report`` call reports the whole group, and each path
+    folds its report into its trace.  ``start`` folds the report of the
+    start state: a fresh path (``trace`` None) into a new trace; a path
+    resumed with the ``trace`` loaded beside its start state only takes the
+    report as the trace's ``last``, since the trace already holds it.
+    Either way the stop detectors are armed when a covering is given, with
+    ``stop_delta`` resolved against the trace's ``e0``.  ``fold`` appends
+    the report of a step and hands ``(state, trace)`` to ``on_report``; the
     report is ``trace.last``.  With ``keep_drift``, ``drift`` holds the
     limit-equation drift of the current state (``_limit_drift``), built
     from its report's derivatives.  ``monitors=False`` reports without the
@@ -68,52 +71,84 @@ class _Path:
                  monitors: bool = True):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
         self.covering, self.on_report, self.monitors = covering, on_report, monitors
+        self.stop_delta, self.trace = stop_delta, trace
         self.keep_drift, self.drift = keep_drift, None
-        rep = self._report(state0)
-        fresh = trace is None
-        self.trace = trace = RunTrace() if fresh else trace
-        trace.trace_q_eff = noise.trace_q if noise.velocity_on else 0.0
-        if covering is not None:
-            trace.delta = resolve_stop_delta(stop_delta, rep.energy_E if fresh else trace.e0)
+
+    def start(self, rep):
+        fresh = self.trace is None
+        self.trace = trace = RunTrace() if fresh else self.trace
+        trace.trace_q_eff = self.noise.trace_q if self.noise.velocity_on else 0.0
+        if self.covering is not None:
+            trace.delta = resolve_stop_delta(self.stop_delta,
+                                             rep.energy_E if fresh else trace.e0)
         if fresh:
             trace.append(rep)
         else:
             trace.last = rep
-        self._notify(state0)
+        self._notify()
 
-    def _report(self, state):
-        derivs = [] if self.keep_drift else None
-        rep = energy_report(state, self.gl, self.covering, derivs_out=derivs,
-                            monitors=self.monitors)
-        _check_finite(rep, state.t)
-        if derivs is not None:
-            self.drift = _limit_drift(state, *derivs)
-        return rep
-
-    def _notify(self, state):
-        if self.on_report is not None:
-            self.on_report(state, self.trace)
-
-    def advance(self, force_level: int | None = None, draws: dict | None = None):
-        """One step; returns the state it started from and its ledger.
-        ``draws`` is the noise draws dict of ``step``."""
-        prev = self.state
-        self.state, ledger = step(prev, self.cfg, self.gl, self.noise,
+    def step(self, force_level: int | None = None, draws: dict | None = None):
+        """One step; returns its ledger.  ``draws`` is the noise draws dict
+        of ``step``."""
+        self.state, ledger = step(self.state, self.cfg, self.gl, self.noise,
                                   force_level=force_level, draws=draws)
-        self.trace.append(self._report(self.state), ledger)
-        self._notify(self.state)
-        return prev, ledger
+        return ledger
 
-    def run(self) -> RunTrace:
-        """Advance to ``cfg.t_end``; returns the trace."""
-        for _ in range(max(0, self.cfg.n_steps - self.state.step)):
-            self.advance()
-        return self.trace
+    def fold(self, rep, ledger):
+        self.trace.append(rep, ledger)
+        self._notify()
+
+    def _notify(self):
+        if self.on_report is not None:
+            self.on_report(self.state, self.trace)
 
     @property
     def sigma(self) -> float:
         """Stopping time so far (the horizon when no detector runs)."""
         return self.trace.sigma(self.cfg.t_end)
+
+
+def _report(paths: list) -> list:
+    """The reports of the current states of a group of paths, from one
+    ``energy_report`` call, each path on its own ``gl``."""
+    head = paths[0]
+    derivs = [] if head.keep_drift else None
+    reps = energy_report([p.state for p in paths], [p.gl for p in paths], head.covering,
+                         derivs_out=derivs, monitors=head.monitors)
+    for i, (path, rep) in enumerate(zip(paths, reps)):
+        _check_finite(rep, path.state.t)
+        if derivs is not None:
+            path.drift = _limit_drift(path.state, *(d[i] for d in derivs))
+    return reps
+
+
+def _start(paths: list):
+    """Report the start states of a group and fold each into its trace."""
+    for path, rep in zip(paths, _report(paths)):
+        path.start(rep)
+
+
+def _advance(paths: list, force_level: int | None = None,
+             draws: dict | None = None) -> list:
+    """One step of every path of a group, then one report of the group,
+    folded path by path; returns each path's ledger."""
+    ledgers = [path.step(force_level, draws) for path in paths]
+    for path, rep, ledger in zip(paths, _report(paths), ledgers):
+        path.fold(rep, ledger)
+    return ledgers
+
+
+def _group_size(grid) -> int:
+    """Paths an ensemble steps in lockstep and reports together: as many as
+    fit in one transform chunk's ``CHUNK_BYTES`` at twice a state's bytes
+    each, at least one: 9 at N = 16, 2 at N = 32, 1 from N = 64 on.  A path
+    in a group holds its state while the others step, and the group report
+    adds about as much again (its derivative stack and that stack's inverse
+    temporary), so at N = 32 each path beyond the first raises the
+    ensemble's peak RSS by about 0.25 MB."""
+    n = grid.n_modes
+    state_bytes = 5 * (16 * n * (n // 2 + 1) + 8 * n * n)  # spec and phys
+    return max(1, CHUNK_BYTES // (2 * state_bytes))
 
 
 def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
@@ -125,7 +160,11 @@ def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseMod
     :func:`nsgl.io_cli.load_checkpoint`); the run then continues it, so its
     end values are those of the uninterrupted run.
     """
-    return _Path(state0, cfg, gl, noise, covering, stop_delta, on_report, trace=trace).run()
+    group = [_Path(state0, cfg, gl, noise, covering, stop_delta, on_report, trace=trace)]
+    _start(group)
+    for _ in range(max(0, cfg.n_steps - state0.step)):
+        _advance(group)
+    return group[0].trace
 
 
 # -- log-log rate fitting ------------------------------------------------------
@@ -258,8 +297,8 @@ class _Member:
         shares for it; an unhalved step up to ``accum_until`` adds its
         limit-equation residuals."""
         path = self.path
-        drift = path.drift
-        prev, ledger = path.advance(force_level=level, draws=draws)
+        prev, drift = path.state, path.drift
+        [ledger] = _advance([path], force_level=level, draws=draws)
         if level == 0 and prev.t <= accum_until:
             ito, strat = _limit_residuals(path.state.grid, path.cfg.dt, prev, path.state,
                                           path.noise, ledger.d_eta, drift)
@@ -309,6 +348,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
                          _member_observer(on_member_report, p, eps), keep_drift=True)
+            _start([path])
             members.append(_Member(eps, path, defect=path.trace.last.eps_defect * eps))
         ref = members[eps_family.index(eps_ref)].path
         accum_until = cfg.t_end
@@ -416,19 +456,30 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise_base: NoiseModel, n_paths: int) -> EnsembleReport:
     """Independent paths (path_id offsets) from shared initial data, with no
     stop detectors, covering maxima or state monitors: the report reads
-    none of them, only E, D and max |n| through each path's trace."""
+    none of them, only E, D and max |n| through each path's trace.  The
+    paths go in consecutive groups of ``_group_size``, each stepped in
+    lockstep and reported with one ``energy_report`` call per step; a path's
+    noise is keyed by its path id alone, so the grouping moves no bit."""
     sup_e = np.zeros(n_paths)
     int_d = np.zeros(n_paths)
     balance = np.zeros(n_paths)
     residual = np.zeros(n_paths)
     e_final = np.zeros(n_paths)
     max_n = 0.0
-    for p, noise in enumerate(_path_models(noise_base, n_paths)):
-        trace = _Path(state0, cfg, gl, noise, None, None, None, monitors=False).run()
-        sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
-        residual[p] = res = trace.residual
-        balance[p] = res + 2.0 * trace.sum_u_dw + 2.0 * trace.sum_grad_cross
-        max_n = max(max_n, trace.max_n)
+    noises = _path_models(noise_base, n_paths)
+    size = _group_size(state0.grid)
+    for first in range(0, n_paths, size):
+        group = [_Path(state0, cfg, gl, noise, None, None, None, monitors=False)
+                 for noise in noises[first:first + size]]
+        _start(group)
+        for _ in range(cfg.n_steps):
+            _advance(group)
+        for p, path in enumerate(group, first):
+            trace = path.trace
+            sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
+            residual[p] = res = trace.residual
+            balance[p] = res + 2.0 * trace.sum_u_dw + 2.0 * trace.sum_grad_cross
+            max_n = max(max_n, trace.max_n)
     return EnsembleReport(
         n_paths=n_paths, t_end=cfg.t_end,
         trace_q=noise_base.trace_q if noise_base.velocity_on else 0.0,

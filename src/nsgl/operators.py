@@ -39,15 +39,19 @@ class GLParams:
 
 # -- array kernels ------------------------------------------------------------
 
-def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray) -> np.ndarray:
-    """Remove the gradient part mode-by-mode and zero the mean.
+def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray, out=None) -> np.ndarray:
+    """Remove the gradient part mode-by-mode and zero the mean, into ``out``
+    when given (it may be ``u_spec``).
 
     The gradient part is ``(k * kdotu) / k2_safe``, multiplied before it is
-    divided: ``k * (kdotu / k2_safe)`` rounds differently.
+    divided: ``k * (kdotu / k2_safe)`` rounds differently.  It is taken one
+    component at a time: a stacked (2, N, N/2+1) gradient raised the peak
+    RSS of ``converge`` at N = 64.
     """
     kx, ky, k2 = grid.kx_c, grid.ky_c, grid.k2_safe
     kdotu = kx * u_spec[0] + ky * u_spec[1]
-    out = np.empty((2, *kdotu.shape), kdotu.dtype)
+    if out is None:
+        out = np.empty((2, *kdotu.shape), kdotu.dtype)
     np.subtract(u_spec[0], kx * kdotu / k2, out=out[0])
     np.subtract(u_spec[1], ky * kdotu / k2, out=out[1])
     out[:, 0, 0] = 0.0
@@ -67,13 +71,14 @@ def _stress_phys(d1, d2, out) -> np.ndarray:
     return out
 
 
-def _stress_div(grid, t) -> np.ndarray:
+def _stress_div(grid, t, out=None) -> np.ndarray:
     """Projected divergence of the stress from its spectral entries
-    (t11, t12, t22), dealiased here: (d1 t11 + d2 t12, d1 t12 + d2 t22)."""
-    t = grid.dealias(t)
-    div = grid.grad_c[0] * t[:2]
+    (t11, t12, t22), dealiased here in place: (d1 t11 + d2 t12,
+    d1 t12 + d2 t22), into ``out`` when given."""
+    t *= grid.dealias_c
+    div = np.multiply(grid.grad_c[0], t[:2], out=out)
     div += grid.grad_c[1] * t[1:]
-    return leray_project_spec(grid, div)
+    return leray_project_spec(grid, div, out=div)
 
 
 def stress_div_spec(grid, d1, d2) -> np.ndarray:
@@ -87,8 +92,9 @@ def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> 
     return grid.dealias(grid.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
 
 
-def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarray):
-    """Drift of the exchange stage: (-P div(u (x) u + grad n (.) grad n), -(u.grad) n).
+def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    """Minus the drift of the exchange stage on the (5, N, N/2+1) stack of u
+    then n: r = (P div(u (x) u + grad n (.) grad n), (u.grad) n), drift = -r.
 
     The velocity transport is taken in conservative form: for a solenoidal u
     inside the 2/3 band, the dealiased div(u (x) u) equals the dealiased
@@ -99,23 +105,28 @@ def coupling_drift_spec(grid: SpectralGrid, u_spec: np.ndarray, n_spec: np.ndarr
     dealiased and solenoidal.  n is not band-limited, so its transport keeps
     the advective form.  Each direction is one stacked transform stage: u
     and grad n go back to the grid in place (8 slices), and the three entries
-    of sigma and the n transport come forward together (6 slices).
+    of sigma and the n transport come forward together (6 slices).  The
+    inverse stack is laid out as (d1 n, u1; d2 n, u2), so that sigma_12 is
+    one product summed over its 4 components and sigma_11, sigma_22 one
+    square summed over them, each in the order of the per-term sums.
     """
-    back = np.empty((8, *u_spec.shape[1:]), np.complex128)
-    back[:2] = u_spec
-    np.multiply(grid.grad_c, n_spec, out=back[2:].reshape(2, *n_spec.shape))
-    phys = grid.to_phys(back, in_place=True)
-    u_phys, dn1, dn2 = phys[:2], phys[2:5], phys[5:]
-    forward = _stress_phys(dn1, dn2, np.empty((6, *phys.shape[1:])))
-    forward[0] += u_phys[0] * u_phys[0]
-    forward[1] += u_phys[0] * u_phys[1]
-    forward[2] += u_phys[1] * u_phys[1]
-    np.multiply(u_phys[0], dn1, out=forward[3:])
-    forward[3:] += u_phys[1] * dn2
-    del back, phys, u_phys, dn1, dn2
-    spec = grid.to_spec(forward)
+    back = np.empty((2, 4, *spec.shape[1:]), np.complex128)
+    for i in range(2):  # a contiguous out: a strided one makes numpy buffer the product
+        np.multiply(grid.grad_c[i], spec[2:], out=back[i, :3])
+    back[:, 3] = spec[:2]
+    a = grid.to_phys(back, in_place=True)
+    forward = np.empty((6, *a.shape[2:]))
+    np.multiply(a[0], a[1], out=forward[2:]).sum(axis=0, out=forward[1])
+    np.multiply(a[0, 3], a[0, :3], out=forward[3:])
+    forward[3:] += a[1, 3] * a[1, :3]
+    np.square(a, out=a).sum(axis=1, out=forward[0:3:2])
+    del back, a
+    t = grid.to_spec(forward)
     del forward
-    return -_stress_div(grid, spec[:3]), -grid.dealias(spec[3:])
+    r = np.empty(spec.shape, np.complex128)
+    _stress_div(grid, t[:3], out=r[:2])
+    np.multiply(t[3:], grid.dealias_c, out=r[2:])
+    return r
 
 
 def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

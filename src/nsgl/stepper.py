@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -190,15 +190,15 @@ def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float, out=None,
     return np.add(n_phys * c + axn * s, h_unit * (adotn * (1.0 - c)), out=out)
 
 
-def midpoint_exchange(grid, u_spec, n_spec, dt):
-    """Exchange stage alone: explicit midpoint rule for the transport/stress drift."""
-    du, dn = coupling_drift_spec(grid, u_spec, n_spec)
-    u_mid, n_mid = u_spec + 0.5 * dt * du, n_spec + 0.5 * dt * dn
-    del du, dn  # not held through the second drift, the step's memory peak
-    du, dn = coupling_drift_spec(grid, u_mid, n_mid)
-    u_new = grid.dealias(u_spec + dt * du)
-    n_new = grid.dealias(n_spec + dt * dn)
-    return leray_project_spec(grid, u_new), n_new
+def midpoint_exchange(grid, spec, dt):
+    """Exchange stage alone on the (5, N, N/2+1) stack of u then n: explicit
+    midpoint rule for the transport/stress drift -r (``coupling_drift_spec``),
+    u projected at the end.  Returns a new stack."""
+    mid = spec - (0.5 * dt) * coupling_drift_spec(grid, spec)
+    new = grid.dealias(spec - dt * coupling_drift_spec(grid, mid))
+    del mid
+    leray_project_spec(grid, new[:2], out=new[:2])
+    return new
 
 
 def _cfl_limit(state: SimState, cfg: StepperConfig) -> float:
@@ -232,11 +232,14 @@ def step(state: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
     """
     ledger = StepLedger()
     draws = {} if draws is None else draws
-    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level, draws)
-    return replace(new, step=state.step + 1), ledger
+    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level, draws,
+                   state.step + 1)
+    return new, ledger
 
 
-def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws):
+def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws, step_out):
+    """The state ``dt`` after ``state``, numbered ``step_out``: a substep
+    keeps the step number its draws are keyed by, the last one advances it."""
     if force_level is not None:
         split = level < force_level
     else:
@@ -247,9 +250,9 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws)
                 f"CFL bound still violated after {cfg.max_halvings} halvings at t={state.t:.6g}"
             )
         mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger,
-                       force_level, draws)
+                       force_level, draws, state.step)
         return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger,
-                        force_level, draws)
+                        force_level, draws, step_out)
 
     key = (state.step, level, slot)
     inc = draws.get(key)
@@ -258,7 +261,7 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws)
     ledger.d_eta += inc.d_eta
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
-    return _composite(state, dt, inc, gl, noise, ledger)
+    return _composite(state, dt, inc, gl, noise, ledger, step_out)
 
 
 def _director_noise(grid, n_phys, noise, inc, dt, ledger):
@@ -271,8 +274,8 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
     range) enter the sums: the terms of the others are exact zeros, so
     leaving them out keeps the sums' bits, and a constant h takes no ledger
     transform at all.  A function of its own so that grad n and n x grad h
-    are freed before the exchange stage allocates its own work arrays, as is
-    the ledger's half of the stack: the rotated spectrum is copied out.
+    are freed before the exchange stage allocates its own work arrays; the
+    caller copies the rotated spectrum out and drops the ledger's half.
     """
     dirs = noise.h_dirs
     stack = np.empty((6 if dirs else 3, *n_phys.shape[1:]))
@@ -288,13 +291,12 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
         cross3(n_phys, noise.h_grad[i], out=cross[j])
     ledger.grad_cross_deta += grid.integrate((grad_n * cross).sum(axis=(0, 1))) * inc.d_eta
     ledger.cross_sq_dt += grid.integrate((cross * cross).sum(axis=(0, 1))) * dt
-    return spec[3:].copy()
+    return spec[3:]
 
 
-def _composite(state, dt, inc, gl, noise, ledger):
+def _composite(state, dt, inc, gl, noise, ledger, step_out):
     grid = state.grid
     half = dt / 2
-    u_spec = diffuse_spec(grid, state.u_spec, half)
     n_phys = grid.to_phys(diffuse_spec(grid, state.n_spec, half), in_place=True)
     gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
     if noise.h is not None:
@@ -302,19 +304,26 @@ def _composite(state, dt, inc, gl, noise, ledger):
     else:
         n_spec = grid.to_spec(n_phys)
     del n_phys  # the exchange stage below is the step's memory peak
+    # its input is one (5, N, N/2+1) stack of u then n, built once the
+    # director-noise stage has dropped its work arrays
+    spec = np.empty((5, *grid.spec_shape), np.complex128)
+    spec[2:] = n_spec
+    del n_spec
+    diffuse_spec(grid, state.u_spec, half, out=spec[:2])
 
-    u_spec, n_spec = midpoint_exchange(grid, u_spec, n_spec, dt)
+    spec = midpoint_exchange(grid, spec, dt)
+    u_spec = spec[:2]
     if noise.velocity_on:
         ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW[0]) \
             + grid.l2_inner_spec(u_spec[1], inc.dW[1])
-        u_spec = u_spec + inc.dW
+        u_spec += inc.dW
 
     # the spectra are the state, one (5, N, N/2+1) stack; their to_phys rides
     # along for the report and the CFL test, so neither transforms it again
     new = np.empty((5, *grid.spec_shape), np.complex128)
-    n_phys = grid.to_phys(n_spec, in_place=True)
+    n_phys = grid.to_phys(spec[2:], in_place=True)
     gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
     diffuse_spec(grid, grid.to_spec(n_phys, out=new[2:]), half, out=new[2:])
     diffuse_spec(grid, u_spec, half, out=new[:2])
-    return SimState(t=state.t + dt, step=state.step, grid=grid, spec=new,
+    return SimState(t=state.t + dt, step=step_out, grid=grid, spec=new,
                     phys=grid.to_phys(new))

@@ -240,14 +240,58 @@ def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
         assert a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_group_report_equals_one_report_per_state(n, make_state):
+    """``energy_report`` over a group of states, each on its own epsilon,
+    gives every state the report of a call on it alone, bit for bit in every
+    field, with and without the monitors and with a covering; so do the
+    derivatives, path by path.  A group of one is the single call."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(7 * n)
+    e3 = np.array([0.0, 0.0, 1.0])[:, None, None]
+    states = [make_state(g, leray_project_spec(g, g.to_spec(random_band_limited(
+                  g, 2, 5, rng, 0.2 + 0.3 * p))),
+                  random_band_limited(g, 3, 5, rng, 0.4) + e3, t=0.25 * p, step=p)
+              for p in range(3)]
+    gls = [GLParams(epsilon=e) for e in (0.3, 0.17, 0.45)]
+    cov = CoveringSet(g, radius=np.pi / 8)
+
+    def bits(rep):
+        return [np.float64(getattr(rep, f.name)).tobytes()
+                for f in dataclasses.fields(EnergyReport)]
+
+    for monitors in (True, False):
+        for covering in (None, cov):
+            group_derivs = []
+            reps = energy_report(states, gls, covering, derivs_out=group_derivs,
+                                 monitors=monitors)
+            assert len(reps) == len(states) and len(group_derivs) == 3
+            for p, (state, gl) in enumerate(zip(states, gls)):
+                derivs = []
+                one = energy_report(state, gl, covering, derivs_out=derivs, monitors=monitors)
+                assert bits(reps[p]) == bits(one), (monitors, covering, p)
+                assert math.isnan(one.eps_defect) != monitors
+                assert math.isnan(one.local_energy_max) == (covering is None)
+                for a, b in zip(group_derivs, derivs, strict=True):
+                    assert a[p].tobytes() == b.tobytes()
+                [alone] = energy_report([state], [gl], covering, monitors=monitors)
+                assert bits(alone) == bits(one)
+    shared = energy_report(states, gls[0])
+    assert [bits(r) for r in shared] == [bits(energy_report(s, gls[0])) for s in states]
+    with pytest.raises(ValueError, match="GLParams"):
+        energy_report(states, gls[:2])
+
+
 def test_only_the_ensemble_reports_without_monitors(grid16, monkeypatch):
-    """``run_ensemble`` reports every path-step without the state monitors;
-    ``run_path`` and the family members keep the full report."""
+    """``run_ensemble`` reports every path-step without the state monitors,
+    the two paths of its group in one call per step; ``run_path`` and the
+    family members keep the full report, one state per call."""
     seen = []
 
-    def recording_report(*args, **kwargs):
-        seen.append(kwargs.get("monitors", True))
-        return energy_report(*args, **kwargs)
+    def recording_report(state, *args, **kwargs):
+        states = [state] if isinstance(state, SimState) else list(state)
+        seen.append([(kwargs.get("monitors", True), s.step) for s in states])
+        return energy_report(state, *args, **kwargs)
 
     monkeypatch.setattr(experiments, "energy_report", recording_report)
     x1, _ = grid16.meshgrid()
@@ -256,11 +300,12 @@ def test_only_the_ensemble_reports_without_monitors(grid16, monkeypatch):
     cfg, gl = StepperConfig(dt=5e-3, t_end=0.01), GLParams(epsilon=0.3)
     noise = NoiseModel(grid16, seed=9, mode_cutoff=4)
     experiments.run_ensemble(state, cfg, gl, noise, n_paths=2)
-    assert seen == [False] * 6
+    assert seen == [[(False, k), (False, k)] for k in range(3)]
     seen.clear()
     run_path(state, cfg, gl, noise)
     experiments.run_coupled_family(state, cfg, (0.3, 0.2), noise, n_paths=1)
-    assert seen == [True] * 9
+    assert seen == [[(True, k)] for k in range(3)] + [[(True, 0)]] * 2 \
+        + [[(True, k)] for k in (1, 1, 2, 2)]
 
 
 def make_report(step, t, local_max=0.0, min_n=1.0):

@@ -339,19 +339,20 @@ def test_ensemble_paths_equal_solo_runs(grid16, monkeypatch):
     the residual, the balance statistic and max |n| agree bit for bit."""
     import nsgl.experiments as experiments
 
-    traces = []
-    plain_run = experiments._Path.run
+    paths = []
 
-    def recording_run(self):
-        traces.append(plain_run(self))
-        return traces[-1]
+    class RecordingPath(experiments._Path):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            paths.append(self)
 
-    monkeypatch.setattr(experiments._Path, "run", recording_run)
+    monkeypatch.setattr(experiments, "_Path", RecordingPath)
     cfg, gl = StepperConfig(dt=2e-3, t_end=0.02), GLParams(epsilon=0.3)
     noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
     assert noise.velocity_on and noise.h is not None
     n_paths = 3
     rep = run_ensemble(circle_state(grid16), cfg, gl, noise, n_paths=n_paths)
+    traces = [path.trace for path in paths]
     assert len(traces) == n_paths
     monkeypatch.undo()
 
@@ -373,6 +374,38 @@ def test_ensemble_paths_equal_solo_runs(grid16, monkeypatch):
         max_ns.append(solo.max_n)
     assert bits(rep.mean_energy_final) == bits(np.mean(finals))
     assert bits(rep.max_abs_n) == bits(max(max_ns))
+
+
+def test_grouped_ensemble_equals_groups_of_one(grid32, monkeypatch):
+    """``run_ensemble`` steps its paths in lockstep groups of
+    ``_group_size`` and reports each group with one ``energy_report`` call
+    per step; with 3 paths at N = 32 the last group is partial, and the
+    report equals that of groups of one bit for bit."""
+    import nsgl.experiments as experiments
+    from nsgl.diagnostics import energy_report
+    from nsgl.grid import SpectralGrid
+
+    assert [experiments._group_size(SpectralGrid(n)) for n in (16, 32, 64, 128)] == [9, 2, 1, 1]
+    sizes = []
+
+    def recording_report(state, *args, **kwargs):
+        sizes.append(len(state))
+        return energy_report(state, *args, **kwargs)
+
+    cfg, gl = StepperConfig(dt=1e-3, t_end=0.005), GLParams(epsilon=0.3)
+    noise = NoiseModel(grid32, seed=23, mode_cutoff=4, h=single_mode_h(grid32))
+    monkeypatch.setattr(experiments, "energy_report", recording_report)
+    grouped = run_ensemble(circle_state(grid32), cfg, gl, noise, n_paths=3)
+    assert sizes == [2] * (cfg.n_steps + 1) + [1] * (cfg.n_steps + 1)
+    monkeypatch.setattr(experiments, "_group_size", lambda grid: 1)
+    alone = run_ensemble(circle_state(grid32), cfg, gl, noise, n_paths=3)
+    for name in ("sup_energy", "int_dissipation", "balance", "residual"):
+        assert getattr(grouped, name).tobytes() == getattr(alone, name).tobytes(), name
+    for name in ("max_abs_n", "mean_energy_final"):
+        assert np.float64(getattr(grouped, name)).tobytes() \
+            == np.float64(getattr(alone, name)).tobytes(), name
+    assert grouped.to_text() == alone.to_text()
+    assert len(set(grouped.balance.tolist())) == 3
 
 
 def test_family_residuals_equal_fresh_derivative_reference(grid16):
@@ -471,8 +504,9 @@ def test_family_draws_each_increment_once_per_step(grid16, monkeypatch):
         path = experiments._Path(circle_state(grid16), cfg, GLParams(epsilon=eps),
                                  dataclasses.replace(noise, path_id=p), None, "auto",
                                  lambda st, tr: solo.append(format_report(tr.last)))
+        experiments._start([path])
         for _ in range(cfg.n_steps):
-            path.advance(force_level=1)
+            experiments._advance([path], force_level=1)
         assert family_rows == solo, (p, eps)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nsgl.grid import SpectralGrid
 from nsgl.io_cli import _conj_symmetry_defect
 from nsgl.noise import NoiseModel, sample_increment
 
@@ -229,3 +230,21 @@ def test_h_is_a_read_only_copy_of_its_shape(grid16):
     for shape in ((2, 16, 16), (3, 32, 32), (3, 16)):
         with pytest.raises(ValueError, match="noise.h must have shape"):
             NoiseModel(grid=grid16, h=np.ones(shape))
+
+
+def test_fixed_cutoff_draws_agree_across_grid_sizes():
+    """At a fixed ``mode_cutoff`` a model lists the same k points in the same
+    order at every N, so ``sample_increment`` at N = 16, 32 and 64 draws
+    bitwise-equal dW coefficients on the common modes, zero elsewhere, and
+    an equal d_eta: a refinement in N keeps the Brownian path."""
+    draws = {n: sample_increment(NoiseModel(SpectralGrid(n), mode_cutoff=5, seed=41,
+                                            path_id=3), 1e-3, 7, level=1, slot=1)
+             for n in (16, 32, 64)}
+    k1 = np.arange(-7, 8)  # the k1 of the coarsest grid, its Nyquist row left out
+    ref = draws[16]
+    assert np.count_nonzero(ref.dW) > 0
+    for n, inc in draws.items():
+        common = inc.dW[:, k1 % n, :8]
+        assert common.tobytes() == ref.dW[:, k1 % 16, :8].tobytes(), n
+        assert np.count_nonzero(inc.dW) == np.count_nonzero(common), n
+        assert np.float64(inc.d_eta).tobytes() == np.float64(ref.d_eta).tobytes(), n

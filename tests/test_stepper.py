@@ -6,6 +6,7 @@ import types
 import numpy as np
 import pytest
 
+import nsgl.experiments as experiments
 import nsgl.grid
 from nsgl.diagnostics import energy_report
 from nsgl.grid import SpectralGrid, random_band_limited
@@ -279,13 +280,14 @@ def test_exchange_stage_local_order_three(grid32):
     """
     g = grid32
     raw = coupled_initial_state(g)
-    spec0 = (g.dealias(raw.u_spec), g.dealias(raw.n_spec))
+    spec0 = g.dealias(raw.spec)
     dt = 4e-3
 
     def one_vs_two(h):
-        big = midpoint_exchange(g, *spec0, h)
-        half = midpoint_exchange(g, *midpoint_exchange(g, *spec0, h / 2), h / 2)
-        return sum(g.l2_norm_phys(g.to_phys(a) - g.to_phys(b)) for a, b in zip(big, half))
+        big = midpoint_exchange(g, spec0, h)
+        half = midpoint_exchange(g, midpoint_exchange(g, spec0, h / 2), h / 2)
+        return sum(g.l2_norm_phys(g.to_phys(big[part]) - g.to_phys(half[part]))
+                   for part in (slice(0, 2), slice(2, 5)))  # u, then n
 
     d1 = one_vs_two(dt)
     d2 = one_vs_two(dt / 2)
@@ -570,8 +572,8 @@ def test_strang_step_numpy_fft_calls(grid32, monkeypatch):
 
 def test_path_step_numpy_fft_calls(grid32, monkeypatch):
     """A path-step at N = 32 (one step and the energy report of its state,
-    as ``experiments._Path.advance`` takes them) makes 12 transform chunks:
-    the step's 4 + 6, and the report's 1 + 1."""
+    as ``experiments._advance`` takes them for a group of one) makes 12
+    transform chunks: the step's 4 + 6, and the report's 1 + 1."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     gl = GLParams(epsilon=0.4)
@@ -583,10 +585,11 @@ def test_path_step_numpy_fft_calls(grid32, monkeypatch):
 
 
 def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
-    """An ensemble path-step at N = 32 (one step and the report without the
-    state monitors, as ``run_ensemble`` takes them) makes 11 transform
-    chunks: the step's 4 + 6, and the report's 0 + 1, whose one inverse chunk
-    carries d1 n, d2 n and lap n, 9 slices."""
+    """An ensemble path-step at N = 32 (one step, and the report without the
+    state monitors of the lockstep group it belongs to, as ``run_ensemble``
+    takes them) makes the step's 4 + 6 transform chunks and 1/G of the
+    report's 0 + 1: the group's one inverse chunk carries d1 n, d2 n and
+    lap n of every path, 9 slices each (G = 2 at N = 32)."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     gl = GLParams(epsilon=0.4)
@@ -599,6 +602,16 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     slices = count_slices(monkeypatch)
     energy_report(new, gl, monitors=False)
     assert slices == {"forward": 0, "inverse": 9}
+    monkeypatch.undo()
+    group = [new] * experiments._group_size(g)
+    assert len(group) == 2
+    calls = count_calls(monkeypatch)
+    energy_report(group, gl, monitors=False)
+    assert calls == {"forward": 0, "inverse": 1}
+    monkeypatch.undo()
+    slices = count_slices(monkeypatch)
+    energy_report(group, gl, monitors=False)
+    assert slices == {"forward": 0, "inverse": 9 * len(group)}
 
 
 _N128_INI = """
