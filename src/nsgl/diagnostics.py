@@ -146,8 +146,7 @@ def _stack(arrays):
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def energy_report(state, gl, covering: CoveringSet | None = None,
-                  derivs_out: list | None = None, monitors: bool = True):
+def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool = True):
     """Diagnostics of one state, or of every state of a group.
 
     ``state`` is a SimState, or a sequence of P states on one grid (a group
@@ -158,9 +157,8 @@ def energy_report(state, gl, covering: CoveringSet | None = None,
     its state alone.  Returns an EnergyReport, or a list of them in the
     order of the states.
 
-    ``derivs_out``, when a list, receives the physical d1 n, d2 n (each
-    (3, N, N), or (P, 3, N, N) for a group) and lap n the report computed,
-    for a caller that needs them too.  ``monitors=False`` leaves the fields
+    The grid values of d1 n, d2 n and lap n are squared in place once read;
+    the report hands none of them out.  ``monitors=False`` leaves the fields
     ``MONITORS`` names at NaN, and so takes no transform of ``w = |n|^2``:
     a report for a caller that folds only the balance (``RunTrace`` without
     stop detectors).  Every other field keeps its bits.
@@ -201,22 +199,18 @@ def energy_report(state, gl, covering: CoveringSet | None = None,
     defect_sq = integrals(np.square(defect))
     grad_n = d[:, :6].reshape(paths, 2, 3, *d.shape[2:], copy=False)
     lap_n = d[:, 6:9]
-    if derivs_out is not None:
-        derivs_out.extend(x if group else x[0] for x in (grad_n[:, 0], grad_n[:, 1], lap_n))
     if monitors:
         grad_w = d[:, 9:]
         grad_w_sq = integrals(grad_w * grad_w)
         w_min, u_max = w.min(axis=(1, 2)).tolist(), np.sqrt(u2).max(axis=(1, 2)).tolist()
-    # the derivatives are squared in place unless the caller keeps them
-    keep = derivs_out is not None
-    gn2 = np.square(grad_n, out=None if keep else grad_n).sum(axis=(1, 2))
+    gn2 = np.square(grad_n, out=grad_n).sum(axis=(1, 2))
     relax = np.multiply(defect[:, None], phys[:, 2:])  # f(n), operators.gl_penalty_phys
     del phys
     relax /= eps2[:, None]
     relax += lap_n
     relax_sq = integrals(np.square(relax, out=relax).sum(axis=1))
     del relax
-    lap_sq = integrals(np.square(lap_n, out=None if keep else lap_n).sum(axis=1))
+    lap_sq = integrals(np.square(lap_n, out=lap_n).sum(axis=1))
     u_sq, grad_n_sq = integrals(u2), integrals(gn2)
 
     loc = [(math.nan, math.nan)] * paths

@@ -15,7 +15,7 @@ import numpy as np
 from .diagnostics import CoveringSet, RunTrace, energy_report
 from .grid import CHUNK_BYTES, sobolev_norm
 from .noise import NoiseModel
-from .operators import GLParams, cross3
+from .operators import GLParams
 from .stepper import SimState, StepperConfig, required_level, step
 
 __all__ = [
@@ -58,21 +58,17 @@ class _Path:
     Either way the stop detectors are armed when a covering is given, with
     ``stop_delta`` resolved against the trace's ``e0``.  ``fold`` appends
     the report of a step and hands ``(state, trace)`` to ``on_report``; the
-    report is ``trace.last``.  With ``keep_drift``, ``drift`` holds the
-    limit-equation drift of the current state (``_limit_drift``), built
-    from its report's derivatives.  ``monitors=False`` reports without the
+    report is ``trace.last``.  ``monitors=False`` reports without the
     state monitors (``diagnostics.MONITORS``), for a path whose trace only
     folds the balance: no covering, so no stop detector reads them.
     """
 
     def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report,
-                 keep_drift: bool = False, trace: RunTrace | None = None,
-                 monitors: bool = True):
+                 trace: RunTrace | None = None, monitors: bool = True):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
         self.covering, self.on_report, self.monitors = covering, on_report, monitors
         self.stop_delta, self.trace = stop_delta, trace
-        self.keep_drift, self.drift = keep_drift, None
 
     def start(self, rep):
         fresh = self.trace is None
@@ -112,13 +108,10 @@ def _report(paths: list) -> list:
     """The reports of the current states of a group of paths, from one
     ``energy_report`` call, each path on its own ``gl``."""
     head = paths[0]
-    derivs = [] if head.keep_drift else None
     reps = energy_report([p.state for p in paths], [p.gl for p in paths], head.covering,
-                         derivs_out=derivs, monitors=head.monitors)
-    for i, (path, rep) in enumerate(zip(paths, reps)):
+                         monitors=head.monitors)
+    for path, rep in zip(paths, reps):
         _check_finite(rep, path.state.t)
-        if derivs is not None:
-            path.drift = _limit_drift(path.state, *(d[i] for d in derivs))
     return reps
 
 
@@ -128,14 +121,12 @@ def _start(paths: list):
         path.start(rep)
 
 
-def _advance(paths: list, force_level: int | None = None,
-             draws: dict | None = None) -> list:
+def _advance(paths: list, force_level: int | None = None, draws: dict | None = None):
     """One step of every path of a group, then one report of the group,
-    folded path by path; returns each path's ledger."""
+    folded path by path with each step's ledger."""
     ledgers = [path.step(force_level, draws) for path in paths]
     for path, rep, ledger in zip(paths, _report(paths), ledgers):
         path.fold(rep, ledger)
-    return ledgers
 
 
 def _group_size(grid) -> int:
@@ -211,8 +202,6 @@ class MemberStats:
     sup_dist: np.ndarray
     l2_dist: np.ndarray
     defect_sup: np.ndarray
-    residual_ito: np.ndarray
-    residual_strat: np.ndarray
     sigma1: np.ndarray
     sigma2: np.ndarray
     max_abs_n: np.ndarray
@@ -244,9 +233,7 @@ class ConvergenceReport:
             out.append(f"[eps = {eps:.17g}]")
             for label, arr in [
                 ("sup_dist", m.sup_dist), ("l2_dist", m.l2_dist),
-                ("defect_sup", m.defect_sup), ("residual_ito", m.residual_ito),
-                ("residual_strat", m.residual_strat),
-                ("sigma1", m.sigma1), ("sigma2", m.sigma2),
+                ("defect_sup", m.defect_sup), ("sigma1", m.sigma1), ("sigma2", m.sigma2),
             ]:
                 out.append(f"  {label} = " + ", ".join(f"{v:.17g}" for v in arr))
         for label, fitted in [("rate_sup", self.rate_sup), ("rate_l2", self.rate_l2),
@@ -257,31 +244,10 @@ class ConvergenceReport:
         return "\n".join(out) + "\n"
 
 
-def _limit_drift(state: SimState, d1, d2, lap) -> np.ndarray:
-    """Drift lap n + |grad n|^2 n - u.grad n of the limit equation at ``state``,
-    from the physical derivatives of n its energy report computed."""
-    grad_sq = (d1 * d1 + d2 * d2).sum(axis=0)
-    conv = state.u_phys[0] * d1 + state.u_phys[1] * d2
-    return lap + grad_sq * state.n_phys - conv
-
-
-def _limit_residuals(grid, dt: float, prev: SimState, new: SimState, noise: NoiseModel,
-                     d_eta: float, drift: np.ndarray) -> tuple[float, float]:
-    """(Ito, Stratonovich) L2 defects of one step against the limit equation
-    dn = (lap n + |grad n|^2 n - u.grad n) dt + (n x h) deta, with ``drift``
-    taken at the left point ``prev``; the Stratonovich defect also takes off
-    0.5 (n x h) x h dt."""
-    r = r2 = (new.n_phys - prev.n_phys) - dt * drift
-    if noise.h is not None:
-        nxh = cross3(prev.n_phys, noise.h)
-        r = r - d_eta * nxh
-        r2 = r - dt * (0.5 * cross3(nxh, noise.h))
-    return grid.l2_norm_phys(r), grid.l2_norm_phys(r2)
-
-
 @dataclass
 class _Member:
-    """One family member on one path: its path core plus the running sums."""
+    """One family member on one path: its path core plus its running
+    distances to the reference and its modulus defect."""
 
     eps: float
     path: _Path
@@ -289,21 +255,18 @@ class _Member:
     sup: float = 0.0
     l2_sq: float = 0.0
     l2_prev: float = 0.0
-    res_ito: float = 0.0
-    res_strat: float = 0.0
 
-    def advance(self, level: int, accum_until: float, draws: dict):
-        """One step at the family's level, on the noise draws the family
-        shares for it; an unhalved step up to ``accum_until`` adds its
-        limit-equation residuals."""
-        path = self.path
-        prev, drift = path.state, path.drift
-        [ledger] = _advance([path], force_level=level, draws=draws)
-        if level == 0 and prev.t <= accum_until:
-            ito, strat = _limit_residuals(path.state.grid, path.cfg.dt, prev, path.state,
-                                          path.noise, ledger.d_eta, drift)
-            self.res_ito += ito
-            self.res_strat += strat
+
+def _mean_rate(stats: dict, eps: list, field: str) -> RateFit | None:
+    """``fit_rate`` of the path means of one ``MemberStats`` field against
+    ``eps``; None where ``fit_rate`` refuses the data: fewer than two
+    members, or a mean that is not positive (zero distances, e.g. paths
+    stopped at t = 0, have no rate).  Each rate is fitted on its own, so one
+    that has none leaves the others."""
+    try:
+        return fit_rate(eps, [float(np.mean(getattr(stats[e], field))) for e in eps])
+    except ValueError:
+        return None
 
 
 def _path_models(noise_base: NoiseModel, n_paths: int) -> list:
@@ -335,8 +298,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
     stats = {eps: MemberStats(
         epsilon=eps,
         sup_dist=np.zeros(n_paths), l2_dist=np.zeros(n_paths),
-        defect_sup=np.zeros(n_paths), residual_ito=np.zeros(n_paths),
-        residual_strat=np.zeros(n_paths),
+        defect_sup=np.zeros(n_paths),
         sigma1=np.full(n_paths, np.inf), sigma2=np.full(n_paths, np.inf),
         max_abs_n=np.zeros(n_paths),
     ) for eps in eps_family}
@@ -347,7 +309,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         members = []
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
-                         _member_observer(on_member_report, p, eps), keep_drift=True)
+                         _member_observer(on_member_report, p, eps))
             _start([path])
             members.append(_Member(eps, path, defect=path.trace.last.eps_defect * eps))
         ref = members[eps_family.index(eps_ref)].path
@@ -359,7 +321,7 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
             # increment of this step, the others read it from ``draws``
             draws = {}
             for m in members:
-                m.advance(level, accum_until, draws)
+                _advance([m.path], force_level=level, draws=draws)
             accum_until = min(accum_until, min(m.path.sigma for m in members))
             if ref.state.t > accum_until:
                 continue
@@ -381,26 +343,17 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         for m in members:
             s = stats[m.eps]
             s.sup_dist[p], s.l2_dist[p], s.defect_sup[p] = m.sup, np.sqrt(m.l2_sq), m.defect
-            s.residual_ito[p], s.residual_strat[p] = m.res_ito, m.res_strat
             trace = m.path.trace
             s.sigma1[p], s.sigma2[p] = trace.t_sigma1, trace.t_sigma2
             s.max_abs_n[p] = trace.max_n
 
     non_ref = [e for e in eps_family if e != eps_ref]
-    rate_sup = rate_l2 = rate_defect = None
-    try:
-        if len(non_ref) >= 2:
-            rate_sup = fit_rate(non_ref, [float(np.mean(stats[e].sup_dist)) for e in non_ref])
-            rate_l2 = fit_rate(non_ref, [float(np.mean(stats[e].l2_dist)) for e in non_ref])
-        if len(eps_family) >= 2:
-            rate_defect = fit_rate(eps_family,
-                                   [float(np.mean(stats[e].defect_sup)) for e in eps_family])
-    except ValueError:
-        pass  # zero distances (e.g. family of identical members) have no rate
     return ConvergenceReport(
         eps_family=eps_family, eps_ref=eps_ref, alpha=alpha, dt=cfg.dt,
-        t_end=cfg.t_end, n_paths=n_paths, n_modes=grid.n_modes, tau=tau,
-        members=stats, rate_sup=rate_sup, rate_l2=rate_l2, rate_defect=rate_defect,
+        t_end=cfg.t_end, n_paths=n_paths, n_modes=grid.n_modes, tau=tau, members=stats,
+        rate_sup=_mean_rate(stats, non_ref, "sup_dist"),
+        rate_l2=_mean_rate(stats, non_ref, "l2_dist"),
+        rate_defect=_mean_rate(stats, eps_family, "defect_sup"),
     )
 
 

@@ -136,13 +136,13 @@ class StepLedger:
     ``u_dw`` pairs the pre-noise velocity with dW; ``grad_cross_deta`` pairs
     grad(n) with n x grad(h) at the pre-rotation director, times d_eta;
     ``cross_sq_dt`` is the left-point accumulation of |n x grad h|_{L2}^2 dt;
-    ``d_eta`` is the applied director-noise increment over the whole step.
+    ``n_substeps`` and ``level_max`` count the step's substeps and its
+    deepest CFL halving.
     """
 
     u_dw: float = 0.0
     grad_cross_deta: float = 0.0
     cross_sq_dt: float = 0.0
-    d_eta: float = 0.0
     n_substeps: int = 0
     level_max: int = 0
 
@@ -258,7 +258,6 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws,
     inc = draws.get(key)
     if inc is None:
         inc = draws[key] = sample_increment(noise, dt, state.step, level=level, slot=slot)
-    ledger.d_eta += inc.d_eta
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
     return _composite(state, dt, inc, gl, noise, ledger, step_out)

@@ -189,15 +189,17 @@ def test_local_maxima_match_the_dense_mask_reference(n, radius):
 def test_report_reuses_w_and_u_squared_bitwise(grid32, rng, make_state):
     """energy_report takes the penalty from w = |n|^2 and reuses sum u^2 for
     u_sq, max |u| and the local energy density; the expressions it
-    replaced, kept here, give the same bits."""
+    replaced, kept here on d1 n, d2 n and lap n transformed afresh from
+    n's spectrum, give the same bits."""
     g = grid32
     u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
     n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
     state = make_state(g, u_spec, n_phys)
     gl, cov = GLParams(epsilon=0.3), CoveringSet(g, PI / 4.0)
-    derivs = []
-    rep = energy_report(state, gl, cov, derivs_out=derivs)
-    d1, d2, lap_n = derivs
+    rep = energy_report(state, gl, cov)
+    n_spec = state.n_spec
+    d1, d2 = (g.to_phys(g.deriv(n_spec, axis)) for axis in (1, 2))
+    lap_n = g.to_phys(g.laplacian(n_spec))
     u_phys = state.u_phys
     gn2 = np.sum(np.stack([d1, d2]) ** 2, axis=(0, 1))
     relax_sq = g.integrate(np.sum((lap_n + gl_penalty_phys(n_phys, gl.epsilon)) ** 2, axis=0))
@@ -215,17 +217,16 @@ def test_report_reuses_w_and_u_squared_bitwise(grid32, rng, make_state):
 def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
     """``monitors=False`` leaves the five state monitors at NaN and every
     other field, the ones ``RunTrace`` folds among them, at the full
-    report's bits; so do the derivatives it hands back.  N = 64 and 128
-    pack the inverse stage into other calls than N = 16 and 32."""
+    report's bits.  N = 64 and 128 pack the inverse stage into other calls
+    than N = 16 and 32."""
     g = SpectralGrid(n)
     rng = np.random.default_rng(n)
     u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.7)))
     n_phys = random_band_limited(g, 3, 5, rng, 0.4) + np.array([0.0, 0.0, 1.0])[:, None, None]
     state = make_state(g, u_spec, n_phys, t=0.25, step=3)
     gl = GLParams(epsilon=0.3)
-    full_derivs, derivs = [], []
-    full = energy_report(state, gl, derivs_out=full_derivs)
-    rep = energy_report(state, gl, derivs_out=derivs, monitors=False)
+    full = energy_report(state, gl)
+    rep = energy_report(state, gl, monitors=False)
     assert set(MONITORS) == {"eps_defect", "eps_grad_defect", "min_abs_n", "max_abs_u",
                              "div_defect"}
     for f in dataclasses.fields(EnergyReport):
@@ -236,16 +237,14 @@ def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
             assert np.float64(got).tobytes() == np.float64(getattr(full, f.name)).tobytes(), \
                 f.name
     assert rep.energy_E > 0.0 and rep.grad_n_L4 > 0.0 and rep.lambda1 > 0.0
-    for a, b in zip(derivs, full_derivs, strict=True):
-        assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
 def test_group_report_equals_one_report_per_state(n, make_state):
     """``energy_report`` over a group of states, each on its own epsilon,
     gives every state the report of a call on it alone, bit for bit in every
-    field, with and without the monitors and with a covering; so do the
-    derivatives, path by path.  A group of one is the single call."""
+    field, with and without the monitors and with a covering.  A group of
+    one is the single call."""
     g = SpectralGrid(n)
     rng = np.random.default_rng(7 * n)
     e3 = np.array([0.0, 0.0, 1.0])[:, None, None]
@@ -262,18 +261,13 @@ def test_group_report_equals_one_report_per_state(n, make_state):
 
     for monitors in (True, False):
         for covering in (None, cov):
-            group_derivs = []
-            reps = energy_report(states, gls, covering, derivs_out=group_derivs,
-                                 monitors=monitors)
-            assert len(reps) == len(states) and len(group_derivs) == 3
+            reps = energy_report(states, gls, covering, monitors=monitors)
+            assert len(reps) == len(states)
             for p, (state, gl) in enumerate(zip(states, gls)):
-                derivs = []
-                one = energy_report(state, gl, covering, derivs_out=derivs, monitors=monitors)
+                one = energy_report(state, gl, covering, monitors=monitors)
                 assert bits(reps[p]) == bits(one), (monitors, covering, p)
                 assert math.isnan(one.eps_defect) != monitors
                 assert math.isnan(one.local_energy_max) == (covering is None)
-                for a, b in zip(group_derivs, derivs, strict=True):
-                    assert a[p].tobytes() == b.tobytes()
                 [alone] = energy_report([state], [gl], covering, monitors=monitors)
                 assert bits(alone) == bits(one)
     shared = energy_report(states, gls[0])

@@ -696,15 +696,3 @@ def test_noisy_step_keeps_velocity_band_limited_and_solenoidal(grid32):
         assert np.max(np.abs(spec[:, ~g.dealias_mask])) < 1e-14 * scale
         assert g.divergence_defect(spec) < 1e-13
         state = out
-
-
-def test_ledger_records_applied_director_increment(grid32):
-    g = grid32
-    state = coupled_initial_state(g)
-    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
-    noise = NoiseModel(grid=g, mode_cutoff=4, seed=11, h=None)
-    _, ledger = step(state, cfg, GLParams(epsilon=0.4), noise)
-    assert ledger.d_eta == sample_increment(noise, cfg.dt, 0).d_eta
-    _, split = step(state, cfg, GLParams(epsilon=0.4), noise, force_level=1)
-    halves = [sample_increment(noise, cfg.dt / 2, 0, level=1, slot=s).d_eta for s in (0, 1)]
-    assert split.d_eta == halves[0] + halves[1]
