@@ -182,8 +182,12 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
     # spectra are dropped before it, and the grid values stacked after it
     spec = _stack([s.spec for s in states])
     back = np.empty((paths, 11 if monitors else 9, *g.spec_shape), np.complex128)
-    np.multiply(g.dlap_c, spec[:, None, 2:],
-                out=back[:, :9].reshape(paths, 3, 3, *g.spec_shape, copy=False))
+    # one multiply per path and derivative kind, into its contiguous (3, N,
+    # N/2+1) part of back: a strided operand or out makes numpy buffer it
+    derivs = back[:, :9].reshape(paths, 3, 3, *g.spec_shape, copy=False)
+    for s, d in zip(states, derivs):
+        for op, d_kind in zip(g.dlap_c, d):
+            np.multiply(op, s.n_spec, out=d_kind)
     grad_u_sq = (g.herm_weight * (g.k2 * abs(spec[:, :2]) ** 2)).sum(axis=(1, 2, 3)).tolist()
     del spec
     w = np.empty((paths, g.n_modes, g.n_modes))

@@ -26,8 +26,10 @@ pocketfft kernels that ``numpy.fft.rfftn`` / ``irfftn`` end in: one 1-D
 pass per axis, each chunk written with ``out=`` into its part of one
 result array.  The kernels give numpy.fft's bytes without its per-call
 Python layer.  A stage builds its whole input as one stack, so its
-transforms cost one chunk at small N, and a chunked or batched transform
-gives each slice the same bits as a call of its own.
+transforms cost one chunk up to N = 64, and a stack within the budget goes
+to the kernels as it is, with no reshape or slicing around them.  A
+chunked or batched transform gives each slice the same bits as a call of
+its own.
 """
 
 from __future__ import annotations
@@ -83,12 +85,14 @@ class SpectralGrid:
 
     The tables a step multiplies spectra by are held in complex128, the
     spectra's dtype, so no call casts a bool or float table first:
-    ``dealias_c`` (the mask), ``kx_c``, ``ky_c`` and ``k2_safe`` (the Leray
-    projection's), and ``dlap_c``, shape (3, 1, N, N/2+1), the multipliers
-    of d1, d2 (i*k*diff_mask) and the Laplacian (-k2 * diff_mask), whose
-    first two are ``grad_c``.  ``np.multiply(dlap_c, spec, out=...)`` writes
-    the derivative stack of a (C, N, N/2+1) spectrum as (3, C, N, N/2+1).
-    numpy multiplies and divides a complex array by a real or bool one by
+    ``dealias_c`` (the mask); the Leray projection's ``k_c``, shape
+    (2, N, N/2+1), k1 and k2 at every mode, and its divisor ``k2_safe``,
+    full-size so that none of its products broadcasts along an inner axis
+    (numpy buffers such a ufunc); and ``dlap_c``, shape (3, 1, N, N/2+1),
+    the multipliers of d1, d2 (i*k*diff_mask) and the Laplacian
+    (-k2 * diff_mask), whose first two are ``grad_c``.
+    ``np.multiply(dlap_c[j], spec, out=...)`` writes derivative j of a
+    (C, N, N/2+1) spectrum stack.  numpy multiplies and divides a complex array by a real or bool one by
     casting it to complex first, so the products keep their bits (the
     Laplacian's up to the sign of a zero, since it folds two factors into
     one).
@@ -107,8 +111,7 @@ class SpectralGrid:
     dealias_c: np.ndarray = field(init=False, repr=False, compare=False)
     dlap_c: np.ndarray = field(init=False, repr=False, compare=False)
     grad_c: np.ndarray = field(init=False, repr=False, compare=False)
-    kx_c: np.ndarray = field(init=False, repr=False, compare=False)
-    ky_c: np.ndarray = field(init=False, repr=False, compare=False)
+    k_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_modes
@@ -130,7 +133,7 @@ class SpectralGrid:
             ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2).astype(c)),
             ("dealias_mask", dealias), ("diff_mask", diff), ("herm_weight", weight),
             ("dealias_c", dealias.astype(c)), ("dlap_c", dlap), ("grad_c", dlap[:2]),
-            ("kx_c", kx.astype(c)), ("ky_c", ky.astype(c)),
+            ("k_c", np.stack(np.broadcast_arrays(kx, ky)).astype(c)),
         ]:
             val.setflags(write=False)
             object.__setattr__(self, name, val)
@@ -174,26 +177,29 @@ class SpectralGrid:
         (8 N^2 < 16 N (N/2+1) bytes per slice)."""
         n = self.n_modes
         shape = spec.shape[:-2] + (n, n)
-        if in_place:
-            flat = spec.reshape(-1, copy=False).view(np.float64)
-            out = flat[:math.prod(shape)].reshape(shape)
-        else:
-            out = np.empty(shape)
+        # in place: the leading float64s of the buffer (refused unless contiguous)
+        out = np.ndarray(shape, np.float64, spec) if in_place else np.empty(shape)
         return self._chunked(spec, out)
 
     def _chunked(self, src: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The transform of every 2D slice of ``src`` into ``out``, forward
-        when ``out`` is complex: one chunk of at most ``CHUNK_BYTES`` of
-        physical slices at a time, in numpy.fft's passes.  Forward, the last
-        axis goes into ``out`` and axis -2 is transformed there in place;
-        back, axis -2 goes into a temporary and the last axis into ``out``."""
-        src = src.reshape((-1,) + src.shape[-2:])
-        dst = out.reshape((-1,) + out.shape[-2:], copy=False)
-        step = max(1, CHUNK_BYTES // (8 * self.size))
+        when ``out`` is complex, in numpy.fft's passes.  A stack whose
+        physical slices fit in ``CHUNK_BYTES`` (every stage stack up to
+        N = 64) goes to the kernels as it is, with no reshape or slicing
+        around them; a larger one goes in chunks of at most ``CHUNK_BYTES``
+        of physical slices.  Forward, the last axis goes into ``out`` and
+        axis -2 is transformed there in place; back, axis -2 goes into a
+        temporary and the last axis into ``out``."""
         forward = out.dtype == np.complex128
+        if (src if forward else out).nbytes <= CHUNK_BYTES:
+            chunks = ((src, out),)
+        else:
+            src = src.reshape((-1,) + src.shape[-2:])
+            dst = out.reshape((-1,) + out.shape[-2:], copy=False)
+            step = max(1, CHUNK_BYTES // (8 * self.size))
+            chunks = [(src[i:i + step], dst[i:i + step]) for i in range(0, len(src), step)]
         fct = 1.0 / self.n_modes
-        for i in range(0, len(src), step):
-            a, b = src[i:i + step], dst[i:i + step]
+        for a, b in chunks:
             if forward:
                 _pfu.rfft_n_even(a, fct, out=b)
                 _pfu.fft(b, fct, out=b, axes=_AXIS_2)

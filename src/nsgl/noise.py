@@ -66,9 +66,8 @@ class NoiseModel:
     # the directions i (0 for x1, 1 for x2) whose h_grad[i] is not identically
     # zero: () for a constant h, (0,) for h = cos x1
     h_dirs: tuple = field(init=False, repr=False, compare=False)
-    h_mag: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_unit: np.ndarray | None = field(init=False, repr=False, compare=False)
-    # the distinct values of h_mag and, per grid point, its index among them:
+    # the distinct values of |h| and, per grid point, its index among them:
     # at most N values for every profile, so the rotation's trig runs there
     h_mag_values: np.ndarray | None = field(init=False, repr=False, compare=False)
     h_mag_index: np.ndarray | None = field(init=False, repr=False, compare=False)
@@ -140,14 +139,14 @@ class NoiseModel:
             # sort code, or the floats of the whole grid, cost 0.2 to 1.5 MB of RSS
             seen = {}
             index = [[seen.setdefault(v, len(seen)) for v in row.tolist()] for row in mag]
-            for arr, name in [(hg, "h_grad"), (mag, "h_mag"), (unit, "h_unit"),
+            for arr, name in [(hg, "h_grad"), (unit, "h_unit"),
                               (np.array(list(seen)), "h_mag_values"),
                               (np.array(index), "h_mag_index")]:
                 arr.setflags(write=False)
                 object.__setattr__(self, name, arr)
             object.__setattr__(self, "h_dirs", tuple(i for i in range(2) if np.any(hg[i])))
         else:
-            for name in ("h_grad", "h_mag", "h_unit", "h_mag_values", "h_mag_index"):
+            for name in ("h_grad", "h_unit", "h_mag_values", "h_mag_index"):
                 object.__setattr__(self, name, None)
             object.__setattr__(self, "h_dirs", ())
 

@@ -44,16 +44,19 @@ def leray_project_spec(grid: SpectralGrid, u_spec: np.ndarray, out=None) -> np.n
     when given (it may be ``u_spec``).
 
     The gradient part is ``(k * kdotu) / k2_safe``, multiplied before it is
-    divided: ``k * (kdotu / k2_safe)`` rounds differently.  It is taken one
-    component at a time: a stacked (2, N, N/2+1) gradient raised the peak
-    RSS of ``converge`` at N = 64.
+    divided: ``k * (kdotu / k2_safe)`` rounds differently.  Both components
+    are taken at once against the full-size table ``grid.k_c``: k.u is one
+    product and the sum of its two rows, the gradient part one product
+    divided in place, and the subtraction one call, so no operand
+    broadcasts along an inner axis.  In place it traces 5 spectrum slices
+    at N <= 64, where numpy buffers k.u and ``k2_safe`` broadcast over the
+    component axis, and 3 at N = 128; one component at a time traced 3.
     """
-    kx, ky, k2 = grid.kx_c, grid.ky_c, grid.k2_safe
-    kdotu = kx * u_spec[0] + ky * u_spec[1]
-    if out is None:
-        out = np.empty((2, *kdotu.shape), kdotu.dtype)
-    np.subtract(u_spec[0], kx * kdotu / k2, out=out[0])
-    np.subtract(u_spec[1], ky * kdotu / k2, out=out[1])
+    prod = grid.k_c * u_spec
+    kdotu = np.add(prod[0], prod[1])
+    grad = np.multiply(grid.k_c, kdotu, out=prod)
+    grad /= grid.k2_safe
+    out = np.subtract(u_spec, grad, out=out)
     out[:, 0, 0] = 0.0
     return out
 

@@ -313,8 +313,11 @@ def _composite(state, dt, inc, gl, noise, ledger, step_out):
     spec = midpoint_exchange(grid, spec, dt)
     u_spec = spec[:2]
     if noise.velocity_on:
-        ledger.u_dw += grid.l2_inner_spec(u_spec[0], inc.dW[0]) \
-            + grid.l2_inner_spec(u_spec[1], inc.dW[1])
+        # both components' l2_inner_spec in one product, each summed over
+        # its own mode axes, so each term keeps the bits of a call of its own
+        inner = (grid.herm_weight * (u_spec * inc.dW.conj()).real).sum(axis=(1, 2))
+        c = (2.0 * np.pi) ** 2
+        ledger.u_dw += c * float(inner[0]) + c * float(inner[1])
         u_spec += inc.dW
 
     # the spectra are the state, one (5, N, N/2+1) stack; their to_phys rides

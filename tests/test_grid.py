@@ -296,6 +296,60 @@ def test_stacked_transforms_equal_one_call_per_slice(n, monkeypatch):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+@pytest.mark.parametrize("extra", [0, 1])
+@pytest.mark.parametrize("paths", [None, 3])
+def test_one_chunk_and_chunked_transforms_equal_one_call_per_slice(n, extra, paths,
+                                                                   monkeypatch):
+    """A stack of at most ``per_call`` slices goes to the kernels as it is:
+    one call, on the very input array, with its own leading shape.  One
+    more slice or row of slices, and it goes in chunks of ``per_call``.
+    Either way, for leading shapes (C,), at ``per_call`` and ``per_call + 1``
+    slices, and (3, C), at ``per_call`` and ``per_call + 3`` (``per_call``
+    is 192, 48, 12 and 3), forward, inverse and in-place inverse give every
+    slice the bytes of a transform call of its own."""
+    g = SpectralGrid(n)
+    per_call = max(1, CHUNK_BYTES // (8 * g.size))
+    lead = (per_call + extra,) if paths is None else (paths, per_call // paths + extra)
+    slices = int(np.prod(lead))
+    one_chunk = extra == 0
+    assert (slices <= per_call) == one_chunk
+    phys = np.random.default_rng(n + extra).standard_normal((*lead, n, n))
+    singles = [np.fft.rfft2(p, norm="forward") for p in phys.reshape(-1, n, n)]
+    spec = np.stack(singles).reshape(*lead, *g.spec_shape)
+    back = [np.fft.irfft2(s, s=(n, n), norm="forward") for s in singles]
+
+    seen = []
+    kernels = nsgl.grid._pfu
+
+    def first_pass(fn):
+        def recorded(a, *args, **kwargs):
+            seen.append(a)
+            return fn(a, *args, **kwargs)
+        return recorded
+
+    monkeypatch.setattr(nsgl.grid, "_pfu", types.SimpleNamespace(
+        rfft_n_even=first_pass(kernels.rfft_n_even), fft=kernels.fft,
+        ifft=first_pass(kernels.ifft), irfft=kernels.irfft))
+    for src, run, expected in (
+        (phys, g.to_spec, singles),
+        (spec, g.to_phys, back),
+        (spec.copy(), lambda x: g.to_phys(x, in_place=True), back),
+    ):
+        seen.clear()
+        got = run(src)
+        if one_chunk:
+            assert len(seen) == 1 and seen[0] is src
+        else:
+            assert [len(a) for a in seen] == [per_call] * (slices // per_call) + \
+                [slices % per_call] * (slices % per_call > 0)
+        assert got.shape[:-2] == lead
+        flat = got.reshape(-1, *got.shape[-2:])
+        assert len(flat) == len(expected)
+        for a, b in zip(flat, expected):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", [16, 18, 32, 48, 64, 128])
 def test_chunked_transforms_write_their_whole_output(n):
     """The grid's kernel calls give ``numpy.fft.rfftn`` / ``irfftn`` with

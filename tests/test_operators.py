@@ -204,3 +204,25 @@ def test_bilaplacian_identity_band_limited(grid64, rng, make_director):
     res = bilaplacian_identity_residual(grid64, n)
     scale = 1.0 + sobolev_norm(grid64, grid64.to_spec(n), 4.0, homogeneous=False) ** 2
     assert res / scale < 1e-8
+
+
+@pytest.mark.parametrize("n", [16, 32, 64, 128])
+def test_leray_projection_equals_the_per_component_reference_bitwise(n):
+    """The stacked projection against ``grid.k_c`` gives, byte for byte,
+    the per-component form with the broadcast (N, 1) and (1, N/2+1) tables:
+    u_i - (k_i * (kx u0 + ky u1)) / k2_safe, mean zeroed; written into a new
+    array and in place over its input."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(n)
+    u = rng.standard_normal((2, *g.spec_shape)) + 1j * rng.standard_normal((2, *g.spec_shape))
+    kx, ky = g.kx.astype(complex), g.ky.astype(complex)
+    kdotu = kx * u[0] + ky * u[1]
+    ref = np.stack([u[0] - (kx * kdotu) / g.k2_safe, u[1] - (ky * kdotu) / g.k2_safe])
+    ref[:, 0, 0] = 0.0
+
+    got = leray_project_spec(g, u)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    in_place = u.copy()
+    assert leray_project_spec(g, in_place, out=in_place) is in_place
+    assert in_place.tobytes() == ref.tobytes()

@@ -201,11 +201,12 @@ def test_rotation_trig_on_the_distinct_values_of_h_keeps_the_bits(n, profile, rn
     onto the grid is byte-equal to full-grid trig, also written in place."""
     g = SpectralGrid(n)
     noise = NoiseModel(grid=g, h=scalar_h(g, profile))
+    mag = np.sqrt(np.sum(noise.h**2, axis=0))
     assert len(noise.h_mag_values) <= n
-    assert np.array_equal(noise.h_mag_values[noise.h_mag_index], noise.h_mag)
+    assert np.array_equal(noise.h_mag_values[noise.h_mag_index], mag)
     n_phys = make_director(g, rng, k_max=5, amplitude=0.8)
     for d_eta in (0.63, -1e-3, 7.25):
-        full = rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta)
+        full = rotate_phys(n_phys, noise.h_unit, mag, d_eta)
         args = (noise.h_unit, noise.h_mag_values, d_eta)
         got = rotate_phys(n_phys, *args, h_index=noise.h_mag_index)
         assert got.tobytes() == full.tobytes()
@@ -406,6 +407,32 @@ def test_velocity_noise_ledger_pairing(grid32):
     assert ledger.u_dw == pytest.approx(expect, rel=1e-8, abs=1e-12)
 
 
+def test_velocity_noise_ledger_equals_two_inner_products_bitwise(grid32, monkeypatch):
+    """On a noisy step, the stacked ``u_dw`` is, bit for bit, the sum of one
+    ``l2_inner_spec`` per component of the pre-noise velocity (the exchange
+    stage's output, recorded here) with the drawn dW."""
+    import nsgl.stepper
+
+    g = grid32
+    state = coupled_initial_state(g)
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=31, h=scalar_h(g, "single_mode"))
+    exchanged = []
+
+    def recorded(*args):
+        out = midpoint_exchange(*args)
+        exchanged.append(out[:2].copy())
+        return out
+
+    monkeypatch.setattr(nsgl.stepper, "midpoint_exchange", recorded)
+    _, ledger = step(state, cfg, GLParams(epsilon=0.4), noise)
+    (u_pre,) = exchanged
+    dW = sample_increment(noise, cfg.dt, 0).dW
+    expect = g.l2_inner_spec(u_pre[0], dW[0]) + g.l2_inner_spec(u_pre[1], dW[1])
+    assert ledger.n_substeps == 1 and expect != 0.0
+    assert ledger.u_dw == expect
+
+
 def test_stepper_config_rejects_negative_max_halvings():
     with pytest.raises(ValueError, match="max_halvings"):
         StepperConfig(dt=1e-3, t_end=1.0, max_halvings=-1)
@@ -514,7 +541,8 @@ def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
     assert ledger.grad_cross_deta == ref_grad_cross != 0.0
     assert ledger.cross_sq_dt == ref_cross_sq > 0.0
     assert np.array_equal(rotated,
-                          g.to_spec(rotate_phys(n_phys, noise.h_unit, noise.h_mag, d_eta)))
+                          g.to_spec(rotate_phys(n_phys, noise.h_unit,
+                                                np.sqrt(np.sum(noise.h**2, axis=0)), d_eta)))
 
     const = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "constant"))
     slices = count_slices(monkeypatch)
@@ -547,7 +575,8 @@ def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
         cross = np.stack([cross3(n_phys, noise.h_grad[i]) for i in dirs])
         ref.grad_cross_deta += g.integrate(np.sum(grad_n * cross, axis=(0, 1))) * inc.d_eta
         ref.cross_sq_dt += g.integrate(np.sum(cross * cross, axis=(0, 1))) * dt
-    ref_spec = g.to_spec(rotate_phys(n_phys, noise.h_unit, noise.h_mag, inc.d_eta))
+    mag = np.sqrt(np.sum(noise.h**2, axis=0))
+    ref_spec = g.to_spec(rotate_phys(n_phys, noise.h_unit, mag, inc.d_eta))
 
     ledger = StepLedger(grad_cross_deta=0.25, cross_sq_dt=0.5)
     spec = _director_noise(g, n_phys, noise, inc, dt, ledger)

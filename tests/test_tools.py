@@ -10,15 +10,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_stream_digest_prints_one_stable_digest_per_output():
-    """tools/stream_digest.py runs run, ensemble and converge at N = 16, and
-    the run again to its midpoint and resumed, and prints a sha256 for each
-    stdout, stderr, NDJSON and checkpoint file; two runs against one tree
-    print the same lines."""
+    """tools/stream_digest.py runs run, ensemble and converge at N = 16, the
+    run again to its midpoint and resumed, and check at N = 32, and prints a
+    sha256 for each stdout, stderr, NDJSON and checkpoint file, 20 lines;
+    two runs against one tree print the same lines."""
     cmd = [sys.executable, str(ROOT / "tools" / "stream_digest.py"), str(ROOT / "src")]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True)
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert first.stdout == second.stdout and first.stderr == ""
     lines = first.stdout.splitlines()
+    assert len(lines) == 20
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S+", line) for line in lines)
     names = [line.split("  ")[1] for line in lines]
     assert names[:6] == ["run.stdout", "run.stderr", "run/run.ckpt", "run/run.ndjson",
@@ -26,14 +27,18 @@ def test_stream_digest_prints_one_stable_digest_per_output():
     assert names[6:8] == ["converge.stdout", "converge.stderr"]
     # 3 members on 2 paths, one stream each
     assert len(names[8:14]) == 6 and all(n.startswith("converge/family/") for n in names[8:14])
-    assert names[14:] == ["resume.stdout", "resume.stderr", "resume/run.ckpt",
-                          "resume/run.ndjson"]
+    assert names[14:18] == ["resume.stdout", "resume.stderr", "resume/run.ckpt",
+                            "resume/run.ndjson"]
+    assert names[18:] == ["check.stdout", "check.stderr"]
     # the run's summary and the reports are not empty
     empty = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
     digests = dict(line.split("  ")[::-1] for line in lines)
     assert all(digests[n] != empty for n in ("run.stderr", "ensemble.stdout",
                                             "converge.stdout", "run/run.ndjson",
-                                            "resume/run.ndjson"))
+                                            "resume/run.ndjson", "check.stdout"))
+    # the script exits with check's code, 0 only when every identity check
+    # passes (check=True above); check writes nothing to stderr
+    assert digests["check.stderr"] == empty
     # the resumed run ends where the uninterrupted one does: its summary and
     # last checkpoint are the same bytes; its rows start at the midpoint
     assert digests["resume.stderr"] == digests["run.stderr"]

@@ -1,10 +1,10 @@
-"""sha256 digests of every output of four fixed-seed ``nsgl`` calls.
+"""sha256 digests of every output of five fixed-seed ``nsgl`` calls.
 
     python3 tools/stream_digest.py [--workloads] SRC
 
 SRC is the ``src`` directory of a checkout (the one holding the ``nsgl``
 package).  In a temporary directory the script runs, through
-``python3 -m nsgl`` with ``PYTHONPATH=SRC``, either the four small calls
+``python3 -m nsgl`` with ``PYTHONPATH=SRC``, either the five small calls
 below or, with ``--workloads``, the benchmark's three workloads at seed 301
 (their INIs come from ``perfbench/workloads.py`` beside this script), which
 write 16 files: ``ensemble-n32`` its stdout and stderr, ``family-n64`` those
@@ -21,7 +21,10 @@ The small calls are:
 * ``resume``: the ``run`` config run to its midpoint, t = 0.025, then
   continued to its end with ``run --resume``.  Its NDJSON, checkpoint,
   stdout and stderr are the continued run's, so a change to the checkpoint
-  load path shows here.
+  load path shows here;
+* ``check --n-modes 32 --samples 4``: the identity self-checks, whose
+  residuals run through the Leray projection, the transforms and the
+  drift kernels.
 
 It prints one ``sha256  name`` line for the stdout and stderr of each call
 and for each NDJSON and checkpoint file, in a fixed order, then exits with
@@ -127,6 +130,7 @@ output_dir = family
     ("resume",
      {"half.ini": _RUN_INI.replace("t_end = 0.05", "t_end = 0.025"), "cfg.ini": _RUN_INI},
      [["run", "-c", "half.ini"], ["run", "-c", "cfg.ini", "--resume", "run.ckpt"]]),
+    ("check", {}, [["check", "--n-modes", "32", "--samples", "4"]]),
 )
 
 
