@@ -1,10 +1,14 @@
 """Operator identity self-checks: the suite behind `nsgl check` and gate 1.
 
-Each check evaluates a structural identity of the spatial operators or of an
-exact substep on random band-limited fields, where the identity holds to
-roundoff, and reports its worst relative residual over the samples against
-a fixed tolerance.  The quartic-well reaction map is checked against the one
-RK4 oracle for the logistic equation of |n|^2, which gate 2 also uses.
+Each check evaluates a structural identity of the kernels the step runs, or
+of the Leray projection and the director's bilaplacian, on random
+band-limited fields, where the identity holds to roundoff, and reports its
+worst relative residual over the samples against a fixed tolerance.  The
+transport and stress identities read the exchange drift
+``coupling_drift_spec``; the penalty and rotation ones the exact reaction
+and rotation maps ``gl_reaction_phys`` and ``rotate_phys``.  The
+quartic-well reaction map is also checked against the one RK4 oracle for
+the logistic equation of |n|^2, which gate 2 also uses.
 """
 
 from __future__ import annotations
@@ -14,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import SpectralGrid, random_band_limited, sobolev_norm
-from .operators import (convect_spec, cross3, gl_penalty_phys, grad_pair,
-                        leray_project_spec, stress_div_spec)
+from .operators import coupling_drift_spec, cross3, grad_pair, leray_project_spec
 from .stepper import gl_reaction_phys, rotate_phys
 
 __all__ = [
@@ -157,25 +160,27 @@ def run_identity_checks(n_modes: int = 64, samples: int = 32,
         note("leray_kills_gradients", grid.l2_norm_spec(leray_project_spec(grid, gspec))
              / (grid.l2_norm_spec(gspec) + tiny))
 
-        u_phys = grid.to_phys(pw)
-        cu = leray_project_spec(grid, convect_spec(grid, u_phys, pw))
-        pair = grid.l2_inner_spec(cu, pw)
-        scale = grid.l2_norm_spec(cu) * grid.l2_norm_spec(pw) + tiny
+        # the exchange drift r = (P div(u (x) u + grad n (.) grad n), (u.grad) n)
+        r_u = coupling_drift_spec(grid, np.concatenate([pw, np.zeros_like(n_spec)]))[:2]
+        pair = grid.l2_inner_spec(r_u, pw)
+        scale = grid.l2_norm_spec(r_u) * grid.l2_norm_spec(pw) + tiny
         note("advect_u_skew", abs(pair) / scale)
 
-        cn = convect_spec(grid, u_phys, n_spec)
-        pair = grid.l2_inner_spec(cn, n_spec)
-        scale = grid.l2_norm_spec(cn) * grid.l2_norm_spec(n_spec) + tiny
+        r = coupling_drift_spec(grid, np.concatenate([pw, n_spec]))
+        pair = grid.l2_inner_spec(r[2:], n_spec)
+        scale = grid.l2_norm_spec(r[2:]) * grid.l2_norm_spec(n_spec) + tiny
         note("advect_n_skew", abs(pair) / scale)
 
-        a = grid.l2_inner_spec(stress_div_spec(grid, *grad_pair(grid, n_spec)), pw)
-        b = grid.l2_inner_spec(cn, grid.laplacian(n_spec))
+        # <P div(u (x) u), u> = 0 leaves the stress pairing in <r_u, u>
+        a = grid.l2_inner_spec(r[:2], pw)
+        b = grid.l2_inner_spec(r[2:], grid.laplacian(n_spec))
         note("stress_transport_cancel", abs(a - b) / (abs(a) + abs(b) + tiny))
 
-        fpen = grid.dealias(grid.to_spec(gl_penalty_phys(n_phys, 1.0)))
-        nxh = grid.to_spec(cross3(n_phys, h_phys))
-        pair = grid.l2_inner_spec(fpen, nxh)
-        scale = grid.l2_norm_spec(fpen) * grid.l2_norm_spec(nxh) + tiny
+        # the reaction's move over unit time at eps = 1 is along n
+        fpen = gl_reaction_phys(n_phys, 1.0, 1.0) - n_phys
+        nxh = cross3(n_phys, h_phys)
+        pair = grid.integrate((fpen * nxh).sum(axis=0))
+        scale = grid.l2_norm_phys(fpen) * grid.l2_norm_phys(nxh) + tiny
         note("penalty_orthogonal", abs(pair) / scale)
 
         res = bilaplacian_identity_residual(grid, n_phys)

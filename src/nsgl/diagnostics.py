@@ -208,7 +208,7 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
         grad_w_sq = integrals(grad_w * grad_w)
         w_min, u_max = w.min(axis=(1, 2)).tolist(), np.sqrt(u2).max(axis=(1, 2)).tolist()
     gn2 = np.square(grad_n, out=grad_n).sum(axis=(1, 2))
-    relax = np.multiply(defect[:, None], phys[:, 2:])  # f(n), operators.gl_penalty_phys
+    relax = np.multiply(defect[:, None], phys[:, 2:])  # f(n) = (1 - |n|^2) n / eps^2
     del phys
     relax /= eps2[:, None]
     relax += lap_n

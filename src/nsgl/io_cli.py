@@ -174,7 +174,7 @@ def load_config(path: str) -> SimConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
@@ -247,7 +247,7 @@ def parse_eps_family(text: str) -> tuple[float, ...]:
 def _load_field_file(path: str, shape: tuple) -> np.ndarray:
     try:
         arr = np.load(path)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, EOFError) as exc:  # EOFError: an empty file
         raise ConfigError(f"cannot read field file {path!r}: {exc}") from None
     # strings, complex values or an .npz archive would not convert, or not
     # without loss, to the float64 field
@@ -749,6 +749,9 @@ def main(argv=None) -> int:
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
         print(f"output error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # a grid or an ensemble too large to allocate
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 1
     except (NumericsError, CflError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

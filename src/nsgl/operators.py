@@ -1,9 +1,11 @@
-"""Spatial operators: projection, transport, elastic stress, relaxation terms.
+"""Spatial operators: the Leray projection and the one exchange drift kernel.
 
 Every operator is an array kernel on physical (C, N, N) or half-spectrum
-(C, N, N/2+1) component stacks.  All quadratic/cubic nonlinearities are
-evaluated pointwise on the collocation grid and dealiased by the 2/3 rule;
-derivatives act in spectral space.
+(C, N, N/2+1) component stacks.  The transport and the elastic stress exist
+only inside ``coupling_drift_spec``, the kernel the step runs; the identity
+suite in ``nsgl.checks`` evaluates that kernel.  All quadratic
+nonlinearities are evaluated pointwise on the collocation grid and dealiased
+by the 2/3 rule; derivatives act in spectral space.
 """
 
 from __future__ import annotations
@@ -18,11 +20,8 @@ __all__ = [
     "GLParams",
     "leray_project_spec",
     "grad_pair",
-    "stress_div_spec",
-    "convect_spec",
     "coupling_drift_spec",
     "cross3",
-    "gl_penalty_phys",
 ]
 
 
@@ -67,34 +66,6 @@ def grad_pair(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     return grid.to_phys(grid.grad_c * spec)
 
 
-def _stress_phys(d1, d2, out) -> np.ndarray:
-    """The three distinct entries t11, t12, t22 of grad(n) (.) grad(n), into out[:3]."""
-    for k, (a, b) in enumerate(((d1, d1), (d1, d2), (d2, d2))):
-        (a * b).sum(axis=0, out=out[k])
-    return out
-
-
-def _stress_div(grid, t, out=None) -> np.ndarray:
-    """Projected divergence of the stress from its spectral entries
-    (t11, t12, t22), dealiased here in place: (d1 t11 + d2 t12,
-    d1 t12 + d2 t22), into ``out`` when given."""
-    t *= grid.dealias_c
-    div = np.multiply(grid.grad_c[0], t[:2], out=out)
-    div += grid.grad_c[1] * t[1:]
-    return leray_project_spec(grid, div, out=div)
-
-
-def stress_div_spec(grid, d1, d2) -> np.ndarray:
-    """Projected divergence of grad(n) (.) grad(n) from the physical partials of n."""
-    return _stress_div(grid, grid.to_spec(_stress_phys(d1, d2, np.empty((3, *d1.shape[1:])))))
-
-
-def convect_spec(grid: SpectralGrid, u_phys: np.ndarray, f_spec: np.ndarray) -> np.ndarray:
-    """(u . grad) f for any component stack f, dealiased, in spectral space."""
-    d1, d2 = grad_pair(grid, f_spec)
-    return grid.dealias(grid.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
-
-
 def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     """Minus the drift of the exchange stage on the (5, N, N/2+1) stack of u
     then n: r = (P div(u (x) u + grad n (.) grad n), (u.grad) n), drift = -r.
@@ -111,7 +82,11 @@ def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     of sigma and the n transport come forward together (6 slices).  The
     inverse stack is laid out as (d1 n, u1; d2 n, u2), so that sigma_12 is
     one product summed over its 4 components and sigma_11, sigma_22 one
-    square summed over them, each in the order of the per-term sums.
+    square summed over them.
+
+    This is the package's only transport and stress kernel: gate 1 and
+    ``nsgl check`` evaluate it for the skew transport of u and n and for the
+    stress/transport energy pairing.
     """
     back = np.empty((2, 4, *spec.shape[1:]), np.complex128)
     for i in range(2):  # a contiguous out: a strided one makes numpy buffer the product
@@ -127,7 +102,11 @@ def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     t = grid.to_spec(forward)
     del forward
     r = np.empty(spec.shape, np.complex128)
-    _stress_div(grid, t[:3], out=r[:2])
+    sigma = t[:3]
+    sigma *= grid.dealias_c
+    np.multiply(grid.grad_c[0], sigma[:2], out=r[:2])  # d1 sigma_11, d1 sigma_12
+    r[:2] += grid.grad_c[1] * sigma[1:]  # + d2 sigma_12, d2 sigma_22
+    leray_project_spec(grid, r[:2], out=r[:2])
     np.multiply(t[3:], grid.dealias_c, out=r[2:])
     return r
 
@@ -141,6 +120,3 @@ def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.nd
     np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
     return out
 
-
-def gl_penalty_phys(n_phys: np.ndarray, epsilon: float) -> np.ndarray:
-    return (1.0 - (n_phys * n_phys).sum(axis=0)) * n_phys / epsilon**2

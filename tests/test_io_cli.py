@@ -108,6 +108,17 @@ def test_missing_file_is_config_error():
         load_config("/nonexistent/run.ini")
 
 
+def test_a_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "run.ini"
+    path.write_bytes(b"[grid]\nn_modes = 16\xff\n")
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(str(path))
+    assert main(["dump-config", "-c", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: cannot read config ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("body, pattern", [
     ("[grid]\nn_modes = 10\n", r"grid\.n_modes"),
     ("[stepper]\nmax_halvings = -1\n", "max_halvings"),
@@ -308,6 +319,7 @@ def test_file_preset_round_trip_and_shape_check(tmp_path):
 @pytest.mark.parametrize("key, n_comp", [("u0", 2), ("n0", 3)])
 @pytest.mark.parametrize("kind, pattern", [
     ("text", "cannot read field file"),
+    ("empty", "cannot read field file"),
     ("string-array", "does not hold a real numeric array"),
     ("complex-array", "does not hold a real numeric array"),
     ("nan-entry", "has non-finite entries"),
@@ -316,6 +328,8 @@ def test_malformed_field_file_is_config_error(tmp_path, capsys, key, n_comp, kin
     path = tmp_path / "field.npy"
     if kind == "text":
         path.write_text("not an array\n", encoding="utf-8")
+    elif kind == "empty":
+        path.write_bytes(b"")
     elif kind == "string-array":
         np.save(path, np.full((n_comp, 16, 16), "1.0"))
     elif kind == "complex-array":
@@ -586,6 +600,38 @@ def test_identity_checks_pass_on_small_grid():
     assert all(r.passed for r in results)
     names = [r.name for r in results]
     assert "stress_transport_cancel" in names and "gl_map_vs_ode" in names
+
+
+def test_identity_checks_evaluate_the_kernels_the_step_runs(monkeypatch):
+    """Gate 1 reads ``coupling_drift_spec`` and ``gl_reaction_phys``: an
+    exchange drift without the Ericksen stress fails the stress pairing,
+    and a reaction that also moves n across itself fails the penalty's
+    orthogonality to the rotation noise."""
+    import nsgl.checks as checks
+
+    def failed(**kernels):
+        with monkeypatch.context() as m:
+            for name, kernel in kernels.items():
+                m.setattr(checks, name, kernel)
+            results = run_identity_checks(n_modes=16, samples=2, seed=1)
+        return {r.name for r in results if not r.passed}
+
+    drift, reaction = checks.coupling_drift_spec, checks.gl_reaction_phys
+
+    def drift_without_stress(grid, spec):
+        r = drift(grid, spec)
+        at_rest = spec.copy()
+        at_rest[2:] = 0.0  # n at rest: no stress in r_u
+        r[:2] = drift(grid, at_rest)[:2]
+        return r
+
+    def reaction_with_a_tangential_part(n_phys, dt, epsilon):
+        e3 = np.array([0.0, 0.0, 1.0])[:, None, None]
+        return reaction(n_phys, dt, epsilon) + 1e-3 * np.cross(n_phys, e3, axis=0)
+
+    assert failed() == set()
+    assert "stress_transport_cancel" in failed(coupling_drift_spec=drift_without_stress)
+    assert "penalty_orthogonal" in failed(gl_reaction_phys=reaction_with_a_tangential_part)
 
 
 @pytest.mark.parametrize("flags", [["--n-modes", "15"], ["--seed", "-1"],
@@ -879,6 +925,19 @@ mode_cutoff = 4
 """
     assert main(["run", "-c", write_config(tmp_path, body)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_out_of_memory_ends_in_one_line(tmp_path, capsys, monkeypatch):
+    """A grid or an ensemble too large to allocate exits 1 with one stderr
+    line, not a traceback."""
+    def refuse(cfg):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr("nsgl.io_cli.build_components", refuse)
+    assert main(["dump-config", "-c", write_config(tmp_path, SMALL_RUN)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "out of memory: Unable to allocate 149. GiB for an array\n"
 
 
 def test_cli_check_subcommand(capsys):

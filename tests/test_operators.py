@@ -1,4 +1,8 @@
-"""Projection, transport, stress, penalty, and pointwise algebra oracles."""
+"""Projection, the exchange drift kernel, penalty, and pointwise algebra oracles.
+
+The transport and stress oracles run on ``coupling_drift_spec``, the kernel
+the step runs; the per-term advective reference and the penalty f(n) are
+built here from grid primitives."""
 
 import numpy as np
 import pytest
@@ -8,30 +12,29 @@ from nsgl.diagnostics import energy_report
 from nsgl.grid import SpectralGrid, random_band_limited, sobolev_norm
 from nsgl.operators import (
     GLParams,
-    convect_spec,
     coupling_drift_spec,
     cross3,
-    gl_penalty_phys,
     grad_pair,
     leray_project_spec,
-    stress_div_spec,
 )
 from nsgl.stepper import SimState
 
 PI = np.pi
 
 
-def projected_convection(g, u_spec):
-    return leray_project_spec(g, convect_spec(g, g.to_phys(u_spec), u_spec))
+def drift(g, u_spec, n_spec):
+    """The exchange kernel's r = (r_u, r_n) on u's and n's half spectra;
+    either may be None for a field at rest."""
+    u_spec = np.zeros((2, *g.spec_shape), complex) if u_spec is None else u_spec
+    n_spec = np.zeros((3, *g.spec_shape), complex) if n_spec is None else n_spec
+    r = coupling_drift_spec(g, np.concatenate([u_spec, n_spec]))
+    return r[:2], r[2:]
 
 
 def stress(g, n_phys):
-    """Projected divergence of grad(n) (.) grad(n), a velocity half spectrum."""
-    return stress_div_spec(g, *grad_pair(g, g.to_spec(n_phys)))
-
-
-def penalty_spec(g, n_phys, epsilon):
-    return g.dealias(g.to_spec(gl_penalty_phys(n_phys, epsilon)))
+    """Projected divergence of grad(n) (.) grad(n), a velocity half spectrum:
+    the exchange kernel's r_u with u at rest."""
+    return drift(g, None, g.to_spec(n_phys))[0]
 
 
 def mean_defect(spec):
@@ -69,33 +72,33 @@ def test_leray_properties(grid32, rng, make_velocity):
 
 
 def test_convect_velocity_analytic(grid32):
-    """(u.grad)u for u = (sin x2, 0) is (0, 0) after projection of the gradient part.
-
-    u.grad u = (0, 0) already since u1 depends only on x2 and u2 = 0.
-    """
+    """The kernel's projected div(u (x) u) for u = (sin x2, 0) is (0, 0):
+    u.grad u = 0 already, since u1 depends only on x2 and u2 = 0."""
     g = grid32
     _, x2 = g.meshgrid()
     u = g.to_spec(np.stack([np.sin(x2), np.zeros_like(x2)]))
-    cu = projected_convection(g, u)
+    cu, _ = drift(g, u, None)
     assert g.l2_norm_spec(cu) < 1e-13
 
 
 def test_convect_director_analytic(grid32):
+    """The kernel's n transport for u = (sin x2, 0), n = (sin x1, 0, 0)."""
     g = grid32
     x1, x2 = g.meshgrid()
-    u = np.stack([np.sin(x2), np.zeros_like(x2)])
+    u = g.to_spec(np.stack([np.sin(x2), np.zeros_like(x2)]))
     n = g.to_spec(np.stack([np.sin(x1), np.zeros_like(x1), np.zeros_like(x1)]))
-    cn = g.to_phys(convect_spec(g, u, n))
+    cn = g.to_phys(drift(g, u, n)[1])
     expect = np.stack([np.sin(x2) * np.cos(x1), np.zeros_like(x1), np.zeros_like(x1)])
     assert np.allclose(cn, expect, atol=1e-12)
 
 
 def test_convect_skew_symmetry(grid32, rng, make_velocity, make_director):
+    """<r_u, u> = 0 with n at rest and <r_n, n> = 0 on solenoidal u."""
     g = grid32
     u = make_velocity(g, rng, k_max=6)
     n = g.to_spec(make_director(g, rng, k_max=6))
-    cu = projected_convection(g, u)
-    cn = convect_spec(g, g.to_phys(u), n)
+    cu, _ = drift(g, u, None)
+    _, cn = drift(g, u, n)
     assert abs(g.l2_inner_spec(cu, u)) < 1e-12
     assert abs(g.l2_inner_spec(cn, n)) < 1e-12
 
@@ -113,7 +116,7 @@ def test_ericksen_stress_energy_pairing(grid64, rng, make_velocity, make_directo
     n = make_director(g, rng, k_max=6)
     n_spec = g.to_spec(n)
     lhs = g.l2_inner_spec(stress(g, n), u)
-    rhs = g.l2_inner_spec(convect_spec(g, g.to_phys(u), n_spec), g.laplacian(n_spec))
+    rhs = g.l2_inner_spec(drift(g, u, n_spec)[1], g.laplacian(n_spec))
     assert abs(lhs - rhs) < 1e-9 * (abs(lhs) + abs(rhs) + 1.0)
 
 
@@ -121,6 +124,23 @@ def test_ericksen_stress_is_solenoidal_mean_free(grid32, rng, make_director):
     s = stress(grid32, make_director(grid32, rng, k_max=6))
     assert grid32.divergence_defect(s) < 1e-12
     assert mean_defect(s) < 1e-14
+
+
+def convect_spec(g, u_phys, f_spec):
+    """(u . grad) f for any component stack f, dealiased, in spectral space:
+    the advective form, one product per derivative."""
+    d1, d2 = grad_pair(g, f_spec)
+    return g.dealias(g.to_spec(u_phys[0] * d1 + u_phys[1] * d2))
+
+
+def stress_div_spec(g, d1, d2):
+    """Projected divergence of grad(n) (.) grad(n) from the physical partials
+    of n, its entries t11, t12, t22 summed one by one."""
+    t = g.dealias(g.to_spec(np.stack([(a * b).sum(axis=0)
+                                      for a, b in ((d1, d1), (d1, d2), (d2, d2))])))
+    div = np.stack([g.grad_c[0, 0] * t[0] + g.grad_c[1, 0] * t[1],
+                    g.grad_c[0, 0] * t[1] + g.grad_c[1, 0] * t[2]])
+    return leray_project_spec(g, div)
 
 
 def advective_drift_spec(g, u_spec, n_spec):
@@ -160,12 +180,17 @@ def test_cross3_matches_numpy(rng):
 
 
 def test_gl_penalty_values(grid32):
+    """For u at rest and a constant n, D = int |lap n + f(n)|^2 = |f(n)|^2 4 pi^2."""
     g = grid32
-    assert g.l2_norm_spec(penalty_spec(g, constant((0.0, 0.0, 1.0)), 0.3)) < 1e-13
-    f = g.to_phys(penalty_spec(g, constant((1.0, 0.0, 0.0), 0.5), 0.5))
-    # (1 - 1/4) * (1/2) / (1/4) = 3/2 along e1
-    assert np.allclose(f[0], 1.5, atol=1e-12)
-    assert np.allclose(f[1:], 0.0, atol=1e-13)
+
+    def enstrophy(n, epsilon):
+        state = SimState.from_arrays(g, np.zeros((2, 32, 32)), n)
+        return energy_report(state, GLParams(epsilon=epsilon)).enstrophy_D
+
+    assert enstrophy(constant((0.0, 0.0, 1.0)), 0.3) == 0.0
+    # f = (1 - 1/4) * (1/2) / (1/4) = 3/2 along e1
+    assert np.isclose(enstrophy(constant((1.0, 0.0, 0.0), 0.5), 0.5),
+                      1.5**2 * 4.0 * PI**2, rtol=1e-13)
 
 
 def test_gl_potential_mass_frozen_values(grid32):
@@ -190,11 +215,16 @@ def test_director_cross_h_orientation(grid32):
     assert np.allclose(out[2], 0.0, atol=1e-15)
 
 
+def penalty_phys(n_phys, epsilon):
+    """The Ginzburg-Landau penalty f(n) = (1/eps^2)(1 - |n|^2) n."""
+    return (1.0 - (n_phys * n_phys).sum(axis=0)) * n_phys / epsilon**2
+
+
 def test_penalty_orthogonal_to_rotation_direction(grid32, rng, make_director):
     g = grid32
     n = make_director(g, rng, k_max=3)
     h = make_director(g, rng, k_max=3)
-    f = penalty_spec(g, n, 0.7)
+    f = g.dealias(g.to_spec(penalty_phys(n, 0.7)))
     pair = g.l2_inner_spec(f, g.to_spec(cross3(n, h)))
     assert abs(pair) < 1e-12
 

@@ -83,3 +83,20 @@ def test_a_deterministic_config_command_imports_neither_random_nor_hashlib(tmp_p
     assert done.returncode == 0
     assert "n0 = constant_e3" in done.stdout
     assert done.stderr == "\n"
+
+
+def test_a_grid_too_large_to_allocate_ends_in_one_line(tmp_path):
+    """``n_modes = 200000`` asks for a 149 GiB wavenumber table: exit 1 with
+    one ``out of memory`` line.  The child caps its own address space at
+    about 3 GB before it runs the CLI, so the allocation fails there
+    instead of being attempted."""
+    pytest.importorskip("resource")
+    argv, env = nsgl_command(tmp_path, "dump-config", "[grid]\nn_modes = 200000\n")
+    script = ("import resource, sys\nlimit = 3_000_000 * 1024\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+              "from nsgl.io_cli import main\nsys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", script, *argv[3:]], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr.startswith("out of memory: ") and done.stderr.count("\n") == 1

@@ -24,7 +24,8 @@ The small calls are:
   load path shows here;
 * ``check --n-modes 32 --samples 4``: the identity self-checks, whose
   residuals run through the Leray projection, the transforms and the
-  drift kernels.
+  kernels the step runs: the exchange drift ``coupling_drift_spec``, the
+  reaction map and the rotation.
 
 It prints one ``sha256  name`` line for the stdout and stderr of each call
 and for each NDJSON and checkpoint file, in a fixed order, then exits with
