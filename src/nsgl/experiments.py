@@ -61,14 +61,18 @@ class _Path:
     report is ``trace.last``.  ``monitors=False`` reports without the
     state monitors (``diagnostics.MONITORS``), for a path whose trace only
     folds the balance: no covering, so no stop detector reads them.
+    ``noise_ledger=False`` steps without the noise sums of the ledger
+    (``step``'s parameter), for a path whose driver never reads its
+    balance: its trace's ``residual`` then reads NaN.
     """
 
     def __init__(self, state0: SimState, cfg: StepperConfig, gl: GLParams,
                  noise: NoiseModel, covering: CoveringSet | None, stop_delta, on_report,
-                 trace: RunTrace | None = None, monitors: bool = True):
+                 trace: RunTrace | None = None, monitors: bool = True,
+                 noise_ledger: bool = True):
         self.state, self.cfg, self.gl, self.noise = state0, cfg, gl, noise
         self.covering, self.on_report, self.monitors = covering, on_report, monitors
-        self.stop_delta, self.trace = stop_delta, trace
+        self.stop_delta, self.trace, self.noise_ledger = stop_delta, trace, noise_ledger
 
     def start(self, rep):
         fresh = self.trace is None
@@ -87,7 +91,8 @@ class _Path:
         """One step; returns its ledger.  ``draws`` is the noise draws dict
         of ``step``."""
         self.state, ledger = step(self.state, self.cfg, self.gl, self.noise,
-                                  force_level=force_level, draws=draws)
+                                  force_level=force_level, draws=draws,
+                                  noise_ledger=self.noise_ledger)
         return ledger
 
     def fold(self, rep, ledger):
@@ -288,7 +293,8 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
     """Pathwise-coupled relaxation study against the smallest-epsilon member.
 
     ``on_member_report(path_index, epsilon, report)``, when given, observes
-    every per-step diagnostic row of every family member.
+    every per-step diagnostic row of every family member.  The report reads
+    no member's balance, so the members step without the noise ledger.
     """
     eps_family = tuple(float(e) for e in eps_family)
     if len(set(eps_family)) != len(eps_family):
@@ -305,11 +311,14 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
     tau = np.full(n_paths, cfg.t_end)
     noises = _path_models(noise_base, n_paths)
 
+    def norm(sq, order, homogeneous):
+        return sobolev_norm(grid, sq, order, homogeneous, squared=True)
+
     for p, noise in enumerate(noises):
         members = []
         for eps in eps_family:
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
-                         _member_observer(on_member_report, p, eps))
+                         _member_observer(on_member_report, p, eps), noise_ledger=False)
             _start([path])
             members.append(_Member(eps, path, defect=path.trace.last.eps_defect * eps))
         ref = members[eps_family.index(eps_ref)].path
@@ -329,13 +338,12 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
                 m.defect = max(m.defect, m.path.trace.last.eps_defect * m.eps)
                 if m.path is ref:
                     continue
-                diff = m.path.state.spec - ref.state.spec
-                du, dn = diff[:2], diff[2:]
-                d_low = sobolev_norm(grid, du, alpha - 1.0, homogeneous=True) \
-                    + sobolev_norm(grid, dn, alpha, homogeneous=False)
+                # |c|^2 of the difference, taken once for all four norms
+                sq = np.abs(m.path.state.spec - ref.state.spec) ** 2
+                du, dn = sq[:2], sq[2:]
+                d_low = norm(du, alpha - 1.0, True) + norm(dn, alpha, False)
                 m.sup = max(m.sup, d_low)
-                d_high_sq = sobolev_norm(grid, du, alpha, homogeneous=True) ** 2 \
-                    + sobolev_norm(grid, dn, 1.0 + alpha, homogeneous=False) ** 2
+                d_high_sq = norm(du, alpha, True) ** 2 + norm(dn, 1.0 + alpha, False) ** 2
                 m.l2_sq += 0.5 * cfg.dt * (m.l2_prev + d_high_sq)
                 m.l2_prev = d_high_sq
 

@@ -249,14 +249,17 @@ class SpectralGrid:
 
 
 def sobolev_norm(grid: SpectralGrid, spec: np.ndarray, order: float,
-                 homogeneous: bool) -> float:
+                 homogeneous: bool, squared: bool = False) -> float:
     """Spectral Sobolev norm of order ``order`` of a stack of half spectra.
 
     The homogeneous form is ((2*pi)^2 * sum |k|^(2s) |c|^2)^(1/2); the full
-    form adds the |k|^0 (L2) term.
+    form adds the |k|^0 (L2) term.  With ``squared``, ``spec`` holds |c|^2
+    already, for a caller that takes several norms of one spectrum: the
+    same bits as the norm of c.
     """
     weight = _sobolev_weight(grid, order, homogeneous)
-    return float(2.0 * np.pi * np.sqrt(grid.spec_sum(weight * np.abs(spec) ** 2)))
+    sq = spec if squared else np.abs(spec) ** 2
+    return float(2.0 * np.pi * np.sqrt(grid.spec_sum(weight * sq)))
 
 
 @functools.lru_cache(maxsize=16)

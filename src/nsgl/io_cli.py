@@ -235,8 +235,9 @@ def parse_eps_family(text: str) -> tuple[float, ...]:
         raise ConfigError(f"convergence.eps_family: cannot parse {text!r}") from None
     if not eps:
         raise ConfigError("convergence.eps_family: needs at least one value")
-    if not all(0.0 < e < math.inf for e in eps):
-        raise ConfigError("convergence.eps_family: entries must be finite and > 0")
+    if not all(0.0 < e < math.inf and e * e > 0.0 for e in eps):
+        raise ConfigError("convergence.eps_family: entries must be finite and > 0, "
+                          "with a nonzero square")
     if len(set(eps)) != len(eps):
         raise ConfigError("convergence.eps_family: entries must be distinct")
     return eps

@@ -32,8 +32,9 @@ class GLParams:
     epsilon: float
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0):
-            raise ValueError(f"gl.epsilon must be > 0, got {self.epsilon}")
+        # the penalty and the report divide by epsilon^2, so it must not underflow
+        if not (self.epsilon > 0.0 and self.epsilon**2 > 0.0):
+            raise ValueError(f"gl.epsilon must be > 0 with a nonzero square, got {self.epsilon}")
 
 
 # -- array kernels ------------------------------------------------------------

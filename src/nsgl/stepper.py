@@ -135,7 +135,8 @@ class StepLedger:
 
     ``u_dw`` pairs the pre-noise velocity with dW; ``grad_cross_deta`` pairs
     grad(n) with n x grad(h) at the pre-rotation director, times d_eta;
-    ``cross_sq_dt`` is the left-point accumulation of |n x grad h|_{L2}^2 dt;
+    ``cross_sq_dt`` is the left-point accumulation of |n x grad h|_{L2}^2 dt
+    (all three NaN for a step taken with ``noise_ledger=False``);
     ``n_substeps`` and ``level_max`` count the step's substeps and its
     deepest CFL halving.
     """
@@ -220,8 +221,8 @@ def required_level(state: SimState, cfg: StepperConfig) -> int:
 # -- composite step -----------------------------------------------------------
 
 def step(state: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
-         force_level: int | None = None,
-         draws: dict | None = None) -> tuple[SimState, StepLedger]:
+         force_level: int | None = None, draws: dict | None = None,
+         noise_ledger: bool = True) -> tuple[SimState, StepLedger]:
     """Advance one logical step of cfg.dt, splitting under CFL pressure.
 
     ``force_level`` drives every coupled family member through the same
@@ -229,17 +230,30 @@ def step(state: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
     ``draws``, when given, is shared by paths on the same ``noise`` stream
     and step: an increment found in it under ``(step, level, slot)`` is
     used as drawn, and one drawn here is stored there.
+    ``noise_ledger=False`` steps without the three noise sums of the
+    ledger, for a driver that never reads them: the same state, bit for
+    bit, at fewer transforms (no grad n for the director-noise terms).
+    The returned ledger then holds NaN in those sums, so a balance
+    residual folded from it reads NaN, never a number missing its noise
+    terms; ``n_substeps`` and ``level_max`` are counted either way.
     """
-    ledger = StepLedger()
+    if noise_ledger:
+        ledger = sums = StepLedger()
+    else:
+        ledger, sums = StepLedger(u_dw=math.nan, grad_cross_deta=math.nan,
+                                  cross_sq_dt=math.nan), None
     draws = {} if draws is None else draws
-    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, force_level, draws,
+    new = _advance(state, cfg.dt, 0, 0, cfg, gl, noise, ledger, sums, force_level, draws,
                    state.step + 1)
     return new, ledger
 
 
-def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws, step_out):
+def _advance(state, dt, level, slot, cfg, gl, noise, ledger, sums, force_level, draws,
+             step_out):
     """The state ``dt`` after ``state``, numbered ``step_out``: a substep
-    keeps the step number its draws are keyed by, the last one advances it."""
+    keeps the step number its draws are keyed by, the last one advances it.
+    ``ledger`` counts the substeps; ``sums``, the same ledger or None,
+    takes the noise sums."""
     if force_level is not None:
         split = level < force_level
     else:
@@ -249,9 +263,9 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws,
             raise CflError(
                 f"CFL bound still violated after {cfg.max_halvings} halvings at t={state.t:.6g}"
             )
-        mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger,
+        mid = _advance(state, dt / 2, level + 1, 2 * slot, cfg, gl, noise, ledger, sums,
                        force_level, draws, state.step)
-        return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger,
+        return _advance(mid, dt / 2, level + 1, 2 * slot + 1, cfg, gl, noise, ledger, sums,
                         force_level, draws, step_out)
 
     key = (state.step, level, slot)
@@ -260,23 +274,26 @@ def _advance(state, dt, level, slot, cfg, gl, noise, ledger, force_level, draws,
         inc = draws[key] = sample_increment(noise, dt, state.step, level=level, slot=slot)
     ledger.n_substeps += 1
     ledger.level_max = max(ledger.level_max, level)
-    return _composite(state, dt, inc, gl, noise, ledger, step_out)
+    return _composite(state, dt, inc, gl, noise, sums, step_out)
 
 
-def _director_noise(grid, n_phys, noise, inc, dt, ledger):
-    """Rotate ``n_phys``, record the director-noise ledger terms at the
-    unrotated director, and return the spectrum of the rotated one.
+def _director_noise(grid, n_phys, noise, inc, dt, sums):
+    """Rotate ``n_phys``, add the director-noise ledger terms at the
+    unrotated director to ``sums`` (None: no ledger), and return the
+    spectrum of the rotated one.
 
     The rotation reads neither ledger term, so it goes first, and the
     unrotated and rotated directors go forward as one stack.  Only the
     directions i with a nonzero d_i h (``noise.h_dirs``, a contiguous
     range) enter the sums: the terms of the others are exact zeros, so
-    leaving them out keeps the sums' bits, and a constant h takes no ledger
-    transform at all.  A function of its own so that grad n and n x grad h
-    are freed before the exchange stage allocates its own work arrays; the
-    caller copies the rotated spectrum out and drops the ledger's half.
+    leaving them out keeps the sums' bits, and a constant h, like a step
+    without the ledger, takes no ledger transform at all: only the rotated
+    director goes forward.  A function of its own so that grad n and
+    n x grad h are freed before the exchange stage allocates its own work
+    arrays; the caller copies the rotated spectrum out and drops the
+    ledger's half.
     """
-    dirs = noise.h_dirs
+    dirs = noise.h_dirs if sums is not None else ()
     stack = np.empty((6 if dirs else 3, *n_phys.shape[1:]))
     rotate_phys(n_phys, noise.h_unit, noise.h_mag_values, inc.d_eta, out=stack[-3:],
                 h_index=noise.h_mag_index)
@@ -288,18 +305,18 @@ def _director_noise(grid, n_phys, noise, inc, dt, ledger):
     cross = np.empty_like(grad_n)
     for j, i in enumerate(dirs):
         cross3(n_phys, noise.h_grad[i], out=cross[j])
-    ledger.grad_cross_deta += grid.integrate((grad_n * cross).sum(axis=(0, 1))) * inc.d_eta
-    ledger.cross_sq_dt += grid.integrate((cross * cross).sum(axis=(0, 1))) * dt
+    sums.grad_cross_deta += grid.integrate((grad_n * cross).sum(axis=(0, 1))) * inc.d_eta
+    sums.cross_sq_dt += grid.integrate((cross * cross).sum(axis=(0, 1))) * dt
     return spec[3:]
 
 
-def _composite(state, dt, inc, gl, noise, ledger, step_out):
+def _composite(state, dt, inc, gl, noise, sums, step_out):
     grid = state.grid
     half = dt / 2
     n_phys = grid.to_phys(diffuse_spec(grid, state.n_spec, half), in_place=True)
     gl_reaction_phys(n_phys, half, gl.epsilon, out=n_phys)
     if noise.h is not None:
-        n_spec = _director_noise(grid, n_phys, noise, inc, dt, ledger)
+        n_spec = _director_noise(grid, n_phys, noise, inc, dt, sums)
     else:
         n_spec = grid.to_spec(n_phys)
     del n_phys  # the exchange stage below is the step's memory peak
@@ -313,11 +330,12 @@ def _composite(state, dt, inc, gl, noise, ledger, step_out):
     spec = midpoint_exchange(grid, spec, dt)
     u_spec = spec[:2]
     if noise.velocity_on:
-        # both components' l2_inner_spec in one product, each summed over
-        # its own mode axes, so each term keeps the bits of a call of its own
-        inner = (grid.herm_weight * (u_spec * inc.dW.conj()).real).sum(axis=(1, 2))
-        c = (2.0 * np.pi) ** 2
-        ledger.u_dw += c * float(inner[0]) + c * float(inner[1])
+        if sums is not None:
+            # both components' l2_inner_spec in one product, each summed over
+            # its own mode axes, so each term keeps the bits of a call of its own
+            inner = (grid.herm_weight * (u_spec * inc.dW.conj()).real).sum(axis=(1, 2))
+            c = (2.0 * np.pi) ** 2
+            sums.u_dw += c * float(inner[0]) + c * float(inner[1])
         u_spec += inc.dW
 
     # the spectra are the state, one (5, N, N/2+1) stack; their to_phys rides

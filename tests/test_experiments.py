@@ -376,16 +376,7 @@ def test_ensemble_paths_equal_solo_runs(grid16, monkeypatch):
     """Every path of an ensemble, reported without the state monitors, is
     the full-report solo run on path ``path_id + p``: sup E, E(T), int D,
     the residual, the balance statistic and max |n| agree bit for bit."""
-    import nsgl.experiments as experiments
-
-    paths = []
-
-    class RecordingPath(experiments._Path):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            paths.append(self)
-
-    monkeypatch.setattr(experiments, "_Path", RecordingPath)
+    paths = recording_paths(monkeypatch)
     cfg, gl = StepperConfig(dt=2e-3, t_end=0.02), GLParams(epsilon=0.3)
     noise = NoiseModel(grid16, seed=17, path_id=5, mode_cutoff=4, h=single_mode_h(grid16))
     assert noise.velocity_on and noise.h is not None
@@ -511,6 +502,102 @@ def test_family_draws_each_increment_once_per_step(grid16, monkeypatch):
         for _ in range(cfg.n_steps):
             experiments._advance([path], force_level=1)
         assert family_rows == solo, (p, eps)
+
+
+def recording_paths(monkeypatch):
+    """Make every driver's paths record themselves, and their state and
+    ledger after each step; returns the list of paths, each with its
+    ``states`` and ``ledgers``."""
+    import nsgl.experiments as experiments
+
+    paths = []
+
+    class RecordingPath(experiments._Path):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.states, self.ledgers = [], []
+            paths.append(self)
+
+        def step(self, *args, **kwargs):
+            ledger = super().step(*args, **kwargs)
+            self.states.append(self.state)
+            self.ledgers.append(ledger)
+            return ledger
+
+    monkeypatch.setattr(experiments, "_Path", RecordingPath)
+    return paths
+
+
+def test_family_distances_equal_four_sobolev_norms_bitwise(grid16, monkeypatch):
+    """A family member-step takes |c|^2 of its difference to the reference
+    once, and its four Sobolev norms read views of that one array.
+    ``sup_dist`` and ``l2_dist`` equal, bit for bit, those built from four
+    ``sobolev_norm`` calls on the difference's spectra, on a noisy family
+    whose first step is CFL-halved."""
+    import nsgl.experiments as experiments
+    from nsgl.grid import sobolev_norm
+
+    paths = recording_paths(monkeypatch)
+    norm_calls = []
+
+    def recording_norm(grid, spec, *args, **kwargs):
+        norm_calls.append((spec.base, kwargs.get("squared", False)))
+        return sobolev_norm(grid, spec, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "sobolev_norm", recording_norm)
+    monkeypatch.setattr(experiments, "required_level",
+                        lambda state, cfg: 1 if state.step == 0 else 0)
+    cfg = StepperConfig(dt=2e-3, t_end=0.012)
+    noise = NoiseModel(grid16, seed=41, mode_cutoff=4, h=single_mode_h(grid16))
+    assert noise.velocity_on
+    eps_family, alpha = (0.4, 0.2, 0.1), 0.75
+    report = run_coupled_family(circle_state(grid16), cfg, eps_family, noise, n_paths=2,
+                                alpha=alpha)
+    assert len(paths) == 2 * len(eps_family)
+    # 2 paths x 6 steps x 2 non-reference members, 4 norms each
+    assert len(norm_calls) == 2 * cfg.n_steps * 2 * 4
+    assert all(squared for _, squared in norm_calls)
+    for k in range(0, len(norm_calls), 4):
+        assert all(base is norm_calls[k][0] for base, _ in norm_calls[k:k + 4])
+    for p in range(2):
+        member = {path.gl.epsilon: path for path in paths[3 * p:3 * p + 3]}
+        for path in member.values():
+            assert [ledger.level_max for ledger in path.ledgers] == [1] + [0] * 5
+        for eps in (0.4, 0.2):
+            sup, l2_sq, l2_prev = 0.0, 0.0, 0.0
+            for state, ref in zip(member[eps].states, member[0.1].states):
+                assert ref.t <= cfg.t_end
+                diff = state.spec - ref.spec
+                du, dn = diff[:2], diff[2:]
+                sup = max(sup, sobolev_norm(grid16, du, alpha - 1.0, homogeneous=True)
+                          + sobolev_norm(grid16, dn, alpha, homogeneous=False))
+                d_high_sq = sobolev_norm(grid16, du, alpha, homogeneous=True) ** 2 \
+                    + sobolev_norm(grid16, dn, 1.0 + alpha, homogeneous=False) ** 2
+                l2_sq += 0.5 * cfg.dt * (l2_prev + d_high_sq)
+                l2_prev = d_high_sq
+            assert sup > 0.0
+            assert report.members[eps].sup_dist[p] == sup, (p, eps)
+            assert report.members[eps].l2_dist[p] == np.sqrt(l2_sq), (p, eps)
+
+
+def test_family_member_residual_reads_nan(grid16, monkeypatch):
+    """Family members step without the noise ledger, so a member's balance
+    residual reads NaN, never a number missing its noise terms; a solo
+    path keeps the ledger, and its residual is a number."""
+    import math
+
+    paths = recording_paths(monkeypatch)
+    cfg = StepperConfig(dt=2e-3, t_end=0.006)
+    noise = NoiseModel(grid16, seed=43, mode_cutoff=4, h=single_mode_h(grid16))
+    run_coupled_family(circle_state(grid16), cfg, (0.4, 0.2), noise, n_paths=1)
+    assert len(paths) == 2
+    for path in paths:
+        trace = path.trace
+        assert math.isnan(trace.residual)
+        assert math.isnan(trace.sum_u_dw) and math.isnan(trace.sum_grad_cross)
+        assert math.isnan(trace.sum_cross_sq)
+    assert math.isfinite(run_path(circle_state(grid16), cfg, GLParams(epsilon=0.4),
+                                  noise).residual)
 
 
 @pytest.mark.parametrize("driver", ["ensemble", "family"])

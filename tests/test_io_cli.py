@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -246,7 +247,8 @@ def test_cli_ensemble_rejects_path_ids_beyond_stream_key(tmp_path, capsys):
 
 def test_parse_eps_family():
     assert parse_eps_family("0.4, 0.2 ,0.1") == (0.4, 0.2, 0.1)
-    for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1", "0.4, nan", "inf"):
+    assert parse_eps_family("1e-160") == (1e-160,)
+    for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1", "0.4, nan", "inf", "1e-300"):
         with pytest.raises(ConfigError):
             parse_eps_family(bad)
 
@@ -258,6 +260,30 @@ def test_cli_refuses_a_non_finite_eps_family(tmp_path, capsys, family):
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
     assert err.startswith("config error: convergence.eps_family")
+
+
+@pytest.mark.parametrize("command, key", [("run", "epsilon"), ("ensemble", "epsilon"),
+                                          ("converge", "epsilon"), ("converge", "eps_family")])
+def test_cli_refuses_an_epsilon_whose_square_underflows(tmp_path, capsys, command, key):
+    """An epsilon whose square is 0 (1e-300) divided the report by zero: it
+    is a config error, one line and exit 1.  1e-160, whose square is
+    subnormal, still runs."""
+    def body(eps):
+        text = SMALL_RUN.replace("n0 = circle_x1", "n0 = constant_e3") \
+            + "[ensemble]\nn_paths = 1\n[convergence]\nn_paths = 1\n"
+        if key == "epsilon":
+            return text.replace("epsilon = 0.3", f"epsilon = {eps}")
+        return text + f"eps_family = {eps}, 0.4\n"
+
+    assert main([command, "-c", write_config(tmp_path, body("1e-300"))]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("config error: " + ("gl.epsilon" if key == "epsilon"
+                                              else "convergence.eps_family"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the report overflows
+        assert main([command, "-c", write_config(tmp_path, body("1e-160"))]) == 0
+    assert "config error" not in capsys.readouterr().err
 
 
 # -- presets ----------------------------------------------------------------------

@@ -132,6 +132,36 @@ def test_increment_moments(grid32):
     assert abs(eta_sum / n_draws) < 3.0 * np.sqrt(dt / n_draws)
 
 
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("cutoff", [2, 5])
+def test_increment_second_moment_is_exactly_trace_q_dt(monkeypatch, n, cutoff):
+    """dW is linear in the normals xi, so E |dW|^2_{L2} = dt sum_j |dW(e_j)|^2
+    over the unit vectors e_j of the velocity's normals: fed one at a time
+    through ``sample_increment``, the sum is TrQ dt to roundoff.  This is
+    the variance that the ledger's <u, dW> pairs with."""
+    import nsgl.noise
+
+    grid = SpectralGrid(n)
+    model = NoiseModel(grid=grid, mode_cutoff=cutoff, gamma=3.0, seed=0)
+    dt = 1e-2
+    n_normals = 2 * len(model.k_points)
+    unit = {"j": 0}
+
+    class UnitNormals:
+        def standard_normal(self, size):
+            xi = np.zeros(size)
+            xi[unit["j"]] = 1.0
+            return xi
+
+    monkeypatch.setattr(nsgl.noise, "_stream", lambda *args: UnitNormals())
+    mass = 0.0
+    for j in range(n_normals):
+        unit["j"] = j
+        mass += grid.l2_norm_spec(sample_increment(model, dt, 0).dW) ** 2
+    assert n_normals == model.n_basis
+    assert mass == pytest.approx(model.trace_q * dt, rel=1e-12, abs=0.0)
+
+
 def fresh_stream(model, step_index, level, slot):
     """The reference stream of a draw: a new Philox keyed (seed, path_id) at
     counter (0, slot, level, step_index)."""

@@ -52,7 +52,10 @@ def test_gl_params_validation():
         GLParams(epsilon=0.0)
     with pytest.raises(ValueError):
         GLParams(epsilon=-1.0)
+    with pytest.raises(ValueError, match="nonzero square"):
+        GLParams(epsilon=1e-300)  # epsilon**2 underflows to 0
     assert GLParams(epsilon=0.25).epsilon == 0.25
+    assert GLParams(epsilon=1e-160).epsilon == 1e-160  # a subnormal square
 
 
 def test_leray_properties(grid32, rng, make_velocity):

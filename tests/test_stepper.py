@@ -518,6 +518,56 @@ def test_ledger_transforms_follow_the_directions_h_varies_in(grid32, monkeypatch
     assert slices == counts
 
 
+def test_family_member_steps_skip_the_noise_ledger_transforms(grid32, monkeypatch):
+    """With h = cos x1, a family member-step takes 18 forward and 27 inverse
+    step slices, the count of a constant h: the family reads no member's
+    balance, so its members step without the noise ledger.  The steps of
+    ``run_path`` and ``run_ensemble`` keep the ledger's 21 + 30."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
+    cfg = StepperConfig(dt=1e-3, t_end=2e-3)
+    gl = GLParams(epsilon=0.4)
+    slices = count_slices(monkeypatch)
+    per_step = []
+    plain_step = experiments.step
+
+    def counting_step(*args, **kwargs):
+        before = dict(slices)
+        out = plain_step(*args, **kwargs)
+        assert out[1].n_substeps == 1
+        per_step.append((slices["forward"] - before["forward"],
+                         slices["inverse"] - before["inverse"]))
+        return out
+
+    monkeypatch.setattr(experiments, "step", counting_step)
+    experiments.run_path(cached_state(g), cfg, gl, noise)
+    assert per_step == [(21, 30)] * cfg.n_steps
+    per_step.clear()
+    experiments.run_ensemble(cached_state(g), cfg, gl, noise, n_paths=2)
+    assert per_step == [(21, 30)] * (2 * cfg.n_steps)
+    per_step.clear()
+    experiments.run_coupled_family(cached_state(g), cfg, (0.4, 0.2), noise, n_paths=1)
+    assert per_step == [(18, 27)] * (2 * cfg.n_steps)
+
+
+def test_step_without_the_noise_ledger_keeps_the_state_bits(grid32):
+    """``noise_ledger=False`` moves no bit of the stepped state, here with a
+    CFL-halved step, and returns NaN in the three noise sums beside the
+    counted substeps."""
+    g = grid32
+    noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "two_mode"))
+    cfg = StepperConfig(dt=1e-3, t_end=1e-3)
+    gl = GLParams(epsilon=0.4)
+    state = cached_state(g)
+    with_ledger, ledger = step(state, cfg, gl, noise, force_level=1)
+    without, bare = step(state, cfg, gl, noise, force_level=1, noise_ledger=False)
+    assert with_ledger.spec.tobytes() == without.spec.tobytes()
+    assert with_ledger.phys.tobytes() == without.phys.tobytes()
+    assert np.isfinite([ledger.u_dw, ledger.grad_cross_deta, ledger.cross_sq_dt]).all()
+    assert np.isnan([bare.u_dw, bare.grad_cross_deta, bare.cross_sq_dt]).all()
+    assert (bare.n_substeps, bare.level_max) == (ledger.n_substeps, ledger.level_max) == (2, 1)
+
+
 def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
     """The ledger leaves out the directions in which h does not vary.  For
     h = cos x1 it equals the two-direction formula bit for bit; for a
