@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid, random_band_limited, sobolev_norm
-from .operators import coupling_drift_spec, cross3, grad_pair, leray_project_spec
-from .stepper import gl_reaction_phys, rotate_phys
+from .grid import (SpectralGrid, grad_pair, leray_project_spec, random_band_limited,
+                   sobolev_norm)
+from .stepper import coupling_drift_spec, cross3, gl_reaction_phys, rotate_phys
 
 __all__ = [
     "CheckResult",

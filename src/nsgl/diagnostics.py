@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grid import SpectralGrid
-from .operators import GLParams
-from .stepper import SimState, StepLedger
+from .stepper import GLParams, SimState, StepLedger
 
 __all__ = ["EnergyReport", "CoveringSet", "RunTrace", "energy_report"]
 
@@ -333,6 +332,12 @@ class RunTrace:
         res = last.energy_E - self.e0 + 2.0 * self.int_d \
             - self.trace_q_eff * (last.t - self.t0)
         return res - 2.0 * self.sum_u_dw - 2.0 * self.sum_grad_cross - self.sum_cross_sq
+
+    @property
+    def balance(self) -> float:
+        """``residual`` with its two martingale sums added back: the ensemble's
+        balance statistic, of mean zero up to the discretization error."""
+        return self.residual + 2.0 * self.sum_u_dw + 2.0 * self.sum_grad_cross
 
     def ls_ratio(self, radius: float) -> tuple[float, float, float]:
         """Empirical envelope of the interpolation inequality

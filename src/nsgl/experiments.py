@@ -15,8 +15,7 @@ import numpy as np
 from .diagnostics import CoveringSet, RunTrace, energy_report
 from .grid import CHUNK_BYTES, sobolev_norm
 from .noise import NoiseModel
-from .operators import GLParams
-from .stepper import SimState, StepperConfig, required_level, step
+from .stepper import GLParams, SimState, StepperConfig, required_level, step
 
 __all__ = [
     "NumericsError",
@@ -41,7 +40,9 @@ def resolve_stop_delta(delta, initial_energy: float) -> float:
 
 
 def _check_finite(report, t):
-    if not (np.isfinite(report.energy_E) and np.isfinite(report.max_abs_n)):
+    # a trace folds E and D into its balance (D through its integral), max |n| into its sup
+    if not (np.isfinite(report.energy_E) and np.isfinite(report.enstrophy_D)
+            and np.isfinite(report.max_abs_n)):
         raise NumericsError(f"state lost finiteness at t={t:.6g}")
 
 
@@ -438,8 +439,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
         for p, path in enumerate(group, first):
             trace = path.trace
             sup_e[p], e_final[p], int_d[p] = trace.sup_e, trace.last.energy_E, trace.int_d
-            residual[p] = res = trace.residual
-            balance[p] = res + 2.0 * trace.sum_u_dw + 2.0 * trace.sum_grad_cross
+            residual[p], balance[p] = trace.residual, trace.balance
             max_n = max(max_n, trace.max_n)
     return EnsembleReport(
         n_paths=n_paths, t_end=cfg.t_end,

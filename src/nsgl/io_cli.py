@@ -44,10 +44,9 @@ from .experiments import (
     run_ensemble,
     run_path,
 )
-from .grid import SpectralGrid, random_band_limited
+from .grid import SpectralGrid, leray_project_spec, random_band_limited
 from .noise import NoiseModel
-from .operators import GLParams, leray_project_spec
-from .stepper import CflError, SimState, StepperConfig
+from .stepper import CflError, GLParams, SimState, StepperConfig
 
 __all__ = [
     "ConfigError",

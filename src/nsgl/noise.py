@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import SpectralGrid
-from .operators import grad_pair
+from .grid import SpectralGrid, grad_pair
 
 __all__ = ["NoiseModel", "sample_increment"]
 

@@ -9,7 +9,9 @@ Diffusion (heat multiplier), the radial reaction map, and the rotation are
 evaluated exactly; the central exchange stage uses an explicit midpoint rule
 for the transport/stress drift with the Wiener increment added at the end,
 so the composite is second order deterministically and the discrete energy
-ledger closes at order dt^2.  The state is two stacks (``SimState``): the
+ledger closes at order dt^2.  Transport and stress exist only in that
+drift kernel, ``coupling_drift_spec``, dealiased by the 2/3 rule and
+checked by ``nsgl.checks``.  The state is two stacks (``SimState``): the
 (5, N, N/2+1) half spectra of u and n, which a step builds as one array,
 and their (5, N, N) grid values, one ``to_phys`` of it.
 
@@ -30,16 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, leray_project_spec
 from .noise import NoiseModel, sample_increment
-from .operators import (
-    GLParams,
-    coupling_drift_spec,
-    cross3,
-    leray_project_spec,
-)
 
 __all__ = [
+    "GLParams",
     "StepperConfig",
     "SimState",
     "StepLedger",
@@ -49,10 +46,24 @@ __all__ = [
     "diffuse_spec",
     "gl_reaction_phys",
     "rotate_phys",
+    "coupling_drift_spec",
+    "cross3",
 ]
 
 class CflError(RuntimeError):
     """Raised when halving the step max_halvings times still violates CFL."""
+
+
+@dataclass(frozen=True)
+class GLParams:
+    """Relaxation parameters: penalty f(n) = (1/epsilon^2)(1-|n|^2) n."""
+
+    epsilon: float
+
+    def __post_init__(self):
+        # the penalty and the report divide by epsilon^2, so it must not underflow
+        if not (self.epsilon > 0.0 and self.epsilon**2 > 0.0):
+            raise ValueError(f"gl.epsilon must be > 0 with a nonzero square, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,16 @@ def gl_reaction_phys(n_phys: np.ndarray, dt: float, epsilon: float, out=None) ->
     return np.divide(n_phys, np.sqrt(denom), out=out)
 
 
+def cross3(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Cross product of (3, ...) component stacks, into ``out`` when given."""
+    if out is None:
+        out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
+    np.subtract(a[1] * b[2], a[2] * b[1], out=out[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=out[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=out[2])
+    return out
+
+
 def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float, out=None,
                 h_index=None) -> np.ndarray:
     """Exact flow of dn = (n x h) deta: rotation by -|h| deta about h/|h|.
@@ -189,6 +210,51 @@ def rotate_phys(n_phys: np.ndarray, h_unit, h_mag, d_eta: float, out=None,
     axn = cross3(h_unit, n_phys)
     adotn = (h_unit * n_phys).sum(axis=0)
     return np.add(n_phys * c + axn * s, h_unit * (adotn * (1.0 - c)), out=out)
+
+
+def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
+    """Minus the drift of the exchange stage on the (5, N, N/2+1) stack of u
+    then n: r = (P div(u (x) u + grad n (.) grad n), (u.grad) n), drift = -r.
+
+    The velocity transport is taken in conservative form: for a solenoidal u
+    inside the 2/3 band, the dealiased div(u (x) u) equals the dealiased
+    (u.grad) u to roundoff, so u's convection and the Ericksen stress are one
+    symmetric tensor sigma with a single divergence and a single projection.
+    Every u that reaches the exchange stage meets that precondition: the
+    initial velocity, the noise increments and the exchange output are all
+    dealiased and solenoidal.  n is not band-limited, so its transport keeps
+    the advective form.  Each direction is one stacked transform stage: u
+    and grad n go back to the grid in place (8 slices), and the three entries
+    of sigma and the n transport come forward together (6 slices).  The
+    inverse stack is laid out as (d1 n, u1; d2 n, u2), so that sigma_12 is
+    one product summed over its 4 components and sigma_11, sigma_22 one
+    square summed over them.
+
+    This is the package's only transport and stress kernel: gate 1 and
+    ``nsgl check`` evaluate it for the skew transport of u and n and for the
+    stress/transport energy pairing.
+    """
+    back = np.empty((2, 4, *spec.shape[1:]), np.complex128)
+    for i in range(2):  # a contiguous out: a strided one makes numpy buffer the product
+        np.multiply(grid.grad_c[i], spec[2:], out=back[i, :3])
+    back[:, 3] = spec[:2]
+    a = grid.to_phys(back, in_place=True)
+    forward = np.empty((6, *a.shape[2:]))
+    np.multiply(a[0], a[1], out=forward[2:]).sum(axis=0, out=forward[1])
+    np.multiply(a[0, 3], a[0, :3], out=forward[3:])
+    forward[3:] += a[1, 3] * a[1, :3]
+    np.square(a, out=a).sum(axis=1, out=forward[0:3:2])
+    del back, a
+    t = grid.to_spec(forward)
+    del forward
+    r = np.empty(spec.shape, np.complex128)
+    sigma = t[:3]
+    sigma *= grid.dealias_c
+    np.multiply(grid.grad_c[0], sigma[:2], out=r[:2])  # d1 sigma_11, d1 sigma_12
+    r[:2] += grid.grad_c[1] * sigma[1:]  # + d2 sigma_12, d2 sigma_22
+    leray_project_spec(grid, r[:2], out=r[:2])
+    np.multiply(t[3:], grid.dealias_c, out=r[2:])
+    return r
 
 
 def midpoint_exchange(grid, spec, dt):

@@ -6,8 +6,7 @@ A velocity factory gives a (2, N, N/2+1) half spectrum, a director factory
 import numpy as np
 import pytest
 
-from nsgl.grid import SpectralGrid, random_band_limited
-from nsgl.operators import leray_project_spec
+from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited
 from nsgl.stepper import SimState
 
 

@@ -18,11 +18,11 @@ import pytest
 from nsgl.checks import _rk4_logistic, run_identity_checks
 from nsgl.diagnostics import CoveringSet
 from nsgl.experiments import run_coupled_family, run_ensemble, run_path
-from nsgl.grid import SpectralGrid, random_band_limited
+from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited
 from nsgl.io_cli import main
 from nsgl.noise import NoiseModel
-from nsgl.operators import GLParams, leray_project_spec
 from nsgl.stepper import (
+    GLParams,
     SimState,
     StepperConfig,
     diffuse_spec,

@@ -10,10 +10,9 @@ import pytest
 import nsgl.experiments as experiments
 from nsgl.diagnostics import MONITORS, CoveringSet, EnergyReport, RunTrace, energy_report
 from nsgl.experiments import run_path
-from nsgl.grid import SpectralGrid, random_band_limited
+from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited
 from nsgl.noise import NoiseModel
-from nsgl.operators import GLParams, leray_project_spec
-from nsgl.stepper import SimState, StepperConfig, StepLedger, step
+from nsgl.stepper import GLParams, SimState, StepperConfig, StepLedger, step
 
 PI = np.pi
 

@@ -22,8 +22,7 @@ from nsgl.experiments import (
     run_path,
 )
 from nsgl.noise import NoiseModel
-from nsgl.operators import GLParams
-from nsgl.stepper import SimState, StepperConfig
+from nsgl.stepper import GLParams, SimState, StepperConfig
 
 
 def quiet_noise(grid, **kw):

@@ -9,11 +9,11 @@ import nsgl.grid
 from nsgl.grid import (
     CHUNK_BYTES,
     SpectralGrid,
+    grad_pair,
     random_band_limited,
     sobolev_norm,
 )
 from nsgl.io_cli import _conj_symmetry_defect
-from nsgl.operators import grad_pair
 
 
 def test_n_modes_must_be_even_and_at_least_16():

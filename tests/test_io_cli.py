@@ -30,9 +30,8 @@ from nsgl.io_cli import (
     save_checkpoint,
 )
 from nsgl.experiments import run_path
-from nsgl.operators import GLParams
 from nsgl.noise import NoiseModel
-from nsgl.stepper import SimState
+from nsgl.stepper import GLParams, SimState
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -267,7 +266,10 @@ def test_cli_refuses_a_non_finite_eps_family(tmp_path, capsys, family):
 def test_cli_refuses_an_epsilon_whose_square_underflows(tmp_path, capsys, command, key):
     """An epsilon whose square is 0 (1e-300) divided the report by zero: it
     is a config error, one line and exit 1.  1e-160, whose square is
-    subnormal, still runs."""
+    subnormal, is no config error and runs; where the run reads it, the
+    first roundoff defect of |n| makes the report's D = |lap n + f(n)|^2
+    overflow, so it ends as a numerical failure (exit 2).  ``converge``
+    reads ``eps_family``, not ``gl.epsilon``."""
     def body(eps):
         text = SMALL_RUN.replace("n0 = circle_x1", "n0 = constant_e3") \
             + "[ensemble]\nn_paths = 1\n[convergence]\nn_paths = 1\n"
@@ -282,8 +284,29 @@ def test_cli_refuses_an_epsilon_whose_square_underflows(tmp_path, capsys, comman
                                               else "convergence.eps_family"))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the report overflows
-        assert main([command, "-c", write_config(tmp_path, body("1e-160"))]) == 0
-    assert "config error" not in capsys.readouterr().err
+        code = main([command, "-c", write_config(tmp_path, body("1e-160"))])
+    err = capsys.readouterr().err
+    assert "config error" not in err
+    if (command, key) == ("converge", "epsilon"):
+        assert code == 0
+    else:
+        assert code == 2 and err.startswith("numerical failure: ")
+
+
+def test_cli_ends_a_run_whose_dissipation_overflows(tmp_path, capsys):
+    """At epsilon = 1e-160 the report's D overflows after the first step.
+    ``ensemble`` used to exit 0 printing E[int D] = inf and an infinite
+    balance; a report with an infinite D now ends the run as a numerical
+    failure: exit 2, nothing on stdout, one stderr line."""
+    body = ("[grid]\nn_modes = 16\n[stepper]\nt_end = 0.02\n[gl]\nepsilon = 1e-160\n"
+            "[ensemble]\nn_paths = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the report overflows
+        code = main(["ensemble", "-c", write_config(tmp_path, body)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: state lost finiteness at t=") \
+        and err.count("\n") == 1
 
 
 # -- presets ----------------------------------------------------------------------
@@ -417,8 +440,7 @@ def test_single_mode_axis_profile(tmp_path):
 
 def small_state(grid16, seed=3):
     rng = np.random.default_rng(seed)
-    from nsgl.grid import random_band_limited
-    from nsgl.operators import leray_project_spec
+    from nsgl.grid import leray_project_spec, random_band_limited
 
     u = random_band_limited(grid16, 2, 4, rng, 0.3)
     u_spec = grid16.dealias(leray_project_spec(grid16, grid16.to_spec(u)))

@@ -9,15 +9,14 @@ import pytest
 
 from nsgl.checks import bilaplacian_identity_residual
 from nsgl.diagnostics import energy_report
-from nsgl.grid import SpectralGrid, random_band_limited, sobolev_norm
-from nsgl.operators import (
-    GLParams,
-    coupling_drift_spec,
-    cross3,
+from nsgl.grid import (
+    SpectralGrid,
     grad_pair,
     leray_project_spec,
+    random_band_limited,
+    sobolev_norm,
 )
-from nsgl.stepper import SimState
+from nsgl.stepper import GLParams, SimState, coupling_drift_spec, cross3
 
 PI = np.pi
 

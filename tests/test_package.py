@@ -1,5 +1,5 @@
-"""The public surface: every exported name exists, and ``python3 -m nsgl``
-runs the command line."""
+"""The public surface: every exported name exists, the modules import as
+one chain, and ``python3 -m nsgl`` runs the command line."""
 
 import importlib
 import os
@@ -8,8 +8,8 @@ import sys
 
 import pytest
 
-MODULES = ["nsgl", "nsgl.grid", "nsgl.operators", "nsgl.noise", "nsgl.stepper",
-           "nsgl.diagnostics", "nsgl.experiments", "nsgl.checks", "nsgl.io_cli"]
+MODULES = ["nsgl", "nsgl.grid", "nsgl.noise", "nsgl.stepper", "nsgl.diagnostics",
+           "nsgl.experiments", "nsgl.checks", "nsgl.io_cli"]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -20,26 +20,52 @@ def test_every_exported_name_resolves(name):
     assert missing == []
 
 
+def child_env():
+    """The environment of a child interpreter that imports the package
+    from the tree under test."""
+    import nsgl
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(nsgl.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_the_modules_import_as_one_chain():
+    """In a fresh interpreter, each module in the chain grid -> noise ->
+    stepper -> checks -> diagnostics -> experiments -> io_cli loads no nsgl
+    module after it: ``import nsgl`` loads no submodule, ``nsgl.grid`` no
+    other nsgl module, and ``nsgl.noise`` only ``nsgl.grid``."""
+    chain = ["nsgl.grid", "nsgl.noise", "nsgl.stepper", "nsgl.checks", "nsgl.diagnostics",
+             "nsgl.experiments", "nsgl.io_cli"]
+    script = ("import importlib, sys\n"
+              "for name in sys.argv[1:]:\n"
+              "    importlib.import_module(name)\n"
+              "    print(*sorted(m for m in sys.modules if m.startswith('nsgl.')))\n")
+    done = subprocess.run([sys.executable, "-c", script, "nsgl", *chain], capture_output=True,
+                          text=True, env=child_env(), timeout=120, check=True)
+    loaded = [line.split() for line in done.stdout.splitlines()]
+    assert loaded == [sorted(chain[:i]) for i in range(len(chain) + 1)]
+
+
 def nsgl_command(tmp_path, command, ini_text):
     """``python3 -m nsgl COMMAND -c INI`` argv and environment, the package
     taken from the tree under test."""
-    import nsgl
-
     ini = tmp_path / "run.ini"
     ini.write_text(ini_text, encoding="utf-8")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(nsgl.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return [sys.executable, "-m", "nsgl", command, "-c", str(ini)], env
+    return [sys.executable, "-m", "nsgl", command, "-c", str(ini)], child_env()
 
 
 def test_python_m_nsgl_runs_the_cli_without_warnings(tmp_path):
-    """``python3 -m nsgl`` is the CLI: exit 0 and nothing on stderr."""
+    """``python3 -m nsgl`` and ``python3 -m nsgl.io_cli`` are the CLI: exit 0
+    and nothing on stderr (runpy warns when the package has imported the
+    module it is asked to run)."""
     argv, env = nsgl_command(tmp_path, "dump-config", "[grid]\nn_modes = 16\n")
-    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
-    assert done.returncode == 0
-    assert done.stderr == ""
-    assert "n_modes = 16" in done.stdout
+    for module in ("nsgl", "nsgl.io_cli"):
+        argv[2] = module
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0
+        assert done.stderr == ""
+        assert "n_modes = 16" in done.stdout
 
 
 def test_single_path_ensemble_reports_nan_se_without_warnings(tmp_path):

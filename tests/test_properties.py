@@ -17,7 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from nsgl.grid import SpectralGrid, random_band_limited  # noqa: E402
+from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited  # noqa: E402
 from nsgl.diagnostics import RunTrace  # noqa: E402
 from nsgl.io_cli import (  # noqa: E402
     _CKPT_TRACE,
@@ -30,8 +30,7 @@ from nsgl.io_cli import (  # noqa: E402
     save_checkpoint,
 )
 from nsgl.noise import NoiseModel  # noqa: E402
-from nsgl.operators import GLParams, cross3, leray_project_spec  # noqa: E402
-from nsgl.stepper import SimState, StepperConfig, step  # noqa: E402
+from nsgl.stepper import GLParams, SimState, StepperConfig, cross3, step  # noqa: E402
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 GRIDS = {n: SpectralGrid(n) for n in (16, 32)}

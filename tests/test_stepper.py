@@ -9,11 +9,11 @@ import pytest
 import nsgl.experiments as experiments
 import nsgl.grid
 from nsgl.diagnostics import energy_report
-from nsgl.grid import SpectralGrid, random_band_limited
+from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited
 from nsgl.noise import NoiseModel, sample_increment
-from nsgl.operators import GLParams, leray_project_spec
 from nsgl.stepper import (
     CflError,
+    GLParams,
     SimState,
     StepperConfig,
     diffuse_spec,
@@ -572,7 +572,8 @@ def test_director_noise_ledger_skips_only_exact_zeros(grid32, monkeypatch):
     """The ledger leaves out the directions in which h does not vary.  For
     h = cos x1 it equals the two-direction formula bit for bit; for a
     constant h it runs no transform and both terms stay exactly 0.0."""
-    from nsgl.operators import cross3, grad_pair
+    from nsgl.grid import grad_pair
+    from nsgl.stepper import cross3
     from nsgl.stepper import StepLedger, _director_noise
 
     g = grid32
@@ -608,7 +609,7 @@ def test_director_noise_rotation_first_keeps_the_bits(grid32, profile):
     directors forward in one call.  Its ledger sums and rotated spectrum
     equal, bit for bit, those of the ledger-first order: n forward alone,
     the sums, then the rotation and its own forward transform."""
-    from nsgl.operators import cross3
+    from nsgl.stepper import cross3
     from nsgl.stepper import StepLedger, _director_noise
 
     g = grid32

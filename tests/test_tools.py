@@ -106,3 +106,32 @@ def test_bench_pairs_refuses_a_tree_without_the_benchmark(tmp_path):
                           str(tmp_path), str(ROOT), "--workload", "ensemble-n32"],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "no perfbench/run.py under" in out.stderr
+
+
+def test_the_benchmark_tracer_finds_the_names_it_wraps(monkeypatch):
+    """Every name ``perfbench/tracer.py`` wraps resolves, as ``install``
+    resolves it (without wrapping), except two stale entries it records as
+    absent.  The tracer records a missing name and runs on, so without this
+    test a module move that loses a wrapped name would go unnoticed."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))  # the tracer imports ``stats``
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+
+    def absent(wraps):
+        missing = set()
+        for module, attr_path, _, _ in wraps:
+            try:
+                owner = importlib.import_module(module)
+            except ImportError:
+                owner = None
+            for part in attr_path.split("."):
+                owner = getattr(owner, part, None) if owner is not None else None
+            if not callable(owner):
+                missing.add(f"{module}.{attr_path}")
+        return missing
+
+    assert absent(tracer.WRAPS) == {"nsgl.experiments.sample_increment",
+                                    "nsgl.operators.leray_project_spec"}
+    assert absent(tracer.PLAIN_WRAPS) == set()
