@@ -156,11 +156,18 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
     its state alone.  Returns an EnergyReport, or a list of them in the
     order of the states.
 
-    The grid values of d1 n, d2 n and lap n are squared in place once read;
-    the report hands none of them out.  ``monitors=False`` leaves the fields
-    ``MONITORS`` names at NaN, and so takes no transform of ``w = |n|^2``:
-    a report for a caller that folds only the balance (``RunTrace`` without
-    stop detectors).  Every other field keeps its bits.
+    The integrals of |grad u|^2, |grad n|^2 and |grad |n|^2|^2 are
+    Parseval sums over half spectra (``SpectralGrid.grad_weight``): u's and
+    n's, which a state carries, and that of ``w = |n|^2``.  Only lap n, and
+    with a covering d1 n and d2 n, go back to the grid; their grid values
+    are squared in place once read, and the report hands none of them out.
+    The covering's local maxima and ``grad_n_L4`` are the pointwise readers
+    of |grad n|^2, so without a covering ``grad_n_L4`` is NaN, as the local
+    maxima are: the local-smallness integral it feeds needs the covering.
+    ``monitors=False`` leaves the fields ``MONITORS`` names at NaN, and so
+    takes no transform of ``w``: a report for a caller that folds only the
+    balance (``RunTrace`` without stop detectors).  Every other field keeps
+    its bits.
     """
     group = not isinstance(state, SimState)
     states = list(state) if group else [state]
@@ -175,38 +182,38 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
     def integrals(x):  # per path: g.integrate of its own (..., N, N) part
         return [v * qw for v in x.sum(axis=tuple(range(1, x.ndim))).tolist()]
 
-    # a stepped state carries its spectra, so only w = |n|^2 goes forward,
-    # for the monitors.  One stack goes back in place, per path d1 n, d2 n,
-    # lap n (, d1 w, d2 w).  It is the report's memory peak, so the stacked
-    # spectra are dropped before it, and the grid values stacked after it
+    def grad_integrals(c):  # per path: int |grad f|^2 of its (..., N, N/2+1) spectra
+        sums = (g.grad_weight * abs(c) ** 2).sum(axis=tuple(range(1, c.ndim)))
+        return [(2.0 * np.pi) ** 2 * v for v in sums.tolist()]
+
+    # a stepped state carries its spectra, so only w goes forward, for the
+    # monitors.  One stack goes back in place, per path (d1 n, d2 n,) lap n.
+    # It is the report's memory peak, so the stacked spectra are dropped
+    # before it, and the grid values stacked after it
     spec = _stack([s.spec for s in states])
-    back = np.empty((paths, 11 if monitors else 9, *g.spec_shape), np.complex128)
+    kinds = g.dlap_c if covering is not None else g.dlap_c[2:]
+    back = np.empty((paths, len(kinds), 3, *g.spec_shape), np.complex128)
     # one multiply per path and derivative kind, into its contiguous (3, N,
     # N/2+1) part of back: a strided operand or out makes numpy buffer it
-    derivs = back[:, :9].reshape(paths, 3, 3, *g.spec_shape, copy=False)
-    for s, d in zip(states, derivs):
-        for op, d_kind in zip(g.dlap_c, d):
+    for s, d in zip(states, back):
+        for op, d_kind in zip(kinds, d):
             np.multiply(op, s.n_spec, out=d_kind)
-    grad_u_sq = (g.herm_weight * (g.k2 * abs(spec[:, :2]) ** 2)).sum(axis=(1, 2, 3)).tolist()
+    grad_u_sq, grad_n_sq = grad_integrals(spec[:, :2]), grad_integrals(spec[:, 2:])
     del spec
     w = np.empty((paths, g.n_modes, g.n_modes))
     for s, w_path in zip(states, w):
         np.square(s.n_phys).sum(axis=0, out=w_path)
     if monitors:
-        np.multiply(g.grad_c[:, 0], g.to_spec(w)[:, None], out=back[:, 9:])
+        grad_w_sq = grad_integrals(g.to_spec(w))
     d = g.to_phys(back, in_place=True)
     del back
     phys = _stack([s.phys for s in states])
     u2 = np.square(phys[:, :2]).sum(axis=1)
     defect = 1.0 - w
     defect_sq = integrals(np.square(defect))
-    grad_n = d[:, :6].reshape(paths, 2, 3, *d.shape[2:], copy=False)
-    lap_n = d[:, 6:9]
+    lap_n = d[:, -1]
     if monitors:
-        grad_w = d[:, 9:]
-        grad_w_sq = integrals(grad_w * grad_w)
         w_min, u_max = w.min(axis=(1, 2)).tolist(), np.sqrt(u2).max(axis=(1, 2)).tolist()
-    gn2 = np.square(grad_n, out=grad_n).sum(axis=(1, 2))
     relax = np.multiply(defect[:, None], phys[:, 2:])  # f(n) = (1 - |n|^2) n / eps^2
     del phys
     relax /= eps2[:, None]
@@ -214,10 +221,12 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
     relax_sq = integrals(np.square(relax, out=relax).sum(axis=1))
     del relax
     lap_sq = integrals(np.square(lap_n, out=lap_n).sum(axis=1))
-    u_sq, grad_n_sq = integrals(u2), integrals(gn2)
+    u_sq = integrals(u2)
 
-    loc = [(math.nan, math.nan)] * paths
+    loc, l4 = [(math.nan, math.nan)] * paths, [math.nan] * paths
     if covering is not None:
+        grad_n = d[:, :2]
+        gn2 = np.square(grad_n, out=grad_n).sum(axis=(1, 2))
         # density of the monitored energy.  The quartic well enters with
         # weight 2: that is the unique weight for which the time derivative
         # of the total pairs exactly with -2 times the enstrophy, turning the
@@ -226,7 +235,7 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
         e_point = u2 + gn2 + np.square(defect, out=defect) / (2.0 * eps2)
         loc = [(covering.local_maxima(e), covering.local_maxima(g2))
                for e, g2 in zip(e_point, gn2)]
-    l4 = integrals(np.square(gn2, out=gn2))
+        l4 = [v ** 0.25 for v in integrals(np.square(gn2, out=gn2))]
     w_max = w.max(axis=(1, 2)).tolist()
 
     reps = []
@@ -239,17 +248,16 @@ def energy_report(state, gl, covering: CoveringSet | None = None, monitors: bool
             div_defect=g.divergence_defect(s.u_spec),
         )
         gl_mass = defect_sq[p] / (4.0 * x.epsilon**2)
-        grad_u = (2.0 * np.pi) ** 2 * grad_u_sq[p]
         reps.append(EnergyReport(
             step=s.step,
             t=s.t,
             energy_E=u_sq[p] + grad_n_sq[p] + 2.0 * gl_mass,
-            enstrophy_D=grad_u + relax_sq[p],
+            enstrophy_D=grad_u_sq[p] + relax_sq[p],
             gl_mass=gl_mass,
             lambda1=0.5 * lap_sq[p],
-            lambda2=0.5 * grad_u,
+            lambda2=0.5 * grad_u_sq[p],
             max_abs_n=math.sqrt(w_max[p]),
-            grad_n_L4=l4[p] ** 0.25,
+            grad_n_L4=l4[p],
             u_sq=u_sq[p],
             grad_n_sq=grad_n_sq[p],
             local_energy_max=loc[p][0],
@@ -296,7 +304,10 @@ class RunTrace:
         else:
             dt = report.t - prev.t
             self.int_d += 0.5 * (report.enstrophy_D + prev.enstrophy_D) * dt
-            self.ls_l4 += dt * (report.grad_n_L4**4 + prev.grad_n_L4**4) / 2.0
+            # grad_n_L4 is NaN without a covering; ls_l4 then stays 0, as
+            # ls_sup does, and a checkpoint of the trace stays finite
+            if not math.isnan(report.grad_n_L4):
+                self.ls_l4 += dt * (report.grad_n_L4**4 + prev.grad_n_L4**4) / 2.0
             self.ls_lap += dt * (2.0 * report.lambda1 + 2.0 * prev.lambda1) / 2.0
             self.ls_grad += dt * (report.grad_n_sq + prev.grad_n_sq) / 2.0
         if ledger is not None:

@@ -8,6 +8,7 @@ parameter.  The smallest epsilon acts as the reference trajectory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,20 @@ def resolve_stop_delta(delta, initial_energy: float) -> float:
     return float(delta)
 
 
-def _check_finite(report, t):
-    # a trace folds E and D into its balance (D through its integral), max |n| into its sup
-    if not (np.isfinite(report.energy_E) and np.isfinite(report.enstrophy_D)
-            and np.isfinite(report.max_abs_n)):
-        raise NumericsError(f"state lost finiteness at t={t:.6g}")
+def _check_finite(report, state):
+    """Raise a NumericsError naming the first non-finite value among the
+    state's spectra and the report's E, D and max |n|, the numbers a trace
+    folds (D through its integral).  The spectra are tested only once one
+    of the three is not finite."""
+    if (math.isfinite(report.energy_E) and math.isfinite(report.enstrophy_D)
+            and math.isfinite(report.max_abs_n)):
+        return
+    if not np.isfinite(state.spec).all():
+        raise NumericsError(f"state lost finiteness at t={state.t:.6g}")
+    name = next(k for k in ("energy_E", "enstrophy_D", "max_abs_n")
+                if not math.isfinite(getattr(report, k)))
+    raise NumericsError(f"report {name} = {getattr(report, name)} at t={state.t:.6g}, "
+                        f"from a finite state")
 
 
 class _Path:
@@ -117,7 +127,7 @@ def _report(paths: list) -> list:
     reps = energy_report([p.state for p in paths], [p.gl for p in paths], head.covering,
                          monitors=head.monitors)
     for path, rep in zip(paths, reps):
-        _check_finite(rep, path.state.t)
+        _check_finite(rep, path.state)
     return reps
 
 

@@ -87,7 +87,11 @@ class SpectralGrid:
     projection's divisor, in complex128.  ``dealias_mask`` keeps |k1|, |k2| <= N/3.  ``diff_mask``
     kills the unpaired Nyquist lines, the k1 = -N/2 row and the k2 = N/2
     column, after every differentiation.  ``herm_weight`` (shape
-    (1, N/2+1)) weights half-spectrum sums so they equal full-spectrum sums.
+    (1, N/2+1)) weights half-spectrum sums so they equal full-spectrum sums,
+    and ``grad_weight`` = herm_weight * k2 * diff_mask (shape (N, N/2+1))
+    is the weight that makes (2 pi)^2 sum grad_weight |c|^2 the L2 norm
+    squared of the gradient the tables take: by Parseval, the grid
+    quadrature of |grad f|^2 up to roundoff, with no transform.
 
     The tables a step multiplies spectra by are held in complex128, the
     spectra's dtype, so no call casts a bool or float table first:
@@ -114,6 +118,7 @@ class SpectralGrid:
     dealias_mask: np.ndarray = field(init=False, repr=False, compare=False)
     diff_mask: np.ndarray = field(init=False, repr=False, compare=False)
     herm_weight: np.ndarray = field(init=False, repr=False, compare=False)
+    grad_weight: np.ndarray = field(init=False, repr=False, compare=False)
     dealias_c: np.ndarray = field(init=False, repr=False, compare=False)
     dlap_c: np.ndarray = field(init=False, repr=False, compare=False)
     grad_c: np.ndarray = field(init=False, repr=False, compare=False)
@@ -138,6 +143,7 @@ class SpectralGrid:
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
             ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2).astype(c)),
             ("dealias_mask", dealias), ("diff_mask", diff), ("herm_weight", weight),
+            ("grad_weight", weight * k2 * diff),
             ("dealias_c", dealias.astype(c)), ("dlap_c", dlap), ("grad_c", dlap[:2]),
             ("k_c", np.stack(np.broadcast_arrays(kx, ky)).astype(c)),
         ]:

@@ -731,9 +731,12 @@ def main(argv=None) -> int:
             code = _cmd_check(args)
         else:
             # called through the module globals: perfbench/tracer.py times
-            # both by rebinding nsgl.io_cli.load_config and build_components
-            bundle = build_components(load_config(args.config))
-            code = _CONFIG_COMMANDS[args.command](args, bundle)
+            # both by rebinding nsgl.io_cli.load_config and build_components.
+            # numpy's floating-point warnings are off: a non-finite result
+            # that matters ends the run as one NumericsError line below
+            with np.errstate(all="ignore"):
+                bundle = build_components(load_config(args.config))
+                code = _CONFIG_COMMANDS[args.command](args, bundle)
         sys.stdout.flush()  # a reader that went away shows here, not at exit
         return code
     except _UsageError as exc:

@@ -213,6 +213,38 @@ def test_report_reuses_w_and_u_squared_bitwise(grid32, rng, make_state):
     assert rep.local_energy_max == cov.local_maxima(e_point)
 
 
+@pytest.mark.parametrize("n", [16, 32, 128])
+def test_gradient_integrals_come_off_the_half_spectrum(n, make_state):
+    """Parseval: the report's int |grad n|^2 and (1/eps) |grad |n|^2|, sums
+    over half spectra, equal the grid quadrature of the derivatives sent
+    back to the grid, to 1e-14 relative, on a director with content up to
+    the Nyquist lines (e3 plus white noise, not band-limited).  ``grad_n_L4``
+    reads grad n pointwise, so it is NaN without a covering and finite with
+    one, where every other field keeps its bits."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(11 * n)
+    u_spec = leray_project_spec(g, g.to_spec(random_band_limited(g, 2, 5, rng, 0.5)))
+    n_phys = 0.3 * rng.standard_normal((3, n, n)) + np.array([0.0, 0.0, 1.0])[:, None, None]
+    state = make_state(g, u_spec, n_phys)
+    gl = GLParams(epsilon=0.3)
+    rep = energy_report(state, gl)
+    grad_n_sq = g.integrate(np.square(g.to_phys(g.grad_c * state.n_spec)))
+    w = np.square(n_phys).sum(axis=0)
+    grad_w_sq = g.integrate(np.square(g.to_phys(g.grad_c[:, 0] * g.to_spec(w))))
+    assert rep.grad_n_sq == pytest.approx(grad_n_sq, rel=1e-14, abs=0.0)
+    assert rep.eps_grad_defect == pytest.approx(math.sqrt(grad_w_sq) / gl.epsilon,
+                                                rel=1e-14, abs=0.0)
+    assert rep.energy_E == pytest.approx(rep.u_sq + grad_n_sq + 2.0 * rep.gl_mass,
+                                         rel=1e-14, abs=0.0)
+    covered = energy_report(state, gl, CoveringSet(g, radius=np.pi / 8))
+    assert math.isnan(rep.grad_n_L4) and math.isfinite(covered.grad_n_L4)
+    assert covered.grad_n_L4 > 0.0
+    for f in dataclasses.fields(EnergyReport):
+        if f.name not in ("grad_n_L4", "local_energy_max", "local_grad_max"):
+            assert np.float64(getattr(covered, f.name)).tobytes() == \
+                np.float64(getattr(rep, f.name)).tobytes(), f.name
+
+
 @pytest.mark.parametrize("n", [16, 32, 64, 128])
 def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
     """``monitors=False`` leaves the five state monitors at NaN and every
@@ -236,7 +268,7 @@ def test_report_without_monitors_keeps_every_other_field_bitwise(n, make_state):
         else:
             assert np.float64(got).tobytes() == np.float64(getattr(full, f.name)).tobytes(), \
                 f.name
-    assert rep.energy_E > 0.0 and rep.grad_n_L4 > 0.0 and rep.lambda1 > 0.0
+    assert rep.energy_E > 0.0 and math.isnan(rep.grad_n_L4) and rep.lambda1 > 0.0  # no covering
 
 
 @pytest.mark.parametrize("n", [16, 32, 128])
@@ -280,8 +312,9 @@ def test_group_report_equals_one_report_per_state(n, make_state):
 def test_report_derivative_multiplies_stay_off_numpy_buffers(paths, grid32, make_state,
                                                              monkeypatch):
     """At N = 32 the report's derivative multiplies (d1 n, d2 n, lap n of
-    each state) write contiguous parts of the back stack from contiguous
-    operands, for one state and for the ensemble's group of 2.  Each traces
+    each state, as a report with a covering takes them) write contiguous
+    parts of the back stack from contiguous operands, for one state and for
+    a group of 2 states.  Each traces
     at most 32 KiB: 27,704 B measured, the 3-slice buffer numpy keeps for
     the (1, N, N/2+1) multiplier it broadcasts over the 3 components.  The
     one broadcast call over every state and kind it replaces traced
@@ -312,12 +345,13 @@ def test_report_derivative_multiplies_stay_off_numpy_buffers(paths, grid32, make
             written.append(out.size)
             return out
 
-    gl = GLParams(epsilon=0.3)
-    expected = [energy_report(s, gl) for s in states]
+    gl, cov = GLParams(epsilon=0.3), CoveringSet(g, np.pi / 8)
+    expected = [energy_report(s, gl, cov) for s in states]
     monkeypatch.setattr(diagnostics, "np", Numpy())
     tracemalloc.start()
     try:
-        reps = energy_report(states, gl) if paths > 1 else [energy_report(states[0], gl)]
+        reps = energy_report(states, gl, cov) if paths > 1 \
+            else [energy_report(states[0], gl, cov)]
     finally:
         tracemalloc.stop()
     assert reps == expected

@@ -7,6 +7,7 @@ rho* = sqrt(1 - eps^2) gives closed-form targets for the defect diagnostics.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,31 @@ def test_run_path_raises_on_nonfinite_state(grid16):
     cfg = StepperConfig(dt=0.01, t_end=0.02)
     with pytest.raises(NumericsError):
         run_path(st, cfg, GLParams(epsilon=0.5), quiet_noise(grid16))
+
+
+def test_a_numerical_failure_names_what_lost_finiteness(grid16):
+    """A report's first non-finite value among E, D and max |n| names the
+    failure, unless the state's spectra are not finite; those are read only
+    once one of the three is not finite."""
+    from nsgl.diagnostics import energy_report
+    from nsgl.experiments import _check_finite
+
+    state = circle_state(grid16)
+    rep = energy_report(state, GLParams(epsilon=0.5))
+    _check_finite(rep, state)
+    for name in ("energy_E", "enstrophy_D", "max_abs_n"):
+        with pytest.raises(NumericsError,
+                           match=rf"^report {name} = inf at t=0, from a finite state$"):
+            _check_finite(dataclasses.replace(rep, **{name: math.inf}), state)
+    with pytest.raises(NumericsError, match="^report enstrophy_D = nan "):
+        _check_finite(dataclasses.replace(rep, enstrophy_D=math.nan, max_abs_n=math.inf),
+                      state)
+    spec = state.spec.copy()
+    spec[3, 1, 1] = np.nan
+    broken = dataclasses.replace(state, spec=spec)
+    _check_finite(rep, broken)
+    with pytest.raises(NumericsError, match=r"^state lost finiteness at t=0$"):
+        _check_finite(dataclasses.replace(rep, max_abs_n=math.nan), broken)
 
 
 def test_run_path_concentration_stop_with_spread_field(grid16):

@@ -31,7 +31,7 @@ from nsgl.io_cli import (
 )
 from nsgl.experiments import run_path
 from nsgl.noise import NoiseModel
-from nsgl.stepper import GLParams, SimState
+from nsgl.stepper import GLParams, SimState, StepperConfig
 
 
 def write_config(tmp_path, body, name="run.ini"):
@@ -297,7 +297,8 @@ def test_cli_ends_a_run_whose_dissipation_overflows(tmp_path, capsys):
     """At epsilon = 1e-160 the report's D overflows after the first step.
     ``ensemble`` used to exit 0 printing E[int D] = inf and an infinite
     balance; a report with an infinite D now ends the run as a numerical
-    failure: exit 2, nothing on stdout, one stderr line."""
+    failure: exit 2, nothing on stdout, one stderr line, which names D and
+    says that the state is finite."""
     body = ("[grid]\nn_modes = 16\n[stepper]\nt_end = 0.02\n[gl]\nepsilon = 1e-160\n"
             "[ensemble]\nn_paths = 2\n")
     with warnings.catch_warnings():
@@ -305,8 +306,8 @@ def test_cli_ends_a_run_whose_dissipation_overflows(tmp_path, capsys):
         code = main(["ensemble", "-c", write_config(tmp_path, body)])
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
-    assert err.startswith("numerical failure: state lost finiteness at t=") \
-        and err.count("\n") == 1
+    assert err.startswith("numerical failure: report enstrophy_D = inf at t=") \
+        and err.endswith(", from a finite state\n") and err.count("\n") == 1
 
 
 # -- presets ----------------------------------------------------------------------
@@ -472,6 +473,26 @@ def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     # the stored numbers come back; the last report and delta are the run's
     assert loaded_trace == RunTrace(**{**vars(trace), "last": None})
     assert loaded_trace.t_sigma2 == math.inf
+
+
+def test_a_run_without_a_covering_checkpoints_a_finite_trace(grid16, tmp_path):
+    """A library ``run_path`` without a covering reports ``grad_n_L4`` as
+    NaN; its trace keeps ``ls_l4`` at 0, as it keeps ``ls_sup``, so the
+    checkpoint of its last state loads."""
+    x1, _ = grid16.meshgrid()
+    state = SimState.from_arrays(grid16, np.zeros((2, 16, 16)),
+                                 np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)]))
+    gl, noise = GLParams(epsilon=0.3), NoiseModel(grid16, seed=5, mode_cutoff=4)
+    last = []
+    trace = run_path(state, StepperConfig(dt=5e-3, t_end=0.01), gl, noise,
+                     on_report=lambda st, tr: last.append(st))
+    assert math.isnan(trace.last.grad_n_L4)
+    assert trace.ls_l4 == 0.0 and trace.ls_sup == 0.0 and trace.ls_grad > 0.0
+    path = str(tmp_path / "run.ckpt")
+    save_checkpoint(path, last[-1], trace, gl, noise, CFG_HASH)
+    _, loaded = load_checkpoint(path, grid16, gl, noise, CFG_HASH)
+    # the checkpoint holds neither the last report nor TrQ, which a resume sets
+    assert loaded == dataclasses.replace(trace, last=None, trace_q_eff=0.0)
 
 
 def write_old_checkpoint(path, state, gl, noise, version):

@@ -126,3 +126,17 @@ def test_a_grid_too_large_to_allocate_ends_in_one_line(tmp_path):
     assert done.returncode == 1
     assert done.stdout == ""
     assert done.stderr.startswith("out of memory: ") and done.stderr.count("\n") == 1
+
+
+def test_a_numerical_failure_ends_in_one_stderr_line(tmp_path):
+    """``ensemble`` at ``gl.epsilon = 1e-160``: the first roundoff defect of
+    |n| makes the report's D overflow while the state stays finite.  Exit 2
+    with one stderr line that names D, and no numpy warning before it."""
+    ini = ("[grid]\nn_modes = 16\n[stepper]\nt_end = 0.02\n[gl]\nepsilon = 1e-160\n"
+           "[ensemble]\nn_paths = 2\n")
+    argv, env = nsgl_command(tmp_path, "ensemble", ini)
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == ("numerical failure: report enstrophy_D = inf at t=0.003, "
+                           "from a finite state\n")

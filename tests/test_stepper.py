@@ -8,7 +8,7 @@ import pytest
 
 import nsgl.experiments as experiments
 import nsgl.grid
-from nsgl.diagnostics import energy_report
+from nsgl.diagnostics import CoveringSet, energy_report
 from nsgl.grid import SpectralGrid, leray_project_spec, random_band_limited
 from nsgl.noise import NoiseModel, sample_increment
 from nsgl.stepper import (
@@ -668,8 +668,9 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     """An ensemble path-step at N = 32 (one step, and the report without the
     state monitors of the lockstep group it belongs to, as ``run_ensemble``
     takes them) makes the step's 4 + 6 transform chunks and 1/G of the
-    report's 0 + 1: the group's one inverse chunk carries d1 n, d2 n and
-    lap n of every path, 9 slices each (G = 2 at N = 32)."""
+    report's 0 + 1: the group's one inverse chunk carries lap n of every
+    path, 3 slices each (G = 2 at N = 32).  Without a covering nothing
+    reads grad n pointwise, and |grad n|^2 comes off the half spectrum."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     gl = GLParams(epsilon=0.4)
@@ -681,7 +682,7 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     monkeypatch.undo()
     slices = count_slices(monkeypatch)
     energy_report(new, gl, monitors=False)
-    assert slices == {"forward": 0, "inverse": 9}
+    assert slices == {"forward": 0, "inverse": 3}
     monkeypatch.undo()
     group = [new] * experiments._group_size(g)
     assert len(group) == 2
@@ -691,7 +692,7 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     monkeypatch.undo()
     slices = count_slices(monkeypatch)
     energy_report(group, gl, monitors=False)
-    assert slices == {"forward": 0, "inverse": 9 * len(group)}
+    assert slices == {"forward": 0, "inverse": 3 * len(group)}
 
 
 _N128_INI = """
@@ -746,16 +747,28 @@ def test_n128_step_and_report_memory_peaks(tmp_path):
 
 def test_energy_report_of_a_stepped_state_transform_counts(grid32, monkeypatch):
     """Every state carries its spectra beside their grid values, so the
-    energy report of a stepped state takes 1 forward slice (w = |n|^2) and
-    11 inverse (grad n, grad w, lap n).  With the 21 + 30 of a step with
-    h = cos x1, a path-step runs 22 + 41."""
+    full energy report of a stepped state (a covering, as ``run`` and
+    ``converge`` take it) makes 2 transform calls: 1 forward slice
+    (w = |n|^2) and 9 inverse (grad n, lap n); the integrals of |grad n|^2
+    and |grad w|^2 come off the half spectra.  With the 21 + 30 of a step
+    with h = cos x1, a path-step runs 22 + 39.  Without a covering nothing
+    reads grad n pointwise, and the report takes 1 + 3."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     state, _ = step(coupled_initial_state(g), StepperConfig(dt=1e-3, t_end=1e-3),
                     GLParams(epsilon=0.4), noise)
+    covering = CoveringSet(g, np.pi / 8)
+    slices = count_slices(monkeypatch)
+    energy_report(state, GLParams(epsilon=0.4), covering)
+    assert slices == {"forward": 1, "inverse": 9}
+    monkeypatch.undo()
+    calls = count_calls(monkeypatch)
+    energy_report(state, GLParams(epsilon=0.4), covering)
+    assert calls == {"forward": 1, "inverse": 1}
+    monkeypatch.undo()
     slices = count_slices(monkeypatch)
     energy_report(state, GLParams(epsilon=0.4))
-    assert slices == {"forward": 1, "inverse": 11}
+    assert slices == {"forward": 1, "inverse": 3}
 
 
 def test_noisy_step_keeps_velocity_band_limited_and_solenoidal(grid32):

@@ -6,14 +6,36 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_tool(name):
+    """The module of ``tools/<name>.py``."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def assert_golden(lines, calls):
+    """``lines`` are the golden file's lines of ``calls`` when this is the
+    environment the file holds for; otherwise skip, naming what differs.
+    ``python3 tools/stream_digest.py --write src`` rewrites the file."""
+    digest = load_tool("stream_digest")
+    env, golden = digest.read_golden()
+    mismatch = digest.environment_mismatch(env)
+    if mismatch:
+        pytest.skip("the golden digests hold for another environment: " + "; ".join(mismatch))
+    assert lines == digest.golden_lines(golden, calls)
 
 
 def test_stream_digest_prints_one_stable_digest_per_output():
     """tools/stream_digest.py runs run, ensemble and converge at N = 16, the
     run again to its midpoint and resumed, and check at N = 32, and prints a
     sha256 for each stdout, stderr, NDJSON and checkpoint file, 20 lines;
-    two runs against one tree print the same lines."""
+    two runs against one tree print the same lines, the golden file's."""
     cmd = [sys.executable, str(ROOT / "tools" / "stream_digest.py"), str(ROOT / "src")]
     first = subprocess.run(cmd, capture_output=True, text=True, check=True)
     second = subprocess.run(cmd, capture_output=True, text=True, check=True)
@@ -44,13 +66,14 @@ def test_stream_digest_prints_one_stable_digest_per_output():
     assert digests["resume.stderr"] == digests["run.stderr"]
     assert digests["resume/run.ckpt"] == digests["run/run.ckpt"]
     assert digests["resume/run.ndjson"] != digests["run/run.ndjson"]
+    assert_golden(lines, load_tool("stream_digest").CALLS)
 
 
 def test_stream_digest_of_the_benchmark_workloads():
     """``--workloads`` runs the three benchmark workloads at seed 301 and
     prints one digest per output: 16 lines, stdout and stderr of each call,
     the 8 member streams of ``family-n64`` and the NDJSON and checkpoint of
-    ``run-n128``."""
+    ``run-n128``: the golden file's lines."""
     cmd = [sys.executable, str(ROOT / "tools" / "stream_digest.py"), "--workloads",
            str(ROOT / "src")]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True)
@@ -64,6 +87,7 @@ def test_stream_digest_of_the_benchmark_workloads():
     assert all(n.startswith("family-n64/family/path00") for n in names[4:12])
     assert names[12:] == ["run-n128.stdout", "run-n128.stderr", "run-n128/run.ckpt",
                           "run-n128/run.ndjson"]
+    assert_golden(lines, load_tool("stream_digest").workload_calls())
 
 
 def test_stream_digest_usage_error():
@@ -72,19 +96,11 @@ def test_stream_digest_usage_error():
     assert out.returncode == 2 and out.stderr.startswith("usage:")
 
 
-def load_bench_pairs():
-    spec = importlib.util.spec_from_file_location("bench_pairs",
-                                                  ROOT / "tools" / "bench_pairs.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_bench_pairs_summary_arithmetic():
     """Medians and quartiles as ``statistics.quantiles(n=4)`` gives them, the
     median gain signed so that positive is better, the parent's quartile
     spread, and the pairs the change won strictly."""
-    bench = load_bench_pairs()
+    bench = load_tool("bench_pairs")
     parent = [100.0, 104.0, 98.0, 102.0, 101.0]
     change = [110.0, 103.0, 109.0, 112.0, 101.0]
     s = bench.summarize(parent, change, higher_is_better=True)
@@ -135,3 +151,19 @@ def test_the_benchmark_tracer_finds_the_names_it_wraps(monkeypatch):
     assert absent(tracer.WRAPS) == {"nsgl.experiments.sample_increment",
                                     "nsgl.operators.leray_project_spec"}
     assert absent(tracer.PLAIN_WRAPS) == set()
+
+
+def test_the_golden_digest_file_names_its_environment():
+    """The golden file opens with the four environment keys, then holds the
+    20 lines of the small calls and the 16 of the workloads; a changed key
+    is reported as ``key: golden != here``."""
+    digest = load_tool("stream_digest")
+    env, lines = digest.read_golden()
+    assert list(env) == ["numpy", "python", "machine", "cpu_features"]
+    assert len(digest.golden_lines(lines, digest.CALLS)) == 20
+    assert len(digest.golden_lines(lines, digest.workload_calls())) == 16
+    assert len(lines) == 36
+    here = digest.environment()
+    assert digest.environment_mismatch(here) == []
+    assert digest.environment_mismatch(dict(here, numpy="1.0")) == \
+        [f"numpy: 1.0 != {here['numpy']}"]

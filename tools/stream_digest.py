@@ -1,6 +1,6 @@
 """sha256 digests of every output of five fixed-seed ``nsgl`` calls.
 
-    python3 tools/stream_digest.py [--workloads] SRC
+    python3 tools/stream_digest.py [--workloads | --write] SRC
 
 SRC is the ``src`` directory of a checkout (the one holding the ``nsgl``
 package).  In a temporary directory the script runs, through
@@ -33,6 +33,15 @@ the largest exit code of the calls.  Two checkouts whose lines are equal
 wrote the same bytes, so a diff of the two outputs shows whether a change
 moved any output.  The small calls take a few seconds, the workloads about
 ten.
+
+``--write`` runs both sets and writes their 36 lines to
+``tests/data/stream_digest.txt``, the golden file the tier-1 digest tests
+compare against, after a header that names the environment the digests
+hold for: the numpy and Python versions, the machine, and the CPU features
+numpy dispatches its SIMD loops on (their last bits may differ from one
+dispatch target to another).  Elsewhere those tests skip, naming what
+differs.  A change that moves output bytes rewrites the file, and its diff
+shows which outputs moved.
 """
 
 from __future__ import annotations
@@ -40,12 +49,16 @@ from __future__ import annotations
 import hashlib
 import importlib
 import os
+import platform
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+GOLDEN = ROOT / "tests" / "data" / "stream_digest.txt"
 WORKLOAD_SEED = 301
 
 _SEEDS = """\
@@ -174,15 +187,62 @@ def digest(src: Path, calls=CALLS) -> tuple[list[str], int]:
     return lines, worst
 
 
+def environment() -> dict:
+    """What the digests depend on beyond the source: the numpy and Python
+    versions, the machine, and the CPU features numpy dispatches on."""
+    import numpy as np
+    from numpy._core._multiarray_umath import __cpu_features__ as features
+
+    return {"numpy": np.__version__, "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpu_features": " ".join(sorted(k for k, on in features.items() if on))}
+
+
+def read_golden(path: Path = GOLDEN) -> tuple[dict, list[str]]:
+    """The environment header and the digest lines of a golden file."""
+    env, lines = {}, []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            env[key] = value
+        else:
+            lines.append(line)
+    return env, lines
+
+
+def environment_mismatch(env: dict) -> list[str]:
+    """How this interpreter's environment differs from ``env``: one
+    ``key: golden != here`` entry per difference."""
+    here = environment()
+    return [f"{key}: {env.get(key)} != {value}" for key, value in here.items()
+            if env.get(key) != value]
+
+
+def golden_lines(lines: list[str], calls) -> list[str]:
+    """The lines of a golden file that belong to ``calls``, in file order."""
+    names = {name for name, *_ in calls}
+    return [line for line in lines
+            if re.split(r"[./]", line.split("  ", 1)[1], maxsplit=1)[0] in names]
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    workloads = args[:1] == ["--workloads"]
-    args = args[workloads:]
+    mode = args[0] if args[:1] in (["--workloads"], ["--write"]) else None
+    args = args[mode is not None:]
     if len(args) != 1 or not (Path(args[0]) / "nsgl").is_dir():
-        print("usage: python3 tools/stream_digest.py [--workloads] SRC  "
+        print("usage: python3 tools/stream_digest.py [--workloads | --write] SRC  "
               "(SRC holds the nsgl package)", file=sys.stderr)
         return 2
-    lines, worst = digest(Path(args[0]), workload_calls() if workloads else CALLS)
+    src = Path(args[0])
+    if mode == "--write":
+        lines, worst = digest(src, CALLS)
+        more, worst_more = digest(src, workload_calls())
+        header = [f"# {key}: {value}" for key, value in environment().items()]
+        GOLDEN.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN.write_text("\n".join(header + lines + more) + "\n", encoding="utf-8")
+        print(f"wrote {len(lines) + len(more)} digests to {GOLDEN}")
+        return max(worst, worst_more)
+    lines, worst = digest(src, workload_calls() if mode else CALLS)
     print("\n".join(lines))
     return worst
 
