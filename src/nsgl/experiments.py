@@ -260,19 +260,6 @@ class ConvergenceReport:
         return "\n".join(out) + "\n"
 
 
-@dataclass
-class _Member:
-    """One family member on one path: its path core plus its running
-    distances to the reference and its modulus defect."""
-
-    eps: float
-    path: _Path
-    defect: float
-    sup: float = 0.0
-    l2_sq: float = 0.0
-    l2_prev: float = 0.0
-
-
 def _mean_rate(stats: dict, eps: list, field: str) -> RateFit | None:
     """``fit_rate`` of the path means of one ``MemberStats`` field against
     ``eps``; None where ``fit_rate`` refuses the data: fewer than two
@@ -289,12 +276,6 @@ def _path_models(noise_base: NoiseModel, n_paths: int) -> list:
     """Every path's noise model, on path ids ``noise_base.path_id + p``; built
     before any path runs, so a path id past the stream keys fails at once."""
     return [noise_base.for_path(noise_base.path_id + p) for p in range(n_paths)]
-
-
-def _member_observer(on_member_report, p: int, eps: float):
-    if on_member_report is None:
-        return None
-    return lambda state, trace: on_member_report(p, eps, trace.last)
 
 
 def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
@@ -326,45 +307,48 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
         return sobolev_norm(grid, sq, order, homogeneous, squared=True)
 
     for p, noise in enumerate(noises):
+        # (eps, stats, path): the path's sup, squared L2 and defect fold into row p
         members = []
         for eps in eps_family:
+            observe = None if on_member_report is None else (
+                lambda state, trace, p=p, eps=eps: on_member_report(p, eps, trace.last))
             path = _Path(state0, cfg, GLParams(epsilon=eps), noise, covering, stop_delta,
-                         _member_observer(on_member_report, p, eps), noise_ledger=False)
+                         observe, noise_ledger=False)
             _start([path])
-            members.append(_Member(eps, path, defect=path.trace.last.eps_defect * eps))
-        ref = members[eps_family.index(eps_ref)].path
+            stats[eps].defect_sup[p] = path.trace.last.eps_defect * eps
+            members.append((eps, stats[eps], path))
+        ref = members[eps_family.index(eps_ref)][2]
+        l2_prev = dict.fromkeys(eps_family, 0.0)
         accum_until = cfg.t_end
 
         for _ in range(cfg.n_steps):
-            level = max(required_level(m.path.state, cfg) for m in members)
+            level = max(required_level(path.state, cfg) for _, _, path in members)
             # the members follow one Brownian path: the first draws each
             # increment of this step, the others read it from ``draws``
             draws = {}
-            for m in members:
-                _advance([m.path], force_level=level, draws=draws)
-            accum_until = min(accum_until, min(m.path.sigma for m in members))
+            for _, _, path in members:
+                _advance([path], force_level=level, draws=draws)
+            accum_until = min(accum_until, min(path.sigma for _, _, path in members))
             if ref.state.t > accum_until:
                 continue
-            for m in members:
-                m.defect = max(m.defect, m.path.trace.last.eps_defect * m.eps)
-                if m.path is ref:
+            for eps, s, path in members:
+                s.defect_sup[p] = max(s.defect_sup[p], path.trace.last.eps_defect * eps)
+                if path is ref:
                     continue
                 # |c|^2 of the difference, taken once for all four norms
-                sq = np.abs(m.path.state.spec - ref.state.spec) ** 2
+                sq = np.abs(path.state.spec - ref.state.spec) ** 2
                 du, dn = sq[:2], sq[2:]
                 d_low = norm(du, alpha - 1.0, True) + norm(dn, alpha, False)
-                m.sup = max(m.sup, d_low)
+                s.sup_dist[p] = max(s.sup_dist[p], d_low)
                 d_high_sq = norm(du, alpha, True) ** 2 + norm(dn, 1.0 + alpha, False) ** 2
-                m.l2_sq += 0.5 * cfg.dt * (m.l2_prev + d_high_sq)
-                m.l2_prev = d_high_sq
+                s.l2_dist[p] += 0.5 * cfg.dt * (l2_prev[eps] + d_high_sq)
+                l2_prev[eps] = d_high_sq
 
-        tau[p] = min(m.path.sigma for m in members)
-        for m in members:
-            s = stats[m.eps]
-            s.sup_dist[p], s.l2_dist[p], s.defect_sup[p] = m.sup, np.sqrt(m.l2_sq), m.defect
-            trace = m.path.trace
-            s.sigma1[p], s.sigma2[p] = trace.t_sigma1, trace.t_sigma2
-            s.max_abs_n[p] = trace.max_n
+        tau[p] = min(path.sigma for _, _, path in members)
+        for _, s, path in members:
+            s.l2_dist[p] = np.sqrt(s.l2_dist[p])
+            trace = path.trace
+            s.sigma1[p], s.sigma2[p], s.max_abs_n[p] = trace.t_sigma1, trace.t_sigma2, trace.max_n
 
     non_ref = [e for e in eps_family if e != eps_ref]
     return ConvergenceReport(

@@ -50,7 +50,6 @@ from .stepper import CflError, GLParams, SimState, StepperConfig
 
 __all__ = [
     "ConfigError",
-    "SimConfig",
     "SimBundle",
     "load_config",
     "dump_config",
@@ -125,12 +124,6 @@ _SCHEMA = {
     },
 }
 
-_BOOL_WORDS = {
-    "1": True, "true": True, "yes": True, "on": True,
-    "0": False, "false": False, "no": False, "off": False,
-}
-
-
 def _convert(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
     try:
@@ -139,7 +132,7 @@ def _convert(section: str, key: str, kind: str, raw: str):
         if kind == "float":
             value = float(raw)
         elif kind == "bool":
-            return _BOOL_WORDS[raw.lower()]
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
         else:
             return raw
     except (ValueError, KeyError):
@@ -149,21 +142,9 @@ def _convert(section: str, key: str, kind: str, raw: str):
     return value
 
 
-@dataclass
-class SimConfig:
-    """Typed configuration values, every schema key present."""
-
-    values: dict
-
-    def get(self, section: str, key: str):
-        return self.values[section][key]
-
-    def section(self, name: str) -> dict:
-        return self.values[name]
-
-
-def load_config(path: str) -> SimConfig:
-    """Parse and type-check an INI file against the schema.
+def load_config(path: str) -> dict:
+    """Parse and type-check an INI file against the schema into
+    ``section -> key -> value``, every schema key present.
 
     Unknown sections or keys, and values that fail to parse, raise
     ConfigError; syntax errors keep configparser's line numbers.
@@ -186,7 +167,7 @@ def load_config(path: str) -> SimConfig:
             if key not in _SCHEMA[sec]:
                 raise ConfigError(f"unknown config key {sec}.{key}")
             values[sec][key] = _convert(sec, key, _SCHEMA[sec][key][0], raw)
-    return SimConfig(values=values)
+    return values
 
 
 def _format_value(v) -> str:
@@ -197,13 +178,13 @@ def _format_value(v) -> str:
     return str(v)
 
 
-def dump_config(cfg: SimConfig) -> str:
+def dump_config(cfg: dict) -> str:
     """Canonical INI echo: schema order, defaults filled in."""
     lines = []
     for sec, keys in _SCHEMA.items():
         lines.append(f"[{sec}]")
         for key in keys:
-            lines.append(f"{key} = {_format_value(cfg.values[sec][key])}")
+            lines.append(f"{key} = {_format_value(cfg[sec][key])}")
         lines.append("")
     return "\n".join(lines)
 
@@ -213,7 +194,7 @@ def dump_config(cfg: SimConfig) -> str:
 _HASHED_SECTIONS = ("grid", "stepper", "gl", "noise", "h_field", "initial", "stops")
 
 
-def config_hash(cfg: SimConfig) -> bytes:
+def config_hash(cfg: dict) -> bytes:
     """sha256 digest (32 bytes) of the canonical ``section.key = value``
     lines, in schema order and ``dump_config`` formatting, of the keys in
     ``_HASHED_SECTIONS`` less ``stepper.t_end``."""
@@ -221,7 +202,7 @@ def config_hash(cfg: SimConfig) -> bytes:
     # 3 ms, which every CLI call would pay, dump-config and check included
     import hashlib
 
-    lines = [f"{sec}.{key} = {_format_value(cfg.values[sec][key])}"
+    lines = [f"{sec}.{key} = {_format_value(cfg[sec][key])}"
              for sec in _HASHED_SECTIONS for key in _SCHEMA[sec]
              if (sec, key) != ("stepper", "t_end")]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
@@ -261,10 +242,10 @@ def _load_field_file(path: str, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _initial_velocity(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
+def _initial_velocity(grid: SpectralGrid, cfg: dict) -> np.ndarray:
     """Physical u0 from its preset, projected and dealiased."""
-    name = cfg.get("initial", "u0")
-    amp = cfg.get("initial", "u0_amplitude")
+    name = cfg["initial"]["u0"]
+    amp = cfg["initial"]["u0_amplitude"]
     x1, x2 = grid.meshgrid()
     if name == "zero":
         phys = np.zeros((2, grid.n_modes, grid.n_modes))
@@ -273,7 +254,7 @@ def _initial_velocity(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
     elif name == "taylor_green":
         phys = amp * np.stack([np.cos(x1) * np.sin(x2), -np.sin(x1) * np.cos(x2)])
     elif name == "random_band":
-        rng = np.random.default_rng([cfg.get("initial", "seed"), 0])
+        rng = np.random.default_rng([cfg["initial"]["seed"], 0])
         phys = random_band_limited(grid, 2, max(2, grid.n_modes // 8), rng, amp)
     elif name.startswith("file:"):
         phys = _load_field_file(name[5:], (2, grid.n_modes, grid.n_modes))
@@ -283,9 +264,9 @@ def _initial_velocity(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
     return grid.to_phys(spec)
 
 
-def _initial_director(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
-    name = cfg.get("initial", "n0")
-    amp = cfg.get("initial", "n0_amplitude")
+def _initial_director(grid: SpectralGrid, cfg: dict) -> np.ndarray:
+    name = cfg["initial"]["n0"]
+    amp = cfg["initial"]["n0_amplitude"]
     x1, _ = grid.meshgrid()
     if name == "constant_e3":
         phys = np.zeros((3, grid.n_modes, grid.n_modes))
@@ -293,17 +274,17 @@ def _initial_director(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
     elif name == "circle_x1":
         phys = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
     elif name == "random_unit":
-        rng = np.random.default_rng([cfg.get("initial", "seed"), 1])
+        rng = np.random.default_rng([cfg["initial"]["seed"], 1])
         phys = random_band_limited(grid, 3, max(2, grid.n_modes // 8), rng, amp)
         phys = phys + np.array([0.0, 0.0, 1.0])[:, None, None]
     elif name == "random_band":
-        rng = np.random.default_rng([cfg.get("initial", "seed"), 1])
+        rng = np.random.default_rng([cfg["initial"]["seed"], 1])
         phys = random_band_limited(grid, 3, max(2, grid.n_modes // 8), rng, amp)
     elif name.startswith("file:"):
         phys = _load_field_file(name[5:], (3, grid.n_modes, grid.n_modes))
     else:
         raise ConfigError(f"initial.n0: unknown preset {name!r}")
-    if cfg.get("initial", "normalize_n0") or name == "random_unit":
+    if cfg["initial"]["normalize_n0"] or name == "random_unit":
         mag = np.sqrt(np.sum(phys * phys, axis=0))
         low = float(np.min(mag))
         if low < 1e-8:
@@ -313,10 +294,10 @@ def _initial_director(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
     return phys
 
 
-def _axis_field(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
+def _axis_field(grid: SpectralGrid, cfg: dict) -> np.ndarray:
     """Grid values (3, N, N) of h: the profile times the axis (1, 1, 1)."""
-    profile = cfg.get("h_field", "profile")
-    mag = cfg.get("h_field", "magnitude")
+    profile = cfg["h_field"]["profile"]
+    mag = cfg["h_field"]["magnitude"]
     if profile == "constant":
         scalar = np.full((grid.n_modes, grid.n_modes), mag)
     elif profile == "single_mode":
@@ -331,7 +312,7 @@ def _axis_field(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray:
 class SimBundle:
     """Everything a run needs, built from one validated config."""
 
-    cfg: SimConfig
+    cfg: dict
     grid: SpectralGrid
     gl: GLParams
     stepper: StepperConfig
@@ -339,71 +320,72 @@ class SimBundle:
     covering: CoveringSet
     stop_delta: object
     state0: SimState
+    eps_family: tuple
 
 
-def build_components(cfg: SimConfig) -> SimBundle:
+def build_components(cfg: dict) -> SimBundle:
     """Semantic validation plus construction of all runtime objects.
 
     The constructors validate their own arguments and name the config key
     in their ValueError messages, which become ConfigErrors here.
     """
     try:
-        grid = SpectralGrid(cfg.get("grid", "n_modes"))
+        grid = SpectralGrid(cfg["grid"]["n_modes"])
         stepcfg = StepperConfig(
-            dt=cfg.get("stepper", "dt"),
-            t_end=cfg.get("stepper", "t_end"),
-            cfl_safety=cfg.get("stepper", "cfl_safety"),
-            max_halvings=cfg.get("stepper", "max_halvings"),
+            dt=cfg["stepper"]["dt"],
+            t_end=cfg["stepper"]["t_end"],
+            cfl_safety=cfg["stepper"]["cfl_safety"],
+            max_halvings=cfg["stepper"]["max_halvings"],
         )
-        gl = GLParams(epsilon=cfg.get("gl", "epsilon"))
+        gl = GLParams(epsilon=cfg["gl"]["epsilon"])
         h = _axis_field(grid, cfg)  # a bad profile fails with the director noise off too
         noise = NoiseModel(
             grid=grid,
-            gamma=cfg.get("noise", "gamma"),
-            mode_cutoff=cfg.get("noise", "mode_cutoff"),
-            seed=cfg.get("noise", "seed"),
-            path_id=cfg.get("noise", "path_id"),
-            velocity_on=cfg.get("noise", "velocity_on"),
-            h=h if cfg.get("noise", "director_on") else None,
+            gamma=cfg["noise"]["gamma"],
+            mode_cutoff=cfg["noise"]["mode_cutoff"],
+            seed=cfg["noise"]["seed"],
+            path_id=cfg["noise"]["path_id"],
+            velocity_on=cfg["noise"]["velocity_on"],
+            h=h if cfg["noise"]["director_on"] else None,
         )
-        covering = CoveringSet(grid, cfg.get("stops", "radius"))
+        covering = CoveringSet(grid, cfg["stops"]["radius"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.get("initial", "seed") < 0:
+    if cfg["initial"]["seed"] < 0:
         raise ConfigError("initial.seed must be >= 0")
-    delta_raw = cfg.get("stops", "delta")
+    delta_raw = cfg["stops"]["delta"]
     if delta_raw == "auto":
         stop_delta = "auto"
     else:
         stop_delta = _convert("stops", "delta", "float", delta_raw)
         if stop_delta <= 0.0:
             raise ConfigError(f"stops.delta must be > 0 or 'auto', got {stop_delta}")
-    if cfg.get("output", "report_every") < 1:
+    if cfg["output"]["report_every"] < 1:
         raise ConfigError("output.report_every must be >= 1")
-    if cfg.get("output", "checkpoint_every") < 0:
+    if cfg["output"]["checkpoint_every"] < 0:
         raise ConfigError("output.checkpoint_every must be >= 0")
-    parse_eps_family(cfg.get("convergence", "eps_family"))
-    alpha = cfg.get("convergence", "alpha")
+    eps_family = parse_eps_family(cfg["convergence"]["eps_family"])
+    alpha = cfg["convergence"]["alpha"]
     if not (1.0 <= alpha < 2.0):
         raise ConfigError(f"convergence.alpha must be in [1, 2), got {alpha}")
     for sec in ("convergence", "ensemble"):
-        if cfg.get(sec, "n_paths") < 1:
+        if cfg[sec]["n_paths"] < 1:
             raise ConfigError(f"{sec}.n_paths must be >= 1")
     state0 = SimState.from_arrays(grid, _initial_velocity(grid, cfg),
                                   _initial_director(grid, cfg))
     return SimBundle(cfg=cfg, grid=grid, gl=gl, stepper=stepcfg, noise=noise,
-                     covering=covering, stop_delta=stop_delta, state0=state0)
+                     covering=covering, stop_delta=stop_delta, state0=state0,
+                     eps_family=eps_family)
 
 
 # -- checkpoints -----------------------------------------------------------------
 
 _CKPT_MAGIC = b"NSGL"
 _CKPT_VERSION = 3
-# the RunTrace numbers a checkpoint stores, in header order; the trace's
-# last report is a function of the state and is recomputed on resume
-_CKPT_TRACE = ("t0", "e0", "int_d", "sum_u_dw", "sum_grad_cross", "sum_cross_sq",
-               "sup_e", "max_n", "ls_l4", "ls_lap", "ls_grad", "ls_sup",
-               "t_sigma1", "t_sigma2")
+# the RunTrace fields a checkpoint stores, in header order: all but TrQ and
+# delta, which a resume sets again, and the last report, which it recomputes
+_CKPT_TRACE = tuple(f.name for f in fields(RunTrace)
+                    if f.name not in ("trace_q_eff", "delta", "last"))
 # magic, version, n_modes, step, seed, path_id, epsilon, t, the trace, and
 # the config hash
 _CKPT_HEADER = struct.Struct(f"<4sIIQQQdd{len(_CKPT_TRACE)}d32s")
@@ -415,8 +397,8 @@ def save_checkpoint(path: str, state: SimState, trace: RunTrace, gl: GLParams,
     hash of the config that produced it.
 
     Header (little endian): magic "NSGL", u32 version, u32 n_modes, u64 step,
-    u64 seed, u64 path_id, f64 epsilon, f64 t, the 14 f64 trace numbers of
-    ``_CKPT_TRACE``, then the 32-byte ``cfg_hash`` (see :func:`config_hash`).
+    u64 seed, u64 path_id, f64 epsilon, f64 t, the trace numbers of
+    ``_CKPT_TRACE`` as f64, then the 32-byte ``cfg_hash`` (see :func:`config_hash`).
     Payload: ``state.spec``, the half spectra of u, 2*N*(N/2+1) complex128,
     then of n, 3*N*(N/2+1) complex128, C order, little endian.
 
@@ -449,8 +431,8 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
     exactly; the mirror of :func:`save_checkpoint`.
 
     Returns the state, whose half spectra are the stored bits and whose grid
-    values are their ``to_phys``, and its trace,
-    which holds the stored numbers only (no ``last`` report, no ``delta``):
+    values are their ``to_phys``, and its trace, which holds the trace
+    numbers of ``_CKPT_TRACE`` only (no ``last`` report, no ``delta``):
     ``run_path`` completes it.
 
     Nothing is repaired.  ConfigError refuses a file that is not a version-3
@@ -596,10 +578,10 @@ def _cmd_run(args, bundle: SimBundle) -> int:
         if not bundle.stepper.on_clock(t, step_idx):
             raise ConfigError(
                 f"checkpoint t = {t:.17g} at step {step_idx} does not fit stepper.dt = {dt}")
-    out_path = cfg.get("output", "ndjson_path")
-    every = cfg.get("output", "report_every")
-    ck_path = cfg.get("output", "checkpoint_path")
-    ck_every = cfg.get("output", "checkpoint_every")
+    out_path = cfg["output"]["ndjson_path"]
+    every = cfg["output"]["report_every"]
+    ck_path = cfg["output"]["checkpoint_path"]
+    ck_every = cfg["output"]["checkpoint_every"]
     # a checkpoint that cannot be saved fails the run before any row or step
     if ck_path and not os.path.isdir(os.path.dirname(ck_path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), ck_path)
@@ -644,9 +626,8 @@ def _check_path_ids(noise: NoiseModel, section: str, n_paths: int):
 
 
 def _cmd_converge(args, bundle: SimBundle) -> int:
-    sec = bundle.cfg.section("convergence")
+    sec = bundle.cfg["convergence"]
     _check_path_ids(bundle.noise, "convergence", sec["n_paths"])
-    eps_family = parse_eps_family(sec["eps_family"])
     out_dir = sec["output_dir"]
     sinks = {}
     on_member = None
@@ -656,13 +637,16 @@ def _cmd_converge(args, bundle: SimBundle) -> int:
         def on_member(p, eps, report):
             key = (p, eps)
             if key not in sinks:
+                # paths run in turn: a path's first row closes the previous path's streams
+                for done in [k for k in sinks if k[0] != p]:
+                    sinks.pop(done).close()
                 name = f"path{p:03d}_eps{eps:.17g}.ndjson"
                 sinks[key] = open(os.path.join(out_dir, name), "w", encoding="utf-8")
             sinks[key].write(format_report(report) + "\n")
 
     try:
         report = run_coupled_family(
-            bundle.state0, bundle.stepper, eps_family, bundle.noise,
+            bundle.state0, bundle.stepper, bundle.eps_family, bundle.noise,
             n_paths=sec["n_paths"], alpha=sec["alpha"], covering=bundle.covering,
             stop_delta=bundle.stop_delta, on_member_report=on_member)
     finally:
@@ -673,7 +657,7 @@ def _cmd_converge(args, bundle: SimBundle) -> int:
 
 
 def _cmd_ensemble(args, bundle: SimBundle) -> int:
-    n_paths = bundle.cfg.get("ensemble", "n_paths")
+    n_paths = bundle.cfg["ensemble"]["n_paths"]
     _check_path_ids(bundle.noise, "ensemble", n_paths)
     report = run_ensemble(bundle.state0, bundle.stepper, bundle.gl, bundle.noise,
                           n_paths=n_paths)

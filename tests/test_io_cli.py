@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import struct
 import tracemalloc
 import warnings
 
@@ -63,11 +64,11 @@ n0 = circle_x1
 
 def test_defaults_fill_every_schema_key(tmp_path):
     cfg = load_config(write_config(tmp_path, "[grid]\nn_modes = 32\n"))
-    assert cfg.get("grid", "n_modes") == 32
-    assert cfg.get("stepper", "dt") == 1e-3
-    assert cfg.get("noise", "velocity_on") is True
-    assert cfg.get("stops", "delta") == "auto"
-    assert cfg.get("convergence", "alpha") == 1.0
+    assert cfg["grid"]["n_modes"] == 32
+    assert cfg["stepper"]["dt"] == 1e-3
+    assert cfg["noise"]["velocity_on"] is True
+    assert cfg["stops"]["delta"] == "auto"
+    assert cfg["convergence"]["alpha"] == 1.0
 
 
 def test_dump_load_round_trip_is_idempotent(tmp_path):
@@ -99,8 +100,8 @@ def test_type_errors_name_section_and_key(tmp_path):
 def test_inline_comments_are_stripped(tmp_path):
     cfg = load_config(write_config(
         tmp_path, "[gl]\nepsilon = 0.25  # quarter\n[noise]\nseed = 3 ; rng\n"))
-    assert cfg.get("gl", "epsilon") == 0.25
-    assert cfg.get("noise", "seed") == 3
+    assert cfg["gl"]["epsilon"] == 0.25
+    assert cfg["noise"]["seed"] == 3
 
 
 def test_missing_file_is_config_error():
@@ -475,6 +476,25 @@ def test_checkpoint_round_trip_is_bitwise(grid16, tmp_path):
     assert loaded_trace.t_sigma2 == math.inf
 
 
+def test_the_checkpoint_layout_follows_the_run_trace(grid16, tmp_path):
+    """Every ``RunTrace`` field but the noise trace, the stop threshold and
+    the last report is stored: each takes a distinct value and comes back
+    bit for bit.  The version and header size are pinned, so a new trace
+    field fails here until the version is bumped."""
+    from nsgl.io_cli import _CKPT_HEADER, _CKPT_VERSION
+
+    names = [f.name for f in dataclasses.fields(RunTrace)
+             if f.name not in ("trace_q_eff", "delta", "last")]
+    values = {name: 0.5 + 0.125 * i for i, name in enumerate(names)}
+    gl, noise = GLParams(epsilon=0.25), NoiseModel(grid16, seed=21, mode_cutoff=4)
+    path = str(tmp_path / "state.ckpt")
+    save_checkpoint(path, small_state(grid16), RunTrace(**values), gl, noise, CFG_HASH)
+    _, loaded = load_checkpoint(path, grid16, gl, noise, CFG_HASH)
+    for name, value in values.items():
+        assert struct.pack("<d", getattr(loaded, name)) == struct.pack("<d", value), name
+    assert (_CKPT_VERSION, _CKPT_HEADER.size) == (3, 196)
+
+
 def test_a_run_without_a_covering_checkpoints_a_finite_trace(grid16, tmp_path):
     """A library ``run_path`` without a covering reports ``grad_n_L4`` as
     NaN; its trace keeps ``ls_l4`` at 0, as it keeps ``ls_sup``, so the
@@ -498,8 +518,6 @@ def test_a_run_without_a_covering_checkpoints_a_finite_trace(grid16, tmp_path):
 def write_old_checkpoint(path, state, gl, noise, version):
     """The physical-payload layouts: version 1's header, which version 2
     follows with 14 trace numbers (zero here), then u and n as float64."""
-    import struct
-
     n = state.grid.n_modes
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIIQQQdd", b"NSGL", version, n, state.step, noise.seed,
@@ -840,11 +858,11 @@ def test_cli_resume_refuses_a_version_2_checkpoint(tmp_path, capsys):
 def test_config_hash_covers_what_sets_the_trajectory():
     """Every key of the hashed sections but stepper.t_end changes the hash;
     t_end, the output settings and the converge/ensemble keys do not."""
-    from nsgl.io_cli import _HASHED_SECTIONS, _SCHEMA, SimConfig
+    from nsgl.io_cli import _HASHED_SECTIONS, _SCHEMA
 
     base = {sec: {key: default for key, (_, default) in keys.items()}
             for sec, keys in _SCHEMA.items()}
-    ref = config_hash(SimConfig(values=base))
+    ref = config_hash(base)
     assert len(ref) == 32
     bumped = {"int": lambda v: v + 1, "float": lambda v: v * 1.5 + 0.25,
               "bool": lambda v: not v, "str": lambda v: v + "x"}
@@ -853,7 +871,7 @@ def test_config_hash_covers_what_sets_the_trajectory():
             values = {s: dict(k) for s, k in base.items()}
             values[sec][key] = bumped[kind](default)
             hashed = sec in _HASHED_SECTIONS and (sec, key) != ("stepper", "t_end")
-            assert (config_hash(SimConfig(values=values)) != ref) == hashed, (sec, key)
+            assert (config_hash(values) != ref) == hashed, (sec, key)
 
 
 def test_cli_resume_refuses_another_config(tmp_path, capsys):

@@ -140,3 +140,23 @@ def test_a_numerical_failure_ends_in_one_stderr_line(tmp_path):
     assert done.stdout == ""
     assert done.stderr == ("numerical failure: report enstrophy_D = inf at t=0.003, "
                            "from a finite state\n")
+
+
+def test_converge_holds_one_path_of_member_streams_open(tmp_path):
+    """``converge`` with 40 paths of 2 members writes 80 member streams in
+    a child whose open-file limit is 64: a path's first row closes the
+    streams of the path before it, so the run never holds more than one
+    path's members open."""
+    resource = pytest.importorskip("resource")
+    ini = ("[grid]\nn_modes = 16\n[stepper]\ndt = 5e-3\nt_end = 0.01\n"
+           "[convergence]\neps_family = 0.4, 0.2\nn_paths = 40\noutput_dir = out\n")
+    argv, env = nsgl_command(tmp_path, "converge", ini)
+
+    def limit_open_files():
+        hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+        resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+
+    done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120,
+                          cwd=tmp_path, preexec_fn=limit_open_files)
+    assert done.returncode == 0, done.stderr
+    assert len(list((tmp_path / "out").iterdir())) == 80

@@ -23,7 +23,6 @@ from nsgl.io_cli import (  # noqa: E402
     _CKPT_TRACE,
     _SCHEMA,
     _conj_symmetry_defect,
-    SimConfig,
     dump_config,
     load_checkpoint,
     load_config,
@@ -160,8 +159,8 @@ _VALUES = {"int": st.integers(-2**70, 2**70), "float": FINITE, "bool": st.boolea
 
 @st.composite
 def _configs(draw):
-    return SimConfig(values={sec: {key: draw(_VALUES[kind]) for key, (kind, _) in keys.items()}
-                             for sec, keys in _SCHEMA.items()})
+    return {sec: {key: draw(_VALUES[kind]) for key, (kind, _) in keys.items()}
+            for sec, keys in _SCHEMA.items()}
 
 
 @PROPERTY
@@ -172,5 +171,5 @@ def test_config_dump_then_load_round_trips(cfg):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(dump_config(cfg))
         echoed = load_config(path)
-    assert echoed.values == cfg.values
+    assert echoed == cfg
     assert dump_config(echoed) == dump_config(cfg)

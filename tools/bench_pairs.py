@@ -12,6 +12,9 @@ per pair as it goes, then for each end-to-end metric both sides' medians
 and quartiles, the median's change, and in how many pairs the change was
 ahead.  A run whose exit code is nonzero, or that reports a failed
 invocation, is printed as such and stops the script with exit code 1.
+The metrics and their better direction are ``BENCHMARK.json``'s
+``end_to_end``, and the quartiles those of ``perfbench/stats.py``, both
+read from the checkout the script lives in.
 Nothing is written under either ``perfbench/``; the runs keep their scratch
 files in each checkout's ``.perfbench_runs/``.
 """
@@ -19,24 +22,28 @@ files in each checkout's ``.perfbench_runs/``.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
-import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-# name -> True when higher is better; the benchmark's end-to-end metrics
-METRICS = {"steps_per_s": True, "setup_s": False, "peak_rss_mb": False}
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+# the benchmark's own order statistics, read from this checkout's perfbench/
+sys.path.insert(0, str(PERFBENCH))
+try:
+    quartiles = importlib.import_module("stats").quartiles
+finally:
+    sys.path.remove(str(PERFBENCH))
 
 
-def quartiles(values) -> tuple[float, float, float]:
-    """(q1, median, q3) as ``statistics.quantiles(values, n=4)`` gives them;
-    one value is its own median and quartiles."""
-    vals = [float(v) for v in values]
-    if len(vals) == 1:
-        return vals[0], vals[0], vals[0]
-    q1, q2, q3 = statistics.quantiles(vals, n=4)
-    return q1, q2, q3
+def end_to_end_metrics() -> dict:
+    """name -> True when higher is better, for the end-to-end metrics of
+    this checkout's ``BENCHMARK.json``."""
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        return {m["name"]: m["better"] == "higher" for m in json.load(fh)["end_to_end"]}
 
 
 def summarize(parent, change, higher_is_better: bool) -> dict:
@@ -61,8 +68,9 @@ def summarize(parent, change, higher_is_better: bool) -> dict:
     }
 
 
-def run_once(tree: Path, workload: str, seconds: int, seed: int) -> tuple[dict | None, str]:
-    """Metrics of one ``--trace 0`` run from ``tree``, or None and why not."""
+def run_once(tree: Path, workload: str, seconds: int, seed: int,
+             metrics) -> tuple[dict | None, str]:
+    """``metrics`` of one ``--trace 0`` run from ``tree``, or None and why not."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
@@ -72,7 +80,7 @@ def run_once(tree: Path, workload: str, seconds: int, seed: int) -> tuple[dict |
     result = json.loads(lines[-1])
     if result["failed"]:
         return None, f"{result['failed']} of {result['attempted']} invocations failed"
-    return {k: result["metrics"][k]["value"] for k in METRICS}, ""
+    return {k: result["metrics"][k]["value"] for k in metrics}, ""
 
 
 def format_summary(name: str, s: dict) -> str:
@@ -98,29 +106,32 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    values = {side: {k: [] for k in METRICS} for side in trees}
+    metrics = end_to_end_metrics()
+    values = {side: {k: [] for k in metrics} for side in trees}
     failed = False
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         got = {}
         for side in order:
-            got[side], why = run_once(trees[side], args.workload, args.seconds, args.seed)
+            got[side], why = run_once(trees[side], args.workload, args.seconds, args.seed,
+                                      metrics)
             if got[side] is None:
                 print(f"pair {i + 1}: {side} run failed: {why}", flush=True)
                 failed = True
         if failed:
             break
         for side in trees:
-            for k in METRICS:
+            for k in metrics:
                 values[side][k].append(got[side][k])
         cells = "  ".join(f"{k} {got['parent'][k]:.6g} -> {got['change'][k]:.6g}"
-                          for k in METRICS)
+                          for k in metrics)
         print(f"pair {i + 1} ({order[0]} first): {cells}", flush=True)
 
-    if values["parent"]["steps_per_s"]:
-        print(f"== {args.workload}: {len(values['parent']['steps_per_s'])} pairs, "
+    done = len(next(iter(values["parent"].values())))
+    if done:
+        print(f"== {args.workload}: {done} pairs, "
               f"seed {args.seed}, {args.seconds} s, parent -> change, median (q1, q3)")
-        for k, higher in METRICS.items():
+        for k, higher in metrics.items():
             print(format_summary(k, summarize(values["parent"][k], values["change"][k],
                                               higher)))
     return 1 if failed else 0
