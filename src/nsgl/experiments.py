@@ -145,7 +145,7 @@ def _advance(paths: list, force_level: int | None = None, draws: dict | None = N
         path.fold(rep, ledger)
 
 
-def _group_size(grid) -> int:
+def _group_size(state: SimState) -> int:
     """Paths an ensemble steps in lockstep and reports together: as many as
     fit in one transform chunk's ``CHUNK_BYTES`` at twice a state's bytes
     each, at least one: 9 at N = 16, 2 at N = 32, 1 from N = 64 on.  A path
@@ -153,9 +153,7 @@ def _group_size(grid) -> int:
     adds about as much again (its derivative stack and that stack's inverse
     temporary), so at N = 32 each path beyond the first raises the
     ensemble's peak RSS by about 0.25 MB."""
-    n = grid.n_modes
-    state_bytes = 5 * (16 * n * (n // 2 + 1) + 8 * n * n)  # spec and phys
-    return max(1, CHUNK_BYTES // (2 * state_bytes))
+    return max(1, CHUNK_BYTES // (2 * (state.spec.nbytes + state.phys.nbytes)))
 
 
 def run_path(state0: SimState, cfg: StepperConfig, gl: GLParams, noise: NoiseModel,
@@ -212,9 +210,9 @@ def fit_rate(xs, ys) -> RateFit:
 
 @dataclass
 class MemberStats:
-    """Per-epsilon outcomes across paths (index = path)."""
+    """Per-epsilon outcomes across paths (index = path); the epsilon is
+    its key in ``ConvergenceReport.members``."""
 
-    epsilon: float
     sup_dist: np.ndarray
     l2_dist: np.ndarray
     defect_sup: np.ndarray
@@ -294,7 +292,6 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
     eps_ref = min(eps_family)
     grid = state0.grid
     stats = {eps: MemberStats(
-        epsilon=eps,
         sup_dist=np.zeros(n_paths), l2_dist=np.zeros(n_paths),
         defect_sup=np.zeros(n_paths),
         sigma1=np.full(n_paths, np.inf), sigma2=np.full(n_paths, np.inf),
@@ -319,7 +316,6 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
             members.append((eps, stats[eps], path))
         ref = members[eps_family.index(eps_ref)][2]
         l2_prev = dict.fromkeys(eps_family, 0.0)
-        accum_until = cfg.t_end
 
         for _ in range(cfg.n_steps):
             level = max(required_level(path.state, cfg) for _, _, path in members)
@@ -328,8 +324,8 @@ def run_coupled_family(state0: SimState, cfg: StepperConfig, eps_family,
             draws = {}
             for _, _, path in members:
                 _advance([path], force_level=level, draws=draws)
-            accum_until = min(accum_until, min(path.sigma for _, _, path in members))
-            if ref.state.t > accum_until:
+            # sigma only falls and t only rises: once t is past it, it stays past
+            if ref.state.t > min(path.sigma for _, _, path in members):
                 continue
             for eps, s, path in members:
                 s.defect_sup[p] = max(s.defect_sup[p], path.trace.last.eps_defect * eps)
@@ -423,7 +419,7 @@ def run_ensemble(state0: SimState, cfg: StepperConfig, gl: GLParams,
     e_final = np.zeros(n_paths)
     max_n = 0.0
     noises = _path_models(noise_base, n_paths)
-    size = _group_size(state0.grid)
+    size = _group_size(state0)
     for first in range(0, n_paths, size):
         group = [_Path(state0, cfg, gl, noise, None, None, None, monitors=False)
                  for noise in noises[first:first + size]]

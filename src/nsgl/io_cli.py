@@ -273,13 +273,11 @@ def _initial_director(grid: SpectralGrid, cfg: dict) -> np.ndarray:
         phys[2] = 1.0
     elif name == "circle_x1":
         phys = np.stack([np.cos(x1), np.sin(x1), np.zeros_like(x1)])
-    elif name == "random_unit":
+    elif name in ("random_unit", "random_band"):
         rng = np.random.default_rng([cfg["initial"]["seed"], 1])
         phys = random_band_limited(grid, 3, max(2, grid.n_modes // 8), rng, amp)
-        phys = phys + np.array([0.0, 0.0, 1.0])[:, None, None]
-    elif name == "random_band":
-        rng = np.random.default_rng([cfg["initial"]["seed"], 1])
-        phys = random_band_limited(grid, 3, max(2, grid.n_modes // 8), rng, amp)
+        if name == "random_unit":
+            phys = phys + np.array([0.0, 0.0, 1.0])[:, None, None]
     elif name.startswith("file:"):
         phys = _load_field_file(name[5:], (3, grid.n_modes, grid.n_modes))
     else:
@@ -313,7 +311,6 @@ class SimBundle:
     """Everything a run needs, built from one validated config."""
 
     cfg: dict
-    grid: SpectralGrid
     gl: GLParams
     stepper: StepperConfig
     noise: NoiseModel
@@ -373,7 +370,7 @@ def build_components(cfg: dict) -> SimBundle:
             raise ConfigError(f"{sec}.n_paths must be >= 1")
     state0 = SimState.from_arrays(grid, _initial_velocity(grid, cfg),
                                   _initial_director(grid, cfg))
-    return SimBundle(cfg=cfg, grid=grid, gl=gl, stepper=stepcfg, noise=noise,
+    return SimBundle(cfg=cfg, gl=gl, stepper=stepcfg, noise=noise,
                      covering=covering, stop_delta=stop_delta, state0=state0,
                      eps_family=eps_family)
 
@@ -471,6 +468,8 @@ def load_checkpoint(path: str, grid: SpectralGrid, gl: GLParams,
         raise ConfigError(f"{path}: written under another config (config hash mismatch); "
                           f"a resume may change only stepper.t_end and output.*")
     payload = np.frombuffer(blob, dtype="<c16", offset=_CKPT_HEADER.size).astype(np.complex128)
+    if not math.isfinite(t):
+        raise ConfigError(f"{path}: non-finite time t = {t}")
     if not np.all(np.isfinite(payload)):
         raise ConfigError(f"{path}: non-finite value in the state")
     # a stopping time not hit yet is +inf; nothing else may be non-finite
@@ -567,8 +566,8 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     n_total = bundle.stepper.n_steps
     cfg_hash = config_hash(cfg)
     if args.resume is not None:
-        state0, trace0 = load_checkpoint(args.resume, bundle.grid, bundle.gl, bundle.noise,
-                                         cfg_hash)
+        state0, trace0 = load_checkpoint(args.resume, bundle.state0.grid, bundle.gl,
+                                         bundle.noise, cfg_hash)
         # the run continues at t + k dt for step + k, so the checkpoint's own
         # clock must be step * dt of this config
         step_idx, t, dt = state0.step, state0.t, bundle.stepper.dt

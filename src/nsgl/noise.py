@@ -159,27 +159,9 @@ class NoiseModel:
         return model
 
     @property
-    def n_basis(self) -> int:
-        """Number of retained basis elements (a cos and a sin per k point)."""
-        return 2 * len(self.k_points)
-
-    @property
     def trace_q(self) -> float:
         """Trace of Q in L2: sum of q_j^2 over the retained basis."""
         return float(2.0 * np.sum(self.q_weights**2))
-
-    def basis_field(self, j: int) -> np.ndarray:
-        """Grid values (2, N, N) of the j-th basis element (ordering: per k
-        point, cos then sin)."""
-        if not 0 <= j < self.n_basis:
-            raise IndexError(j)
-        k1, k2 = self.k_points[j // 2]
-        x1, x2 = self.grid.meshgrid()
-        phase = k1 * x1 + k2 * x2
-        wave = np.cos(phase) if j % 2 == 0 else np.sin(phase)
-        norm = np.sqrt(float(k1 * k1 + k2 * k2))
-        perp = np.array([-k2 / norm, k1 / norm])
-        return _NORM * wave * perp[:, None, None]
 
 
 def _check_key(key: str, value: int) -> None:
@@ -230,11 +212,10 @@ def sample_increment(model: NoiseModel, dt: float, step_index: int,
     xi = rng.standard_normal(2 * m + 1) * np.sqrt(dt)
     g = model.grid
     spec = np.zeros((2, *g.spec_shape), dtype=np.complex128)
-    if m > 0:
-        coeff = model.q_scale * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
-        # the half spectrum stores k2 >= 0: a point with k2 < 0 is written as
-        # its conjugate at -k, and the k2 = 0 column gets both k and -k
-        both = np.concatenate([coeff, np.conj(coeff)])
-        spec.put(model.scatter_at, both[model.scatter_from] * model.scatter_perp)
+    coeff = model.q_scale * (xi[0:2 * m:2] - 1j * xi[1:2 * m:2])
+    # the half spectrum stores k2 >= 0: a point with k2 < 0 is written as
+    # its conjugate at -k, and the k2 = 0 column gets both k and -k
+    both = np.concatenate([coeff, np.conj(coeff)])
+    spec.put(model.scatter_at, both[model.scatter_from] * model.scatter_perp)
     spec.setflags(write=False)
     return WienerIncrement(dW=spec, d_eta=float(xi[-1]))

@@ -93,8 +93,9 @@ class StepperConfig:
 
     def on_clock(self, t: float, step: int) -> bool:
         """Whether t is step ``step`` of this dt, to 1e-9 * max(1, |t|): the
-        tolerance of a resumed checkpoint's clock.  NaN is never on it."""
-        return abs(t - step * self.dt) <= 1e-9 * max(1.0, abs(t))
+        tolerance of a resumed checkpoint's clock.  A non-finite t (NaN or
+        +-inf) is never on it."""
+        return math.isfinite(t) and abs(t - step * self.dt) <= 1e-9 * max(1.0, abs(t))
 
 
 @dataclass(frozen=True, eq=False)  # compared and hashed by identity: it holds arrays
@@ -123,15 +124,16 @@ class SimState:
             arr.setflags(write=False)
 
     @classmethod
-    def from_arrays(cls, grid: SpectralGrid, u_phys, n_phys, t=0.0, step=0):
-        """The state of the grid values u (2, N, N) and n (3, N, N)."""
+    def from_arrays(cls, grid: SpectralGrid, u_phys, n_phys):
+        """The initial state (t = 0, step 0) of the grid values u (2, N, N)
+        and n (3, N, N)."""
         n = grid.n_modes
         u_phys, n_phys = np.asarray(u_phys), np.asarray(n_phys)
         if u_phys.shape != (2, n, n) or n_phys.shape != (3, n, n):
             raise ValueError(f"expected u of shape {(2, n, n)} and n of shape {(3, n, n)}, "
                              f"got {u_phys.shape} and {n_phys.shape}")
         phys = np.concatenate([u_phys, n_phys]).astype(np.float64, copy=False)
-        return cls(t=t, step=step, grid=grid, spec=grid.to_spec(phys), phys=phys)
+        return cls(t=0.0, step=0, grid=grid, spec=grid.to_spec(phys), phys=phys)
 
     # read-only views of u's and n's parts of the stacks
     u_spec = property(lambda self: self.spec[:2])

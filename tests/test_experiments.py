@@ -440,7 +440,8 @@ def test_grouped_ensemble_equals_groups_of_one(grid32, monkeypatch):
     from nsgl.diagnostics import energy_report
     from nsgl.grid import SpectralGrid
 
-    assert [experiments._group_size(SpectralGrid(n)) for n in (16, 32, 64, 128)] == [9, 2, 1, 1]
+    assert [experiments._group_size(circle_state(SpectralGrid(n)))
+            for n in (16, 32, 64, 128)] == [9, 2, 1, 1]
     sizes = []
 
     def recording_report(state, *args, **kwargs):
@@ -452,7 +453,7 @@ def test_grouped_ensemble_equals_groups_of_one(grid32, monkeypatch):
     monkeypatch.setattr(experiments, "energy_report", recording_report)
     grouped = run_ensemble(circle_state(grid32), cfg, gl, noise, n_paths=3)
     assert sizes == [2] * (cfg.n_steps + 1) + [1] * (cfg.n_steps + 1)
-    monkeypatch.setattr(experiments, "_group_size", lambda grid: 1)
+    monkeypatch.setattr(experiments, "_group_size", lambda state: 1)
     alone = run_ensemble(circle_state(grid32), cfg, gl, noise, n_paths=3)
     for name in ("sup_energy", "int_dissipation", "balance", "residual"):
         assert getattr(grouped, name).tobytes() == getattr(alone, name).tobytes(), name

@@ -322,10 +322,10 @@ def norm(phys):
 def test_initial_presets_build_consistent_state(tmp_path):
     bundle = build_components(load_config(write_config(tmp_path, SMALL_RUN)))
     st = bundle.state0
-    x1, x2 = bundle.grid.meshgrid()
+    x1, x2 = bundle.state0.grid.meshgrid()
     assert np.allclose(st.u_phys[0], 0.2 * np.sin(x2), atol=1e-12)
     assert np.allclose(st.u_phys[1], 0.0, atol=1e-13)
-    assert bundle.grid.divergence_defect(st.u_spec) < 1e-12
+    assert bundle.state0.grid.divergence_defect(st.u_spec) < 1e-12
     assert np.allclose(norm(st.n_phys), 1.0, atol=1e-12)
     # constant h with magnitude m means each component equals m
     assert bundle.noise.h.shape == (3, 16, 16)
@@ -336,7 +336,7 @@ def test_taylor_green_and_random_band_are_divergence_free(tmp_path):
     for preset in ("taylor_green", "random_band"):
         body = f"[grid]\nn_modes = 16\n[initial]\nu0 = {preset}\nseed = 5\n"
         bundle = build_components(load_config(write_config(tmp_path, body)))
-        assert bundle.grid.divergence_defect(bundle.state0.u_spec) < 1e-12
+        assert bundle.state0.grid.divergence_defect(bundle.state0.u_spec) < 1e-12
         if preset == "random_band":
             assert float(np.max(np.abs(bundle.state0.u_phys))) > 0.0
 
@@ -424,7 +424,7 @@ def test_director_on_false_is_the_model_without_h(tmp_path, capsys):
     assert rows["true"] != rows["false"]
     lib = []
     run_path(bundle.state0, bundle.stepper, bundle.gl,
-             NoiseModel(bundle.grid, seed=9, mode_cutoff=4), covering=bundle.covering,
+             NoiseModel(bundle.state0.grid, seed=9, mode_cutoff=4), covering=bundle.covering,
              on_report=lambda st, tr: lib.append(format_report(tr.last) + "\n"))
     assert rows["false"] == "".join(lib)
 
@@ -432,7 +432,7 @@ def test_director_on_false_is_the_model_without_h(tmp_path, capsys):
 def test_single_mode_axis_profile(tmp_path):
     body = "[grid]\nn_modes = 16\n[h_field]\nprofile = single_mode\nmagnitude = 2.0\n"
     bundle = build_components(load_config(write_config(tmp_path, body)))
-    x1, _ = bundle.grid.meshgrid()
+    x1, _ = bundle.state0.grid.meshgrid()
     assert np.allclose(bundle.noise.h[0], 2.0 * np.cos(x1), atol=1e-12)
     assert np.allclose(bundle.noise.h[1], bundle.noise.h[0])
 
@@ -776,29 +776,38 @@ def test_cli_run_report_every_keeps_final_row(tmp_path):
     assert steps == [0, 2, 4, 5]  # final row always included
 
 
-def test_cli_resume_splices_bitwise(tmp_path, capsys):
+@pytest.mark.parametrize("every", [1, 2])
+def test_cli_resume_splices_bitwise(tmp_path, every):
     """A checkpointed prefix plus a resumed suffix reproduces the one-shot
-
-    stream exactly, byte for byte."""
+    stream exactly, byte for byte, at every ``output.report_every``: the
+    one-shot rows are the prefix's rows before the checkpoint's step, then
+    the resumed stream, which starts with the checkpoint's row only when
+    that step is on the report clock (the prefix's last row always is)."""
     ck = tmp_path / "mid.ckpt"
     full = tmp_path / "full.ndjson"
+    pre = tmp_path / "pre.ndjson"
     tail = tmp_path / "tail.ndjson"
     base = SMALL_RUN.replace("t_end = 0.025", "t_end = {t}")
+    output = "[output]\nreport_every = %d\nndjson_path = {path}\n" % every
     # one-shot reference to t = 0.05
-    body_full = base.format(t=0.05) + f"[output]\nndjson_path = {full}\n"
+    body_full = base.format(t=0.05) + output.format(path=full)
     assert main(["run", "-c", write_config(tmp_path, body_full, "full.ini")]) == 0
-    # prefix run to t = 0.025, checkpointing its final state
-    body_pre = base.format(t=0.025) + \
-        f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    # prefix run to t = 0.025, checkpointing its final state, step 5
+    body_pre = base.format(t=0.025) + output.format(path=pre) + f"checkpoint_path = {ck}\n"
     assert main(["run", "-c", write_config(tmp_path, body_pre, "pre.ini")]) == 0
     # resume to t = 0.05
-    body_res = base.format(t=0.05) + f"[output]\nndjson_path = {tail}\n"
+    body_res = base.format(t=0.05) + output.format(path=tail)
     assert main(["run", "-c", write_config(tmp_path, body_res, "res.ini"),
                  "--resume", str(ck)]) == 0
-    capsys.readouterr()
-    full_lines = full.read_text().split("\n")
-    tail_lines = tail.read_text().split("\n")
-    assert tail_lines == full_lines[5:]
+    rows = {name: path.read_text().splitlines(keepends=True)
+            for name, path in (("full", full), ("pre", pre), ("tail", tail))}
+    steps = {name: [json.loads(row)["step"] for row in lines] for name, lines in rows.items()}
+    assert steps == {1: {"full": list(range(11)), "pre": list(range(6)),
+                         "tail": list(range(5, 11))},
+                     2: {"full": [0, 2, 4, 6, 8, 10], "pre": [0, 2, 4, 5],
+                         "tail": [6, 8, 10]}}[every]
+    before = [row for row, k in zip(rows["pre"], steps["pre"]) if k < 5]
+    assert before + rows["tail"] == rows["full"]
 
 
 def test_cli_resume_prints_the_uninterrupted_summary(tmp_path, capsys):
@@ -829,7 +838,7 @@ def resume_from_old_checkpoint(tmp_path, capsys, version):
     assert main(["run", "-c", write_config(tmp_path, body)]) == 0
     capsys.readouterr()
     bundle = build_components(load_config(write_config(tmp_path, body)))
-    state, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise,
+    state, _ = load_checkpoint(str(ck), bundle.state0.grid, bundle.gl, bundle.noise,
                                config_hash(bundle.cfg))
     write_old_checkpoint(str(ck), state, bundle.gl, bundle.noise, version)
     out_path = tmp_path / "resumed.ndjson"
@@ -853,6 +862,32 @@ def test_cli_resume_refuses_a_version_2_checkpoint(tmp_path, capsys):
     """A version-2 file has no config hash, and its physical payload is not
     the spectra the run continued from."""
     resume_from_old_checkpoint(tmp_path, capsys, 2)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_cli_resume_refuses_a_checkpoint_at_a_non_finite_time(tmp_path, capsys, t):
+    """The SMALL_RUN step-5 checkpoint with its header's t overwritten by
+    +-inf, resumed to t = 0.05: exit 1, one config error line, no stream.
+    Unchecked, such a time passes the step clock (|inf - x| <= 1e-9 * inf)
+    and the run prints null times and a NaN balance."""
+    ck = tmp_path / "mid.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    blob = bytearray(ck.read_bytes())
+    at = struct.calcsize("<4sIIQQQd")  # magic, version, n, step, seed, path_id, eps
+    assert struct.unpack_from("<d", blob, at) == (0.025,)
+    struct.pack_into("<d", blob, at, t)
+    ck.write_bytes(bytes(blob))
+    out_path = tmp_path / "resumed.ndjson"
+    resumed = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
+        f"[output]\nndjson_path = {out_path}\n"
+    assert main(["run", "-c", write_config(tmp_path, resumed, "res.ini"),
+                 "--resume", str(ck)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {ck}: non-finite time t = {t}\n"
+    assert not out_path.exists()
 
 
 def test_config_hash_covers_what_sets_the_trajectory():
@@ -937,7 +972,7 @@ def test_cli_run_writes_each_checkpoint_once(tmp_path, capsys, monkeypatch, ever
         assert not ck.exists()
     else:
         bundle = build_components(load_config(argv[2]))
-        loaded, _ = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise,
+        loaded, _ = load_checkpoint(str(ck), bundle.state0.grid, bundle.gl, bundle.noise,
                                     config_hash(bundle.cfg))
         assert loaded.step == (saved[-1] if saved else 5)
 
@@ -976,7 +1011,7 @@ def test_cli_resume_refuses_checkpoint_off_the_step_clock(tmp_path, capsys):
     # the same step 5 at t = 0.1, under the config that wrote it
     bundle = build_components(load_config(write_config(tmp_path, body)))
     cfg_hash = config_hash(bundle.cfg)
-    state, trace = load_checkpoint(str(ck), bundle.grid, bundle.gl, bundle.noise, cfg_hash)
+    state, trace = load_checkpoint(str(ck), bundle.state0.grid, bundle.gl, bundle.noise, cfg_hash)
     off = tmp_path / "off.ckpt"
     save_checkpoint(str(off), dataclasses.replace(state, t=0.1, step=5), trace,
                     bundle.gl, bundle.noise, cfg_hash)

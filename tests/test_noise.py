@@ -17,6 +17,20 @@ def brute_force_half_plane(cutoff):
     return sorted(pts)
 
 
+def basis_field(model, j):
+    """Grid values (2, N, N) of the basis element e_j of W = sum q_j w_j e_j:
+    per k point of ``model.k_points``, cos(k.x) for even j and sin(k.x) for
+    odd j, times the unit vector perpendicular to k (so e_j is solenoidal),
+    over cos's L2 norm on the torus, pi sqrt(2)."""
+    k1, k2 = model.k_points[j // 2]
+    x1, x2 = model.grid.meshgrid()
+    phase = k1 * x1 + k2 * x2
+    wave = np.cos(phase) if j % 2 == 0 else np.sin(phase)
+    norm = np.sqrt(float(k1 * k1 + k2 * k2))
+    perp = np.array([-k2 / norm, k1 / norm])
+    return wave * perp[:, None, None] / (np.pi * np.sqrt(2.0))
+
+
 def v_mass(model):
     """V-weighted mass of Q: sum over the basis (a cos and a sin per k) of q_j^2 |k_j|^2."""
     ksq = np.sum(model.k_points.astype(np.float64) ** 2, axis=1)
@@ -28,7 +42,7 @@ def test_half_plane_enumeration(grid32):
     got = [tuple(p) for p in model.k_points]
     assert got == brute_force_half_plane(2)
     assert len(got) == 6
-    assert model.n_basis == 12
+    assert 2 * len(model.k_points) == 12  # a cos and a sin per k point
     # exactly one of +-k is retained, so the doubled set covers the annulus
     signed = set(got) | {(-a, -b) for a, b in got}
     full = {(a, b) for a in range(-2, 3) for b in range(-2, 3)
@@ -66,11 +80,11 @@ def test_v_mass_bounded_as_cutoff_grows(grid64):
 
 def test_basis_fields_orthonormal_solenoidal(grid32):
     model = NoiseModel(grid=grid32, mode_cutoff=2)
-    fields = [model.basis_field(j) for j in range(model.n_basis)]
+    fields = [basis_field(model, j) for j in range(2 * len(model.k_points))]
     g = grid32
     gram = np.array([[g.integrate(np.sum(a * b, axis=0)) for b in fields]
                      for a in fields])
-    assert np.allclose(gram, np.eye(model.n_basis), atol=1e-12)
+    assert np.allclose(gram, np.eye(len(fields)), atol=1e-12)
     for f in fields:
         spec = g.to_spec(f)
         assert g.divergence_defect(spec) < 1e-12
@@ -137,8 +151,10 @@ def test_increment_moments(grid32):
 def test_increment_second_moment_is_exactly_trace_q_dt(monkeypatch, n, cutoff):
     """dW is linear in the normals xi, so E |dW|^2_{L2} = dt sum_j |dW(e_j)|^2
     over the unit vectors e_j of the velocity's normals: fed one at a time
-    through ``sample_increment``, the sum is TrQ dt to roundoff.  This is
-    the variance that the ledger's <u, dW> pairs with."""
+    through ``sample_increment``, normal j gives sqrt(dt) q_j times the
+    spectrum of the basis element e_j (a cos/sin swap or a sign flip on the
+    mirrored points would keep every moment), and the sum is TrQ dt to
+    roundoff.  This is the variance that the ledger's <u, dW> pairs with."""
     import nsgl.noise
 
     grid = SpectralGrid(n)
@@ -157,8 +173,10 @@ def test_increment_second_moment_is_exactly_trace_q_dt(monkeypatch, n, cutoff):
     mass = 0.0
     for j in range(n_normals):
         unit["j"] = j
-        mass += grid.l2_norm_spec(sample_increment(model, dt, 0).dW) ** 2
-    assert n_normals == model.n_basis
+        dw = sample_increment(model, dt, 0).dW
+        want = np.sqrt(dt) * model.q_weights[j // 2] * grid.to_spec(basis_field(model, j))
+        assert np.max(np.abs(dw - want)) <= 1e-14 * np.max(np.abs(want)), j
+        mass += grid.l2_norm_spec(dw) ** 2
     assert mass == pytest.approx(model.trace_q * dt, rel=1e-12, abs=0.0)
 
 

@@ -1,6 +1,7 @@
 """Exact substep kernels, splitting order, CFL handling, reproducibility."""
 
 import dataclasses
+import math
 import types
 
 import numpy as np
@@ -44,10 +45,10 @@ def test_stepper_config_validation():
 def test_sim_state_stacks_are_read_only_and_shape_checked(grid16, rng):
     """A state holds its two stacks read-only and refuses any other shape or
     dtype; ``from_arrays`` keeps the grid values as given, with their
-    spectra beside them, and refuses 3 + 2 components."""
+    spectra beside them, at t = 0, step 0, and refuses 3 + 2 components."""
     u, n = rng.standard_normal((2, 16, 16)), rng.standard_normal((3, 16, 16))
-    state = SimState.from_arrays(grid16, u, n, t=0.5, step=4)
-    assert (state.t, state.step, state.grid) == (0.5, 4, grid16)
+    state = SimState.from_arrays(grid16, u, n)
+    assert (state.t, state.step, state.grid) == (0.0, 0, grid16)
     assert np.array_equal(state.u_phys, u) and np.array_equal(state.n_phys, n)
     assert state.spec.tobytes() == grid16.to_spec(np.concatenate([u, n])).tobytes()
     assert np.array_equal(state.u_spec, state.spec[:2])
@@ -76,7 +77,8 @@ def test_step_clock_rule():
     assert cfg.on_clock(0.30000000000000004, 3) and cfg.on_clock(0.0, 0)
     assert not cfg.on_clock(0.3 + 2e-9, 3) and not cfg.on_clock(0.3, 2)
     assert cfg.on_clock(1e3 + 5e-7, 10**4) and not cfg.on_clock(1e3 + 2e-6, 10**4)
-    assert not cfg.on_clock(float("nan"), 3)
+    for t in (math.nan, math.inf, -math.inf):  # abs(inf - x) <= 1e-9 * inf holds
+        assert not cfg.on_clock(t, 3) and not cfg.on_clock(t, 5)
     with pytest.raises(ValueError, match="whole number"):
         StepperConfig(dt=0.1, t_end=0.35)
 
@@ -684,7 +686,7 @@ def test_ensemble_path_step_numpy_fft_calls(grid32, monkeypatch):
     energy_report(new, gl, monitors=False)
     assert slices == {"forward": 0, "inverse": 3}
     monkeypatch.undo()
-    group = [new] * experiments._group_size(g)
+    group = [new] * experiments._group_size(new)
     assert len(group) == 2
     calls = count_calls(monkeypatch)
     energy_report(group, gl, monitors=False)

@@ -1,6 +1,7 @@
 """The repository's helper scripts run and say what they document."""
 
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -122,6 +123,34 @@ def test_bench_pairs_refuses_a_tree_without_the_benchmark(tmp_path):
                           str(tmp_path), str(ROOT), "--workload", "ensemble-n32"],
                          capture_output=True, text=True)
     assert out.returncode == 2 and "no perfbench/run.py under" in out.stderr
+
+
+def test_bench_pairs_takes_its_workloads_and_run_length_from_the_benchmark(monkeypatch,
+                                                                         capsys):
+    """``--workload`` accepts only the names of ``BENCHMARK.json``'s
+    ``workloads``: ``all`` and a misspelt name exit 2 before any run.
+    ``--seconds`` defaults to its ``run_seconds``."""
+    bench = load_tool("bench_pairs")
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    runs = []
+
+    def no_run(tree, workload, seconds, seed, metrics):
+        runs.append((workload, seconds))
+        return None, "not run"
+
+    monkeypatch.setattr(bench, "run_once", no_run)
+    for name in ("all", "ensemble-n23"):
+        with pytest.raises(SystemExit) as exc:
+            bench.main([str(ROOT), str(ROOT), "--workload", name])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and name in err
+    assert runs == []
+    for w in declared["workloads"]:
+        assert bench.main([str(ROOT), str(ROOT), "--workload", w["name"]]) == 1
+    # the first pair runs both trees, then stops on the failures
+    assert runs == [(w["name"], declared["run_seconds"])
+                    for w in declared["workloads"] for side in ("parent", "change")]
 
 
 def test_the_benchmark_tracer_finds_the_names_it_wraps(monkeypatch):

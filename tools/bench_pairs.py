@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of two checkouts, and their summary.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        --pairs K --seconds S --seed N
+        [--pairs K] [--seconds S] [--seed N]
 
 PARENT_TREE and CHANGE_TREE are the roots of two source checkouts, each with
 its own ``perfbench/`` and ``src/``.  For each of K pairs the script runs
@@ -12,8 +12,9 @@ per pair as it goes, then for each end-to-end metric both sides' medians
 and quartiles, the median's change, and in how many pairs the change was
 ahead.  A run whose exit code is nonzero, or that reports a failed
 invocation, is printed as such and stops the script with exit code 1.
-The metrics and their better direction are ``BENCHMARK.json``'s
-``end_to_end``, and the quartiles those of ``perfbench/stats.py``, both
+W is one of ``BENCHMARK.json``'s ``workloads``, S defaults to its
+``run_seconds`` and K to 10.  The metrics and their better direction are
+its ``end_to_end``, and the quartiles those of ``perfbench/stats.py``, all
 read from the checkout the script lives in.
 Nothing is written under either ``perfbench/``; the runs keep their scratch
 files in each checkout's ``.perfbench_runs/``.
@@ -37,13 +38,6 @@ try:
     quartiles = importlib.import_module("stats").quartiles
 finally:
     sys.path.remove(str(PERFBENCH))
-
-
-def end_to_end_metrics() -> dict:
-    """name -> True when higher is better, for the end-to-end metrics of
-    this checkout's ``BENCHMARK.json``."""
-    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
-        return {m["name"]: m["better"] == "higher" for m in json.load(fh)["end_to_end"]}
 
 
 def summarize(parent, change, higher_is_better: bool) -> dict:
@@ -91,12 +85,15 @@ def format_summary(name: str, s: dict) -> str:
 
 
 def main(argv=None) -> int:
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
+        bench = json.load(fh)
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=36)
+    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -106,7 +103,8 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
 
-    metrics = end_to_end_metrics()
+    # name -> True when higher is better
+    metrics = {m["name"]: m["better"] == "higher" for m in bench["end_to_end"]}
     values = {side: {k: [] for k in metrics} for side in trees}
     failed = False
     for i in range(args.pairs):
