@@ -54,7 +54,6 @@ __all__ = [
     "load_config",
     "dump_config",
     "build_components",
-    "parse_eps_family",
     "config_hash",
     "save_checkpoint",
     "load_checkpoint",
@@ -69,7 +68,8 @@ class ConfigError(ValueError):
 
 
 # section -> key -> (type tag, default).  Key order here is the canonical
-# order used by dump_config.
+# order used by dump_config.  "auto_float" is the word auto or a float,
+# "float_list" a comma list of floats, held as a tuple.
 _SCHEMA = {
     "grid": {
         "n_modes": ("int", 64),
@@ -104,7 +104,7 @@ _SCHEMA = {
         "seed": ("int", 7),
     },
     "stops": {
-        "delta": ("str", "auto"),
+        "delta": ("auto_float", "auto"),
         "radius": ("float", 0.7853981633974483),
     },
     "output": {
@@ -114,7 +114,7 @@ _SCHEMA = {
         "checkpoint_every": ("int", 0),
     },
     "convergence": {
-        "eps_family": ("str", "0.4, 0.2, 0.1, 0.05"),
+        "eps_family": ("float_list", (0.4, 0.2, 0.1, 0.05)),
         "alpha": ("float", 1.0),
         "n_paths": ("int", 8),
         "output_dir": ("str", ""),
@@ -126,20 +126,22 @@ _SCHEMA = {
 
 def _convert(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
+    if kind == "str" or kind == "auto_float" and raw == "auto":
+        return raw
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            value = float(raw)
-        elif kind == "bool":
+        if kind == "bool":
             return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-        else:
-            return raw
+        tokens = [t.strip() for t in raw.split(",") if t.strip()] if kind == "float_list" \
+            else [raw]
+        values = tuple(float(tok) for tok in tokens)
     except (ValueError, KeyError):
         raise ConfigError(f"{section}.{key}: cannot parse {raw!r} as {kind}") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key}: {raw!r} is not a finite number")
-    return value
+    for tok, value in zip(tokens, values):
+        if not math.isfinite(value):
+            raise ConfigError(f"{section}.{key}: {tok!r} is not a finite number")
+    return values if kind == "float_list" else values[0]
 
 
 def load_config(path: str) -> dict:
@@ -175,6 +177,8 @@ def _format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, tuple):
+        return ", ".join(repr(e) for e in v)
     return str(v)
 
 
@@ -206,21 +210,6 @@ def config_hash(cfg: dict) -> bytes:
              for sec in _HASHED_SECTIONS for key in _SCHEMA[sec]
              if (sec, key) != ("stepper", "t_end")]
     return hashlib.sha256("\n".join(lines).encode("utf-8")).digest()
-
-
-def parse_eps_family(text: str) -> tuple[float, ...]:
-    try:
-        eps = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise ConfigError(f"convergence.eps_family: cannot parse {text!r}") from None
-    if not eps:
-        raise ConfigError("convergence.eps_family: needs at least one value")
-    if not all(0.0 < e < math.inf and e * e > 0.0 for e in eps):
-        raise ConfigError("convergence.eps_family: entries must be finite and > 0, "
-                          "with a nonzero square")
-    if len(set(eps)) != len(eps):
-        raise ConfigError("convergence.eps_family: entries must be distinct")
-    return eps
 
 
 # -- initial data and axis-field presets ----------------------------------------
@@ -315,13 +304,12 @@ class SimBundle:
     stepper: StepperConfig
     noise: NoiseModel
     covering: CoveringSet
-    stop_delta: object
     state0: SimState
-    eps_family: tuple
 
 
 def build_components(cfg: dict) -> SimBundle:
-    """Semantic validation plus construction of all runtime objects.
+    """Range checks plus construction of all runtime objects; the values
+    are typed already, by :func:`load_config`.
 
     The constructors validate their own arguments and name the config key
     in their ValueError messages, which become ConfigErrors here.
@@ -350,18 +338,21 @@ def build_components(cfg: dict) -> SimBundle:
         raise ConfigError(str(exc)) from None
     if cfg["initial"]["seed"] < 0:
         raise ConfigError("initial.seed must be >= 0")
-    delta_raw = cfg["stops"]["delta"]
-    if delta_raw == "auto":
-        stop_delta = "auto"
-    else:
-        stop_delta = _convert("stops", "delta", "float", delta_raw)
-        if stop_delta <= 0.0:
-            raise ConfigError(f"stops.delta must be > 0 or 'auto', got {stop_delta}")
+    delta = cfg["stops"]["delta"]
+    if delta != "auto" and delta <= 0.0:
+        raise ConfigError(f"stops.delta must be > 0 or 'auto', got {delta}")
     if cfg["output"]["report_every"] < 1:
         raise ConfigError("output.report_every must be >= 1")
     if cfg["output"]["checkpoint_every"] < 0:
         raise ConfigError("output.checkpoint_every must be >= 0")
-    eps_family = parse_eps_family(cfg["convergence"]["eps_family"])
+    eps = cfg["convergence"]["eps_family"]
+    if not eps:
+        raise ConfigError("convergence.eps_family: needs at least one value")
+    if not all(0.0 < e < math.inf and e * e > 0.0 for e in eps):
+        raise ConfigError("convergence.eps_family: entries must be finite and > 0, "
+                          "with a nonzero square")
+    if len(set(eps)) != len(eps):
+        raise ConfigError("convergence.eps_family: entries must be distinct")
     alpha = cfg["convergence"]["alpha"]
     if not (1.0 <= alpha < 2.0):
         raise ConfigError(f"convergence.alpha must be in [1, 2), got {alpha}")
@@ -371,8 +362,7 @@ def build_components(cfg: dict) -> SimBundle:
     state0 = SimState.from_arrays(grid, _initial_velocity(grid, cfg),
                                   _initial_director(grid, cfg))
     return SimBundle(cfg=cfg, gl=gl, stepper=stepcfg, noise=noise,
-                     covering=covering, stop_delta=stop_delta, state0=state0,
-                     eps_family=eps_family)
+                     covering=covering, state0=state0)
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -565,6 +555,14 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     state0, trace0 = bundle.state0, None
     n_total = bundle.stepper.n_steps
     cfg_hash = config_hash(cfg)
+    out_path = cfg["output"]["ndjson_path"]
+    every = cfg["output"]["report_every"]
+    ck_path = cfg["output"]["checkpoint_path"]
+    ck_every = cfg["output"]["checkpoint_every"]
+    # the stream would truncate the checkpoint the run saves or resumes from
+    for other, name in ((ck_path, "output.checkpoint_path"), (args.resume, "--resume")):
+        if other and out_path != "-" and os.path.realpath(out_path) == os.path.realpath(other):
+            raise ConfigError(f"output.ndjson_path names the same file as {name}")
     if args.resume is not None:
         state0, trace0 = load_checkpoint(args.resume, bundle.state0.grid, bundle.gl,
                                          bundle.noise, cfg_hash)
@@ -577,10 +575,6 @@ def _cmd_run(args, bundle: SimBundle) -> int:
         if not bundle.stepper.on_clock(t, step_idx):
             raise ConfigError(
                 f"checkpoint t = {t:.17g} at step {step_idx} does not fit stepper.dt = {dt}")
-    out_path = cfg["output"]["ndjson_path"]
-    every = cfg["output"]["report_every"]
-    ck_path = cfg["output"]["checkpoint_path"]
-    ck_every = cfg["output"]["checkpoint_every"]
     # a checkpoint that cannot be saved fails the run before any row or step
     if ck_path and not os.path.isdir(os.path.dirname(ck_path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), ck_path)
@@ -598,7 +592,7 @@ def _cmd_run(args, bundle: SimBundle) -> int:
 
     try:
         trace = run_path(state0, bundle.stepper, bundle.gl, bundle.noise,
-                         covering=bundle.covering, stop_delta=bundle.stop_delta,
+                         covering=bundle.covering, stop_delta=cfg["stops"]["delta"],
                          on_report=on_report, trace=trace0)
     finally:
         if sink is not sys.stdout:
@@ -645,9 +639,9 @@ def _cmd_converge(args, bundle: SimBundle) -> int:
 
     try:
         report = run_coupled_family(
-            bundle.state0, bundle.stepper, bundle.eps_family, bundle.noise,
+            bundle.state0, bundle.stepper, sec["eps_family"], bundle.noise,
             n_paths=sec["n_paths"], alpha=sec["alpha"], covering=bundle.covering,
-            stop_delta=bundle.stop_delta, on_member_report=on_member)
+            stop_delta=bundle.cfg["stops"]["delta"], on_member_report=on_member)
     finally:
         for fh in sinks.values():
             fh.close()

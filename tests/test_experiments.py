@@ -490,6 +490,34 @@ def test_drivers_call_step_once_per_path_step(grid16, monkeypatch):
     assert len(calls) == cfg.n_steps * 2 * 3
 
 
+def test_drivers_leave_no_cyclic_garbage(grid16):
+    """Each path-step's draws and ledger are freed by reference counting.  A
+    reference cycle through them (a step closure that refers to itself, say)
+    leaves every step's arrays to the cycle collector, a per-step cost in
+    time and peak memory that no output shows."""
+    import gc
+
+    cfg = StepperConfig(dt=1e-3, t_end=0.01)
+    noise = NoiseModel(grid16, seed=2, mode_cutoff=4, h=single_mode_h(grid16))
+    gl = GLParams(epsilon=0.3)
+    cov = CoveringSet(grid16, np.pi / 4.0)
+    runs = {
+        "run_path": lambda: run_path(circle_state(grid16), cfg, gl, noise, covering=cov),
+        "run_ensemble": lambda: run_ensemble(circle_state(grid16), cfg, gl, noise, n_paths=3),
+        "run_coupled_family": lambda: run_coupled_family(
+            circle_state(grid16), cfg, (0.4, 0.2), noise, n_paths=2, covering=cov,
+            on_member_report=lambda p, eps, report: None),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, run in runs.items():
+            run()
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
 def test_family_draws_each_increment_once_per_step(grid16, monkeypatch):
     """The members of a family share one Brownian path, so each (path, step,
     level, slot) increment is drawn once, however many members there are:

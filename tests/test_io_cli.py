@@ -27,7 +27,6 @@ from nsgl.io_cli import (
     load_checkpoint,
     load_config,
     main,
-    parse_eps_family,
     save_checkpoint,
 )
 from nsgl.experiments import run_path
@@ -227,9 +226,8 @@ def test_cli_refuses_a_radius_below_the_grid_spacing(tmp_path, capsys, command):
 
 
 def test_nan_stop_delta_is_config_error(tmp_path):
-    cfg = load_config(write_config(tmp_path, "[stops]\ndelta = nan\n"))
     with pytest.raises(ConfigError, match=r"stops\.delta"):
-        build_components(cfg)
+        load_config(write_config(tmp_path, "[stops]\ndelta = nan\n"))
 
 
 def test_negative_mode_cutoff_is_config_error(tmp_path):
@@ -245,12 +243,21 @@ def test_cli_ensemble_rejects_path_ids_beyond_stream_key(tmp_path, capsys):
     assert "noise.path_id + ensemble.n_paths" in capsys.readouterr().err
 
 
-def test_parse_eps_family():
-    assert parse_eps_family("0.4, 0.2 ,0.1") == (0.4, 0.2, 0.1)
-    assert parse_eps_family("1e-160") == (1e-160,)
+def test_parse_eps_family(tmp_path):
+    """``load_config`` parses the list into a tuple of finite floats and
+    ``build_components`` checks it: nonempty, > 0 with a nonzero square,
+    distinct."""
+    def built(text):
+        cfg = load_config(write_config(
+            tmp_path, f"[grid]\nn_modes = 16\n[convergence]\neps_family = {text}\n"))
+        build_components(cfg)
+        return cfg["convergence"]["eps_family"]
+
+    assert built("0.4, 0.2 ,0.1") == (0.4, 0.2, 0.1)
+    assert built("1e-160") == (1e-160,)
     for bad in ("", "0.4, zero", "0.4, -0.2", "0.1, 0.1", "0.4, nan", "inf", "1e-300"):
-        with pytest.raises(ConfigError):
-            parse_eps_family(bad)
+        with pytest.raises(ConfigError, match=r"^convergence\.eps_family: "):
+            built(bad)
 
 
 @pytest.mark.parametrize("family", ["nan, 0.1", "inf, 0.1"])
@@ -900,7 +907,8 @@ def test_config_hash_covers_what_sets_the_trajectory():
     ref = config_hash(base)
     assert len(ref) == 32
     bumped = {"int": lambda v: v + 1, "float": lambda v: v * 1.5 + 0.25,
-              "bool": lambda v: not v, "str": lambda v: v + "x"}
+              "bool": lambda v: not v, "str": lambda v: v + "x",
+              "auto_float": lambda v: 0.5, "float_list": lambda v: v + (0.01,)}
     for sec, keys in _SCHEMA.items():
         for key, (kind, default) in keys.items():
             values = {s: dict(k) for s, k in base.items()}
@@ -934,6 +942,64 @@ def test_cli_resume_refuses_another_config(tmp_path, capsys):
     capsys.readouterr()
     assert [json.loads(line)["step"] for line in out_path.read_text().splitlines()] == \
         list(range(5, 11))
+
+
+def test_a_value_hashes_and_echoes_the_same_whatever_its_spelling(tmp_path, capsys):
+    """``stops.delta`` and ``convergence.eps_family`` are typed on load, so
+    ``0.5``, ``5e-1`` and ``0.50`` are one config: one hash, one echo line,
+    and a checkpoint written under one spelling resumes under another, its
+    stream spliced onto the prefix byte-equal to the one-shot run."""
+    spellings = ("0.5", "5e-1", "0.50")
+    cfgs = [load_config(write_config(
+        tmp_path, SMALL_RUN + f"[stops]\ndelta = {d}\n[convergence]\neps_family = "
+        f"0.40,.2 , 1e-1\n")) for d in spellings]
+    assert len({config_hash(cfg) for cfg in cfgs}) == 1
+    echo, = {dump_config(cfg) for cfg in cfgs}
+    assert "delta = 0.5\n" in echo and "eps_family = 0.4, 0.2, 0.1\n" in echo
+
+    def body(delta, t_end, out, extra=""):
+        return SMALL_RUN.replace("t_end = 0.025", f"t_end = {t_end}") + \
+            f"[stops]\ndelta = {delta}\n[output]\nndjson_path = {out}\n{extra}"
+
+    full, prefix, rest = (tmp_path / f"{n}.ndjson" for n in ("full", "prefix", "rest"))
+    ck = tmp_path / "mid.ckpt"
+    assert main(["run", "-c", write_config(tmp_path, body("0.50", 0.05, full), "full.ini")]) == 0
+    summary = capsys.readouterr().err
+    assert main(["run", "-c", write_config(tmp_path, body(
+        "0.5", 0.025, prefix, f"checkpoint_path = {ck}\n"), "prefix.ini")]) == 0
+    capsys.readouterr()
+    assert main(["run", "-c", write_config(tmp_path, body("5e-1", 0.05, rest), "rest.ini"),
+                 "--resume", str(ck)]) == 0
+    assert capsys.readouterr().err == summary
+    head = prefix.read_bytes().splitlines(keepends=True)[:-1]  # the checkpoint's row is rest's
+    assert b"".join(head) + rest.read_bytes() == full.read_bytes()
+
+
+@pytest.mark.parametrize("clash", ["checkpoint_path", "resume"])
+def test_cli_run_refuses_a_stream_onto_its_checkpoint(tmp_path, capsys, clash):
+    """An ``ndjson_path`` that resolves to ``checkpoint_path`` or to the
+    ``--resume`` source would truncate the checkpoint and exit 0: it is a
+    config error, and neither the stream nor the checkpoint is written."""
+    ck = tmp_path / "mid.ckpt"
+    body = SMALL_RUN + f"[output]\nndjson_path = -\ncheckpoint_path = {ck}\n"
+    assert main(["run", "-c", write_config(tmp_path, body)]) == 0
+    capsys.readouterr()
+    saved = ck.read_bytes()
+    alias = tmp_path / "sub" / ".." / "mid.ckpt"  # the same file, spelled otherwise
+    (tmp_path / "sub").mkdir()
+    if clash == "checkpoint_path":
+        body = SMALL_RUN + (f"[output]\nndjson_path = {alias}\ncheckpoint_path = {ck}\n"
+                            f"checkpoint_every = 5\n")
+        resume, name = [], "output.checkpoint_path"
+    else:
+        body = SMALL_RUN.replace("t_end = 0.025", "t_end = 0.05") + \
+            f"[output]\nndjson_path = {alias}\n"
+        resume, name = ["--resume", str(ck)], "--resume"
+    assert main(["run", "-c", write_config(tmp_path, body, "clash.ini"), *resume]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: output.ndjson_path names the same file as {name}\n"
+    assert ck.read_bytes() == saved
 
 
 @pytest.mark.parametrize("every, t_end, saved, resume", [

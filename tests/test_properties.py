@@ -154,7 +154,8 @@ def test_complex_tables_keep_the_bits(n, seed, scale_exp, zero_share):
 # surrounding blanks (configparser strips those)
 _TEXT = st.text(alphabet="abcXYZ019_.,:/- ", max_size=12).map(str.strip)
 _VALUES = {"int": st.integers(-2**70, 2**70), "float": FINITE, "bool": st.booleans(),
-           "str": _TEXT}
+           "str": _TEXT, "auto_float": st.one_of(st.just("auto"), FINITE),
+           "float_list": st.lists(FINITE, max_size=5).map(tuple)}
 
 
 @st.composite
