@@ -102,7 +102,13 @@ class SpectralGrid:
     the multipliers of d1, d2 (i*k*diff_mask) and the Laplacian
     (-k2 * diff_mask), whose first two are ``grad_c``.
     ``np.multiply(dlap_c[j], spec, out=...)`` writes derivative j of a
-    (C, N, N/2+1) spectrum stack.  numpy multiplies and divides a complex array by a real or bool one by
+    (C, N, N/2+1) spectrum stack.  ``curl_c``, shape (2, N, N/2+1), holds
+    k1 k2 / |k|^2 and (k2^2 - k1^2) / |k|^2 times the dealias mask, 0 at
+    k = 0: the projected divergence of a symmetric 2D tensor with the
+    spectra D of sigma_11 - sigma_22 and s12 of sigma_12 is the
+    perpendicular gradient (i k2 W, -i k1 W) of
+    W = curl_c[0] D + curl_c[1] s12 (the stream-function form).  numpy
+    multiplies and divides a complex array by a real or bool one by
     casting it to complex first, so the products keep their bits (the
     Laplacian's up to the sign of a zero, since it folds two factors into
     one).
@@ -123,6 +129,7 @@ class SpectralGrid:
     dlap_c: np.ndarray = field(init=False, repr=False, compare=False)
     grad_c: np.ndarray = field(init=False, repr=False, compare=False)
     k_c: np.ndarray = field(init=False, repr=False, compare=False)
+    curl_c: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_modes
@@ -139,13 +146,16 @@ class SpectralGrid:
         weight[:, [0, -1]] = 1.0
         c = np.complex128
         dlap = np.stack([1j * kx * diff, 1j * ky * diff, (-k2 * diff).astype(c)])[:, None]
+        k2_safe = np.where(k2 == 0.0, 1.0, k2)  # both numerators below are 0 at k = 0
+        curl = np.stack(np.broadcast_arrays(kx * ky / k2_safe, (ky**2 - kx**2) / k2_safe))
         for name, val in [
             ("x1", x), ("x2", x), ("kx", kx), ("ky", ky),
-            ("k2", k2), ("k2_safe", np.where(k2 == 0.0, 1.0, k2).astype(c)),
+            ("k2", k2), ("k2_safe", k2_safe.astype(c)),
             ("dealias_mask", dealias), ("diff_mask", diff), ("herm_weight", weight),
             ("grad_weight", weight * k2 * diff),
             ("dealias_c", dealias.astype(c)), ("dlap_c", dlap), ("grad_c", dlap[:2]),
             ("k_c", np.stack(np.broadcast_arrays(kx, ky)).astype(c)),
+            ("curl_c", (curl * dealias).astype(c)),
         ]:
             val.setflags(write=False)
             object.__setattr__(self, name, val)

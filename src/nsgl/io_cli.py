@@ -149,7 +149,7 @@ def load_config(path: str) -> dict:
     ``section -> key -> value``, every schema key present.
 
     Unknown sections or keys, and values that fail to parse, raise
-    ConfigError; syntax errors keep configparser's line numbers.
+    ConfigError; a syntax error is one line, ``<path>, line <n>: <reason>``.
     """
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
@@ -159,7 +159,7 @@ def load_config(path: str) -> dict:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
     except configparser.Error as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(_syntax_error(path, exc)) from None
     values = {sec: {key: default for key, (_, default) in keys.items()}
               for sec, keys in _SCHEMA.items()}
     for sec in parser.sections():
@@ -170,6 +170,19 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"unknown config key {sec}.{key}")
             values[sec][key] = _convert(sec, key, _SCHEMA[sec][key][0], raw)
     return values
+
+
+def _syntax_error(path: str, exc: configparser.Error) -> str:
+    """The one line for a configparser syntax error, whose own message
+    spans lines and echoes the offending one."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return f"{path}, line {exc.lineno}: expected a [section] header"
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"{path}, line {exc.lineno}: section [{exc.section}] already appeared"
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return f"{path}, line {exc.lineno}: key {exc.section}.{exc.option} already appeared"
+    # a ParsingError lists every line that is neither a header nor a key
+    return f"{path}, line {exc.errors[0][0]}: expected key = value"
 
 
 def _format_value(v) -> str:
@@ -559,6 +572,10 @@ def _cmd_run(args, bundle: SimBundle) -> int:
     every = cfg["output"]["report_every"]
     ck_path = cfg["output"]["checkpoint_path"]
     ck_every = cfg["output"]["checkpoint_every"]
+    # an output would overwrite the config the run was read from
+    for path, name in ((out_path, "output.ndjson_path"), (ck_path, "output.checkpoint_path")):
+        if path and path != "-" and os.path.realpath(path) == os.path.realpath(args.config):
+            raise ConfigError(f"{name} names the config file itself")
     # the stream would truncate the checkpoint the run saves or resumes from
     for other, name in ((ck_path, "output.checkpoint_path"), (args.resume, "--resume")):
         if other and out_path != "-" and os.path.realpath(out_path) == os.path.realpath(other):

@@ -11,9 +11,12 @@ for the transport/stress drift with the Wiener increment added at the end,
 so the composite is second order deterministically and the discrete energy
 ledger closes at order dt^2.  Transport and stress exist only in that
 drift kernel, ``coupling_drift_spec``, dealiased by the 2/3 rule and
-checked by ``nsgl.checks``.  The state is two stacks (``SimState``): the
-(5, N, N/2+1) half spectra of u and n, which a step builds as one array,
-and their (5, N, N) grid values, one ``to_phys`` of it.
+checked by ``nsgl.checks``; its velocity part is the perpendicular
+gradient of one stream function, solenoidal without a projection, and
+the stage projects u once, at its end.  The state is two stacks
+(``SimState``): the (5, N, N/2+1) half spectra of u and n, which a step
+builds as one array, and their (5, N, N) grid values, one ``to_phys`` of
+it.
 
 A step whose CFL bound fails is replayed as two half steps drawing their
 increments from disjoint counter substreams; rejected attempts never consume
@@ -221,16 +224,21 @@ def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
     The velocity transport is taken in conservative form: for a solenoidal u
     inside the 2/3 band, the dealiased div(u (x) u) equals the dealiased
     (u.grad) u to roundoff, so u's convection and the Ericksen stress are one
-    symmetric tensor sigma with a single divergence and a single projection.
-    Every u that reaches the exchange stage meets that precondition: the
-    initial velocity, the noise increments and the exchange output are all
-    dealiased and solenoidal.  n is not band-limited, so its transport keeps
-    the advective form.  Each direction is one stacked transform stage: u
-    and grad n go back to the grid in place (8 slices), and the three entries
-    of sigma and the n transport come forward together (6 slices).  The
-    inverse stack is laid out as (d1 n, u1; d2 n, u2), so that sigma_12 is
-    one product summed over its 4 components and sigma_11, sigma_22 one
-    square summed over them.
+    symmetric tensor sigma.  Every u that reaches the exchange stage meets
+    that precondition: the initial velocity, the noise increments and the
+    exchange output are all dealiased and solenoidal.  n is not
+    band-limited, so its transport keeps the advective form.
+
+    In 2D the projection removes sigma's isotropic part, a pure gradient,
+    so P div sigma depends only on D = sigma_11 - sigma_22 and sigma_12: it
+    is the perpendicular gradient (i k2 W, -i k1 W) of the stream function
+    W = (k1 k2 D + (k2^2 - k1^2) sigma_12) / |k|^2, W(0) = 0, solenoidal and
+    mean-free by construction (``grid.curl_c`` holds both factors with the
+    dealias mask).  Each direction is one stacked transform stage: u and
+    grad n go back to the grid in place (8 slices), and the n transport, D
+    and sigma_12 come forward together (5 slices).  The inverse stack is laid
+    out as (d1 n, u1; d2 n, u2), so that sigma_12 is one product summed over
+    its 4 components and D the difference of their squares, summed.
 
     This is the package's only transport and stress kernel: gate 1 and
     ``nsgl check`` evaluate it for the skew transport of u and n and for the
@@ -241,21 +249,25 @@ def coupling_drift_spec(grid: SpectralGrid, spec: np.ndarray) -> np.ndarray:
         np.multiply(grid.grad_c[i], spec[2:], out=back[i, :3])
     back[:, 3] = spec[:2]
     a = grid.to_phys(back, in_place=True)
-    forward = np.empty((6, *a.shape[2:]))
-    np.multiply(a[0], a[1], out=forward[2:]).sum(axis=0, out=forward[1])
-    np.multiply(a[0, 3], a[0, :3], out=forward[3:])
-    forward[3:] += a[1, 3] * a[1, :3]
-    np.square(a, out=a).sum(axis=1, out=forward[0:3:2])
-    del back, a
+    # ((u.grad) n, D, sigma_12); the products behind sigma_12 fill the first 4
+    forward = np.empty((5, *a.shape[2:]))
+    np.multiply(a[0], a[1], out=forward[:4]).sum(axis=0, out=forward[4])
+    np.multiply(a[0, 3], a[0, :3], out=forward[:3])
+    forward[:3] += a[1, 3] * a[1, :3]
+    sq = np.square(a, out=a)
+    sq[0] -= sq[1]
+    sq[0].sum(axis=0, out=forward[3])
+    del back, a, sq
     t = grid.to_spec(forward)
     del forward
     r = np.empty(spec.shape, np.complex128)
-    sigma = t[:3]
-    sigma *= grid.dealias_c
-    np.multiply(grid.grad_c[0], sigma[:2], out=r[:2])  # d1 sigma_11, d1 sigma_12
-    r[:2] += grid.grad_c[1] * sigma[1:]  # + d2 sigma_12, d2 sigma_22
-    leray_project_spec(grid, r[:2], out=r[:2])
-    np.multiply(t[3:], grid.dealias_c, out=r[2:])
+    w = t[3]
+    np.multiply(grid.curl_c, t[3:], out=t[3:])
+    w += t[4]
+    np.multiply(grid.grad_c[1, 0], w, out=r[0])
+    np.multiply(grid.grad_c[0, 0], w, out=r[1])
+    np.negative(r[1], out=r[1])
+    np.multiply(t[:3], grid.dealias_c, out=r[2:])
     return r
 
 

@@ -103,6 +103,23 @@ def test_inline_comments_are_stripped(tmp_path):
     assert cfg["noise"]["seed"] == 3
 
 
+@pytest.mark.parametrize("body, line, reason", [
+    ("x = 1\n[grid]\nn_modes = 16\n", 1, "expected a [section] header"),
+    ("[grid]\nn_modes = 16\n[gl]\nepsilon = 0.3\n[grid]\n", 5,
+     "section [grid] already appeared"),
+    ("[grid]\nn_modes = 16\nn_modes = 32\n", 3, "key grid.n_modes already appeared"),
+    ("[grid]\nn_modes = 16\nnot a key\nnor this\n", 3, "expected key = value"),
+], ids=["no-section-header", "duplicate-section", "duplicate-key", "not-a-key"])
+def test_cli_config_syntax_error_is_one_line(tmp_path, capsys, body, line, reason):
+    """configparser's own message spans lines and echoes the offending one;
+    ``run`` prints one line naming the file, the line and why, and exits 1."""
+    path = write_config(tmp_path, body)
+    assert main(["run", "-c", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: {path}, line {line}: {reason}\n"
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/run.ini")
@@ -1000,6 +1017,23 @@ def test_cli_run_refuses_a_stream_onto_its_checkpoint(tmp_path, capsys, clash):
     assert out == ""
     assert err == f"config error: output.ndjson_path names the same file as {name}\n"
     assert ck.read_bytes() == saved
+
+
+@pytest.mark.parametrize("key", ["ndjson_path", "checkpoint_path"])
+def test_cli_run_refuses_an_output_onto_its_config(tmp_path, capsys, key):
+    """An ``ndjson_path`` or ``checkpoint_path`` that resolves to the config
+    file would overwrite the config with rows or a checkpoint and exit 0: it
+    is a config error, raised before anything is opened, and the config's
+    bytes are unchanged."""
+    (tmp_path / "sub").mkdir()
+    alias = tmp_path / "sub" / ".." / "self.ini"  # the config, spelled otherwise
+    path = write_config(tmp_path, SMALL_RUN + f"[output]\n{key} = {alias}\n", "self.ini")
+    before = (tmp_path / "self.ini").read_bytes()
+    assert main(["run", "-c", path]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"config error: output.{key} names the config file itself\n"
+    assert (tmp_path / "self.ini").read_bytes() == before
 
 
 @pytest.mark.parametrize("every, t_end, saved, resume", [

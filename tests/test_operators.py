@@ -175,6 +175,26 @@ def test_conservative_drift_matches_advective_on_band_limited_solenoidal_u(n, ma
         assert np.array_equal(dn, dn_ref)  # the n transport is unchanged
 
 
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_stream_function_drift_equals_the_projected_tensor_divergence(n, make_director):
+    """The kernel's r_u, the perpendicular gradient of one stream function,
+    equals the Leray projection of the divergence of the dealiased three
+    entries of sigma = u (x) u + grad n (.) grad n to 1e-14 relative; it is
+    solenoidal and mean-free."""
+    g = SpectralGrid(n)
+    rng = np.random.default_rng(n + 1)
+    n_spec = g.to_spec(make_director(g, rng, k_max=n // 2, unit=True))
+    u_spec = leray_project_spec(g, g.dealias(g.to_spec(random_band_limited(g, 2, n // 3, rng))))
+    r_u, _ = drift(g, u_spec, n_spec)
+    u = g.to_phys(u_spec)
+    d1, d2 = grad_pair(g, n_spec)
+    # u's components join n's, so each entry's sum over components is sigma's
+    ref = stress_div_spec(g, np.concatenate([d1, u[:1]]), np.concatenate([d2, u[1:]]))
+    assert np.max(np.abs(r_u - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert g.divergence_defect(r_u) <= 1e-14
+    assert mean_defect(r_u) == 0.0
+
+
 def test_cross3_matches_numpy(rng):
     a = rng.standard_normal((3, 7, 5))
     b = rng.standard_normal((3, 7, 5))

@@ -487,30 +487,39 @@ def scalar_h(g, profile):
 
 
 def test_strang_step_transform_counts(grid32, monkeypatch):
-    """One unsplit Strang step with both noises on and h = cos x1 runs 21
+    """One unsplit Strang step with both noises on and h = cos x1 runs 19
     forward and 30 inverse 2D transform slices, from a state whose spectra
     are already cached, as the per-step energy report leaves them.  Each of
-    the two drift evaluations takes 6 forward and 8 inverse slices of them,
+    the two drift evaluations takes 5 forward and 8 inverse slices of them,
     and the director-noise ledger 3 + 3: n forward and d1 n back, since
-    d2 h is exactly 0."""
+    d2 h is exactly 0.  The drift projects nothing: the step's one Leray
+    projection is the one at the end of the exchange stage."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     assert noise.h_dirs == (0,)
     state = cached_state(g)
     slices = count_slices(monkeypatch)
+    projections = []
+
+    def counted_projection(*args, **kwargs):
+        projections.append(args[1].shape)
+        return leray_project_spec(*args, **kwargs)
+
+    monkeypatch.setattr("nsgl.stepper.leray_project_spec", counted_projection)
     _, ledger = step(state, StepperConfig(dt=1e-3, t_end=1e-3), GLParams(epsilon=0.4), noise)
     assert ledger.n_substeps == 1
-    assert slices == {"forward": 21, "inverse": 30}
+    assert slices == {"forward": 19, "inverse": 30}
+    assert projections == [(2, *g.spec_shape)]
 
 
 @pytest.mark.parametrize("profile, dirs, counts", [
-    ("constant", (), {"forward": 18, "inverse": 27}),
-    ("two_mode", (0, 1), {"forward": 21, "inverse": 33}),
+    ("constant", (), {"forward": 16, "inverse": 27}),
+    ("two_mode", (0, 1), {"forward": 19, "inverse": 33}),
 ])
 def test_ledger_transforms_follow_the_directions_h_varies_in(grid32, monkeypatch,
                                                               profile, dirs, counts):
-    """A constant h takes no ledger transform (18 + 27 per step); for
-    h = cos x1 + cos x2 both derivatives of n go back (21 + 33)."""
+    """A constant h takes no ledger transform (16 + 27 per step); for
+    h = cos x1 + cos x2 both derivatives of n go back (19 + 33)."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, profile))
     assert noise.h_dirs == dirs
@@ -521,10 +530,10 @@ def test_ledger_transforms_follow_the_directions_h_varies_in(grid32, monkeypatch
 
 
 def test_family_member_steps_skip_the_noise_ledger_transforms(grid32, monkeypatch):
-    """With h = cos x1, a family member-step takes 18 forward and 27 inverse
+    """With h = cos x1, a family member-step takes 16 forward and 27 inverse
     step slices, the count of a constant h: the family reads no member's
     balance, so its members step without the noise ledger.  The steps of
-    ``run_path`` and ``run_ensemble`` keep the ledger's 21 + 30."""
+    ``run_path`` and ``run_ensemble`` keep the ledger's 19 + 30."""
     g = grid32
     noise = NoiseModel(grid=g, mode_cutoff=4, seed=3, h=scalar_h(g, "single_mode"))
     cfg = StepperConfig(dt=1e-3, t_end=2e-3)
@@ -543,13 +552,13 @@ def test_family_member_steps_skip_the_noise_ledger_transforms(grid32, monkeypatc
 
     monkeypatch.setattr(experiments, "step", counting_step)
     experiments.run_path(cached_state(g), cfg, gl, noise)
-    assert per_step == [(21, 30)] * cfg.n_steps
+    assert per_step == [(19, 30)] * cfg.n_steps
     per_step.clear()
     experiments.run_ensemble(cached_state(g), cfg, gl, noise, n_paths=2)
-    assert per_step == [(21, 30)] * (2 * cfg.n_steps)
+    assert per_step == [(19, 30)] * (2 * cfg.n_steps)
     per_step.clear()
     experiments.run_coupled_family(cached_state(g), cfg, (0.4, 0.2), noise, n_paths=1)
-    assert per_step == [(18, 27)] * (2 * cfg.n_steps)
+    assert per_step == [(16, 27)] * (2 * cfg.n_steps)
 
 
 def test_step_without_the_noise_ledger_keeps_the_state_bits(grid32):

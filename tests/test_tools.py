@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -151,6 +152,72 @@ def test_bench_pairs_takes_its_workloads_and_run_length_from_the_benchmark(monke
     # the first pair runs both trees, then stops on the failures
     assert runs == [(w["name"], declared["run_seconds"])
                     for w in declared["workloads"] for side in ("parent", "change")]
+
+
+def test_bench_pairs_writes_its_pairs_into_one_bench_file(tmp_path, monkeypatch, capsys):
+    """``--json`` writes what the script prints, per workload: the per-pair
+    values, medians, quartiles and wins of each end-to-end metric, both
+    trees' commits, the seed, the seconds, the pair count and the host.  A
+    call for another workload adds to the file, and one for the same
+    workload replaces its entry.  The runs are canned: nothing is started."""
+    bench = load_tool("bench_pairs")
+    canned = {"parent": iter([100.0, 104.0, 98.0, 102.0, 101.0, 50.0, 52.0]),
+              "change": iter([110.0, 103.0, 109.0, 112.0, 101.0, 55.0, 57.0])}
+
+    def canned_run(tree, workload, seconds, seed, metrics):
+        side = "parent" if tree.name == "before" else "change"
+        v = next(canned[side])
+        return {"steps_per_s": v, "setup_s": v / 100.0, "peak_rss_mb": 40.0}, ""
+
+    monkeypatch.setattr(bench, "run_once", canned_run)
+    monkeypatch.setattr(bench, "tree_commit", lambda tree: {"commit": tree.name, "dirty": False})
+    for name in ("before", "after"):
+        (tmp_path / name / "perfbench").mkdir(parents=True)
+        (tmp_path / name / "perfbench" / "run.py").write_text("")
+    out = tmp_path / "BENCH_0.json"
+    trees = [str(tmp_path / "before"), str(tmp_path / "after")]
+    assert bench.main([*trees, "--workload", "ensemble-n32", "--pairs", "5", "--seconds", "3",
+                       "--seed", "7", "--json", str(out)]) == 0
+    assert bench.main([*trees, "--workload", "run-n128", "--pairs", "2", "--seconds", "4",
+                       "--json", str(out)]) == 0
+    printed = capsys.readouterr().out
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert list(data) == ["workloads"] and list(data["workloads"]) == ["ensemble-n32",
+                                                                       "run-n128"]
+    entry = data["workloads"]["ensemble-n32"]
+    assert entry["trees"] == {"parent": {"commit": "before", "dirty": False},
+                              "change": {"commit": "after", "dirty": False}}
+    assert (entry["seed"], entry["seconds"], entry["pairs"]) == (7, 3, 5)
+    assert set(entry["environment"]) == {"nproc", "cpu_model", "numpy", "python"}
+    assert entry["environment"]["nproc"] >= 1
+    assert entry["environment"]["numpy"] == np.__version__
+    assert entry["environment"]["python"] == sys.version.split()[0]
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert list(entry["metrics"]) == [m["name"] for m in declared["end_to_end"]]
+    speed = entry["metrics"]["steps_per_s"]
+    assert speed == {
+        "better": "higher",
+        "parent": {"values": [100.0, 104.0, 98.0, 102.0, 101.0],
+                   "q1": 99.0, "median": 101.0, "q3": 103.0},
+        "change": {"values": [110.0, 103.0, 109.0, 112.0, 101.0],
+                   "q1": 102.0, "median": 109.0, "q3": 111.0},
+        "relative": 8.0 / 101.0, "gain": 8.0, "spread": 4.0, "wins": 3,
+    }
+    assert "steps_per_s: 101 (99, 103) -> 109 (102, 111), +7.92%" in printed
+    setup = entry["metrics"]["setup_s"]
+    assert setup["better"] == "lower" and setup["wins"] == 1
+    assert entry["metrics"]["peak_rss_mb"]["wins"] == 0  # equal in every pair
+    second = data["workloads"]["run-n128"]
+    assert (second["seed"], second["seconds"], second["pairs"]) == (0, 4, 2)
+    assert second["metrics"]["steps_per_s"]["parent"]["values"] == [50.0, 52.0]
+    # the same workload again replaces its entry and keeps the other
+    canned["parent"], canned["change"] = iter([1.0]), iter([2.0])
+    assert bench.main([*trees, "--workload", "run-n128", "--pairs", "1", "--seconds", "4",
+                       "--json", str(out)]) == 0
+    data = json.loads(out.read_text(encoding="utf-8"))
+    assert data["workloads"]["ensemble-n32"] == entry
+    assert data["workloads"]["run-n128"]["metrics"]["steps_per_s"]["change"]["values"] == [2.0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["BENCH_0.json", "after", "before"]
 
 
 def test_the_benchmark_tracer_finds_the_names_it_wraps(monkeypatch):

@@ -1,7 +1,7 @@
 """Alternating benchmark pairs of two checkouts, and their summary.
 
     python3 tools/bench_pairs.py PARENT_TREE CHANGE_TREE --workload W \\
-        [--pairs K] [--seconds S] [--seed N]
+        [--pairs K] [--seconds S] [--seed N] [--json BENCH_FILE]
 
 PARENT_TREE and CHANGE_TREE are the roots of two source checkouts, each with
 its own ``perfbench/`` and ``src/``.  For each of K pairs the script runs
@@ -18,13 +18,25 @@ its ``end_to_end``, and the quartiles those of ``perfbench/stats.py``, all
 read from the checkout the script lives in.
 Nothing is written under either ``perfbench/``; the runs keep their scratch
 files in each checkout's ``.perfbench_runs/``.
+
+With ``--json``, a run whose pairs all succeed also writes what it prints
+into BENCH_FILE, under ``workloads[W]``: for each end-to-end metric both
+sides' per-pair values in pair order, medians, quartiles and wins; both
+trees' commits and whether their tracked files differ from them; the
+seed, the seconds and the pair count; and the host: ``nproc``, the CPU
+model, and the numpy and Python versions.  A call for another workload
+adds its entry to an existing file, and a call for the same workload
+replaces it.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import importlib.metadata
 import json
+import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -84,6 +96,65 @@ def format_summary(name: str, s: dict) -> str:
             f"median gain {s['gain']:.6g} vs parent quartile spread {s['spread']:.6g}")
 
 
+def environment() -> dict:
+    """The host and interpreter the pairs run on: the CPUs this process may
+    use (``nproc``), the CPU model from ``/proc/cpuinfo`` (None where it
+    cannot be read), and the numpy and Python versions."""
+    model = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"nproc": len(os.sched_getaffinity(0)), "cpu_model": model,
+            "numpy": importlib.metadata.version("numpy"),
+            "python": platform.python_version()}
+
+
+def tree_commit(tree: Path) -> dict:
+    """The commit a tree is checked out at (None outside git), and whether
+    its tracked files differ from that commit (None outside git)."""
+    def git(*args):
+        out = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        return out.stdout.strip() if out.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD")
+    dirty = None if commit is None else bool(git("status", "--porcelain",
+                                                 "--untracked-files=no"))
+    return {"commit": commit, "dirty": dirty}
+
+
+def bench_entry(trees: dict, seed: int, seconds: int, values: dict, metrics: dict,
+                env: dict) -> dict:
+    """The BENCH file's record of one workload's pairs: ``trees`` maps each
+    side to its ``tree_commit``, ``values`` each side and metric to the
+    per-pair values, and ``metrics`` each metric to True when higher is
+    better."""
+    record = {}
+    for k, higher in metrics.items():
+        parent, change = values["parent"][k], values["change"][k]
+        s = summarize(parent, change, higher)
+        sides = {side: {"values": list(vals), "q1": q[0], "median": q[1], "q3": q[2]}
+                 for side, vals, q in (("parent", parent, s["parent"]),
+                                       ("change", change, s["change"]))}
+        record[k] = {"better": "higher" if higher else "lower", **sides,
+                     **{f: s[f] for f in ("relative", "gain", "spread", "wins")}}
+    return {"trees": trees, "seed": seed, "seconds": seconds,
+            "pairs": len(values["parent"][next(iter(metrics))]),
+            "environment": env, "metrics": record}
+
+
+def write_bench(path: Path, workload: str, entry: dict) -> None:
+    """Put ``entry`` under ``workloads[workload]`` of the JSON file at
+    ``path``, creating the file when it is missing."""
+    data = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {"workloads": {}}
+    data["workloads"][workload] = entry
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+    os.replace(tmp, path)
+
+
 def main(argv=None) -> int:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -95,6 +166,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--json", type=Path, help="BENCH file to add this workload's pairs to")
     args = parser.parse_args(argv)
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     for tree in trees.values():
@@ -132,7 +204,13 @@ def main(argv=None) -> int:
         for k, higher in metrics.items():
             print(format_summary(k, summarize(values["parent"][k], values["change"][k],
                                               higher)))
-    return 1 if failed else 0
+    if failed:
+        return 1
+    if args.json is not None:
+        commits = {side: tree_commit(tree) for side, tree in trees.items()}
+        write_bench(args.json, args.workload, bench_entry(
+            commits, args.seed, args.seconds, values, metrics, environment()))
+    return 0
 
 
 if __name__ == "__main__":
